@@ -1,9 +1,17 @@
 """Jacobi elliptic functions, complete integrals and the special functions A and H.
 
 All arguments are real.  The Jacobi functions are computed with the
-descending Landen / arithmetic-geometric-mean recursion, which gives uniform
-double precision over the ranges of arguments used by the operator builders
-(a few quarter-periods on either side of zero).
+descending Landen / arithmetic-geometric-mean recursion (DLMF 22.20), which
+gives uniform double precision over the ranges of arguments used by the
+operator builders (a few quarter-periods on either side of zero).  The AGM
+stops once c_n falls below the rounding floor relative to a_n, which takes at
+most 6 levels for k <= 0.99 and 7 for k = 0.999.
+
+The operator builders evaluate the same few thousand (u, k) arguments many
+times over, so :func:`jacobi` answers from a bounded memo of the Landen
+kernel keyed on (u, k).  The memo only ever holds results of the kernel
+itself, so a cached value is bit-identical to a fresh one.  Quadrature
+integrands call the kernel directly and leave the memo alone.
 
 Conventions: ``k`` is the elliptic modulus in [0, 1), ``kprime`` the
 complementary modulus, ``bigK``/``bigKprime`` the quarter-periods and
@@ -22,13 +30,25 @@ from .errors import DomainError, PoleError
 
 _POLE_EPS = 1e-13
 _QUAD_ABS_TOL = 1e-11
+# stop once c_n is below the rounding floor of (a - b) / 2 relative to a_n
+_AGM_REL_STOP = 4e-16
+# (u, k) arguments held by the Jacobi memo; a battery pass uses about 1.3k
+_JACOBI_MEMO_SIZE = 8192
 
 
+@lru_cache(maxsize=256)
 def _agm_sequence(k):
-    """AGM scales a_n and c_n for modulus k, down to c_n ~ machine epsilon."""
+    """AGM scales a_n and c_n for modulus k, down to c_n <= 4e-16 a_n.
+
+    The test is relative: an absolute threshold below the rounding floor of
+    (a - b) / 2 (about 5.6e-17 once a ~ 1) is never met for some moduli, which
+    then run all 64 levels and lose accuracy.  With the relative test the
+    recursion takes at most 6 levels for k <= 0.99 (c_n shrinks
+    quadratically); the 64-level cap is only a guard.
+    """
     a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
     a_seq, c_seq = [a], [c]
-    while abs(c) > 1e-17 and len(a_seq) < 64:
+    while abs(c) > _AGM_REL_STOP * a and len(a_seq) < 64:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         a_seq.append(a)
         c_seq.append(c)
@@ -82,19 +102,14 @@ def complete_integrals(k):
     return EllipticParams(k, kprime, big_k, big_kp, big_e, big_ep, a_seq, c_seq)
 
 
-def jacobi(u, p):
-    """The primary Jacobi functions (sn, cn, dn) at real argument u.
+def _landen(u, k):
+    """(sn, cn, dn) at u for modulus k by the descending Landen recursion.
 
-    Uses the descending Landen recursion on the precomputed AGM scales of
-    ``p``; dn is recovered from sn through dn^2 = 1 - k^2 sn^2, which is safe
+    dn is recovered from sn through dn^2 = 1 - k^2 sn^2, which is safe
     because dn >= k' > 0 on the real axis.
     """
-    if not math.isfinite(u):
-        raise DomainError(f"argument must be finite, got {u!r}")
-    k = p.k
-    if k == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    a_seq, c_seq = p._agm_a, p._agm_c
+    a_seq, c_seq = _agm_sequence(k)
+    kprime = math.sqrt((1.0 - k) * (1.0 + k))
     n = len(a_seq) - 1
     phi = (2.0 ** n) * a_seq[n] * u
     for i in range(n, 0, -1):
@@ -103,8 +118,24 @@ def jacobi(u, p):
         phi = 0.5 * (phi + math.asin(s))
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt(max(p.kprime * p.kprime, 1.0 - k * k * sn * sn))
+    dn = math.sqrt(max(kprime * kprime, 1.0 - k * k * sn * sn))
     return sn, cn, dn
+
+
+_landen_memo = lru_cache(maxsize=_JACOBI_MEMO_SIZE)(_landen)
+
+
+def jacobi(u, p):
+    """The primary Jacobi functions (sn, cn, dn) at real argument u.
+
+    u = 0 takes the trigonometric branch too, so that the memo (whose keys
+    do not tell -0.0 from 0.0) never changes the sign of sn(-0.0).
+    """
+    if not math.isfinite(u):
+        raise DomainError(f"argument must be finite, got {u!r}")
+    if p.k == 0.0 or u == 0.0:
+        return math.sin(u), math.cos(u), 1.0
+    return _landen_memo(u, p.k)
 
 
 def _ratio(num, den, name, u):
@@ -149,20 +180,6 @@ def nd(u, p):
     return _ratio(1.0, jacobi(u, p)[2], "nd", u)
 
 
-def sd(u, p):
-    s, _, d = jacobi(u, p)
-    return _ratio(s, d, "sd", u)
-
-
-def ds(u, p):
-    s, _, d = jacobi(u, p)
-    return _ratio(d, s, "ds", u)
-
-
-def nc(u, p):
-    return _ratio(1.0, jacobi(u, p)[1], "nc", u)
-
-
 def ns(u, p):
     return _ratio(1.0, jacobi(u, p)[0], "ns", u)
 
@@ -171,15 +188,20 @@ def dn_int_sq(u, p):
     """Integral of dn^2 from 0 to u (the Jacobi epsilon function)."""
     if p.k == 0.0:
         return float(u)
-    val, _ = quad(lambda t: jacobi(t, p)[2] ** 2, 0.0, u,
+    val, _ = quad(lambda t: _landen(t, p.k)[2] ** 2, 0.0, u,
                   epsabs=_QUAD_ABS_TOL, limit=200)
     return val
+
+
+def _dc_sq(t, k):
+    _, c, d = _landen(t, k)
+    return (d / c) ** 2
 
 
 @lru_cache(maxsize=4096)
 def _a_fun_cached(u, k):
     p = complete_integrals(k)
-    val, _ = quad(lambda t: dc(t, p) ** 2, 0.0, u, epsabs=_QUAD_ABS_TOL, limit=200)
+    val, _ = quad(_dc_sq, 0.0, u, args=(k,), epsabs=_QUAD_ABS_TOL, limit=200)
     return (val + (p.bigE - p.bigK) / p.bigK * u) / p.kprime
 
 

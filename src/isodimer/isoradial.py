@@ -287,6 +287,7 @@ class IsoradialGraph:
     root: int                     # chosen root midpoint
     epsilon: float
     original: PlanarGraph = None  # the pre-split input graph
+    _hash: str = field(default=None, init=False, repr=False, compare=False)
 
     # --- convenience -----------------------------------------------------
     def edge_list(self):
@@ -318,10 +319,13 @@ class IsoradialGraph:
         raise KeyError(f"vertex {v} not an endpoint of edge {edge_id}")
 
     def graph_hash(self):
-        import hashlib
+        """Short digest of the embedded graph and its root, computed once."""
+        if self._hash is None:
+            import hashlib
 
-        blob = dump_graph(self.base) + f"|root={self.root}"
-        return hashlib.sha1(blob.encode()).hexdigest()[:12]
+            blob = dump_graph(self.base) + f"|root={self.root}"
+            self._hash = hashlib.sha1(blob.encode()).hexdigest()[:12]
+        return self._hash
 
 
 def _validate_isoradial_faces(g, epsilon):

@@ -76,6 +76,23 @@ def test_verify_deterministic(tmp_path):
     assert first == second
 
 
+def test_verify_artifact_independent_of_caches(tmp_path):
+    # a run with cold elliptic caches and one with warm caches write the
+    # same bytes
+    from isodimer import elliptic as el
+
+    out = tmp_path / "v.json"
+    args = ["verify", "--builder", "square:2x2", "--k", "0.6",
+            "--u-count", "2", "--out", str(out)]
+    for cache in (el._landen_memo, el._agm_sequence, el._a_fun_cached):
+        cache.cache_clear()
+    assert run_cli(args) == 0
+    cold = out.read_bytes()
+    assert el._landen_memo.cache_info().currsize > 0
+    assert run_cli(args) == 0
+    assert out.read_bytes() == cold
+
+
 def test_partition_with_oracle(tmp_path):
     out = tmp_path / "p.json"
     code = run_cli(["partition", "--builder", "square:2x2", "--k", "0.5",

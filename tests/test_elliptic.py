@@ -1,12 +1,13 @@
 """Elliptic layer: Jacobi functions, complete integrals, A and H.
 
 Oracles: adaptive quadrature of the defining integrals (scipy.quad on the
-integrands directly) and scipy.special.ellipj as an independent evaluation of
-the Jacobi functions.
+integrands directly), scipy.special.ellipj as an independent evaluation of
+the Jacobi functions, and mpmath at 50 digits for K, E, sn/cn/dn, A and H.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -205,3 +206,81 @@ def test_theta_transform():
         el.theta_transform(0.0, p)
     with pytest.raises(DomainError):
         el.theta_transform(math.pi / 2, p)
+
+
+# the moduli 0.00 ... 0.99 and one close to 1
+ORACLE_MODULI = [i / 100 for i in range(100)] + [0.999]
+
+
+def test_landen_depth_bounded():
+    for k in ORACLE_MODULI[:-1]:
+        p = el.complete_integrals(k)
+        assert len(p._agm_a) - 1 <= 8, k
+
+
+def test_complete_integrals_vs_mpmath():
+    # K' and E' are the integrals at the modulus the code holds (the rounded
+    # k'); at exact sqrt(1 - k^2) the rounding of k' alone moves K' by up to
+    # 2e-14 for small k
+    with mpmath.workdps(50):
+        for k in ORACLE_MODULI:
+            p = el.complete_integrals(k)
+            m = mpmath.mpf(k) ** 2
+            pairs = [(p.bigK, mpmath.ellipk(m)), (p.bigE, mpmath.ellipe(m))]
+            if k > 0.0:
+                mp_ = mpmath.mpf(p.kprime) ** 2
+                pairs += [(p.bigKprime, mpmath.ellipk(mp_)),
+                          (p.bigEprime, mpmath.ellipe(mp_))]
+            for got, ref in pairs:
+                assert abs((got - ref) / ref) <= 1e-15, (k, got)
+
+
+def test_jacobi_vs_mpmath():
+    with mpmath.workdps(50):
+        for k in ORACLE_MODULI[::3] + [0.6, 0.99, 0.999]:
+            p = el.complete_integrals(k)
+            m = mpmath.mpf(k) ** 2
+            for u in np.linspace(-8.0 * p.bigK, 8.0 * p.bigK, 23):
+                got = el.jacobi(float(u), p)
+                for name, val in zip(("sn", "cn", "dn"), got):
+                    ref = mpmath.ellipfun(name, mpmath.mpf(float(u)), m=m)
+                    assert abs(val - ref) <= 1e-14, (k, u, name)
+
+
+def test_a_and_h_vs_mpmath():
+    with mpmath.workdps(30):
+        for k in (0.0, 0.3, 0.6, 0.9, 0.999):
+            p = el.complete_integrals(k)
+            m = mpmath.mpf(k) ** 2
+
+            def jac(name, t):
+                return mpmath.ellipfun(name, t, m=m)
+            big_k, big_e = mpmath.ellipk(m), mpmath.ellipe(m)
+            for frac in (0.1, 0.5, 0.9):
+                u = mpmath.mpf(frac * p.bigK)
+                dc_int = mpmath.quad(lambda t: (jac("dn", t) / jac("cn", t)) ** 2, [0, u])
+                ref = (dc_int + (big_e - big_k) / big_k * u) / mpmath.sqrt(1 - m)
+                assert abs(el.a_fun(float(u), p) - ref) <= 1e-10, (k, frac)
+            for frac in (-1.3, 0.4, 2.0, 5.5):
+                u = mpmath.mpf(frac * p.bigK)
+                if k == 0.0:
+                    ref = u / (2 * mpmath.pi)
+                else:
+                    big_kp, big_ep = mpmath.ellipk(1 - m), mpmath.ellipe(1 - m)
+                    eps = mpmath.quad(lambda t: jac("dn", t) ** 2, [0, u / 2])
+                    ref = (big_kp * eps + (big_ep - big_kp) * u / 2) / mpmath.pi
+                assert abs(el.h_fun(float(u), p) - ref) <= 1e-10, (k, frac)
+
+
+def test_jacobi_memo_bit_identical():
+    # a memoised answer equals a fresh kernel evaluation bit for bit
+    rng = np.random.default_rng(6)
+    for k in (0.3, 0.6, 0.9, 0.999):
+        p = el.complete_integrals(k)
+        for u in rng.uniform(-4.0 * p.bigK, 4.0 * p.bigK, size=20):
+            u = float(u)
+            el.jacobi(u, p)
+            assert el.jacobi(u, p) == el._landen(u, k)
+    p = el.complete_integrals(0.6)
+    el.jacobi(0.0, p)
+    assert math.copysign(1.0, el.jacobi(-0.0, p)[0]) == -1.0

@@ -193,6 +193,14 @@ def test_graph_hash_depends_on_root():
     assert ig1.graph_hash() != ig2.graph_hash()
 
 
+def test_graph_hash_values_stable():
+    # the digest is cached per graph and keeps its published values
+    for spec, digest in (("square:2x2", "ac6628466058"), ("square:4x3", "cbb221e5da05")):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        assert ig.graph_hash() == digest
+        assert ig.graph_hash() == digest
+
+
 def test_boundary_vectors_parallel_pairs(ig_2x2, ig_hex):
     # each of the two boundary-vector families {alpha_l, beta_r} and
     # {alpha_r, beta_l} pairs up within itself (every track exits parallel to
