@@ -225,9 +225,9 @@ def h_fun(u, p):
     Real reduction H(u) = (K' Eps(u/2) + (E'-K') u/2)/pi with
     Eps(x) = integral of dn^2 over [0, x].  This is the normalization pinned
     by H(2K) = 1/2 (a Legendre-relation computation), oddness, the
-    quasi-period H(u+4K) = H(u)+1 and the k->0 limit u/(2 pi); the displayed
-    prefactor in the source derivation does not satisfy these and was fixed
-    here (see decisions ledger).
+    quasi-period H(u+4K) = H(u)+1 and the k->0 limit u/(2 pi): Eps(K) = E
+    and Legendre's E K' + E' K - K K' = pi/2 give H(2K) = 1/2 exactly with
+    the prefactor 1/pi, which the source derivation's display does not carry.
     """
     if p.k == 0.0:
         return u / (2.0 * math.pi)

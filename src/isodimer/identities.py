@@ -239,8 +239,9 @@ def _log_c_tilde(ws, u):
     Uses the eta-product form, which follows from the verified block
     factorization on every instance.  Collapsing the eta-product to
     (k')^{|V*|/2} prod |sc sc|^(1/2) requires the boundary track directions to
-    pair up mod 2 pi, which fails e.g. on non-square lattice blocks (see
-    ledger); the two forms coincide whenever that pairing holds.
+    pair up mod 2 pi, which fails e.g. on non-square lattice blocks; the two
+    forms coincide whenever that pairing holds, and check_partition_function
+    tests the eta-product form against both determinants on every instance.
     """
     ig, p = ws.ig, ws.p
     ctx = op.EllCtx(ig, p)

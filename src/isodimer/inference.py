@@ -12,19 +12,19 @@ from . import elliptic as el
 from . import operators as op
 from .derived import (
     build_double,
-    build_quadri,
     fisher_quadri_map,
+    induce_orientation_GQ,
     fkey,
     vkey,
     wkey,
 )
-from .errors import DomainError, OracleBudgetError, SingularityError
+from .errors import BijectionError, DomainError, OracleBudgetError, SingularityError
 
 _SING_RCOND = 1e-13
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra
+# dense and sparse linear algebra
 # ---------------------------------------------------------------------------
 
 def _as_array(m):
@@ -50,14 +50,20 @@ def invert(m):
     return inv
 
 
-def inverse_entry(m, row, col):
-    """Entry (row, col) of the inverse of a TypedSparseMatrix by one sparse LU solve.
+# right-hand sides per sparse solve: the extra memory stays at n x 64
+_SOLVE_BLOCK = 64
 
-    The inverse has rows indexed by ``m.cols`` and columns by ``m.rows``.  The
-    guarantees of ``invert`` hold: a non-square or exactly singular matrix,
-    non-finite results, or ||A||_1 * est||A^-1||_1 > 1/_SING_RCOND (the norm
-    of the inverse estimated by ``onenormest`` on the factor) raise
-    SingularityError.
+
+def inverse_entries(m, pairs):
+    """Entries of the inverse of a TypedSparseMatrix from one sparse LU factorisation.
+
+    ``pairs`` lists (row, col) keys of the inverse, whose rows follow ``m.cols``
+    and columns ``m.rows``; the result is a complex array in that order.  The
+    distinct columns are solved in blocks of ``_SOLVE_BLOCK``.  The guarantees
+    of ``invert`` hold: a non-square or exactly singular matrix, non-finite
+    results, or ||A||_1 ||A^-1||_1 > 1/_SING_RCOND raise SingularityError, with
+    ||A^-1||_1 the larger of ``onenormest`` and the largest solved column's
+    1-norm (exact when every column is solved).
     """
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
@@ -69,17 +75,33 @@ def inverse_entry(m, row, col):
         lu = splu(a)
     except RuntimeError as exc:
         raise SingularityError(f"singular matrix: {exc}") from exc
-    rhs = np.zeros(n, dtype=complex)
-    rhs[m.row_pos[col]] = 1.0
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SingularityError("inverse contains non-finite entries")
+    rows = np.array([m.col_pos[r] for r, _c in pairs], dtype=int)
+    cols, slot = np.unique(np.array([m.row_pos[c] for _r, c in pairs], dtype=int),
+                           return_inverse=True)
+    out = np.empty(len(pairs), dtype=complex)
+    inv_norm = 0.0
+    for start in range(0, len(cols), _SOLVE_BLOCK):
+        block = cols[start:start + _SOLVE_BLOCK]
+        rhs = np.zeros((n, len(block)), dtype=complex)
+        rhs[block, np.arange(len(block))] = 1.0
+        x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise SingularityError("inverse contains non-finite entries")
+        inv_norm = max(inv_norm, np.abs(x).sum(axis=0).max())
+        sel = (slot >= start) & (slot < start + len(block))
+        out[sel] = x[rows[sel], slot[sel] - start]
     inv_op = LinearOperator((n, n), matvec=lu.solve, dtype=complex,
                             rmatvec=lambda y: lu.solve(y, trans="H"))
-    cond = abs(a).sum(axis=0).max() * onenormest(inv_op)
+    cond = abs(a).sum(axis=0).max() * max(onenormest(inv_op), inv_norm)
     if not cond <= 1.0 / _SING_RCOND:
         raise SingularityError("matrix numerically singular (conditioning gate)")
-    return x[m.col_pos[row]]
+    return out
+
+
+def inverse_entry(m, row, col):
+    """Entry (row, col) of the inverse of a TypedSparseMatrix: the one-pair
+    case of ``inverse_entries``, with the same index convention and gate."""
+    return inverse_entries(m, [(row, col)])[0]
 
 
 def logabsdet(m):
@@ -285,10 +307,10 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
         wanted = set(pairs)
 
     for jw, wht in enumerate(whites):
-        # initial data of the white vertex; the diagonal gauge of the modified
-        # matrix contributes sn(theta)^(-1) on the central boundary whites
-        # (the displayed corollary carries the reciprocal placement, which
-        # contradicts the definition of the modified matrix; see ledger)
+        # initial data of the white vertex; the modified matrix multiplies
+        # the boundary-pair edges by sn(theta), so the inverse of KQ carries
+        # sn(theta)^(-1) on the central boundary whites (the displayed
+        # corollary's sn(theta) does not match the direct inverse)
         role_i = qg.pair_role.get(qg.quad_of[wht])
         is_wc = role_i is not None and role_i[0] == "l" and qg.corner_of[wht] == 2
         is_root_wc = is_wc and role_i[1].is_root
@@ -358,9 +380,6 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     """
     ig = fg.ig
     fqm = fisher_quadri_map(fg, qg)
-    eps_q = None
-    from .derived import induce_orientation_GQ
-
     eps_q = induce_orientation_GQ(fg, qg)
     kqt = op.kasteleyn_KQ_real(qg, ig, couplings, eps_q)
     kf = op.kasteleyn_KF(fg, couplings)
@@ -451,8 +470,6 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     """Residuals of the three-terms relation on sampled (a, a1, a2, a3)."""
     ig = fg.ig
     fqm = fisher_quadri_map(fg, qg)
-    from .derived import induce_orientation_GQ
-
     induce_orientation_GQ(fg, qg)
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
@@ -534,6 +551,13 @@ class ProbabilityTable:
         return worst
 
 
+def _kenyon_probabilities(m, edges):
+    """Re K[r, c] K^-1[c, r] for each (r, c) entry of m, as Python floats."""
+    inv = inverse_entries(m, [(c, r) for r, c in edges])
+    weights = np.array([m.get(r, c) for r, c in edges], dtype=complex)
+    return (weights * inv).real.tolist()
+
+
 def edge_probabilities_gd(dg, p, u, closed_form=False):
     """Kenyon single-edge probabilities on the rooted double graph.
 
@@ -541,16 +565,12 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
     H(2 u_alpha) - H(2 u_beta) per edge (meaningful near the center of large
     truncations).
     """
-    ig = dg.ig
-    ctx = op.EllCtx(ig, p)
+    ctx = op.EllCtx(dg.ig, p)
     kd = op.dirac(dg, p, u, "plain")
-    inv = invert(kd.dense())
+    edges = sorted(dg.gd_edges.items(), key=str)
+    probs = _kenyon_probabilities(kd, [(wkey(w), black) for (w, black), _rec in edges])
     rows = ProbabilityTable(kind="GD")
-    bpos = {b: i for i, b in enumerate(kd.cols)}
-    wpos = {w: i for i, w in enumerate(kd.rows)}
-    for (w, black), rec in sorted(dg.gd_edges.items(), key=str):
-        val = kd.get(wkey(w), black) * inv[bpos[black], wpos[wkey(w)]]
-        prob = float(val.real)
+    for ((w, black), rec), prob in zip(edges, probs):
         cf = None
         gap = None
         if closed_form:
@@ -565,29 +585,20 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
 
 def edge_probabilities_gq(qg, ig, p):
     kq = op.kasteleyn_KQ(qg, ig, p)
-    inv = invert(kq.dense())
-    out = ProbabilityTable(kind="GQ")
-    wq = {w: i for i, w in enumerate(kq.cols)}
-    bq = {b: i for i, b in enumerate(kq.rows)}
-    for blk, wht, kind, _ in qg.edges:
-        val = kq.get(blk, wht) * inv[wq[wht], bq[blk]]
-        out.rows.append(ProbabilityRow((blk, wht), kind, float(val.real),
-                                       "kenyon-direct"))
-    return out
+    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges])
+    return ProbabilityTable("GQ", [
+        ProbabilityRow((blk, wht), kind, prob, "kenyon-direct")
+        for (blk, wht, kind, _), prob in zip(qg.edges, probs)])
 
 
 def edge_probabilities_gf(fg, couplings):
     kf = op.kasteleyn_KF(fg, couplings)
-    inv = invert(kf.dense())
-    pos = kf.row_pos
-    out = ProbabilityTable(kind="GF")
     all_edges = ([(x, y, "internal") for x, y in fg.internal_edges]
                  + [(x, y, "external") for x, y, _ in fg.external_edges])
-    for x, y, role in all_edges:
-        val = kf.get(x, y) * inv[pos[y], pos[x]]
-        out.rows.append(ProbabilityRow((x, y), role, float(val.real),
-                                       "kenyon-direct"))
-    return out
+    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges])
+    return ProbabilityTable("GF", [
+        ProbabilityRow((x, y), role, prob, "kenyon-direct")
+        for (x, y, role), prob in zip(all_edges, probs)])
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +753,6 @@ def _dual_tree_out(ig, co_edges):
                 stack.append(y)
     n_f = len(ig.face_centers)
     if len(out) != n_f:
-        from .errors import BijectionError
-
         raise BijectionError("complement does not induce a dual spanning tree")
     return out
 
@@ -865,13 +874,11 @@ def unit_dirac(dg):
 
     |det| counts perfect matchings = pairs of dual directed spanning trees.
     """
-    from .derived import wkey as _wkey
-
-    rows = tuple(_wkey(w) for w in dg.whites)
+    rows = tuple(wkey(w) for w in dg.whites)
     cols = tuple(dg.blacks)
     ent = {}
     for (w, black), rec in dg.gd_edges.items():
-        ent[(_wkey(w), black)] = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
+        ent[(wkey(w), black)] = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
     return op.TypedSparseMatrix(rows, cols, ent, "unit_dirac")
 
 
@@ -882,8 +889,6 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     Returns a list of (a_bar, b, formula, direct).
     """
     ig = fg.ig
-    from .derived import induce_orientation_GQ
-
     couplings = op.z_invariant_couplings(ig, p)
     eps_q = induce_orientation_GQ(fg, qg)
     kqt = op.kasteleyn_KQ_real(qg, ig, couplings, eps_q)
@@ -983,18 +988,3 @@ def z2_specialization(p):
     return {"mass": mass, "mass_formula": mass_formula,
             "survival": survival, "survival_formula": survival_formula,
             "survival_formula_alt": survival_formula_a, "coupling": j}
-
-
-def edge_probabilities(kind, ig, p=None, u=None, couplings=None):
-    """Dispatch by derived-graph kind ("GD", "GQ" or "GF")."""
-    if kind == "GD":
-        return edge_probabilities_gd(build_double(ig), p, u)
-    if kind == "GQ":
-        return edge_probabilities_gq(build_quadri(ig), ig, p)
-    if kind == "GF":
-        from .derived import build_fisher
-
-        if couplings is None:
-            couplings = op.z_invariant_couplings(ig, p)
-        return edge_probabilities_gf(build_fisher(ig), couplings)
-    raise DomainError(f"unknown probability kind {kind!r}")

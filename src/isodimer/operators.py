@@ -57,9 +57,9 @@ class TypedSparseMatrix:
         return self.entries.get((r, c), 0.0)
 
     def check_antisymmetric(self, tol=1e-14):
-        a = self.dense()
-        scale = max(1.0, np.abs(a).max())
-        if np.abs(a + a.T).max() > tol * scale:
+        ent = self.entries
+        scale = max([1.0] + [abs(v) for v in ent.values()])
+        if any(abs(v + ent.get((c, r), 0.0)) > tol * scale for (r, c), v in ent.items()):
             raise DomainError(f"{self.name}: antisymmetry violated")
 
     def dump_text(self):
@@ -238,8 +238,9 @@ def delta_m_partial_critical_limit(ig):
 
     Off-diagonal (vc, vl) entries -e^{i(alpha_l-beta_r)/2} tan(theta);
     vc diagonal tan(theta)(e^{i(alpha_l-beta_r)/2} + 1), which keeps the row
-    sums of vc rows at zero (the critical masses vanish); the source display
-    carries a sign typo there (see decisions ledger).
+    sums of vc rows at zero (the critical masses vanish) and matches the
+    numeric limit of ``delta_m_partial_complex_u``; the source display's
+    opposite sign in that diagonal breaks both.
     """
     root = ig.root
     verts = [v for v in sorted(ig.base.coords) if v != root]

@@ -5,7 +5,12 @@ import math
 import subprocess
 import sys
 
+from isodimer import derived as der
+from isodimer import inference as inf
+from isodimer import isoradial as iso
+from isodimer import operators as op
 from isodimer.cli import main
+from isodimer.elliptic import complete_integrals
 
 
 def run_cli(args):
@@ -109,6 +114,28 @@ def test_probabilities_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "edge_id,role,p_kenyon,p_closed_form,gap"
     assert len(lines) > 1
+
+
+def test_probabilities_csv_repeatable_and_exact(tmp_path):
+    out = tmp_path / "t.csv"
+    args = ["probabilities", "--builder", "square:3x3", "--k", "0.6", "--out", str(out)]
+    assert run_cli(args) == 0
+    first = out.read_bytes()
+    assert run_cli(args) == 0
+    assert out.read_bytes() == first
+    # the CLI's default spectral value: the first "doubleprime" admissible u
+    ig = iso.make_isoradial(iso.builder_graph("square:3x3"))
+    dg = der.build_double(ig)
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "doubleprime", count=4)[0]
+    kd = op.dirac(dg, p, u, "plain")
+    inv = inf.invert(kd.dense())
+    edges = sorted(dg.gd_edges, key=str)
+    lines = first.decode().splitlines()[1:]
+    assert len(lines) == len(edges)
+    for (w, b), line in zip(edges, lines):
+        ref = (kd.get(der.wkey(w), b) * inv[kd.col_pos[b], kd.row_pos[der.wkey(w)]]).real
+        assert abs(float(line.rsplit(",", 4)[2]) - ref) <= 1e-12
 
 
 def test_oracle_command_and_budget(tmp_path):

@@ -71,6 +71,66 @@ def test_sparse_inverse_entry_singular():
         inf.inverse_entry(wide, "a", "a")
 
 
+def dense_kenyon(m, edges):
+    """Re K[r, c] K^-1[c, r] per (r, c) from a dense ``invert`` reference."""
+    inv = inf.invert(m.dense())
+    return [(m.get(r, c) * inv[m.col_pos[c], m.row_pos[r]]).real for r, c in edges]
+
+
+def test_sparse_tables_match_dense_invert():
+    ig = iso.make_isoradial(iso.build_square_lattice(16, 16))
+    dg = der.build_double(ig)
+    for k in (0.0, 0.6):
+        p = complete_integrals(k)
+        u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+        tab = inf.edge_probabilities_gd(dg, p, u)
+        edges = [(wkey(w), b) for w, b in (row.edge_id for row in tab.rows)]
+        ref = dense_kenyon(op.dirac(dg, p, u, "plain"), edges)
+        assert len(tab.rows) == len(dg.gd_edges)
+        assert max(abs(row.probability - r) for row, r in zip(tab.rows, ref)) <= 1e-12
+    p = complete_integrals(0.6)
+    for spec in ("square:4x3", "hex"):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        qg, fg = der.build_quadri(ig), der.build_fisher(ig)
+        couplings = op.z_invariant_couplings(ig, p)
+        for tab, m in ((inf.edge_probabilities_gq(qg, ig, p), op.kasteleyn_KQ(qg, ig, p)),
+                       (inf.edge_probabilities_gf(fg, couplings),
+                        op.kasteleyn_KF(fg, couplings))):
+            ref = dense_kenyon(m, [row.edge_id for row in tab.rows])
+            assert all(type(row.probability) is float for row in tab.rows)
+            assert max(abs(row.probability - r) for row, r in zip(tab.rows, ref)) <= 1e-12
+
+
+def test_sparse_tables_never_form_a_dense_matrix(ig_2x2, params_half, monkeypatch):
+    def no_dense(self):
+        raise AssertionError(f"{self.name}: dense() on a sparse path")
+
+    monkeypatch.setattr(op.TypedSparseMatrix, "dense", no_dense)
+    ig, p = ig_2x2, params_half
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    assert inf.edge_probabilities_gd(der.build_double(ig), p, u, closed_form=True).rows
+    assert inf.edge_probabilities_gq(der.build_quadri(ig), ig, p).rows
+    assert inf.edge_probabilities_gf(der.build_fisher(ig),
+                                     op.z_invariant_couplings(ig, p)).rows
+    inf.green_center_diagonal(ig, p)
+    inf.center_edge_probability_gd(ig, p, u)
+
+
+def test_sparse_table_singular(ig_2x2, params_half, monkeypatch):
+    dg = der.build_double(ig_2x2)
+    kd = op.dirac(dg, params_half, 0.3, "plain")
+    w0 = kd.rows[0]
+    # row w0 removed: the factor is exactly singular; row w0 scaled by 1e-16:
+    # ||A||_1 ||A^-1||_1 is about 1e16, past the conditioning gate
+    exact = {rc: v for rc, v in kd.entries.items() if rc[0] != w0}
+    tiny = {rc: v * 1e-16 if rc[0] == w0 else v for rc, v in kd.entries.items()}
+    for ent, msg in ((exact, "exactly singular"), (tiny, "conditioning gate")):
+        m = op.TypedSparseMatrix(kd.rows, kd.cols, ent, "singular")
+        monkeypatch.setattr(op, "dirac", lambda *_args, m=m: m)
+        with pytest.raises(SingularityError, match=msg):
+            inf.edge_probabilities_gd(dg, params_half, 0.3)
+
+
 def test_pf_equals_matching_sum(ig_1x1, ig_1x2, params_half):
     for ig in (ig_1x1, ig_1x2):
         fg = der.build_fisher(ig)
