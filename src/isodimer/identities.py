@@ -1,13 +1,16 @@
 """One verification operation per matrix identity of the framework.
 
-Every ``check_*`` builds both sides on a concrete graph and reports a scalar
-residual (relative infinity-norm, or a log-determinant gap).  The checks are
-pure; a battery driver runs them over (graph, k, u) tuples.
+Every ``check_*`` compares both sides on a concrete graph and reports a scalar
+residual (relative infinity-norm, or a log-determinant gap).  The checks take
+their operators from a :class:`Workspace`, which builds each once per
+(graph, k, u); ``run_battery`` runs them over (graph, k, u) tuples.
 """
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -67,35 +70,159 @@ def _perturb(dense, seed=0, factor=1e-3):
     return a
 
 
-class Workspace:
-    """Caches the derived structures of one (graph, k) combination."""
+class _Graph:
+    """The derived graphs of one isoradial graph, each built once."""
 
-    def __init__(self, ig, p):
+    def __init__(self, ig):
         self.ig = ig
-        self.p = p
         self.dg = build_double(ig)
         self.qg = build_quadri(ig)
-        self._fg = None
-        self._m1 = None
+
+    @cached_property
+    def fg(self):
+        return build_fisher(self.ig)
+
+    @cached_property
+    def m1(self):
+        return reference_matching_M1(self.dg)
+
+    @cached_property
+    def eps_q(self):
+        return induce_orientation_GQ(self.fg, self.qg)
+
+
+class _Memo:
+    """Values computed once per object, keyed by name."""
+
+    def _once(self, key, build):
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def lad(self, name):
+        """logabsdet of the dense form of operator attribute ``name``, once."""
+        return self._once(("lad", name),
+                          lambda: inf.logabsdet(getattr(self, name).dense()))
+
+
+class Workspace(_Memo):
+    """The structures and operators of one (graph, k), each built once.
+
+    The derived graphs and the reference matching depend on the graph alone
+    and are shared with every workspace :meth:`with_modulus` makes.  The
+    operators of the modulus are kept for the life of the workspace; those of
+    a spectral value live in :meth:`at`, which keeps the latest u only.
+    """
+
+    def __init__(self, ig, p):
+        self._bind(_Graph(ig), p)
+
+    def _bind(self, graph, p):
+        self._graph = graph
+        self.ig, self.dg, self.qg = graph.ig, graph.dg, graph.qg
+        self.p = p
+        self._at = None
+
+    def with_modulus(self, p):
+        """A workspace for modulus ``p`` sharing this one's graph structures."""
+        ws = object.__new__(Workspace)
+        ws._bind(self._graph, p)
+        return ws
 
     @property
     def fg(self):
-        if self._fg is None:
-            self._fg = build_fisher(self.ig)
-        return self._fg
+        return self._graph.fg
 
     @property
     def m1(self):
-        if self._m1 is None:
-            self._m1 = reference_matching_M1(self.dg)
-        return self._m1
+        return self._graph.m1
 
     def ctx(self, u=None):
         return {"k": self.p.k, "u": u, "graph": self.ig.graph_hash()}
 
+    def at(self, u):
+        """The operators at spectral value ``u``; asking for another u drops them."""
+        # repr tells -0.0 from 0.0, which == does not
+        if self._at is None or repr(self._at.u) != repr(u):
+            self._at = _AtU(self, u)
+        return self._at
+
+    # -- modulus level ------------------------------------------------------
+
+    @cached_property
+    def dms(self):
+        return op.delta_m_star(self.ig, self.p)
+
+    @cached_property
+    def kq(self):
+        return op.kasteleyn_KQ(self.qg, self.ig, self.p)
+
+    @cached_property
+    def kqp(self):
+        return op.kq_bar_partial(self.qg, self.ig, self.p)
+
+    @cached_property
+    def couplings(self):
+        return op.z_invariant_couplings(self.ig, self.p)
+
+    def spin_sum(self, budget):
+        """The + boundary Ising partition function by spin enumeration."""
+        return self._once("spins", lambda: inf.brute_force_spins(
+            self.ig, self.couplings, budget).weighted_sum)
+
+
+class _AtU(_Memo):
+    """Operators, dense matrices and log-determinants of one (graph, k, u).
+
+    Holds what it needs of its workspace but not the workspace itself, so a
+    workspace the battery has moved past is freed without a cycle collection.
+    """
+
+    def __init__(self, ws, u):
+        self.u = u
+        self.ig, self.dg, self.qg, self.p = ws.ig, ws.dg, ws.qg, ws.p
+        self._graph = ws._graph
+
+    @cached_property
+    def kd(self):
+        return op.dirac(self.dg, self.p, self.u, "plain")
+
+    @cached_property
+    def kdp(self):
+        return op.dirac(self.dg, self.p, self.u, "boundary")
+
+    @cached_property
+    def dmn(self):
+        return op.delta_m_natural(self.ig, self.p, self.u)
+
+    @cached_property
+    def dmp(self):
+        return op.delta_m_partial(self.ig, self.p, self.u)
+
+    @cached_property
+    def q(self):
+        return op.q_matrix(self.ig, self.p, self.u)
+
+    @cached_property
+    def st(self):
+        return op.s_t_matrices(self.qg, self.dg, self.p, self.u)
+
+    @cached_property
+    def gauge(self):
+        return op.kd_gauge_and_directed_laplacian(self.dg, self.p, self.u)
+
+    def log_product(self, kind):
+        """_matching_log_product over the reference matching M1, once per kind."""
+        return self._once(kind, lambda: _matching_log_product(
+            self, self.u, self._graph.m1[0], kind))
+
 
 def _matching_log_product(ws, u, matching, kind):
-    """log of prod over matched double-graph edges of the requested bracket."""
+    """log of prod over matched double-graph edges of the requested bracket.
+
+    ``ws`` is a Workspace or its view at one u: anything with ig, dg and p.
+    """
     ctx = op.EllCtx(ws.ig, ws.p)
     p = ws.p
     total = 0.0
@@ -109,9 +236,6 @@ def _matching_log_product(ws, u, matching, kind):
             total += 0.5 * (math.log(p.kprime) - math.log(da) - math.log(db))
         elif kind == "abs_sc":
             total += 0.5 * (math.log(abs(el.sc(ua, p))) + math.log(abs(el.sc(ub, p))))
-        elif kind == "abs_sc_nd":
-            total += 0.5 * (math.log(abs(el.sc(ua, p))) + math.log(abs(el.sc(ub, p)))
-                            - math.log(da) - math.log(db))
         elif kind == "eta":
             sa = abs(el.sn(ua, p))
             sb = abs(el.sn(ub, p))
@@ -136,12 +260,8 @@ def check_dirac_laplacian(ws, u, tol=DEFAULT_TOL, negative_control=False,
     """Block factorization of the Dirac operators against the Laplacians."""
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
-    kd = op.dirac(ws.dg, p, u, "plain")
-    kdp = op.dirac(ws.dg, p, u, "boundary")
-    dmp = op.delta_m_partial(ig, p, u)
-    dmn = op.delta_m_natural(ig, p, u)
-    dms = op.delta_m_star(ig, p)
-    q = op.q_matrix(ig, p, u)
+    at = ws.at(u)
+    kd, kdp, dms = at.kd, at.kdp, ws.dms
     blacks = list(kd.cols)
     n = len(blacks)
     bpos = {b: i for i, b in enumerate(blacks)}
@@ -159,9 +279,9 @@ def check_dirac_laplacian(ws, u, tol=DEFAULT_TOL, negative_control=False,
     lhs1 = np.conj(kdp.dense()).T @ kd.dense()
     if negative_control:
         lhs1 = _perturb(lhs1, seed)
-    r1 = _rel_inf(lhs1, block(dmp, q))
+    r1 = _rel_inf(lhs1, block(at.dmp, at.q))
     lhs2 = np.conj(kd.dense()).T @ kd.dense()
-    r2 = _rel_inf(lhs2, block(dmn, None))
+    r2 = _rel_inf(lhs2, block(at.dmn, None))
     # lower-left block of the product must vanish identically
     nf = len(ig.face_centers)
     zero_block = lhs1[n - nf:, :n - nf]
@@ -175,22 +295,19 @@ def check_main_intertwiner(ws, u, tol=DEFAULT_TOL, negative_control=False,
                            seed=0):
     """The intertwiner identity on the finite graph plus its interior rows."""
     t0 = time.perf_counter()
-    ig, p = ws.ig, ws.p
-    kd = op.dirac(ws.dg, p, u, "plain")
-    kdp = op.dirac(ws.dg, p, u, "boundary")
-    kq = op.kasteleyn_KQ(ws.qg, ig, p)
-    kqp = op.kq_bar_partial(ws.qg, ig, p)
-    s_mat, t_mat = op.s_t_matrices(ws.qg, ws.dg, p, u)
-    lhs = kqp.dense() @ t_mat.dense()
+    at = ws.at(u)
+    kq = ws.kq
+    s_mat, t_mat = at.st
+    lhs = ws.kqp.dense() @ t_mat.dense()
     if negative_control:
         lhs = _perturb(lhs, seed)
-    rhs = s_mat.dense() @ kdp.dense()
+    rhs = s_mat.dense() @ at.kdp.dense()
     r1 = _rel_inf(lhs, rhs)
     inner = [i for i, b in enumerate(kq.rows)
              if ws.qg.pair_role.get(ws.qg.quad_of[b]) is None]
     if inner:
         lhs2 = (kq.dense() @ t_mat.dense())[inner]
-        rhs2 = (s_mat.dense() @ kd.dense())[inner]
+        rhs2 = (s_mat.dense() @ at.kd.dense())[inner]
         r2 = _rel_inf(lhs2, rhs2)
     else:
         r2 = 0.0
@@ -203,31 +320,25 @@ def check_det_tree_forest(ws, u, tol=DET_TOL, negative_control=False):
     """Determinants of the Dirac operators against the forest partition functions."""
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
-    matching, _part = ws.m1
+    at = ws.at(u)
     ctx = op.EllCtx(ig, p)
     n_f = len(ig.face_centers)
     n_v = len(ig.base.coords)
 
-    kd = op.dirac(ws.dg, p, u, "plain")
-    dms = op.delta_m_star(ig, p)
     log_sc = sum(0.5 * math.log(el.sc(ctx.ell(ws.dg.theta_w[w]), p))
                  for w in ws.dg.whites)
-    lhs1 = inf.logabsdet(kd.dense())
+    lhs1 = at.lad("kd")
     if negative_control:
         lhs1 += 1e-3
     rhs1 = (0.5 * n_f * math.log(p.kprime) + log_sc
-            + _matching_log_product(ws, u, matching, "dn")
-            + inf.logabsdet(dms.dense()))
+            + at.log_product("dn") + ws.lad("dms"))
     r1 = abs(lhs1 - rhs1)
 
-    kdp = op.dirac(ws.dg, p, u, "boundary")
-    dmp = op.delta_m_partial(ig, p, u)
     log_cs = sum(0.5 * math.log(el.cs(ctx.ell(ws.dg.theta_w[w]), p))
                  for w in ws.dg.whites)
     rhs2 = (0.5 * (n_v - 1) * math.log(p.kprime) + log_cs
-            + _matching_log_product(ws, u, matching, "k_nd")
-            + inf.logabsdet(dmp.dense()))
-    r2 = abs(inf.logabsdet(kdp.dense()) - rhs2)
+            + at.log_product("k_nd") + at.lad("dmp"))
+    r2 = abs(at.lad("kdp") - rhs2)
     res = max(r1, r2)
     return _report("det_tree_forest", ws.ctx(u), res, tol, t0,
                    {"dirac_vs_dual_forest": r1, "boundary_vs_forest": r2})
@@ -245,7 +356,6 @@ def _log_c_tilde(ws, u):
     """
     ig, p = ws.ig, ws.p
     ctx = op.EllCtx(ig, p)
-    matching, _ = ws.m1
     rp = ig.root_pair()
     w_bnd = ws.dg.boundary_whites()
     total = 0.0
@@ -254,7 +364,7 @@ def _log_c_tilde(ws, u):
         total += 0.5 * (math.log(el.sn(th, p)) + math.log(el.cn(th, p)))
         if w in w_bnd:
             total -= math.log(el.sn(th, p))
-    total += _matching_log_product(ws, u, matching, "eta")
+    total += ws.at(u).log_product("eta")
     total += math.log(el.sn(ctx.ell(rp.theta_bar), p))
     total += math.log(abs(el.cd(ctx.u_arg(u, rp.beta_r), p)
                           / el.sn(ctx.u_arg(u, rp.alpha_r), p)))
@@ -264,22 +374,24 @@ def _log_c_tilde(ws, u):
 def log_z_plus_squared_formula(ws, u):
     """log of the closed form for the squared + boundary Ising partition
     function (eta-product form; see _log_c_tilde)."""
-    ig, p = ws.ig, ws.p
+    return _log_z_plus_squared(ws, ws.at(u))
+
+
+def _log_z_plus_squared(ws, at):
+    ig, p, u = ws.ig, ws.p, at.u
     ctx = op.EllCtx(ig, p)
-    matching, _ = ws.m1
     rp = ig.root_pair()
     n_v = len(ig.base.coords)
     total = (n_v - 1) * math.log(2.0) + 0.5 * (n_v - 1) * math.log(p.kprime)
     for w in ws.dg.boundary_whites():
         th = ctx.ell(ws.dg.theta_w[w])
         total += math.log((1.0 + el.sn(th, p)) / (2.0 * el.sn(th, p)))
-    total += _matching_log_product(ws, u, matching, "eta")
-    total += _matching_log_product(ws, u, matching, "k_nd")
+    total += at.log_product("eta")
+    total += at.log_product("k_nd")
     total += math.log(el.sn(ctx.ell(rp.theta_bar), p))
     total += math.log(abs(el.cd(ctx.u_arg(u, rp.beta_r), p)
                           / el.sn(ctx.u_arg(u, rp.alpha_r), p)))
-    dmp = op.delta_m_partial(ig, p, u)
-    return total + inf.logabsdet(dmp.dense())
+    return total + at.lad("dmp")
 
 
 def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
@@ -289,17 +401,16 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     (against spin and polygon enumerations when affordable)."""
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
-    kq = op.kasteleyn_KQ(ws.qg, ig, p)
-    kqp = op.kq_bar_partial(ws.qg, ig, p)
-    kdp = op.dirac(ws.dg, p, u, "boundary")
-    lad_kq = inf.logabsdet(kq.dense())
+    at = ws.at(u)
+    kqp = ws.kqp
+    lad_kq = ws.lad("kq")
     if negative_control:
         lad_kq += 1e-3
-    r1 = abs(lad_kq - _log_c_tilde(ws, u) - inf.logabsdet(kdp.dense()))
+    r1 = abs(lad_kq - _log_c_tilde(ws, u) - at.lad("kdp"))
 
     # Lemma factorization with the reference partition
-    matching, part = ws.m1
-    s_mat, t_mat = op.s_t_matrices(ws.qg, ws.dg, p, u)
+    _matching, part = ws.m1
+    s_mat, t_mat = at.st
     sd, td = s_mat.dense(), t_mat.dense()
     spos = {b: i for i, b in enumerate(s_mat.rows)}
     tpos = {w: i for i, w in enumerate(t_mat.rows)}
@@ -343,23 +454,23 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
             r_mat[i, j] = (kq_d[kq_rows[bb2], kq_cols[wq2]] / sd[spos[bb2], wcols[w]]
                            - kq_d[kq_rows[bb1], kq_cols[wq2]] / sd[spos[bb1], wcols[w]])
     lad_r = inf.logabsdet(r_mat) if r_mat.size else 0.0
-    lhs_fact = inf.logabsdet(kq_d) + lad_t1
-    rhs_fact = lad_s1d + lad_s1o + lad_s2 + lad_r + inf.logabsdet(kdp.dense())
+    lhs_fact = ws.lad("kqp") + lad_t1
+    rhs_fact = lad_s1d + lad_s1o + lad_s2 + lad_r + at.lad("kdp")
     r2 = abs(lhs_fact - rhs_fact)
 
     # closed form for [Z+]^2
-    log_z2 = log_z_plus_squared_formula(ws, u)
+    log_z2 = _log_z_plus_squared(ws, at)
     detail = {"kq_vs_kd": r1, "factorization": r2}
     r3 = 0.0
     boundary = ig.base.boundary_vertices()
     n_free = len(ig.base.coords) - len(boundary)
-    couplings = op.z_invariant_couplings(ig, p)
     if 2 ** n_free <= oracle_budget:
-        z_spin = inf.brute_force_spins(ig, couplings, oracle_budget)
-        r3 = abs(2.0 * math.log(z_spin.weighted_sum) - log_z2)
+        r3 = abs(2.0 * math.log(ws.spin_sum(oracle_budget)) - log_z2)
         detail["ising_vs_forest"] = r3
-    # u and u+2K symmetry of the second corollary form
-    log_z2_b = log_z_plus_squared_formula(ws, (u + 2.0 * p.bigK) % (4.0 * p.bigK))
+    # u and u+2K symmetry of the second corollary form; the shifted u is
+    # evaluated aside so the operators at u stay cached
+    u_b = (u + 2.0 * p.bigK) % (4.0 * p.bigK)
+    log_z2_b = _log_z_plus_squared(ws, _AtU(ws, u_b))
     r4 = abs(log_z2 - log_z2_b)
     detail["u_shift_consistency"] = r4
     res = max(r1, r2, r3, r4)
@@ -411,13 +522,12 @@ def check_dubedat(ws, couplings=None, tol=DEFAULT_TOL, det_tol=DET_TOL,
                   oracle_budget=10 ** 6, negative_control=False, seed=0):
     """Dubedat's block identities between the Fisher and quadri matrices."""
     t0 = time.perf_counter()
-    ig, p = ws.ig, ws.p
+    ig = ws.ig
     if couplings is None:
-        couplings = op.z_invariant_couplings(ig, p)
+        couplings = ws.couplings
     fg, qg = ws.fg, ws.qg
     kf = op.kasteleyn_KF(fg, couplings)
-    eps_q = induce_orientation_GQ(fg, qg)
-    kqt = op.kasteleyn_KQ_real(qg, ig, couplings, eps_q)
+    kqt = op.kasteleyn_KQ_real(qg, ig, couplings, ws._graph.eps_q)
     x_mat, m_mat, m_prime, _kappa, i_wa, _d_bqa, _d_ab, blocks = op.fisher_aux(fg, qg, kf)
     xki = x_mat.dense() @ kqt.dense() @ i_wa.dense()
     if negative_control:
@@ -445,87 +555,86 @@ def check_dubedat(ws, couplings=None, tol=DEFAULT_TOL, det_tol=DET_TOL,
                     "det_gap": float(r5), "pf_sq": float(r6)})
 
 
-def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, n_paths=100,
-                                   negative_control=False):
+def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
     """The determinant chain through the gauge-transformed Dirac operator."""
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
+    at = ws.at(u)
     ctx = op.EllCtx(ig, p)
-    matching, _ = ws.m1
-    kd = op.dirac(ws.dg, p, u, "plain")
-    kg, dstar = op.kd_gauge_and_directed_laplacian(ws.dg, p, u)
-    lad_kd = inf.logabsdet(kd.dense())
+    kg, dstar = at.gauge
+    lad_kd = at.lad("kd")
     if negative_control:
         lad_kd += 1e-3
     log_c = sum(0.5 * math.log(el.sc(ctx.ell(ws.dg.theta_w[w]), p))
                 for w in ws.dg.whites)
-    log_c += _matching_log_product(ws, u, matching, "dn")
-    r1 = abs(lad_kd - log_c - inf.logabsdet(kg.dense()))
-    r2 = abs(inf.logabsdet(kg.dense()) - inf.logabsdet(dstar.dense()))
-    dms = op.delta_m_star(ig, p)
-    r3 = abs(inf.logabsdet(dstar.dense())
+    log_c += at.log_product("dn")
+    lad_kg, lad_dstar = inf.logabsdet(kg.dense()), inf.logabsdet(dstar.dense())
+    r1 = abs(lad_kd - log_c - lad_kg)
+    r2 = abs(lad_kg - lad_dstar)
+    r3 = abs(lad_dstar
              - 0.5 * len(ig.face_centers) * math.log(p.kprime)
-             - inf.logabsdet(dms.dense()))
-    # gauge function well-defined: random path pairs on the restricted dual
-    r4 = _dual_gauge_path_independence(ws, u, n_paths)
+             - ws.lad("dms"))
+    # gauge function well defined: exact holonomy on the restricted dual
+    r4 = _dual_gauge_path_independence(ws, u)
     res = max(r1, r2, r3, r4)
     return _report("directed_laplacian_gauge", ws.ctx(u), res, tol, t0,
                    {"kd_vs_kg": r1, "kg_vs_dstar": r2, "dstar_vs_forest": r3,
                     "path_independence": r4})
 
 
-def _dual_gauge_path_independence(ws, u, n_paths):
-    """Path independence of the gauge function q on the restricted dual,
-    tested on random closed walks, plus the explicit diagonal conjugation."""
-    ig, p = ws.ig, ws.p
-    ctx = op.EllCtx(ig, p)
+def _dual_step(ws, ctx, u, f_from, eid):
+    """The gauge ratio q(f')/q(f) across dual edge ``eid`` leaving face ``f_from``."""
+    p = ws.p
+    rec = ws.dg.gd_edges[(eid, fkey(f_from))]
+    return ((1.0 / p.kprime) * el.dn(ctx.u_arg(u, rec["alpha"]), p)
+            * el.dn(ctx.u_arg(u, rec["beta"]), p))
+
+
+def _gauge_holonomy(ws, u):
+    """Exact holonomy test of the gauge function q on the restricted dual.
+
+    q is fixed to 1 at the first face of each component and carried over a
+    BFS tree by ``_dual_step``.  Returns max |q(a) step(a, e) / q(b) - 1| over
+    every dual edge a -e- b in both directions, which is 0 exactly when the
+    steps are reciprocal and multiply to 1 around every cycle, i.e. when q is
+    well defined.
+    """
     adj = {}
-    for (fa, fb), eid in ig.dual_edges:
+    for (fa, fb), eid in ws.ig.dual_edges:
         adj.setdefault(fa, []).append((fb, eid))
         adj.setdefault(fb, []).append((fa, eid))
+    ctx = op.EllCtx(ws.ig, ws.p)
+    step = {(a, eid): _dual_step(ws, ctx, u, a, eid) for a in adj for _b, eid in adj[a]}
+    q = {}
+    for root in sorted(adj):
+        if root in q:
+            continue
+        q[root] = 1.0
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            for b, eid in adj[a]:
+                if b not in q:
+                    q[b] = q[a] * step[(a, eid)]
+                    queue.append(b)
+    return max((abs(q[a] * step[(a, eid)] / q[b] - 1.0)
+                for a in adj for b, eid in adj[a]), default=0.0)
 
-    worst = 0.0
-    if adj:
-        def step(f_from, eid):
-            rec = ws.dg.gd_edges[(eid, fkey(f_from))]
-            return ((1.0 / p.kprime) * el.dn(ctx.u_arg(u, rec["alpha"]), p)
-                    * el.dn(ctx.u_arg(u, rec["beta"]), p))
 
-        rng = np.random.default_rng(11)
-        faces = sorted(adj)
-
-        def random_path(a, b):
-            # randomized DFS path a -> b; returns the q-product along it
-            stack = [(a, 1.0, {a})]
-            while stack:
-                cur, q, seen = stack.pop()
-                if cur == b:
-                    return q
-                nbrs = list(adj[cur])
-                rng.shuffle(nbrs)
-                for nxt, eid in nbrs:
-                    if nxt not in seen:
-                        stack.append((nxt, q * step(cur, eid), seen | {nxt}))
-            return None
-
-        for _ in range(n_paths):
-            a = faces[rng.integers(len(faces))]
-            b = faces[rng.integers(len(faces))]
-            q1 = random_path(a, b)
-            q2 = random_path(a, b)
-            if q1 is not None and q2 is not None:
-                worst = max(worst, abs(q1 / q2 - 1.0))
-
-    # explicit well-definedness: diagonal conjugation of the scaled Laplacian
-    _kg, dstar = op.kd_gauge_and_directed_laplacian(ws.dg, p, u)
+def _dual_gauge_path_independence(ws, u):
+    """Path independence of the gauge function q on the restricted dual by
+    exact holonomy, plus the explicit diagonal conjugation."""
+    p = ws.p
+    _kg, dstar = ws.at(u).gauge
     scaled = op.TypedSparseMatrix(
         dstar.rows, dstar.cols,
         {kk: v / math.sqrt(p.kprime) for kk, v in dstar.entries.items()}, "scaled")
-    dms = op.delta_m_star(ig, p)
+    dms = ws.dms
     d = op.gauge_q(dms, scaled, bipartite=False, tol=1e-8)
     dd = d.dense()
     resid = np.abs(dms.dense() - dd @ scaled.dense() @ np.linalg.inv(dd)).max()
-    return float(max(worst, resid / max(1.0, np.abs(dms.dense()).max())))
+    return float(max(_gauge_holonomy(ws, u),
+                     resid / max(1.0, np.abs(dms.dense()).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +653,11 @@ def run_battery(ig, ks=(0.0, 0.3, 0.6, 0.9), u_count=4, delta=None, tol=None,
     from .isoradial import admissible_u
 
     reports = []
+    ws = None
     for k in ks:
         p = el.complete_integrals(k)
         d = delta if delta is not None else p.bigK / 16.0
-        ws = Workspace(ig, p)
+        ws = Workspace(ig, p) if ws is None else ws.with_modulus(p)
         if u_values is not None:
             us_prime = list(u_values)
             us_dp = list(u_values)

@@ -16,6 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     DomainError,
     EmbeddingError,
@@ -323,13 +325,6 @@ class IsoradialGraph:
     def root_pair(self):
         return self.pair_of_vc(self.root)
 
-    def vertex_edge_fans(self):
-        """For each vertex: incident edge ids in CCW order."""
-        fans = {}
-        for v, nbrs in self.base.adj.items():
-            fans[v] = [self.edge_ids[(min(v, w), max(v, w))] for w in nbrs]
-        return fans
-
     def rhombus_vectors_from(self, edge_id, v):
         """Lifted (right, left) rhombus-vector angles of an edge seen from endpoint v."""
         r = self.rhombi[edge_id]
@@ -598,6 +593,10 @@ def _excluded_set(ig, p, level):
     return out
 
 
+# candidates admissible_u tests per numpy pass; most targets settle in the first block
+_SEARCH_BLOCK = 256
+
+
 def admissible_u(ig, p, level="base", delta=None, count=4):
     """Deterministic admissible spectral values in [0, 4K).
 
@@ -614,27 +613,23 @@ def admissible_u(ig, p, level="base", delta=None, count=4):
         raise DomainError("delta must be positive")
     excl = _excluded_set(ig, p, level)
 
-    def circ_dist(a, b):
-        d = abs(a - b) % period
-        return min(d, period - d)
-
-    def admissible(x, chosen):
-        return all(circ_dist(x, e) >= delta for e in excl) and all(
-            circ_dist(x, c) >= delta for c in chosen)
-
     n_grid = 8192
     step = period / n_grid
+    # offsets from each target in search order: 0, +1, -1, +2, -2, ...
+    offs = np.arange(1, n_grid // 2 + 1)
+    signed = np.zeros(2 * len(offs) + 1, dtype=np.int64)
+    signed[1::2], signed[2::2] = offs, -offs
     chosen = []
     for j in range(count):
         target = period * j / count
+        avoid = np.array(excl + chosen)
         found = None
-        for off in range(n_grid // 2 + 1):
-            for sgn in (1, -1) if off else (1,):
-                x = (target + sgn * off * step) % period
-                if admissible(x, chosen):
-                    found = x
-                    break
-            if found is not None:
+        for lo in range(0, len(signed), _SEARCH_BLOCK):
+            x = (target + signed[lo:lo + _SEARCH_BLOCK] * step) % period
+            d = np.abs(x[:, None] - avoid[None, :]) % period
+            ok = (np.minimum(d, period - d) >= delta).all(axis=1)
+            if ok.any():
+                found = float(x[ok.argmax()])
                 break
         if found is None:
             raise InfeasibleError(

@@ -253,3 +253,109 @@ def test_eta_product_lemma_balance():
         # the partition identity itself holds either way with the eta form
         rep = idn.check_partition_function(ws, u)
         assert rep.passed
+
+
+def _fresh_check(ig, rep):
+    """The check behind one battery report, run on a fresh workspace."""
+    ws = idn.Workspace(ig, complete_integrals(rep.k))
+    if rep.name == "dubedat":
+        return idn.check_dubedat(ws)
+    check = {"dirac_laplacian": idn.check_dirac_laplacian,
+             "main_intertwiner": idn.check_main_intertwiner,
+             "det_tree_forest": idn.check_det_tree_forest,
+             "partition_function": idn.check_partition_function,
+             "directed_laplacian_gauge": idn.check_directed_laplacian_gauge}
+    return check[rep.name](ws, rep.u)
+
+
+def test_battery_cache_matches_fresh_workspaces(ig_2x2, ig_hex):
+    # the battery shares one evaluation per (graph, k, u) between its checks;
+    # each check run alone on a fresh Workspace must give the same floats
+    for ig in (ig_2x2, ig_hex):
+        reports = idn.run_battery(ig, ks=(0.0, 0.6))
+        seen = 0
+        for rep in reports:
+            if rep.name == "z_invariance":
+                continue
+            alone = _fresh_check(ig, rep)
+            assert alone.name == rep.name
+            if rep.name == "directed_laplacian_gauge":
+                assert abs(alone.residual - rep.residual) <= 1e-13
+            else:
+                assert alone.residual == rep.residual, (rep.name, rep.k, rep.u)
+                assert alone.detail == rep.detail, (rep.name, rep.k, rep.u)
+            seen += 1
+        assert seen == 2 * (2 * 4 + 3 * 4 + 1)
+
+
+def test_battery_builds_each_operator_once(ig_2x2, monkeypatch):
+    import isodimer.operators as op
+
+    dirac_calls = {}
+    graph_calls = {}
+    real_dirac = op.dirac
+
+    def counting_dirac(dg, p, u, variant="plain"):
+        key = (p.k, repr(u))
+        dirac_calls[key] = dirac_calls.get(key, 0) + 1
+        return real_dirac(dg, p, u, variant)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            graph_calls[name] = graph_calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(op, "dirac", counting_dirac)
+    for name in ("build_double", "build_quadri", "build_fisher",
+                 "reference_matching_M1"):
+        monkeypatch.setattr(idn, name, counting(name, getattr(idn, name)))
+    reports = idn.run_battery(ig_2x2, ks=(0.0, 0.3, 0.6, 0.9))
+    assert all(r.passed for r in reports)
+    assert dirac_calls and max(dirac_calls.values()) <= 2
+    assert graph_calls == {"build_double": 1, "build_quadri": 1,
+                           "build_fisher": 1, "reference_matching_M1": 1}
+
+
+def test_gauge_holonomy_exact():
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex"):
+        ig = get_graph(spec)
+        for k in (0.0, 0.3, 0.6, 0.9):
+            p = complete_integrals(k)
+            ws = idn.Workspace(ig, p)
+            for u in iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=4):
+                assert idn._gauge_holonomy(ws, u) <= 1e-13, (spec, k, u)
+                rep = idn.check_directed_laplacian_gauge(ws, u)
+                assert rep.detail["path_independence"] <= 1e-13, (spec, k, u)
+
+
+def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
+    from isodimer.derived import fkey
+
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig_2x2, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+    (fa, fb), eid = ig_2x2.dual_edges[0]
+    assert idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u).passed
+
+    # one dual step off by a relative 1e-6, in either direction: one of the
+    # two is a BFS tree step (caught around a cycle), the other is caught
+    # only by the reciprocity of the reverse step
+    real_step = idn._dual_step
+    for bad in (fa, fb):
+        def scaled_step(ws, ctx, u_, f_from, e, bad=bad):
+            s = real_step(ws, ctx, u_, f_from, e)
+            return s * (1.0 + 1e-6) if (f_from, e) == (bad, eid) else s
+
+        monkeypatch.setattr(idn, "_dual_step", scaled_step)
+        rep = idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u)
+        assert rep.detail["path_independence"] > 1e-8, bad
+        assert not rep.passed and rep.tolerance == idn.DET_TOL
+    monkeypatch.setattr(idn, "_dual_step", real_step)
+
+    # one corrupted angle in the double graph's edge records
+    ws = idn.Workspace(ig_2x2, p)
+    rec = ws.dg.gd_edges[(eid, fkey(fa))]
+    ws.dg.gd_edges[(eid, fkey(fa))] = dict(rec, alpha=rec["alpha"] + 1e-3)
+    assert idn._gauge_holonomy(ws, u) > 1e-8

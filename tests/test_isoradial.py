@@ -176,6 +176,60 @@ def test_admissible_u_levels(ig_2x2):
         iso.admissible_u(ig_2x2, p, "doubleprime", delta=2.0 * K, count=4)
 
 
+def _admissible_u_reference(ig, p, level, delta, count):
+    # the scalar grid search admissible_u evaluates in numpy blocks
+    period = 4.0 * p.bigK
+    excl = iso._excluded_set(ig, p, level)
+
+    def circ_dist(a, b):
+        d = abs(a - b) % period
+        return min(d, period - d)
+
+    n_grid = 8192
+    step = period / n_grid
+    chosen = []
+    for j in range(count):
+        target = period * j / count
+        found = None
+        for off in range(n_grid // 2 + 1):
+            for sgn in (1, -1) if off else (1,):
+                x = (target + sgn * off * step) % period
+                if all(circ_dist(x, e) >= delta for e in excl + chosen):
+                    found = x
+                    break
+            if found is not None:
+                break
+        if found is None:
+            raise InfeasibleError("no admissible point")
+        chosen.append(found)
+    return chosen
+
+
+def test_admissible_u_matches_scalar_search():
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex"):
+        ig = get_graph(spec)
+        for k in (0.0, 0.3, 0.6, 0.9):
+            p = complete_integrals(k)
+            for level in ("base", "prime", "doubleprime"):
+                for delta, count in ((p.bigK / 16, 4), (p.bigK / 4, 3)):
+                    try:
+                        want = _admissible_u_reference(ig, p, level, delta, count)
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            iso.admissible_u(ig, p, level, delta=delta, count=count)
+                        continue
+                    got = iso.admissible_u(ig, p, level, delta=delta, count=count)
+                    assert all(type(x) is float for x in got)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (
+                        spec, k, level, delta)
+            with pytest.raises(InfeasibleError):
+                _admissible_u_reference(ig, p, "doubleprime", 2.0 * p.bigK, 4)
+            with pytest.raises(InfeasibleError):
+                iso.admissible_u(ig, p, "doubleprime", delta=2.0 * p.bigK, count=4)
+
+
 def test_admissible_excluded_set_square(ig_2x2):
     # boundary half-rhombi of the square lattice exclude all multiples of K/2
     p = complete_integrals(0.5)
