@@ -379,18 +379,17 @@ def _faces_from_coords(coords, edges):
         adj.setdefault(y, []).append(x)
     for v in adj:
         adj[v].sort(key=lambda w: cmath.phase(coords[w] - coords[v]) % (2 * math.pi))
-    remaining = set()
-    for x, y in edges:
-        remaining.add((x, y))
-        remaining.add((y, x))
+    # every dart starts a face when it is the smallest (by str) not yet traced
+    used = set()
     faces = []
-    while remaining:
-        start = min(remaining, key=str)
+    for start in sorted([d for x, y in edges for d in ((x, y), (y, x))], key=str):
+        if start in used:
+            continue
         cyc = []
         cur = start
         while True:
             cyc.append(cur[0])
-            remaining.discard(cur)
+            used.add(cur)
             u, v = cur
             nbrs = adj[v]
             i = nbrs.index(u)
@@ -449,13 +448,11 @@ def kasteleyn_orient(vertices, edges, faces):
             idxs.append(eindex[(f[j], f[(j + 1) % len(f)])])
         face_edges.append(idxs)
 
-    undecided = [len([i for i in idxs if i not in orient]) for idxs in face_edges]
-    pending = [fi for fi, n in enumerate(undecided) if n >= 0]
     done_faces = set()
     progress = True
     while progress:
         progress = False
-        for fi in pending:
+        for fi in range(len(faces)):
             if fi in done_faces:
                 continue
             idxs = face_edges[fi]
@@ -488,11 +485,11 @@ def kasteleyn_orient(vertices, edges, faces):
         else:
             eps[(x, y)], eps[(y, x)] = -1, 1
     # verify
-    check_clockwise_odd(eps, faces, eindex=None)
+    check_clockwise_odd(eps, faces)
     return eps
 
 
-def check_clockwise_odd(eps, faces, eindex=None):
+def check_clockwise_odd(eps, faces):
     for f in faces:
         n_co = 0
         for j in range(len(f)):

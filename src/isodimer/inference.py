@@ -2,7 +2,6 @@
 edge probabilities and the brute-force enumeration oracles."""
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -145,7 +144,7 @@ def pfaffian(m, tol=1e-12):
 # inverse-operator formulas
 # ---------------------------------------------------------------------------
 
-def _kd_inv_primal_coeff(ctx, dg, w, green_partial, target_v):
+def _kd_inv_primal_coeff(ctx, u, w, green_partial, target_v):
     """Formula coefficient K^{D,bd}(u)^{-1}_{v, w}.
 
     Terms referencing the removed root vertex drop out (the rooted operator
@@ -153,7 +152,6 @@ def _kd_inv_primal_coeff(ctx, dg, w, green_partial, target_v):
     """
     ig, p = ctx.ig, ctx.p
     r = ig.rhombi[w]
-    u = ctx.u
     a_bar, b_bar = r.alpha_bar, r.beta_bar
     th = ctx.ell(r.theta_bar)
     ua, ub = ctx.u_arg(u, a_bar), ctx.u_arg(u, b_bar)
@@ -177,7 +175,6 @@ def kd_inverse_formula(dg, p, u, pairs=None):
     """
     ig = dg.ig
     ctx = op.EllCtx(ig, p)
-    ctx.u = u
     kdp = op.dirac(dg, p, u, "boundary")
     direct = invert(kdp.dense())
     dmp = op.delta_m_partial(ig, p, u)
@@ -220,12 +217,12 @@ def kd_inverse_formula(dg, p, u, pairs=None):
         phase = cmath.exp(-0.5j * (a_bar + b_bar))
         kd_inv_vc = {}
         for bp, coeff in pair_data:
-            kd_inv_vc[bp.vc] = _kd_inv_primal_coeff(ctx, dg, w, green_partial, bp.vc)
+            kd_inv_vc[bp.vc] = _kd_inv_primal_coeff(ctx, u, w, green_partial, bp.vc)
         for ib, bk in enumerate(rows):
             if want is not None and (bk, w) not in want:
                 continue
             if bk[0] == "v":
-                formula[ib, jw] = _kd_inv_primal_coeff(ctx, dg, w, green_partial, bk[1])
+                formula[ib, jw] = _kd_inv_primal_coeff(ctx, u, w, green_partial, bk[1])
             else:
                 f_t = bk[1]
                 # radicands: dn((u_b)*) dn((u_{a+2K})*) and dn((u_{b-2K})*) dn((u_a)*)
@@ -655,39 +652,50 @@ def brute_force_polygons(ig, couplings, budget=2 ** 20):
                              {"polygon_sum": total})
 
 
-def spanning_trees(ig, budget=10 ** 6):
-    """All spanning trees of the primal graph as frozensets of edge ids."""
-    n_v = len(ig.base.coords)
-    all_edges = ig.edge_list()
-    rank = len(all_edges) - n_v + 1
+def _rooted_forests(options, budget):
+    """Stream the rooted spanning forests of a directed graph.
 
-    trees = []
-    nodes = [0]
+    ``options`` maps every vertex to its choices (target, weight): an
+    out-edge, or a target outside the map (``None``, ``"outer"`` or the
+    root), which is a sink and so makes the vertex a root.  Vertices choose
+    in the map's order, and a choice that would close a cycle is pruned when
+    it is made.  Yields (choice, weight) per forest, the weight being the
+    product of the chosen weights in vertex order; ``choice`` is one dict
+    updated in place, so read it before resuming.  Raises
+    ``OracleBudgetError`` past ``budget`` search nodes.
+    """
+    vs = list(options)
+    choice = {}
+    nodes = 0
 
-    def connected(edge_subset):
-        adj = {}
-        for eid in edge_subset:
-            r = ig.rhombi[eid]
-            adj.setdefault(r.v1, []).append(r.v2)
-            adj.setdefault(r.v2, []).append(r.v1)
-        seen = {next(iter(ig.base.coords))}
-        stack = [next(iter(ig.base.coords))]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, []):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == n_v
+    def grow(i, w):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise OracleBudgetError(f"rooted forest enumeration exceeded {budget} nodes")
+        if i == len(vs):
+            yield choice, w
+            return
+        v = vs[i]
+        for tgt, rho in options[v]:
+            end = tgt
+            while end != v and end in choice:
+                end = choice[end]
+            if end != v:
+                choice[v] = tgt
+                yield from grow(i + 1, w * rho)
+        choice.pop(v, None)
 
-    for removal in itertools.combinations(range(len(all_edges)), rank):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise OracleBudgetError("spanning tree enumeration exceeded budget")
-        keep = [all_edges[i] for i in range(len(all_edges)) if i not in set(removal)]
-        if connected(keep):
-            trees.append(frozenset(keep))
-    return trees
+    return grow(0, 1.0)
+
+
+def _tally(kind, instance, forests):
+    """Count the streamed (choice, weight) pairs and sum their weights in order."""
+    count, total = 0, 0.0
+    for _choice, w in forests:
+        count += 1
+        total += w
+    return OracleConfigSpace(kind, instance, count, total)
 
 
 def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None):
@@ -696,41 +704,31 @@ def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None):
     ``weights_primal`` maps directed primal edges (v, v') to conductances;
     ``weights_dual`` maps (f, crossed primal edge id), since dual edges toward
     the outer vertex come in parallel bundles.  Unit weights when omitted.
-    The dual tree is the planar complement of the primal tree.
+    The primal tree is directed toward the root and the dual tree is its
+    planar complement.
     """
-    trees = spanning_trees(ig)
-    total = 0.0
-    root = ig.root
-    for tree in trees:
-        adj = {}
-        for eid in tree:
-            r = ig.rhombi[eid]
-            adj.setdefault(r.v1, []).append((r.v2, eid))
-            adj.setdefault(r.v2, []).append((r.v1, eid))
-        parent = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, eid in adj.get(x, []):
-                if y not in parent:
-                    parent[y] = (x, eid)
-                    stack.append(y)
-        w = 1.0
-        ok = len(parent) == len(ig.base.coords)
-        if not ok:
-            continue
-        if weights_primal is not None:
-            for v, par in parent.items():
-                if par is None:
-                    continue
-                w *= weights_primal[(v, par[0])]
-        if weights_dual is not None:
-            co = [e for e in ig.edge_list() if e not in tree]
-            dual_out = _dual_tree_out(ig, co)
-            for f, (_f2, eid) in dual_out.items():
-                w *= weights_dual[(f, eid)]
-        total += w
-    return OracleConfigSpace("dst-pairs", ig.graph_hash(), len(trees), total)
+    # vertices choose in reverse BFS order from the root: each one's BFS parent
+    # is still free when it chooses, so no branch of the search dies
+    order, seen = [ig.root], {ig.root}
+    for x in order:
+        for y in ig.base.adj[x]:
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    options = {v: [(w, 1.0 if weights_primal is None else weights_primal[(v, w)])
+                   for w in ig.base.adj[v]]
+               for v in reversed(order[1:])}
+
+    def pairs():
+        for choice, w in _rooted_forests(options, 10 ** 6):
+            if weights_dual is not None:
+                tree = {ig.edge_ids[(min(v, t), max(v, t))] for v, t in choice.items()}
+                dual_out = _dual_tree_out(ig, [e for e in ig.edge_list() if e not in tree])
+                for f, (_f2, eid) in dual_out.items():
+                    w *= weights_dual[(f, eid)]
+            yield choice, w
+
+    return _tally("dst-pairs", ig.graph_hash(), pairs())
 
 
 def _dual_tree_out(ig, co_edges):
@@ -763,44 +761,10 @@ def brute_force_forests(vertices, directed_edges, masses, budget=10 ** 6):
     ``directed_edges`` is a list of (x, y, rho).  Every vertex picks either an
     out-edge or becomes a root (weight = its mass); acyclic choices only.
     """
-    vs = list(vertices)
-    options = {v: [(None, masses[v])] for v in vs}
+    options = {v: [(None, masses[v])] for v in vertices}
     for x, y, rho in directed_edges:
         options[x].append((y, rho))
-    total = 0.0
-    count = 0
-    nodes = 0
-    choice = {}
-
-    def acyclic():
-        for v in vs:
-            seen = set()
-            cur = v
-            while cur is not None:
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                cur = choice[cur]
-        return True
-
-    def rec(i, w):
-        nonlocal total, count, nodes
-        nodes += 1
-        if nodes > budget:
-            raise OracleBudgetError("forest enumeration exceeded budget")
-        if i == len(vs):
-            if acyclic():
-                total += w
-                count += 1
-            return
-        v = vs[i]
-        for tgt, rho in options[v]:
-            choice[v] = tgt
-            rec(i + 1, w * rho)
-        del choice[v]
-
-    rec(0, 1.0)
-    return OracleConfigSpace("forests", "custom", count, total)
+    return _tally("forests", "custom", _rooted_forests(options, budget))
 
 
 def brute_force_outer_trees(ig, gamma, budget=10 ** 6):
@@ -809,48 +773,14 @@ def brute_force_outer_trees(ig, gamma, budget=10 ** 6):
     ``gamma`` maps (f, w_edge_id) to the conductance of the directed dual edge
     leaving f across the white vertex of that primal edge.
     """
-    n_f = len(ig.face_centers)
-    options = {f: [] for f in range(n_f)}
+    options = {f: [] for f in range(len(ig.face_centers))}
     for eid in ig.edge_list():
         r = ig.rhombi[eid]
         options[r.f1].append((r.f2 if r.f2 is not None else "outer",
                               gamma[(r.f1, eid)]))
         if r.f2 is not None:
             options[r.f2].append((r.f1, gamma[(r.f2, eid)]))
-    total = 0.0
-    count = 0
-    nodes = 0
-    choice = {}
-    vs = list(range(n_f))
-
-    def acyclic():
-        for v in vs:
-            seen = set()
-            cur = v
-            while cur != "outer":
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                cur = choice[cur]
-        return True
-
-    def rec(i, w):
-        nonlocal total, count, nodes
-        nodes += 1
-        if nodes > budget:
-            raise OracleBudgetError("tree enumeration exceeded budget")
-        if i == n_f:
-            if acyclic():
-                total += w
-                count += 1
-            return
-        for tgt, rho in options[vs[i]]:
-            choice[vs[i]] = tgt
-            rec(i + 1, w * rho)
-        del choice[vs[i]]
-
-    rec(0, 1.0)
-    return OracleConfigSpace("outer-trees", ig.graph_hash(), count, total)
+    return _tally("outer-trees", ig.graph_hash(), _rooted_forests(options, budget))
 
 
 def brute_force(kind, ig, couplings=None, budget=2 ** 20, **kw):

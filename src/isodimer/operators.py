@@ -120,27 +120,54 @@ def _check_u_allowed(ig, p, u, level):
 # massive Laplacians
 # ---------------------------------------------------------------------------
 
+def _massive_laplacian(ig, name, meta, verts, edges, diag, pair=None, key=vkey):
+    """The one massive-Laplacian assembly, rows and columns ``key(x)``.
+
+    Every weighted edge (x, y, c) adds -c at (x, y) and at (y, x), so
+    parallel edges add up, and ``diag(x)`` fills the diagonal.  ``pair(bp)``,
+    if given, returns the (v_c, v_l) and (v_c, v_c) entries that replace
+    these at every non-root boundary pair.
+    """
+    rows = tuple(key(x) for x in verts)
+    ent = {}
+    for x, y, c in edges:
+        for r, s in ((key(x), key(y)), (key(y), key(x))):
+            ent[(r, s)] = ent.get((r, s), 0.0) - c
+    for x in verts:
+        ent[(key(x), key(x))] = diag(x)
+    if pair is not None:
+        for bp in ig.boundary_pairs:
+            if not bp.is_root:
+                ent[(key(bp.vc), key(bp.vl))], ent[(key(bp.vc), key(bp.vc))] = pair(bp)
+    return TypedSparseMatrix(rows, rows, ent, name, meta)
+
+
+def _primal(ig, weight, root=None):
+    """The primal vertices other than ``root``, and the edges that avoid it
+    as (v1, v2, weight(theta_bar))."""
+    verts = [v for v in sorted(ig.base.coords) if v != root]
+    edges = ((r.v1, r.v2, weight(r.theta_bar))
+             for r in map(ig.rhombi.__getitem__, ig.edge_list())
+             if root not in (r.v1, r.v2))
+    return verts, edges
+
+
 def delta_m_star(ig, p):
     """Finite dual massive Laplacian on the restricted dual (symmetric)."""
     ctx = EllCtx(ig, p)
-    n_f = len(ig.face_centers)
-    rows = tuple(fkey(f) for f in range(n_f))
-    ent = {}
-    for (fa, fb), eid in ig.dual_edges:
-        th_star = math.pi / 2 - ig.rhombi[eid].theta_bar
-        val = el.sc(ctx.ell(th_star), p)
-        for r, c in ((fkey(fa), fkey(fb)), (fkey(fb), fkey(fa))):
-            ent[(r, c)] = ent.get((r, c), 0.0) - val
-    for fi, cyc in enumerate(ig.base.faces):
+
+    def face_diag(fi):
         total = 0.0
-        n = len(cyc)
-        for i in range(n):
-            a, b = cyc[i], cyc[(i + 1) % n]
+        cyc = ig.base.faces[fi]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             eid = ig.edge_ids[(min(a, b), max(a, b))]
             total += ctx.a_of(math.pi / 2 - ig.rhombi[eid].theta_bar)
-        ent[(fkey(fi), fkey(fi))] = total
-    return TypedSparseMatrix(rows, rows, ent, "delta_m_star",
-                             {"k": p.k, "graph": ig.graph_hash()})
+        return total
+
+    edges = ((fa, fb, el.sc(ctx.ell(math.pi / 2 - ig.rhombi[eid].theta_bar), p))
+             for (fa, fb), eid in ig.dual_edges)
+    return _massive_laplacian(ig, "delta_m_star", {"k": p.k, "graph": ig.graph_hash()},
+                              range(len(ig.face_centers)), edges, face_diag, key=fkey)
 
 
 def _boundary_diag(ig, ctx, v, u):
@@ -163,53 +190,50 @@ def _interior_diag(ig, ctx, v):
     return total
 
 
+def _tan_diag(ig, v):
+    """The k = 0 diagonal: sum of tan(theta) over the edges at v (nd = 1)."""
+    total = 0.0
+    for w in ig.base.adj[v]:
+        total += math.tan(ig.rhombi[ig.edge_ids[(min(v, w), max(v, w))]].theta_bar)
+    return total
+
+
+def _delta_m_rooted(ig, p, u, name, pair=None):
+    """Massive Laplacian on V^r with u-dependent boundary diagonals."""
+    ctx = EllCtx(ig, p)
+    boundary = ig.base.boundary_vertices()
+
+    def diag(v):
+        return _boundary_diag(ig, ctx, v, u) if v in boundary else _interior_diag(ig, ctx, v)
+
+    return _massive_laplacian(ig, name, {"k": p.k, "u": u, "graph": ig.graph_hash()},
+                              *_primal(ig, lambda th: el.sc(ctx.ell(th), p), ig.root),
+                              diag, pair)
+
+
 def delta_m_natural(ig, p, u):
     """Natural finite massive Laplacian on V^r with u-dependent boundary diagonals."""
     _check_u_allowed(ig, p, u, "base")
-    ctx = EllCtx(ig, p)
-    root = ig.root
-    verts = [v for v in sorted(ig.base.coords) if v != root]
-    rows = tuple(vkey(v) for v in verts)
-    boundary = ig.base.boundary_vertices()
-    ent = {}
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        if root in (r.v1, r.v2):
-            continue
-        val = -el.sc(ctx.ell(r.theta_bar), p)
-        ent[(vkey(r.v1), vkey(r.v2))] = val
-        ent[(vkey(r.v2), vkey(r.v1))] = val
-    for v in verts:
-        if v in boundary:
-            ent[(vkey(v), vkey(v))] = _boundary_diag(ig, ctx, v, u)
-        else:
-            ent[(vkey(v), vkey(v))] = _interior_diag(ig, ctx, v)
-    return TypedSparseMatrix(rows, rows, ent, "delta_m_natural",
-                             {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    return _delta_m_rooted(ig, p, u, "delta_m_natural")
 
 
 def delta_m_partial(ig, p, u):
     """Massive Laplacian with the Ising boundary conditions (directed at pairs)."""
     _check_u_allowed(ig, p, u, "prime")
     ctx = EllCtx(ig, p)
-    m = delta_m_natural(ig, p, u)
-    ent = dict(m.entries)
-    for bp in ig.boundary_pairs:
-        if bp.is_root:
-            continue
+
+    def pair(bp):
         th = ctx.ell(bp.theta_bar)
         u_al = ctx.u_arg(u, bp.alpha_l)
         u_bl = ctx.u_arg(u, bp.beta_l)
         u_br = ctx.u_arg(u, bp.beta_r)
-        ent[(vkey(bp.vc), vkey(bp.vl))] = (
-            -el.sc(th, p) * el.cd(u_br, p) / el.cd(u_al, p))
         _, cn_al, _ = ctx.jac(u_al)
         _, cn_br, _ = ctx.jac(u_br)
-        ent[(vkey(bp.vc), vkey(bp.vc))] = (
-            p.kprime * el.sc(th, p) * el.nd(u_bl, p) * el.nd(u_br, p)
-            * (cn_br + cn_al) / cn_al)
-    return TypedSparseMatrix(m.rows, m.cols, ent, "delta_m_partial",
-                             {"k": p.k, "u": u, "graph": ig.graph_hash()})
+        return (-el.sc(th, p) * el.cd(u_br, p) / el.cd(u_al, p),
+                p.kprime * el.sc(th, p) * el.nd(u_bl, p) * el.nd(u_br, p)
+                * (cn_br + cn_al) / cn_al)
+
+    return _delta_m_rooted(ig, p, u, "delta_m_partial", pair)
 
 
 def delta_m_bulk(ig, p):
@@ -219,18 +243,9 @@ def delta_m_bulk(ig, p):
     truncation comparisons, not for the exact identities.
     """
     ctx = EllCtx(ig, p)
-    verts = sorted(ig.base.coords)
-    rows = tuple(vkey(v) for v in verts)
-    ent = {}
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        val = -el.sc(ctx.ell(r.theta_bar), p)
-        ent[(vkey(r.v1), vkey(r.v2))] = val
-        ent[(vkey(r.v2), vkey(r.v1))] = val
-    for v in verts:
-        ent[(vkey(v), vkey(v))] = _interior_diag(ig, ctx, v)
-    return TypedSparseMatrix(rows, rows, ent, "delta_m_bulk",
-                             {"k": p.k, "graph": ig.graph_hash()})
+    return _massive_laplacian(ig, "delta_m_bulk", {"k": p.k, "graph": ig.graph_hash()},
+                              *_primal(ig, lambda th: el.sc(ctx.ell(th), p)),
+                              lambda v: _interior_diag(ig, ctx, v))
 
 
 def delta_m_partial_critical_limit(ig):
@@ -242,76 +257,29 @@ def delta_m_partial_critical_limit(ig):
     numeric limit of ``delta_m_partial_complex_u``; the source display's
     opposite sign in that diagonal breaks both.
     """
-    root = ig.root
-    verts = [v for v in sorted(ig.base.coords) if v != root]
-    rows = tuple(vkey(v) for v in verts)
-    boundary = ig.base.boundary_vertices()
-    ent = {}
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        if root in (r.v1, r.v2):
-            continue
-        val = -math.tan(r.theta_bar)
-        ent[(vkey(r.v1), vkey(r.v2))] = val
-        ent[(vkey(r.v2), vkey(r.v1))] = val
-    for v in verts:
-        tot = 0.0
-        for w in ig.base.adj[v]:
-            eid = ig.edge_ids[(min(v, w), max(v, w))]
-            tot += math.tan(ig.rhombi[eid].theta_bar)
-        ent[(vkey(v), vkey(v))] = tot
-    for bp in ig.boundary_pairs:
-        if bp.is_root:
-            continue
+    def pair(bp):
         phase = cmath.exp(0.5j * (bp.alpha_l - bp.beta_r))
         t = math.tan(bp.theta_bar)
-        ent[(vkey(bp.vc), vkey(bp.vl))] = -phase * t
-        ent[(vkey(bp.vc), vkey(bp.vc))] = t * (phase + 1.0)
-    return TypedSparseMatrix(rows, rows, ent, "delta_m_partial_crit_limit",
-                             {"k": 0.0, "graph": ig.graph_hash()})
+        return -phase * t, t * (phase + 1.0)
+
+    return _massive_laplacian(ig, "delta_m_partial_crit_limit",
+                              {"k": 0.0, "graph": ig.graph_hash()},
+                              *_primal(ig, math.tan, ig.root),
+                              lambda v: _tan_diag(ig, v), pair)
 
 
 def delta_m_partial_complex_u(ig, u_complex):
     """k=0 boundary Laplacian at a complex spectral value (limit testing only)."""
-    root = ig.root
-    verts = [v for v in sorted(ig.base.coords) if v != root]
-    rows = tuple(vkey(v) for v in verts)
-    boundary = ig.base.boundary_vertices()
-    ent = {}
-
-    def u_arg(gamma_bar):
-        return 0.5 * (u_complex - gamma_bar)
-
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        if root in (r.v1, r.v2):
-            continue
-        val = -math.tan(r.theta_bar)
-        ent[(vkey(r.v1), vkey(r.v2))] = val
-        ent[(vkey(r.v2), vkey(r.v1))] = val
-    for v in verts:
-        if v in boundary:
-            tot = 0.0
-            for w in ig.base.adj[v]:
-                eid = ig.edge_ids[(min(v, w), max(v, w))]
-                a_bar, b_bar = ig.rhombus_vectors_from(eid, v)
-                tot += math.tan(ig.rhombi[eid].theta_bar) * 1.0  # nd == 1 at k=0
-            ent[(vkey(v), vkey(v))] = tot
-        else:
-            tot = 0.0
-            for w in ig.base.adj[v]:
-                eid = ig.edge_ids[(min(v, w), max(v, w))]
-                tot += math.tan(ig.rhombi[eid].theta_bar)
-            ent[(vkey(v), vkey(v))] = tot
-    for bp in ig.boundary_pairs:
-        if bp.is_root:
-            continue
+    def pair(bp):
         t = math.tan(bp.theta_bar)
-        ratio = cmath.cos(u_arg(bp.beta_r)) / cmath.cos(u_arg(bp.alpha_l))
-        ent[(vkey(bp.vc), vkey(bp.vl))] = -t * ratio
-        ent[(vkey(bp.vc), vkey(bp.vc))] = t * (ratio + 1.0)
-    return TypedSparseMatrix(rows, rows, ent, "delta_m_partial_complex",
-                             {"k": 0.0, "u": str(u_complex)})
+        ratio = (cmath.cos(0.5 * (u_complex - bp.beta_r))
+                 / cmath.cos(0.5 * (u_complex - bp.alpha_l)))
+        return -t * ratio, t * (ratio + 1.0)
+
+    return _massive_laplacian(ig, "delta_m_partial_complex",
+                              {"k": 0.0, "u": str(u_complex)},
+                              *_primal(ig, math.tan, ig.root),
+                              lambda v: _tan_diag(ig, v), pair)
 
 
 def q_matrix(ig, p, u):

@@ -1,5 +1,6 @@
 """Inverses, Pfaffians, inverse-operator formulas, probabilities, oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from isodimer import derived as der
 from isodimer import inference as inf
 from isodimer import isoradial as iso
 from isodimer import operators as op
-from isodimer.derived import vkey, wkey
+from isodimer.derived import fkey, vkey, wkey
 from isodimer.elliptic import complete_integrals
 from isodimer.errors import DomainError, OracleBudgetError, SingularityError
 
@@ -524,3 +525,176 @@ def test_kq_inverse_full_coverage_irregular():
     assert not np.isnan(formula.real).any()
     err = np.abs(formula - direct).max() / np.abs(direct).max()
     assert err < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the rooted-forest engine against plain exhaustive references
+# ---------------------------------------------------------------------------
+
+_TREE_SPECS = ("square:1x1", "square:1x2", "square:2x2", "hex", "tripair", "irregular")
+
+
+def _subset_scan_trees(ig):
+    """Reference: every (|V| - 1)-edge subset of the primal graph that connects it."""
+    verts = sorted(ig.base.coords)
+    trees = []
+    for keep in itertools.combinations(ig.edge_list(), len(verts) - 1):
+        adj = {}
+        for eid in keep:
+            r = ig.rhombi[eid]
+            adj.setdefault(r.v1, []).append(r.v2)
+            adj.setdefault(r.v2, []).append(r.v1)
+        seen, stack = {verts[0]}, [verts[0]]
+        while stack:
+            for y in adj.get(stack.pop(), []):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) == len(verts):
+            trees.append(frozenset(keep))
+    return trees
+
+
+def _end_of_branch_forests(options):
+    """Reference: every vertex takes every option; acyclicity is checked only
+    once all have chosen.  Returns (count, weighted sum)."""
+    vs = list(options)
+    count, total = 0, 0.0
+    for picks in itertools.product(*(options[v] for v in vs)):
+        choice = {v: tgt for v, (tgt, _rho) in zip(vs, picks)}
+        acyclic = True
+        for v in vs:
+            seen, cur = set(), v
+            while cur in choice and acyclic:
+                acyclic = cur not in seen
+                seen.add(cur)
+                cur = choice[cur]
+        if acyclic:
+            w = 1.0
+            for _tgt, rho in picks:
+                w *= rho
+            count += 1
+            total += w
+    return count, total
+
+
+def test_rooted_trees_match_subset_scan():
+    from conftest import get_graph
+
+    rng = np.random.default_rng(11)
+    for spec in _TREE_SPECS:
+        ig = get_graph(spec)
+        ref = _subset_scan_trees(ig)
+        # the engine's trees, rooted at ig.root, as undirected edge sets
+        options = {v: [(w, 1.0) for w in ig.base.adj[v]]
+                   for v in sorted(ig.base.coords) if v != ig.root}
+        forests = inf._rooted_forests(options, 10 ** 6)
+        assert iter(forests) is forests      # streamed, not collected
+        got = [frozenset(ig.edge_ids[(min(v, t), max(v, t))] for v, t in choice.items())
+               for choice, _w in forests]
+        assert len(got) == len(ref) == len(set(got))
+        assert set(got) == set(ref)
+        unit = inf.brute_force_dst_pairs(ig)
+        assert unit.count == len(ref) and unit.weighted_sum == float(len(ref))
+        # weighted: primal tree directed to the root, dual tree its complement
+        wp = {}
+        for eid in ig.edge_list():
+            r = ig.rhombi[eid]
+            wp[(r.v1, r.v2)], wp[(r.v2, r.v1)] = rng.uniform(0.5, 2.0, size=2)
+        wd = {(f, eid): float(rng.uniform(0.5, 2.0))
+              for eid in ig.edge_list() for f in (ig.rhombi[eid].f1, ig.rhombi[eid].f2)
+              if f is not None}
+        want = 0.0
+        for tree in ref:
+            adj = {}
+            for eid in tree:
+                r = ig.rhombi[eid]
+                adj.setdefault(r.v1, []).append(r.v2)
+                adj.setdefault(r.v2, []).append(r.v1)
+            w, parent, stack = 1.0, {ig.root: None}, [ig.root]
+            while stack:
+                x = stack.pop()
+                for y in adj.get(x, []):
+                    if y not in parent:
+                        parent[y] = x
+                        w *= wp[(y, x)]
+                        stack.append(y)
+            co = [e for e in ig.edge_list() if e not in tree]
+            for f, (_f2, eid) in inf._dual_tree_out(ig, co).items():
+                w *= wd[(f, eid)]
+            want += w
+        oc = inf.brute_force_dst_pairs(ig, weights_primal=wp, weights_dual=wd)
+        assert oc.count == len(ref)
+        assert abs(oc.weighted_sum - want) <= 1e-12 * want
+
+
+def test_forests_and_outer_trees_match_end_of_branch_reference():
+    from conftest import get_graph
+
+    rng = np.random.default_rng(5)
+    for spec in _TREE_SPECS:
+        ig = get_graph(spec)
+        # outer-rooted trees of the augmented dual
+        gamma = {(f, eid): float(rng.uniform(0.5, 2.0))
+                 for eid in ig.edge_list() for f in (ig.rhombi[eid].f1, ig.rhombi[eid].f2)
+                 if f is not None}
+        options = {f: [] for f in range(len(ig.face_centers))}
+        for eid in ig.edge_list():
+            r = ig.rhombi[eid]
+            options[r.f1].append((r.f2 if r.f2 is not None else "outer", gamma[(r.f1, eid)]))
+            if r.f2 is not None:
+                options[r.f2].append((r.f1, gamma[(r.f2, eid)]))
+        count, total = _end_of_branch_forests(options)
+        oc = inf.brute_force_outer_trees(ig, gamma)
+        assert oc.count == count and abs(oc.weighted_sum - total) <= 1e-12 * total
+        unit = inf.brute_force_outer_trees(ig, dict.fromkeys(gamma, 1.0))
+        assert unit.count == count and unit.weighted_sum == float(count)
+        # rooted forests of the primal graph; the larger graphs overflow the reference
+        if len(ig.base.coords) > 10:
+            continue
+        verts = sorted(ig.base.coords)
+        edges = []
+        for eid in ig.edge_list():
+            r = ig.rhombi[eid]
+            edges += [(r.v1, r.v2, float(rng.uniform(0.5, 2.0))),
+                      (r.v2, r.v1, float(rng.uniform(0.5, 2.0)))]
+        masses = {v: float(rng.uniform(0.1, 1.0)) for v in verts}
+        options = {v: [(None, masses[v])] for v in verts}
+        for x, y, rho in edges:
+            options[x].append((y, rho))
+        count, total = _end_of_branch_forests(options)
+        oc = inf.brute_force_forests(verts, edges, masses)
+        assert oc.count == count and abs(oc.weighted_sum - total) <= 1e-12 * total
+        unit = inf.brute_force_forests(verts, [(x, y, 1.0) for x, y, _ in edges],
+                                       dict.fromkeys(verts, 1.0))
+        assert unit.count == count and unit.weighted_sum == float(count)
+
+
+def test_outer_trees_match_directed_laplacian(ig_2x2, ig_hex):
+    import isodimer.elliptic as el
+
+    for ig in (ig_2x2, ig_hex):
+        for k in (0.3, 0.8):
+            p = complete_integrals(k)
+            dg = der.build_double(ig)
+            u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=3)[1]
+            ctx = op.EllCtx(ig, p)
+            gamma = {}
+            for eid in ig.edge_list():
+                r = ig.rhombi[eid]
+                for f in (r.f1, r.f2):
+                    if f is None:
+                        continue
+                    rec = dg.gd_edges[(eid, fkey(f))]
+                    gamma[(f, eid)] = (math.sqrt(p.kprime) * el.cs(ctx.ell(dg.theta_w[eid]), p)
+                                       * el.nd(ctx.u_arg(u, rec["alpha"]), p)
+                                       * el.nd(ctx.u_arg(u, rec["beta"]), p))
+            oc = inf.brute_force_outer_trees(ig, gamma)
+            _, dstar = op.kd_gauge_and_directed_laplacian(dg, p, u)
+            assert abs(math.log(oc.weighted_sum) - inf.logabsdet(dstar.dense())) < 1e-12
+
+
+def test_dst_pairs_budget(ig_3x3):
+    # 1,881,600 spanning trees: past the fixed budget of 10**6 search nodes
+    with pytest.raises(OracleBudgetError):
+        inf.brute_force_dst_pairs(ig_3x3)

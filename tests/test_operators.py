@@ -455,3 +455,52 @@ def test_matching_independence_of_reference_products(ig_1x1, params_half):
         vals_sc.add(round(idn._matching_log_product(ws, u, matched, "abs_sc"), 10))
         vals_eta.add(round(idn._matching_log_product(ws, u, matched, "eta"), 10))
     assert len(vals_dn) == 1 and len(vals_sc) == 1 and len(vals_eta) == 1
+
+
+def _laplacian_cases():
+    from conftest import get_graph
+
+    for spec in ("square:2x2", "hex", "irregular"):
+        ig = get_graph(spec)
+        for k in (0.0, 0.6):
+            p = complete_integrals(k)
+            for u in iso.admissible_u(ig, p, "prime", delta=p.bigK / 16, count=2):
+                yield ig, p, u
+
+
+def test_delta_m_partial_is_natural_but_at_pairs():
+    # bit for bit: the Ising boundary rule touches only the (v_c, v_l) and
+    # (v_c, v_c) entries of the non-root boundary pairs
+    for ig, p, u in _laplacian_cases():
+        nat = op.delta_m_natural(ig, p, u)
+        par = op.delta_m_partial(ig, p, u)
+        assert par.rows == nat.rows and par.cols == nat.cols
+        touched = set()
+        for bp in ig.boundary_pairs:
+            if not bp.is_root:
+                touched |= {(vkey(bp.vc), vkey(bp.vl)), (vkey(bp.vc), vkey(bp.vc))}
+        assert touched and touched <= set(par.entries)
+        assert set(par.entries) == set(nat.entries)
+        for key, val in nat.entries.items():
+            if key not in touched:
+                assert par.entries[key] == val and type(par.entries[key]) is type(val)
+        assert any(par.entries[key] != nat.entries[key] for key in touched)
+
+
+def test_delta_m_natural_interior_rows_are_bulk_rows():
+    # an interior row of the rooted operator is the bulk row without the root column
+    checked = set()
+    for ig, p, u in _laplacian_cases():
+        nat = op.delta_m_natural(ig, p, u)
+        bulk = op.delta_m_bulk(ig, p)
+        boundary = ig.base.boundary_vertices()
+        root = vkey(ig.root)
+        for v in sorted(ig.base.coords):
+            if v in boundary or v == ig.root:
+                continue
+            checked.add(ig.graph_hash())
+            want = {c: x for (r, c), x in bulk.entries.items() if r == vkey(v) and c != root}
+            got = {c: x for (r, c), x in nat.entries.items() if r == vkey(v)}
+            assert got == want
+            assert all(x.hex() == want[c].hex() for c, x in got.items())
+    assert len(checked) == 2    # the irregular pair has no interior vertex
