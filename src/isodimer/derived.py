@@ -84,11 +84,7 @@ class DoubleGraph:
             raise BijectionError("rooted double graph is not balanced")
 
     def boundary_whites(self):
-        out = set()
-        for bp in self.ig.boundary_pairs:
-            out.add(bp.wl)
-            out.add(bp.wr)
-        return out
+        return {w for bp in self.ig.boundary_pairs for w in (bp.wl, bp.wr)}
 
 
 def build_double(ig, rooted=True):
@@ -355,8 +351,7 @@ class FisherGraph:
             if deg_int.get(a) != 4:
                 raise IsoradialityError(f"A-vertex {a} internal degree {deg_int.get(a)}")
         for b in self.b_vertices:
-            want = 2
-            if deg_int.get(b) != want:
+            if deg_int.get(b) != 2:
                 raise IsoradialityError(f"B-vertex {b} internal degree {deg_int.get(b)}")
 
 
@@ -685,10 +680,7 @@ def reference_matching_M1(dg):
         dual_adj.setdefault(fb, []).append((fa, eid))
     parent = {fc_root: None}
     order = [fc_root]
-    qi = 0
-    while qi < len(order):
-        f = order[qi]
-        qi += 1
+    for f in order:
         for g, eid in sorted(dual_adj.get(f, [])):
             if g not in parent:
                 parent[g] = (f, eid)
@@ -696,12 +688,8 @@ def reference_matching_M1(dg):
     if len(parent) != len(ig.face_centers):
         raise BijectionError("restricted dual is not connected")
 
-    dual_out = {}
-    for f, par in parent.items():
-        if par is None:
-            dual_out[f] = ("outer", root_pair.wl)
-        else:
-            dual_out[f] = (par[0], par[1])
+    dual_out = {f: ("outer", root_pair.wl) if par is None else par
+                for f, par in parent.items()}
     crossed = {w for (_f, w) in dual_out.values()}
     # primal complement tree, directed toward the root
     prim_edges = [eid for eid in ig.edge_list() if eid not in crossed]
@@ -764,25 +752,15 @@ def reference_matching_M1(dg):
 
 def fisher_polygon_map(fg, matching):
     """External edges of a Fisher matching as a polygon configuration of the dual."""
-    ext = set()
-    ext_lookup = {}
-    for x, y, eid in fg.external_edges:
-        ext_lookup[tuple(sorted((x, y), key=str))] = eid
-    deg = {}
-    for e in matching:
-        key = tuple(sorted(e, key=str))
-        if key in ext_lookup:
-            eid = ext_lookup[key]
-            ext.add(eid)
-            for end in key:
-                deg[end[1]] = deg.get(end[1], 0) + 1
+    ext_lookup = {tuple(sorted((x, y), key=str)): eid for x, y, eid in fg.external_edges}
+    ext = {ext_lookup[key] for key in (tuple(sorted(e, key=str)) for e in matching)
+           if key in ext_lookup}
     # polygon configurations have even degree at every dual vertex
     dual_deg = {}
-    for eid in ext:
-        (fa, fb), _eid = next(
-            (de for de in fg.ig.dual_edges if de[1] == eid))
-        dual_deg[fa] = dual_deg.get(fa, 0) + 1
-        dual_deg[fb] = dual_deg.get(fb, 0) + 1
+    for (fa, fb), eid in fg.ig.dual_edges:
+        if eid in ext:
+            dual_deg[fa] = dual_deg.get(fa, 0) + 1
+            dual_deg[fb] = dual_deg.get(fb, 0) + 1
     for f, d in dual_deg.items():
         if d % 2 != 0:
             raise BijectionError(f"odd polygon degree at dual vertex {f}")
@@ -790,76 +768,100 @@ def fisher_polygon_map(fg, matching):
 
 
 # ---------------------------------------------------------------------------
-# matching enumeration (shared oracle)
+# frontier (transfer-matrix) sum: the shared matching and polygon oracle
 # ---------------------------------------------------------------------------
 
-def enumerate_matchings(vertices, edges, weights=None, budget=10 ** 6,
-                        collect=False, marginals=False):
-    """Weighted perfect-matching sum by exhaustive branching.
+def _frontier_sum(vertices, edges, weights, rule, budget, marginals=False):
+    """Exact sum over the edge subsets that meet a degree rule at every vertex.
 
-    Branches on the currently most constrained uncovered vertex (fail first);
-    the naive lowest-id order blows up on Fisher decorations.
-    Returns (count, weighted_sum[, matchings][, per-edge weighted sums]).
+    A transfer-matrix sum (Baxter, *Exactly Solved Models*, 1982): vertices
+    are visited in BFS order from the str-smallest unvisited one, neighbours
+    in str order, and an edge is taken when the BFS reaches its later end.
+    A table maps a frontier bitmask to the exact count and the weight behind
+    it.  A vertex leaves after its last edge and must then meet ``rule``:
+    ``"matching"`` takes an edge only between free ends and asks degree 1;
+    ``"even"`` flips the parity of both ends and asks even degree.
+    ``weights`` holds one weight per edge (1 when ``None``).  Returns (count,
+    weighted_sum, per-edge weighted sums or None); these come from the
+    forward tables and one backward pass.  Raises ``OracleBudgetError`` once
+    the states created over all steps exceed ``budget``.
     """
     vs = sorted(vertices, key=str)
     pos = {v: i for i, v in enumerate(vs)}
     nbr = [[] for _ in vs]
     for idx, (x, y) in enumerate(edges):
-        wgt = 1.0 if weights is None else weights[idx]
-        nbr[pos[x]].append((pos[y], idx, wgt))
-        nbr[pos[y]].append((pos[x], idx, wgt))
-    n = len(vs)
-    covered = [False] * n
-    out = {"count": 0, "sum": 0.0, "nodes": 0}
-    found = []
-    marg = [0.0] * len(edges)
-    stack_edges = []
+        nbr[pos[x]].append((pos[y], idx))
+        nbr[pos[y]].append((pos[x], idx))
+    matching = rule == "matching"
+    if matching and not all(nbr):
+        return 0, 0.0, [0.0] * len(edges) if marginals else None
+    order, seen, reached = [], [False] * len(vs), [False] * len(vs)
+    for root in range(len(vs)):
+        queue = [] if seen[root] else [root]
+        seen[root] = True
+        for x in queue:
+            reached[x] = True
+            for y, idx in sorted(nbr[x]):
+                if reached[y]:
+                    order.append(idx)
+                elif not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    # per step: both ends, the ends leaving (no later edge), the bits they must carry, weight
+    steps, later = [], 0
+    for idx in reversed(order):
+        both = 1 << pos[edges[idx][0]] | 1 << pos[edges[idx][1]]
+        out = both & ~later
+        steps.append((both, out, out if matching else 0,
+                      1.0 if weights is None else weights[idx]))
+        later |= both
+    steps.reverse()
 
-    def pick():
-        best, best_free = -1, None
-        for i in range(n):
-            if covered[i]:
-                continue
-            free = [t for t in nbr[i] if not covered[t[0]]]
-            if best_free is None or len(free) < len(best_free):
-                best, best_free = i, free
-                if len(free) <= 1:
-                    break
-        return best, best_free
+    def moves(mask, both, out, need):
+        """(next state, edge taken) for skipping and taking the edge, where the rule allows."""
+        nxt = [(mask, False)] + ([] if matching and mask & both else [(mask ^ both, True)])
+        return [(m ^ need, taken) for m, taken in nxt if m & out == need]
 
-    def rec(weight):
-        out["nodes"] += 1
-        if out["nodes"] > budget:
-            raise OracleBudgetError(f"matching enumeration exceeded {budget} nodes")
-        i, free = pick()
-        if i < 0:
-            out["count"] += 1
-            out["sum"] += weight
-            if collect:
-                found.append(tuple(sorted(stack_edges)))
-            if marginals:
-                for idx in stack_edges:
-                    marg[idx] += weight
-            return
-        if not free:
-            return
-        covered[i] = True
-        for j, idx, wgt in free:
-            covered[j] = True
-            stack_edges.append(idx)
-            rec(weight * wgt)
-            stack_edges.pop()
-            covered[j] = False
-        covered[i] = False
+    count, weight, history, created = {0: 1}, {0: 1.0}, [], 0
+    for both, out, need, w in steps:
+        if marginals:
+            history.append(weight)
+        count2, weight2 = {}, {}
+        for mask, c in count.items():
+            for nxt, taken in moves(mask, both, out, need):
+                count2[nxt] = count2.get(nxt, 0) + c
+                weight2[nxt] = weight2.get(nxt, 0.0) + (weight[mask] * w if taken else weight[mask])
+        created += len(count2)
+        if created > budget:
+            raise OracleBudgetError(f"frontier sum exceeded {budget} states")
+        count, weight = count2, weight2
+    if not marginals:
+        return count.get(0, 0), weight.get(0, 0.0), None
+    marg, back = [0.0] * len(edges), {0: 1.0}
+    for t in reversed(range(len(steps))):
+        both, out, need, w = steps[t]
+        prev = {}
+        for mask, s in history[t].items():
+            prev[mask] = 0.0
+            for nxt, taken in moves(mask, both, out, need):
+                tail = back.get(nxt, 0.0) * (w if taken else 1.0)
+                if taken:
+                    marg[order[t]] += s * tail
+                prev[mask] += tail
+        back = prev
+    return count.get(0, 0), weight.get(0, 0.0), marg
 
-    if n % 2 == 0:
-        rec(1.0)
-    result = [out["count"], out["sum"]]
-    if collect:
-        result.append(found)
-    if marginals:
-        result.append(marg)
-    return tuple(result)
+
+def enumerate_matchings(vertices, edges, weights=None, budget=10 ** 6,
+                        marginals=False):
+    """Weighted perfect-matching sum by the frontier sum.
+
+    ``budget`` bounds the frontier states.  Returns (count,
+    weighted_sum[, per-edge weighted sums]).
+    """
+    count, total, marg = _frontier_sum(vertices, edges, weights, "matching",
+                                       budget, marginals)
+    return (count, total, marg) if marginals else (count, total)
 
 
 # ---------------------------------------------------------------------------

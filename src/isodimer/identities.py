@@ -519,7 +519,7 @@ def check_z_invariance(p, thetas, u, alpha1=0.0, tol=1e-10):
 
 
 def check_dubedat(ws, couplings=None, tol=DEFAULT_TOL, det_tol=DET_TOL,
-                  oracle_budget=10 ** 6, negative_control=False, seed=0):
+                  negative_control=False, seed=0):
     """Dubedat's block identities between the Fisher and quadri matrices."""
     t0 = time.perf_counter()
     ig = ws.ig

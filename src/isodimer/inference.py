@@ -10,6 +10,7 @@ import numpy as np
 from . import elliptic as el
 from . import operators as op
 from .derived import (
+    _frontier_sum,
     build_double,
     fisher_quadri_map,
     induce_orientation_GQ,
@@ -629,24 +630,12 @@ def brute_force_spins(ig, couplings, budget=2 ** 20):
 
 
 def brute_force_polygons(ig, couplings, budget=2 ** 20):
-    """Low-temperature expansion sum over polygon configurations of the dual."""
-    duals = ig.dual_edges
-    n = len(duals)
-    if 2 ** n > budget:
-        raise OracleBudgetError(f"{2 ** n} polygon candidates exceed budget")
-    count = 0
-    total = 0.0
-    for bits in range(2 ** n):
-        deg = {}
-        weight = 1.0
-        for i, ((fa, fb), eid) in enumerate(duals):
-            if (bits >> i) & 1:
-                deg[fa] = deg.get(fa, 0) + 1
-                deg[fb] = deg.get(fb, 0) + 1
-                weight *= math.exp(-2.0 * couplings[eid])
-        if all(d % 2 == 0 for d in deg.values()):
-            count += 1
-            total += weight
+    """Low-temperature expansion sum over polygon configurations of the dual
+    (even degree at every face), by the frontier sum; ``budget`` bounds its states."""
+    edges = [faces for faces, _eid in ig.dual_edges]
+    weights = [math.exp(-2.0 * couplings[eid]) for _faces, eid in ig.dual_edges]
+    count, total, _marg = _frontier_sum(range(len(ig.face_centers)), edges, weights,
+                                        "even", budget)
     pref = math.exp(sum(couplings[e] for e in ig.edge_list()))
     return OracleConfigSpace("polygons", ig.graph_hash(), count, pref * total,
                              {"polygon_sum": total})
@@ -698,14 +687,14 @@ def _tally(kind, instance, forests):
     return OracleConfigSpace(kind, instance, count, total)
 
 
-def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None):
+def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None, budget=10 ** 6):
     """Weighted sum over pairs of dual directed spanning trees.
 
     ``weights_primal`` maps directed primal edges (v, v') to conductances;
     ``weights_dual`` maps (f, crossed primal edge id), since dual edges toward
     the outer vertex come in parallel bundles.  Unit weights when omitted.
     The primal tree is directed toward the root and the dual tree is its
-    planar complement.
+    planar complement.  ``budget`` bounds the search nodes.
     """
     # vertices choose in reverse BFS order from the root: each one's BFS parent
     # is still free when it chooses, so no branch of the search dies
@@ -720,7 +709,7 @@ def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None):
                for v in reversed(order[1:])}
 
     def pairs():
-        for choice, w in _rooted_forests(options, 10 ** 6):
+        for choice, w in _rooted_forests(options, budget):
             if weights_dual is not None:
                 tree = {ig.edge_ids[(min(v, t), max(v, t))] for v, t in choice.items()}
                 dual_out = _dual_tree_out(ig, [e for e in ig.edge_list() if e not in tree])
@@ -791,7 +780,7 @@ def brute_force(kind, ig, couplings=None, budget=2 ** 20, **kw):
         return brute_force_polygons(ig, couplings, budget)
     if kind == "dst-pairs":
         return brute_force_dst_pairs(ig, kw.get("weights_primal"),
-                                     kw.get("weights_dual"))
+                                     kw.get("weights_dual"), budget)
     raise DomainError(f"unknown oracle kind {kind!r}")
 
 

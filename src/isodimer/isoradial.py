@@ -311,6 +311,7 @@ class IsoradialGraph:
     epsilon: float
     original: PlanarGraph = None  # the pre-split input graph
     _hash: str = field(default=None, init=False, repr=False, compare=False)
+    _excl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # --- convenience -----------------------------------------------------
     def edge_list(self):
@@ -568,6 +569,9 @@ def train_tracks(ig):
 
 
 def _excluded_set(ig, p, level):
+    """Sorted excluded values of a level: a fresh list of a per-(p, level) tuple memo."""
+    if (p, level) in ig._excl:
+        return list(ig._excl[(p, level)])
     from .elliptic import angle_transform
 
     big_k = p.bigK
@@ -582,14 +586,13 @@ def _excluded_set(ig, p, level):
             for x in (al, bl):
                 excl.append(x % (2.0 * big_k))
                 excl.append(x % (2.0 * big_k) + 2.0 * big_k)
-        elif level == "base":
-            pass
-        else:
+        elif level != "base":
             raise DomainError(f"unknown admissibility level {level!r}")
     out = []
     for x in sorted(excl):
         if not out or min(abs(x - y) for y in out) > 1e-9:
             out.append(x)
+    ig._excl[(p, level)] = tuple(out)
     return out
 
 

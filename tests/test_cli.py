@@ -151,6 +151,14 @@ def test_oracle_command_and_budget(tmp_path):
                     "--budget", "4"]) == 3
 
 
+def test_oracle_budget_bounds_dst_pairs(capsys):
+    # spins (4 configurations) and polygons fit in 200; the dST-pair search
+    # needs 89,719 nodes, so the caller's budget stops it
+    assert run_cli(["oracle", "--builder", "square:3x2", "--k", "0.5",
+                    "--budget", "200"]) == 3
+    assert "rooted forest enumeration exceeded 200 nodes" in capsys.readouterr().err
+
+
 def test_matrices_dump(tmp_path):
     out = tmp_path / "m.txt"
     assert run_cli(["matrices", "--builder", "square:1x1", "--k", "0.5",

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from conftest import branching_matchings
 
 from isodimer import derived as der
 from isodimer import isoradial as iso
@@ -183,7 +184,7 @@ def test_fisher_polygon_fiber(ig_1x2):
     vs = fg.vertices()
     es = ([tuple(sorted(e, key=str)) for e in fg.internal_edges]
           + [tuple(sorted((x, y), key=str)) for x, y, _ in fg.external_edges])
-    count, _, matchings = der.enumerate_matchings(vs, es, collect=True)
+    count, _, matchings = branching_matchings(vs, es, collect=True)
     epos = {e: i for i, e in enumerate(es)}
     fibers = {}
     for m in matchings:
@@ -204,7 +205,7 @@ def test_fisher_polygon_map(ig_2x2):
     vs = fg.vertices()
     es = ([tuple(sorted(e, key=str)) for e in fg.internal_edges]
           + [tuple(sorted((x, y), key=str)) for x, y, _ in fg.external_edges])
-    _, _, matchings = der.enumerate_matchings(vs, es, collect=True, budget=10 ** 7)
+    _, _, matchings = branching_matchings(vs, es, collect=True, budget=10 ** 7)
     for m in matchings[:50]:
         chosen = {es[i] for i in m}
         pairs = [(x, y) for x, y in

@@ -239,6 +239,19 @@ def test_admissible_excluded_set_square(ig_2x2):
     assert len(excl) >= 8
 
 
+def test_excluded_set_memo_is_not_aliased():
+    # computed once per (p, level) on the graph; callers get their own list
+    ig = iso.make_isoradial(iso.builder_graph("hex"))
+    p = complete_integrals(0.6)
+    first = iso._excluded_set(ig, p, "prime")
+    assert list(ig._excl) == [(p, "prime")]
+    first.append(-1.0)
+    assert iso._excluded_set(ig, p, "prime") == first[:-1]
+    assert iso._excluded_set(ig, p, "doubleprime") != first[:-1]
+    assert len(ig._excl) == 2
+    assert iso.admissible_u(ig, p, "prime", count=3) == iso.admissible_u(ig, p, "prime", count=3)
+
+
 def _first_crossing_all_pairs(coords, edges):
     es = sorted((min(a, b), max(a, b)) for a, b in edges)
     for i, (a, b) in enumerate(es):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import branching_matchings
 
 from isodimer import derived as der
 from isodimer import elliptic as el
@@ -447,7 +448,7 @@ def test_matching_independence_of_reference_products(ig_1x1, params_half):
     edges = sorted(dg.gd_edges)
     vs = sorted({wkey(w) for w, _b in edges} | {b for _w, b in edges}, key=str)
     es = [tuple(sorted((wkey(w), b), key=str)) for (w, b) in edges]
-    _, _, matchings = der.enumerate_matchings(vs, es, collect=True)
+    _, _, matchings = branching_matchings(vs, es, collect=True)
     vals_dn, vals_sc, vals_eta = set(), set(), set()
     for m in matchings:
         matched = tuple(sorted(edges[i] for i in m))
