@@ -16,7 +16,7 @@ from . import identities as idn
 from . import inference as inf
 from . import operators as op
 from .derived import build_double, build_fisher, build_quadri
-from .errors import IsodimerError, OracleBudgetError
+from .errors import DomainError, IsodimerError, OracleBudgetError
 from .isoradial import (
     admissible_u,
     builder_graph,
@@ -58,6 +58,9 @@ def _config_from_args(args, command):
     u_values = None
     if getattr(args, "u", None):
         u_values = [float(t) for t in args.u.split(",")]
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError(f"--tol must be finite and > 0, got {tol}")
     return RunConfig(
         command=command,
         builder=getattr(args, "builder", None),
@@ -68,7 +71,7 @@ def _config_from_args(args, command):
         u_count=getattr(args, "u_count", 4),
         u_delta=getattr(args, "u_delta", None),
         root=getattr(args, "root", None),
-        tol=getattr(args, "tol", None),
+        tol=tol,
         out=getattr(args, "out", None),
         oracle=getattr(args, "oracle", False),
         budget=getattr(args, "budget", 2 ** 20),
@@ -297,7 +300,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = _config_from_args(args, args.command)
     handlers = {
         "gen": cmd_gen,
         "validate": cmd_validate,
@@ -308,7 +310,7 @@ def main(argv=None):
         "oracle": cmd_oracle,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](_config_from_args(args, args.command))
     except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -3,15 +3,15 @@
 All arguments are real.  The Jacobi functions are computed with the
 descending Landen / arithmetic-geometric-mean recursion (DLMF 22.20), which
 gives uniform double precision over the ranges of arguments used by the
-operator builders (a few quarter-periods on either side of zero).  The AGM
-stops once c_n falls below the rounding floor relative to a_n, which takes at
-most 6 levels for k <= 0.99 and 7 for k = 0.999.
+operator builders (a few quarter-periods on either side of zero).
 
-The operator builders evaluate the same few thousand (u, k) arguments many
-times over, so :func:`jacobi` answers from a bounded memo of the Landen
-kernel keyed on (u, k).  The memo only ever holds results of the kernel
-itself, so a cached value is bit-identical to a fresh one.  Quadrature
-integrands call the kernel directly and leave the memo alone.
+The same descent gives the integrals in closed form (Abramowitz-Stegun
+17.6; DLMF 22.16(ii)).  With S(u) = sum_{n>=1} c_n sin(phi_n) over the
+descending amplitudes, the Jacobi epsilon function (the integral of dn^2) is
+eps(u) = (E/K) u + S(u), A(u) = (sn dc(u) - S(u))/k' and, by Legendre's
+relation, H(u) = u/(4K) + (K'/pi) S(u/2).  :func:`jacobi` answers from a
+bounded memo of the Landen kernel keyed on (u, k); it only ever holds kernel
+results, so a cached value is bit-identical to a fresh one.
 
 Conventions: ``k`` is the elliptic modulus in [0, 1), ``kprime`` the
 complementary modulus, ``bigK``/``bigKprime`` the quarter-periods and
@@ -24,12 +24,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .errors import DomainError, PoleError
 
 _POLE_EPS = 1e-13
-_QUAD_ABS_TOL = 1e-11
 # stop once c_n is below the rounding floor of (a - b) / 2 relative to a_n
 _AGM_REL_STOP = 4e-16
 # (u, k) arguments held by the Jacobi memo; a battery pass uses about 1.3k
@@ -40,11 +37,9 @@ _JACOBI_MEMO_SIZE = 8192
 def _agm_sequence(k):
     """AGM scales a_n and c_n for modulus k, down to c_n <= 4e-16 a_n.
 
-    The test is relative: an absolute threshold below the rounding floor of
-    (a - b) / 2 (about 5.6e-17 once a ~ 1) is never met for some moduli, which
-    then run all 64 levels and lose accuracy.  With the relative test the
-    recursion takes at most 6 levels for k <= 0.99 (c_n shrinks
-    quadratically); the 64-level cap is only a guard.
+    The test is relative: an absolute one below the rounding floor of
+    (a - b) / 2 is never met for some moduli.  It takes at most 6 levels for
+    k <= 0.99 and 7 for k = 0.999; the 64-level cap is only a guard.
     """
     a, b, c = 1.0, math.sqrt((1.0 - k) * (1.0 + k)), k
     a_seq, c_seq = [a], [c]
@@ -102,20 +97,32 @@ def complete_integrals(k):
     return EllipticParams(k, kprime, big_k, big_kp, big_e, big_ep, a_seq, c_seq)
 
 
+def _descent(u, k):
+    """(phi_0, S(u)): the amplitude am(u), unreduced, and sum_{n>=1} c_n sin(phi_n).
+
+    The descending Landen recursion from phi_N = 2^N a_N u (DLMF 22.20(ii)).
+    """
+    a_seq, c_seq = _agm_sequence(k)
+    n = len(a_seq) - 1
+    phi = (2.0 ** n) * a_seq[n] * u
+    tail = 0.0
+    for i in range(n, 0, -1):
+        sin_phi = math.sin(phi)
+        tail += c_seq[i] * sin_phi
+        s = c_seq[i] / a_seq[i] * sin_phi
+        s = max(-1.0, min(1.0, s))
+        phi = 0.5 * (phi + math.asin(s))
+    return phi, tail
+
+
 def _landen(u, k):
     """(sn, cn, dn) at u for modulus k by the descending Landen recursion.
 
     dn is recovered from sn through dn^2 = 1 - k^2 sn^2, which is safe
     because dn >= k' > 0 on the real axis.
     """
-    a_seq, c_seq = _agm_sequence(k)
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    n = len(a_seq) - 1
-    phi = (2.0 ** n) * a_seq[n] * u
-    for i in range(n, 0, -1):
-        s = c_seq[i] / a_seq[i] * math.sin(phi)
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
+    phi, _ = _descent(u, k)
     sn = math.sin(phi)
     cn = math.cos(phi)
     dn = math.sqrt(max(kprime * kprime, 1.0 - k * k * sn * sn))
@@ -185,54 +192,48 @@ def ns(u, p):
 
 
 def dn_int_sq(u, p):
-    """Integral of dn^2 from 0 to u (the Jacobi epsilon function)."""
+    """Integral of dn^2 from 0 to u (the Jacobi epsilon function), (E/K) u + S(u)."""
     if p.k == 0.0:
         return float(u)
-    val, _ = quad(lambda t: _landen(t, p.k)[2] ** 2, 0.0, u,
-                  epsabs=_QUAD_ABS_TOL, limit=200)
-    return val
-
-
-def _dc_sq(t, k):
-    _, c, d = _landen(t, k)
-    return (d / c) ** 2
-
-
-@lru_cache(maxsize=4096)
-def _a_fun_cached(u, k):
-    p = complete_integrals(k)
-    val, _ = quad(_dc_sq, 0.0, u, args=(k,), epsabs=_QUAD_ABS_TOL, limit=200)
-    return (val + (p.bigE - p.bigK) / p.bigK * u) / p.kprime
+    return p.bigE / p.bigK * u + _descent(u, p.k)[1]
 
 
 def a_fun(u, p):
     """The function A(u) = (Dc(u) + (E-K)/K u)/k' with Dc(u) the integral of dc^2.
 
-    Only arguments inside (-K, K) are meaningful here (dc^2 has a
-    non-integrable pole at K); the operator builders call it with rhombus
-    half-angles, which always satisfy this.
+    Dc(u) = u - eps(u) + sn dc(u) gives A(u) = (sn dc(u) - S(u))/k'.  Only
+    u inside (-K, K) is meaningful (dc^2 has a non-integrable pole at K);
+    rhombus half-angles always lie there.  Past K/2, cos(am u) loses relative
+    accuracy, so sn dc(u) is taken as cd ns(K - |u|).
     """
     if not math.isfinite(u):
         raise DomainError(f"argument must be finite, got {u!r}")
     if abs(u) >= p.bigK - 1e-9:
         raise PoleError(f"A({u}) outside (-K, K): dc pole on the integration path")
-    return _a_fun_cached(float(u), p.k)
+    phi, tail = _descent(u, p.k)
+    if abs(u) <= 0.5 * p.bigK:
+        cn = math.cos(phi)
+        sn_dc = math.sin(phi) * math.hypot(p.kprime, p.k * cn) / cn
+    else:
+        s, c, d = _landen(p.bigK - abs(u), p.k)
+        sn_dc = math.copysign(c / (d * s), u)
+    return (sn_dc - tail) / p.kprime
 
 
 def h_fun(u, p):
     """The single-edge probability function H.
 
-    Real reduction H(u) = (K' Eps(u/2) + (E'-K') u/2)/pi with
-    Eps(x) = integral of dn^2 over [0, x].  This is the normalization pinned
-    by H(2K) = 1/2 (a Legendre-relation computation), oddness, the
-    quasi-period H(u+4K) = H(u)+1 and the k->0 limit u/(2 pi): Eps(K) = E
-    and Legendre's E K' + E' K - K K' = pi/2 give H(2K) = 1/2 exactly with
-    the prefactor 1/pi, which the source derivation's display does not carry.
+    Real reduction H(u) = (K' eps(u/2) + (E'-K') u/2)/pi, the normalization
+    pinned by H(2K) = 1/2, oddness, H(u+4K) = H(u)+1 and the k->0 limit
+    u/(2 pi): eps(K) = E and Legendre's E K' + E' K - K K' = pi/2 give
+    H(2K) = 1/2 exactly with the prefactor 1/pi, which the source
+    derivation's display does not carry.  With eps(x) = (E/K) x + S(x) the
+    same relation reduces H to u/(4K) + (K'/pi) S(u/2).  At k = 0, K' is
+    infinite and S vanishes.
     """
     if p.k == 0.0:
         return u / (2.0 * math.pi)
-    eps_val = dn_int_sq(0.5 * u, p)
-    return (p.bigKprime * eps_val + (p.bigEprime - p.bigKprime) * 0.5 * u) / math.pi
+    return u / (4.0 * p.bigK) + p.bigKprime / math.pi * _descent(0.5 * u, p.k)[1]
 
 
 def theta_transform(theta_bar, p):

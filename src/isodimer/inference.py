@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from . import elliptic as el
 from . import operators as op
@@ -65,8 +66,6 @@ def inverse_entries(m, pairs):
     ||A^-1||_1 the larger of ``onenormest`` and the largest solved column's
     1-norm (exact when every column is solved).
     """
-    from scipy.sparse.linalg import LinearOperator, onenormest, splu
-
     a = m.csc()
     n = a.shape[0]
     if a.shape[1] != n:

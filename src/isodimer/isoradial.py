@@ -191,14 +191,27 @@ def load_graph(json_bytes):
     except (json.JSONDecodeError, TypeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        if abs(float(data["radius"]) - RADIUS) > _GEOM_TOL:
+        # written so that a NaN radius fails too
+        if not abs(float(data["radius"]) - RADIUS) <= _GEOM_TOL:
             raise ParseError(f"radius must be {RADIUS}, got {data['radius']}")
-        coords = {int(v["id"]): complex(float(v["x"]), float(v["y"]))
-                  for v in data["vertices"]}
-        edges = [(int(a), int(b)) for a, b in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        coords = {}
+        for v in data["vertices"]:
+            vid = _vertex_id(v["id"])
+            if vid in coords:
+                raise ParseError(f"duplicate vertex id {vid}")
+            coords[vid] = complex(float(v["x"]), float(v["y"]))
+        edges = [(_vertex_id(a), _vertex_id(b)) for a, b in data["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     return PlanarGraph(coords=coords, edges=edges)
+
+
+def _vertex_id(x):
+    """A vertex id from the graph JSON: an integral number, as an int."""
+    vid = int(x)
+    if vid != x:
+        raise ParseError(f"vertex id must be an integer, got {x!r}")
+    return vid
 
 
 def dump_graph(g):

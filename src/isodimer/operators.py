@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import elliptic as el
 from .derived import fkey, vkey, wkey, fisher_quadri_map
@@ -46,8 +47,6 @@ class TypedSparseMatrix:
 
     def csc(self):
         """The same matrix as a complex ``scipy.sparse`` CSC matrix."""
-        from scipy import sparse
-
         keys = list(self.entries)
         vals = np.array([self.entries[k] for k in keys], dtype=complex)
         ij = ([self.row_pos[r] for r, _c in keys], [self.col_pos[c] for _r, c in keys])

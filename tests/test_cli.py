@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from isodimer import derived as der
 from isodimer import inference as inf
 from isodimer import isoradial as iso
@@ -40,6 +42,37 @@ def test_validate_bad_graph(tmp_path):
     }))
     assert run_cli(["validate", str(bad)]) == 2
     assert run_cli(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def _square_graph(**changes):
+    s = 2.0 * math.sqrt(2.0)
+    data = {"radius": 2.0,
+            "vertices": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": s, "y": 0.0},
+                         {"id": 2, "x": s, "y": s}, {"id": 3, "x": 0.0, "y": s}],
+            "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _square_graph(radius=float("nan")),
+    _square_graph(vertices=[{"id": 3, "x": 99.0, "y": -7.0}]
+                  + _square_graph()["vertices"]),
+    _square_graph(vertices=[dict(v, id=v["id"] + 0.7) if v["id"] == 1 else v
+                            for v in _square_graph()["vertices"]]),
+], ids=["nan-radius", "duplicate-id", "non-integral-id"])
+def test_validate_rejects_malformed_graph(tmp_path, capsys, data):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path)]) == 2
+    assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_rejects_bad_tol(capsys, tol):
+    assert run_cli(["verify", "--builder", "square:1x1", "--u-count", "1",
+                    f"--tol={tol}"]) == 2
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
 
 
 def test_verify_passes_and_artifact_schema(tmp_path):
@@ -89,7 +122,7 @@ def test_verify_artifact_independent_of_caches(tmp_path):
     out = tmp_path / "v.json"
     args = ["verify", "--builder", "square:2x2", "--k", "0.6",
             "--u-count", "2", "--out", str(out)]
-    for cache in (el._landen_memo, el._agm_sequence, el._a_fun_cached):
+    for cache in (el._landen_memo, el._agm_sequence):
         cache.cache_clear()
     assert run_cli(args) == 0
     cold = out.read_bytes()

@@ -6,6 +6,9 @@ the Jacobi functions, and mpmath at 50 digits for K, E, sn/cn/dn, A and H.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -284,3 +287,47 @@ def test_jacobi_memo_bit_identical():
     p = el.complete_integrals(0.6)
     el.jacobi(0.0, p)
     assert math.copysign(1.0, el.jacobi(-0.0, p)[0]) == -1.0
+
+
+def test_closed_forms_vs_mpmath():
+    # eps and H against mpmath's incomplete E(am u | m); A against quadrature
+    # of dc^2 up to 0.97 K, where dc^2 is near its pole
+    def mp_am(u, m, big_k):
+        j = mpmath.nint(u / (2 * big_k))
+        return mpmath.asin(mpmath.ellipfun("sn", u - 2 * j * big_k, m=m)) + j * mpmath.pi
+
+    with mpmath.workdps(30):
+        for k in (0.3, 0.6, 0.9, 0.99, 0.999):
+            p = el.complete_integrals(k)
+            m = mpmath.mpf(k) ** 2
+            big_k, big_e = mpmath.ellipk(m), mpmath.ellipe(m)
+            big_kp, big_ep = mpmath.ellipk(1 - m), mpmath.ellipe(1 - m)
+
+            def eps(u):
+                return mpmath.ellipe(mp_am(u, m, big_k), m)
+            for u in np.linspace(-8.0 * p.bigK, 8.0 * p.bigK, 19):
+                u = float(u)
+                mu = mpmath.mpf(u)
+                assert abs(el.dn_int_sq(u, p) - eps(mu)) <= 1e-14, (k, u)
+                h_ref = (big_kp * eps(mu / 2) + (big_ep - big_kp) * mu / 2) / mpmath.pi
+                assert abs(el.h_fun(u, p) - h_ref) <= 1e-14, (k, u)
+                gap = el.dn_int_sq(u + 2.0 * p.bigK, p) - el.dn_int_sq(u, p) - 2.0 * p.bigE
+                assert abs(gap) <= 1e-14, (k, u)
+            assert abs(el.h_fun(2.0 * p.bigK, p) - 0.5) <= 1e-15, k
+            for frac in (-0.97, -0.4, 0.1, 0.5, 0.8, 0.97):
+                u = frac * p.bigK
+                mu = mpmath.mpf(u)
+                dc_int = mpmath.quad(lambda t: mpmath.ellipfun("dc", t, m=m) ** 2, [0, mu])
+                ref = (dc_int + (big_e - big_k) / big_k * mu) / mpmath.sqrt(1 - m)
+                assert abs(el.a_fun(u, p) - ref) <= 1e-14 * max(1.0, abs(ref)), (k, frac)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(el.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, isodimer.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -59,6 +59,25 @@ def test_load_graph_parse_errors():
         iso.load_graph(json.dumps({"radius": 1.0, "vertices": [], "edges": []}))
 
 
+def test_load_graph_rejects_nan_radius_and_bad_ids():
+    def bad(edit):
+        data = json.loads(square_json())
+        edit(data)
+        with pytest.raises(ParseError):
+            iso.load_graph(json.dumps(data))
+
+    bad(lambda d: d.update(radius=float("nan")))
+    # a repeated id must not let the later entry silently win
+    bad(lambda d: d["vertices"].insert(0, {"id": 3, "x": 99.0, "y": -7.0}))
+    bad(lambda d: d["vertices"][1].update(id=1.7))
+    bad(lambda d: d["vertices"][1].update(id=float("inf")))
+    bad(lambda d: d["edges"].append([0, 2.5]))
+    # an integral float id is still an id
+    data = json.loads(square_json())
+    data["vertices"][1]["id"] = 1.0
+    assert sorted(iso.load_graph(json.dumps(data)).coords) == [0, 1, 2, 3]
+
+
 def test_build_square_lattice_counts():
     g = iso.build_square_lattice(1, 1)
     assert (len(g.coords), len(g.edges), len(g.faces)) == (4, 4, 1)
