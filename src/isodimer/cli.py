@@ -53,11 +53,22 @@ class RunConfig:
         return asdict(self)
 
 
+def _numbers(text, flag):
+    """The numbers of a comma-separated option value; each must be finite."""
+    try:
+        out = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{flag} values must be finite, got {text!r}")
+    return out
+
+
 def _config_from_args(args, command):
-    ks = [float(t) for t in args.k.split(",")] if args.k else [0.5]
+    ks = _numbers(args.k, "--k") if args.k else [0.5]
     u_values = None
     if getattr(args, "u", None):
-        u_values = [float(t) for t in args.u.split(",")]
+        u_values = _numbers(args.u, "--u")
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 < tol < math.inf:
         raise DomainError(f"--tol must be finite and > 0, got {tol}")

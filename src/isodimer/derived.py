@@ -38,9 +38,9 @@ class DoubleGraph:
     """The double graph of an isoradial graph, optionally rooted.
 
     ``gd_edges`` maps (white edge_id, black key) to a record with the lifted
-    quarter-rhombus angles seen from the white vertex and the half-angle of
-    that quarter rhombus.  In the rooted variant the root vertex and its two
-    incident edges are removed.
+    quarter-rhombus angles seen from the white vertex and the kind of the
+    black ("v" primal, "f" dual).  In the rooted variant the root vertex and
+    its two incident edges are removed.
     """
 
     ig: object
@@ -48,9 +48,7 @@ class DoubleGraph:
     whites: list = field(default_factory=list)     # edge ids
     blacks: list = field(default_factory=list)     # typed keys, primal then dual
     gd_edges: dict = field(default_factory=dict)   # (w, black) -> dict
-    at_white: dict = field(default_factory=dict)
-    at_black: dict = field(default_factory=dict)
-    theta_w: dict = field(default_factory=dict)    # white -> primal half-angle
+    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gd_edges:
@@ -63,7 +61,6 @@ class DoubleGraph:
         self.blacks = prim + dual
         for eid in self.whites:
             r = ig.rhombi[eid]
-            self.theta_w[eid] = r.theta_bar
             a, b = r.alpha_bar, r.beta_bar
             items = [(vkey(r.v2), a, b, "v"),
                      (vkey(r.v1), a + math.pi, b + math.pi, "v"),
@@ -73,13 +70,7 @@ class DoubleGraph:
             for black, ae, be, kind in items:
                 if self.rooted and black == vkey(root):
                     continue
-                theta_e = r.theta_bar if kind == "v" else math.pi / 2 - r.theta_bar
-                self.gd_edges[(eid, black)] = {
-                    "alpha": ae, "beta": be, "theta": theta_e, "kind": kind,
-                }
-        for (w, black) in self.gd_edges:
-            self.at_white.setdefault(w, []).append(black)
-            self.at_black.setdefault(black, []).append(w)
+                self.gd_edges[(eid, black)] = {"alpha": ae, "beta": be, "kind": kind}
         if self.rooted and len(self.blacks) != len(self.whites):
             raise BijectionError("rooted double graph is not balanced")
 

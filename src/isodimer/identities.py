@@ -23,7 +23,6 @@ from .derived import (
     build_quadri,
     induce_orientation_GQ,
     reference_matching_M1,
-    fkey,
 )
 from .errors import DomainError
 
@@ -111,8 +110,10 @@ class Workspace(_Memo):
 
     The derived graphs and the reference matching depend on the graph alone
     and are shared with every workspace :meth:`with_modulus` makes.  The
-    operators of the modulus are kept for the life of the workspace; those of
-    a spectral value live in :meth:`at`, which keeps the latest u only.
+    double graph is the workspace's own, and every builder reads the edge
+    table kept on it, built when first needed.  The operators of the modulus
+    are kept for the life of the workspace; those of a spectral value live in
+    :meth:`at`, which keeps the latest u only.
     """
 
     def __init__(self, ig, p):
@@ -150,21 +151,44 @@ class Workspace(_Memo):
 
     # -- modulus level ------------------------------------------------------
 
+    @property
+    def table(self):
+        """The edge-table stage of the modulus."""
+        return op.edge_table(self.dg).at(self.p)
+
+    @cached_property
+    def white_logs(self):
+        """Sums over the whites w, in order, that the determinant checks add:
+        log sc(theta_w)/2, log cs(theta_w)/2, the whites' part of log c~ and
+        the boundary whites' part of log [Z+]^2 (with its constant)."""
+        m, bnd = self.table, self.dg.boundary_whites()
+        c_tilde = 0.0
+        for w, ls, lc in zip(self.dg.whites, _logs(m.sn_t).tolist(), _logs(m.cn_t).tolist()):
+            c_tilde += 0.5 * (ls + lc)
+            if w in bnd:
+                c_tilde -= ls
+        n_v = len(self.ig.base.coords)
+        z2 = (n_v - 1) * math.log(2.0) + 0.5 * (n_v - 1) * math.log(self.p.kprime)
+        sn = m.sn_t[[m.tab.epos[w] for w in bnd]]
+        z2 = sum(_logs((1.0 + sn) / (2.0 * sn)).tolist(), z2)
+        return (sum(0.5 * math.log(x) for x in m.sc_t.tolist()),
+                sum(0.5 * math.log(x) for x in m.cs_t.tolist()), c_tilde, z2)
+
     @cached_property
     def dms(self):
-        return op.delta_m_star(self.ig, self.p)
+        return op.delta_m_star(self.dg, self.p)
 
     @cached_property
     def kq(self):
-        return op.kasteleyn_KQ(self.qg, self.ig, self.p)
+        return op.kasteleyn_KQ(self.qg, self.dg, self.p)
 
     @cached_property
     def kqp(self):
-        return op.kq_bar_partial(self.qg, self.ig, self.p)
+        return op.kq_bar_partial(self.qg, self.dg, self.p)
 
     @cached_property
     def couplings(self):
-        return op.z_invariant_couplings(self.ig, self.p)
+        return op.z_invariant_couplings(self.dg, self.p)
 
     def spin_sum(self, budget):
         """The + boundary Ising partition function by spin enumeration."""
@@ -184,6 +208,11 @@ class _AtU(_Memo):
         self.ig, self.dg, self.qg, self.p = ws.ig, ws.dg, ws.qg, ws.p
         self._graph = ws._graph
 
+    @property
+    def table(self):
+        """The edge-table stage of u."""
+        return op.edge_table(self.dg).at(self.p, self.u)
+
     @cached_property
     def kd(self):
         return op.dirac(self.dg, self.p, self.u, "plain")
@@ -194,15 +223,15 @@ class _AtU(_Memo):
 
     @cached_property
     def dmn(self):
-        return op.delta_m_natural(self.ig, self.p, self.u)
+        return op.delta_m_natural(self.dg, self.p, self.u)
 
     @cached_property
     def dmp(self):
-        return op.delta_m_partial(self.ig, self.p, self.u)
+        return op.delta_m_partial(self.dg, self.p, self.u)
 
     @cached_property
     def q(self):
-        return op.q_matrix(self.ig, self.p, self.u)
+        return op.q_matrix(self.dg, self.p, self.u)
 
     @cached_property
     def st(self):
@@ -218,37 +247,42 @@ class _AtU(_Memo):
             self, self.u, self._graph.m1[0], kind))
 
 
+def _logs(x):
+    """math.log of every entry, as an array.
+
+    Not np.log: numpy's log differs from libm's in the last bit on some
+    inputs, and the sums below are to stay those of the scalar formulas.
+    """
+    return np.array([math.log(v) for v in x.tolist()], dtype=float)
+
+
 def _matching_log_product(ws, u, matching, kind):
     """log of prod over matched double-graph edges of the requested bracket.
 
-    ``ws`` is a Workspace or its view at one u: anything with ig, dg and p.
+    ``ws`` is a Workspace or its view at one u: anything with dg and p.
     """
-    ctx = op.EllCtx(ws.ig, ws.p)
-    p = ws.p
-    total = 0.0
-    for (w, black) in matching:
-        rec = ws.dg.gd_edges[(w, black)]
-        ua, ub = ctx.u_arg(u, rec["alpha"]), ctx.u_arg(u, rec["beta"])
-        da, db = el.dn(ua, p), el.dn(ub, p)
-        if kind == "dn":
-            total += 0.5 * (math.log(da) + math.log(db))
-        elif kind == "k_nd":
-            total += 0.5 * (math.log(p.kprime) - math.log(da) - math.log(db))
-        elif kind == "abs_sc":
-            total += 0.5 * (math.log(abs(el.sc(ua, p))) + math.log(abs(el.sc(ub, p))))
-        elif kind == "eta":
-            sa = abs(el.sn(ua, p))
-            sb = abs(el.sn(ub, p))
-            ca = abs(el.cn(ua, p))
-            cb = abs(el.cn(ub, p))
-            if rec["kind"] == "v":
-                total += math.log(sa) - math.log(cb) + 0.5 * (math.log(db) - math.log(da))
-            else:
-                total += (0.5 * math.log(p.kprime) + math.log(sb) - math.log(ca)
-                          + 0.5 * (math.log(da) - math.log(db)))
-        else:
-            raise DomainError(kind)
-    return total
+    t = op.edge_table(ws.dg).at(ws.p, u)
+    tab, lk = t.tab, math.log(ws.p.kprime)
+    i = np.array(list(map(tab.gd_pos.__getitem__, matching)), dtype=np.intp)
+    a, b = tab.gd_a[i], tab.gd_b[i]
+    la, lb = _logs(t.dn[a]), _logs(t.dn[b])
+    if kind == "dn":
+        terms = 0.5 * (la + lb)
+    elif kind == "k_nd":
+        terms = 0.5 * (lk - la - lb)
+    elif kind == "abs_sc":
+        terms = 0.5 * (_logs(np.abs(t.sc(a))) + _logs(np.abs(t.sc(b))))
+    elif kind == "eta":
+        v = tab.gd_v[i]
+        terms = np.empty(len(i))
+        terms[v] = (_logs(np.abs(t.sn[a[v]])) - _logs(np.abs(t.cn[b[v]]))
+                    + 0.5 * (lb[v] - la[v]))
+        f = ~v
+        terms[f] = (0.5 * lk + _logs(np.abs(t.sn[b[f]])) - _logs(np.abs(t.cn[a[f]]))
+                    + 0.5 * (la[f] - lb[f]))
+    else:
+        raise DomainError(kind)
+    return sum(terms.tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +355,17 @@ def check_det_tree_forest(ws, u, tol=DET_TOL, negative_control=False):
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
     at = ws.at(u)
-    ctx = op.EllCtx(ig, p)
     n_f = len(ig.face_centers)
     n_v = len(ig.base.coords)
 
-    log_sc = sum(0.5 * math.log(el.sc(ctx.ell(ws.dg.theta_w[w]), p))
-                 for w in ws.dg.whites)
     lhs1 = at.lad("kd")
     if negative_control:
         lhs1 += 1e-3
+    log_sc, log_cs = ws.white_logs[:2]
     rhs1 = (0.5 * n_f * math.log(p.kprime) + log_sc
             + at.log_product("dn") + ws.lad("dms"))
     r1 = abs(lhs1 - rhs1)
 
-    log_cs = sum(0.5 * math.log(el.cs(ctx.ell(ws.dg.theta_w[w]), p))
-                 for w in ws.dg.whites)
     rhs2 = (0.5 * (n_v - 1) * math.log(p.kprime) + log_cs
             + at.log_product("k_nd") + at.lad("dmp"))
     r2 = abs(at.lad("kdp") - rhs2)
@@ -354,21 +384,17 @@ def _log_c_tilde(ws, u):
     forms coincide whenever that pairing holds, and check_partition_function
     tests the eta-product form against both determinants on every instance.
     """
-    ig, p = ws.ig, ws.p
-    ctx = op.EllCtx(ig, p)
-    rp = ig.root_pair()
-    w_bnd = ws.dg.boundary_whites()
-    total = 0.0
-    for w in ws.dg.whites:
-        th = ctx.ell(ws.dg.theta_w[w])
-        total += 0.5 * (math.log(el.sn(th, p)) + math.log(el.cn(th, p)))
-        if w in w_bnd:
-            total -= math.log(el.sn(th, p))
-    total += ws.at(u).log_product("eta")
-    total += math.log(el.sn(ctx.ell(rp.theta_bar), p))
-    total += math.log(abs(el.cd(ctx.u_arg(u, rp.beta_r), p)
-                          / el.sn(ctx.u_arg(u, rp.alpha_r), p)))
-    return total
+    at = ws.at(u)
+    total = ws.white_logs[2] + at.log_product("eta")
+    return _add_root_pair(total, at.table)
+
+
+def _add_root_pair(total, t):
+    """total + log sn(theta) + log |cd(u_{beta_r}) / sn(u_{alpha_r})|, added
+    in that order, for the root pair at the edge-table stage ``t``."""
+    tab = t.tab
+    total += math.log(t.mod.sn_b[tab.rp])
+    return total + math.log(abs(t.cd[tab.rp_br] / t.sn[tab.rp_ar]))
 
 
 def log_z_plus_squared_formula(ws, u):
@@ -378,20 +404,9 @@ def log_z_plus_squared_formula(ws, u):
 
 
 def _log_z_plus_squared(ws, at):
-    ig, p, u = ws.ig, ws.p, at.u
-    ctx = op.EllCtx(ig, p)
-    rp = ig.root_pair()
-    n_v = len(ig.base.coords)
-    total = (n_v - 1) * math.log(2.0) + 0.5 * (n_v - 1) * math.log(p.kprime)
-    for w in ws.dg.boundary_whites():
-        th = ctx.ell(ws.dg.theta_w[w])
-        total += math.log((1.0 + el.sn(th, p)) / (2.0 * el.sn(th, p)))
-    total += at.log_product("eta")
+    total = ws.white_logs[3] + at.log_product("eta")
     total += at.log_product("k_nd")
-    total += math.log(el.sn(ctx.ell(rp.theta_bar), p))
-    total += math.log(abs(el.cd(ctx.u_arg(u, rp.beta_r), p)
-                          / el.sn(ctx.u_arg(u, rp.alpha_r), p)))
-    return total + at.lad("dmp")
+    return _add_root_pair(total, at.table) + at.lad("dmp")
 
 
 def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
@@ -560,14 +575,11 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
     t0 = time.perf_counter()
     ig, p = ws.ig, ws.p
     at = ws.at(u)
-    ctx = op.EllCtx(ig, p)
     kg, dstar = at.gauge
     lad_kd = at.lad("kd")
     if negative_control:
         lad_kd += 1e-3
-    log_c = sum(0.5 * math.log(el.sc(ctx.ell(ws.dg.theta_w[w]), p))
-                for w in ws.dg.whites)
-    log_c += at.log_product("dn")
+    log_c = ws.white_logs[0] + at.log_product("dn")
     lad_kg, lad_dstar = inf.logabsdet(kg.dense()), inf.logabsdet(dstar.dense())
     r1 = abs(lad_kd - log_c - lad_kg)
     r2 = abs(lad_kg - lad_dstar)
@@ -582,19 +594,24 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
                     "path_independence": r4})
 
 
-def _dual_step(ws, ctx, u, f_from, eid):
-    """The gauge ratio q(f')/q(f) across dual edge ``eid`` leaving face ``f_from``."""
-    p = ws.p
-    rec = ws.dg.gd_edges[(eid, fkey(f_from))]
-    return ((1.0 / p.kprime) * el.dn(ctx.u_arg(u, rec["alpha"]), p)
-            * el.dn(ctx.u_arg(u, rec["beta"]), p))
+def _dual_step(at):
+    """The gauge ratios q(f')/q(f) across the dual edges, keyed (f, eid) for
+    dual edge ``eid`` leaving face f: (1/k') dn(u_alpha) dn(u_beta) of the
+    double-graph edge (eid, f)."""
+    t = at.table
+    tab = t.tab
+    f = tab.gd_dual
+    steps = (1.0 / at.p.kprime) * t.dn[tab.gd_a[f]] * t.dn[tab.gd_b[f]]
+    keys = ((tab.blacks[b][1], tab.eids[e]) for e, b in zip(tab.gd_e[f].tolist(),
+                                                            tab.gd_black[f].tolist()))
+    return dict(zip(keys, steps.tolist()))
 
 
 def _gauge_holonomy(ws, u):
     """Exact holonomy test of the gauge function q on the restricted dual.
 
     q is fixed to 1 at the first face of each component and carried over a
-    BFS tree by ``_dual_step``.  Returns max |q(a) step(a, e) / q(b) - 1| over
+    BFS tree by the steps of ``_dual_step``.  Returns max |q(a) step(a, e) / q(b) - 1| over
     every dual edge a -e- b in both directions, which is 0 exactly when the
     steps are reciprocal and multiply to 1 around every cycle, i.e. when q is
     well defined.
@@ -603,8 +620,7 @@ def _gauge_holonomy(ws, u):
     for (fa, fb), eid in ws.ig.dual_edges:
         adj.setdefault(fa, []).append((fb, eid))
         adj.setdefault(fb, []).append((fa, eid))
-    ctx = op.EllCtx(ws.ig, ws.p)
-    step = {(a, eid): _dual_step(ws, ctx, u, a, eid) for a in adj for _b, eid in adj[a]}
+    step = _dual_step(ws.at(u))
     q = {}
     for root in sorted(adj):
         if root in q:

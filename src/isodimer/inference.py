@@ -12,7 +12,6 @@ from . import elliptic as el
 from . import operators as op
 from .derived import (
     _frontier_sum,
-    build_double,
     fisher_quadri_map,
     induce_orientation_GQ,
     fkey,
@@ -144,17 +143,21 @@ def pfaffian(m, tol=1e-12):
 # inverse-operator formulas
 # ---------------------------------------------------------------------------
 
-def _kd_inv_primal_coeff(ctx, u, w, green_partial, target_v):
+def _u_arg(u, angle_bar, p):
+    """The argument (u - gamma)/2 of a lifted angle, gamma rescaled by 2K/pi."""
+    return 0.5 * (u - el.angle_transform(angle_bar, p))
+
+
+def _kd_inv_primal_coeff(ig, p, u, w, green_partial, target_v):
     """Formula coefficient K^{D,bd}(u)^{-1}_{v, w}.
 
     Terms referencing the removed root vertex drop out (the rooted operator
     has no column there).
     """
-    ig, p = ctx.ig, ctx.p
     r = ig.rhombi[w]
     a_bar, b_bar = r.alpha_bar, r.beta_bar
-    th = ctx.ell(r.theta_bar)
-    ua, ub = ctx.u_arg(u, a_bar), ctx.u_arg(u, b_bar)
+    th = el.angle_transform(r.theta_bar, p)
+    ua, ub = _u_arg(u, a_bar, p), _u_arg(u, b_bar, p)
     g = green_partial
     phase = cmath.exp(-0.5j * (a_bar + b_bar))
     term2 = term1 = 0.0
@@ -174,7 +177,6 @@ def kd_inverse_formula(dg, p, u, pairs=None):
     cols = whites).
     """
     ig = dg.ig
-    ctx = op.EllCtx(ig, p)
     kdp = op.dirac(dg, p, u, "boundary")
     direct = invert(kdp.dense())
     dmp = op.delta_m_partial(ig, p, u)
@@ -200,8 +202,9 @@ def kd_inverse_formula(dg, p, u, pairs=None):
     for bp in ig.boundary_pairs:
         if bp.is_root:
             continue
-        coeff = (el.nd(ctx.u_arg(u, bp.beta_l), p) / el.cd(ctx.u_arg(u, bp.alpha_l), p)
-                 * (el.cd(ctx.u_arg(u, bp.beta_r), p) - el.cd(ctx.u_arg(u, bp.alpha_l), p)))
+        cd_al = el.cd(_u_arg(u, bp.alpha_l, p), p)
+        coeff = (el.nd(_u_arg(u, bp.beta_l, p), p) / cd_al
+                 * (el.cd(_u_arg(u, bp.beta_r, p), p) - cd_al))
         pair_data.append((bp, coeff))
 
     want = None
@@ -212,17 +215,17 @@ def kd_inverse_formula(dg, p, u, pairs=None):
         w = wk[1]
         r = ig.rhombi[w]
         a_bar, b_bar = r.alpha_bar, r.beta_bar
-        th_star = ctx.ell(math.pi / 2 - r.theta_bar)
-        ua, ub = ctx.u_arg(u, a_bar), ctx.u_arg(u, b_bar)
+        th_star = el.angle_transform(math.pi / 2 - r.theta_bar, p)
+        ua, ub = _u_arg(u, a_bar, p), _u_arg(u, b_bar, p)
         phase = cmath.exp(-0.5j * (a_bar + b_bar))
         kd_inv_vc = {}
         for bp, coeff in pair_data:
-            kd_inv_vc[bp.vc] = _kd_inv_primal_coeff(ctx, u, w, green_partial, bp.vc)
+            kd_inv_vc[bp.vc] = _kd_inv_primal_coeff(ig, p, u, w, green_partial, bp.vc)
         for ib, bk in enumerate(rows):
             if want is not None and (bk, w) not in want:
                 continue
             if bk[0] == "v":
-                formula[ib, jw] = _kd_inv_primal_coeff(ctx, u, w, green_partial, bk[1])
+                formula[ib, jw] = _kd_inv_primal_coeff(ig, p, u, w, green_partial, bk[1])
             else:
                 f_t = bk[1]
                 # radicands: dn((u_b)*) dn((u_{a+2K})*) and dn((u_{b-2K})*) dn((u_a)*)
@@ -562,7 +565,6 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
     H(2 u_alpha) - H(2 u_beta) per edge (meaningful near the center of large
     truncations).
     """
-    ctx = op.EllCtx(dg.ig, p)
     kd = op.dirac(dg, p, u, "plain")
     edges = sorted(dg.gd_edges.items(), key=str)
     probs = _kenyon_probabilities(kd, [(wkey(w), black) for (w, black), _rec in edges])
@@ -571,8 +573,8 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
         cf = None
         gap = None
         if closed_form:
-            ua = ctx.u_arg(u, rec["alpha"])
-            ub = ctx.u_arg(u, rec["beta"])
+            ua = _u_arg(u, rec["alpha"], p)
+            ub = _u_arg(u, rec["beta"], p)
             cf = el.h_fun(2.0 * ua, p) - el.h_fun(2.0 * ub, p)
             gap = abs(prob - cf)
         rows.rows.append(ProbabilityRow((w, black), rec["kind"], prob,
@@ -860,10 +862,12 @@ def green_center_diagonal(ig, p):
 
 
 def center_edge_probability_gd(ig, p, u):
-    """Kenyon probability and bulk closed form at the most central primal edge."""
-    dg = build_double(ig)
-    ctx = op.EllCtx(ig, p)
-    kd = op.dirac(dg, p, u, "plain")
+    """Kenyon probability and bulk closed form at the most central primal edge.
+
+    The Dirac operator is that of the rooted double graph whose edge table
+    ``ig`` keeps, so calls on one graph share it.
+    """
+    kd = op.dirac(ig, p, u, "plain")
     coords = ig.base.coords
     center = sum(coords.values()) / len(coords)
     best = None
@@ -875,11 +879,11 @@ def center_edge_probability_gd(ig, p, u):
             best = (d, eid)
     eid = best[1]
     r = ig.rhombi[eid]
-    rec = dg.gd_edges[(eid, vkey(r.v2))]
     p_ken = float((kd.get(wkey(eid), vkey(r.v2))
                    * inverse_entry(kd, vkey(r.v2), wkey(eid))).real)
-    ua = ctx.u_arg(u, rec["alpha"])
-    ub = ctx.u_arg(u, rec["beta"])
+    # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
+    ua = _u_arg(u, r.alpha_bar, p)
+    ub = _u_arg(u, r.beta_bar, p)
     p_formula = el.h_fun(2.0 * ua, p) - el.h_fun(2.0 * ub, p)
     return p_ken, p_formula, eid
 

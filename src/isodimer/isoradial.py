@@ -325,6 +325,11 @@ class IsoradialGraph:
     original: PlanarGraph = None  # the pre-split input graph
     _hash: str = field(default=None, init=False, repr=False, compare=False)
     _excl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _table: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a copy may have its angle records edited: it rebuilds what derives from them
+        return dict(self.__dict__, _excl={}, _table=None)
 
     # --- convenience -----------------------------------------------------
     def edge_list(self):
@@ -338,15 +343,6 @@ class IsoradialGraph:
 
     def root_pair(self):
         return self.pair_of_vc(self.root)
-
-    def rhombus_vectors_from(self, edge_id, v):
-        """Lifted (right, left) rhombus-vector angles of an edge seen from endpoint v."""
-        r = self.rhombi[edge_id]
-        if v == r.v1:
-            return r.alpha_bar, r.beta_bar
-        if v == r.v2:
-            return r.alpha_bar + math.pi, r.beta_bar + math.pi
-        raise KeyError(f"vertex {v} not an endpoint of edge {edge_id}")
 
     def graph_hash(self):
         """Short digest of the embedded graph and its root, computed once."""

@@ -5,21 +5,28 @@ auxiliary block matrices.
 Rows and columns are indexed by typed vertex keys (see ``derived``); entries
 are complex.  Assembly is deterministic: indices are sorted, every entry is a
 pure function of (graph, k, u) and the stored angle lifts.
+
+The builders that evaluate elliptic functions gather their entries from the
+:class:`EdgeTable` of their graph argument, which may be an isoradial graph
+or a double graph of one (see :func:`edge_table`).
 """
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from . import elliptic as el
-from .derived import fkey, vkey, wkey, fisher_quadri_map
+from .derived import DoubleGraph, build_double, fkey, vkey, wkey, fisher_quadri_map
 from .errors import (
     DomainError,
     NegativeRadicandError,
     NotGaugeEquivalentError,
+    PoleError,
     SingularityError,
 )
 
@@ -34,8 +41,8 @@ class TypedSparseMatrix:
     _dense: object = None
 
     def __post_init__(self):
-        self.row_pos = {r: i for i, r in enumerate(self.rows)}
-        self.col_pos = {c: j for j, c in enumerate(self.cols)}
+        self.row_pos = dict(zip(self.rows, range(len(self.rows))))
+        self.col_pos = dict(zip(self.cols, range(len(self.cols))))
 
     def dense(self):
         if self._dense is None:
@@ -70,38 +77,19 @@ class TypedSparseMatrix:
         return "\n".join(lines) + "\n"
 
 
-class EllCtx:
-    """Per-(graph, k) context: transformed angles and cached special values."""
-
-    def __init__(self, ig, p):
-        self.ig = ig
-        self.p = p
-        self._a_cache = {}
-
-    def ell(self, angle_bar):
-        return el.angle_transform(angle_bar, self.p)
-
-    def a_of(self, theta_bar):
-        key = round(theta_bar, 14)
-        if key not in self._a_cache:
-            self._a_cache[key] = el.a_fun(self.ell(theta_bar), self.p)
-        return self._a_cache[key]
-
-    def jac(self, u):
-        return el.jacobi(u, self.p)
-
-    def u_arg(self, u, gamma_bar):
-        return 0.5 * (u - self.ell(gamma_bar))
-
-
-def _phase(half_angle_bar):
-    return cmath.exp(0.5j * half_angle_bar)
+def _ratio(num, den, name, args):
+    """num / den elementwise, with the pole test of ``elliptic`` on every entry."""
+    pole = np.abs(den) < el._POLE_EPS
+    if pole.any():
+        raise PoleError(f"{name}({np.extract(pole, args)[0]}) evaluated at a pole")
+    return num / den
 
 
 def _sqrt_pos(x, what):
-    if x < -1e-12:
-        raise NegativeRadicandError(f"negative radicand in {what}: {x}")
-    return math.sqrt(max(x, 0.0))
+    negative = x < -1e-12
+    if negative.any():
+        raise NegativeRadicandError(f"negative radicand in {what}: {np.extract(negative, x)[0]}")
+    return np.sqrt(np.maximum(x, 0.0))
 
 
 def _check_u_allowed(ig, p, u, level):
@@ -116,123 +104,450 @@ def _check_u_allowed(ig, p, u, level):
 
 
 # ---------------------------------------------------------------------------
+# the edge table
+# ---------------------------------------------------------------------------
+
+def _jacobi(args, p):
+    """(sn, cn, dn) arrays at every argument, one ``elliptic.jacobi`` call per
+    distinct value, so every value is the scalar kernel's bit for bit (numpy's
+    arcsin, which a vectorised Landen recursion would need, is not libm's)."""
+    uniq, inv = np.unique(args, return_inverse=True)
+    return np.array([el.jacobi(x, p) for x in uniq.tolist()]).reshape(-1, 3)[inv].T
+
+
+def _first_of_class(values):
+    """Each angle replaced by the first one met that agrees with it to 14 decimals.
+
+    Half-angles that are equal in exact arithmetic differ in their last bits
+    on the lattices; A is evaluated once per such class, at the angle met
+    first in row order, so all rows of a class read one value.
+    """
+    uniq, first, inv = np.unique(values, return_index=True, return_inverse=True)
+    rep = {}
+    for x, _i in sorted(zip(uniq.tolist(), first.tolist()), key=lambda xi: xi[1]):
+        rep.setdefault(round(x, 14), x)
+    return np.array([rep[round(x, 14)] for x in uniq.tolist()], dtype=float)[inv]
+
+
+def _ints(values):
+    return np.array(list(values), dtype=np.intp)
+
+
+class EdgeTable:
+    """The rhombus data of one graph that the builders read, as arrays.
+
+    The per-graph stage (see :func:`edge_table`).  From the rhombi and the
+    boundary pairs: the half-angles ``theta`` in ``edge_list`` order and the
+    pair data.  From ``dg.gd_edges``, when first needed: every lifted angle
+    a builder evaluates at, held once in ``angles``, and the index arrays
+    and keys of the Dirac entries.  The arrays of the Laplacians
+    (:attr:`primal`, :attr:`dual`) are built on first use too.  :meth:`at`
+    gives the stages of a modulus and of a spectral value.
+    """
+
+    def __init__(self, ig, dg=None):
+        self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
+        self.graph = ig.graph_hash()
+        self._mod = self._spec = self._st = self._kq = None
+        self.eids = ig.edge_list()
+        self.epos = {e: i for i, e in enumerate(self.eids)}
+        rh = [ig.rhombi[e] for e in self.eids]
+        self.theta = np.array([r.theta_bar for r in rh], dtype=float)
+        bad = ~((self.theta > 0.0) & (self.theta < math.pi / 2))
+        if bad.any():
+            raise DomainError("embedding half-angle must lie in (0, pi/2), "
+                              f"got {self.theta[bad][0]}")
+        self.theta_star = math.pi / 2 - self.theta
+        self.alpha = np.array([r.alpha_bar for r in rh], dtype=float)
+        self.beta = np.array([r.beta_bar for r in rh], dtype=float)
+        bps = ig.boundary_pairs
+        self.bp_theta = np.array([bp.theta_bar for bp in bps], dtype=float)
+        self.bp_index = {bp.vc: i for i, bp in enumerate(bps)}
+        self.pairs = [bp for bp in bps if not bp.is_root]
+        self.nr = _ints(self.bp_index[bp.vc] for bp in self.pairs)
+        self.rp = self.bp_index[ig.root]
+        self._lifted = False
+        if dg is not None:
+            self._lift(dg)
+
+    def __getattr__(self, name):
+        # only the double-graph part is missing before _lift: an isoradial
+        # graph's table builds its rooted double graph for it on first use
+        if name.startswith("__") or self.__dict__.get("_lifted", True):
+            raise AttributeError(name)
+        self._lift(build_double(self.ig))
+        return getattr(self, name)
+
+    def _lift(self, dg):
+        """The part read from ``dg.gd_edges``: lifts, Dirac entries, pair lifts."""
+        self._lifted = True
+        recs = list(dg.gd_edges.values())
+        gd_alpha = np.array([rec["alpha"] for rec in recs], dtype=float)
+        gd_beta = np.array([rec["beta"] for rec in recs], dtype=float)
+        bps = self.ig.boundary_pairs
+        bp_lifts = np.array([(bp.alpha_l, bp.beta_l, bp.alpha_r, bp.beta_r) for bp in bps],
+                            dtype=float).reshape(-1, 4).T
+        # the Dirac operators read the lifts of gd_edges; S, T and the
+        # Laplacians those of the rhombi, as they are or turned by pi
+        alpha, beta = self.alpha, self.beta
+        self.angles = np.unique(np.concatenate(
+            [alpha, beta, alpha + math.pi, beta + math.pi, gd_alpha, gd_beta, *bp_lifts]))
+        ix = self.ix
+
+        # Dirac entries, in gd_edges order
+        self.whites = tuple(wkey(w) for w in dg.whites)
+        self.blacks = tuple(dg.blacks)
+        self.rooted = dg.rooted
+        bpos = {b: i for i, b in enumerate(self.blacks)}
+        self.gd_e = _ints(self.epos[w] for w, _b in dg.gd_edges)
+        self.gd_black = _ints(bpos[b] for _w, b in dg.gd_edges)
+        self._gd_w = [self.whites[e] for e in self.gd_e.tolist()]
+        self._gd_b = [self.blacks[b] for b in self.gd_black.tolist()]
+        self.gd_a, self.gd_b = ix(gd_alpha), ix(gd_beta)
+        self.gd_v = np.array([rec["kind"] == "v" for rec in recs], dtype=bool)
+        self.gd_dual = np.flatnonzero(~self.gd_v)
+
+        # lifts and the Dirac (w_l, v_c) entry of the non-root pairs; the root pair
+        al, bl, ar, br = (ix(x) for x in bp_lifts)
+        self.p_al, self.p_bl, self.p_br = al[self.nr], bl[self.nr], br[self.nr]
+        wl_vc = {(bp.wl, vkey(bp.vc)): n for n, bp in enumerate(self.pairs)}
+        self.p_kd = np.empty(len(self.pairs), dtype=np.intp)
+        for i, key in enumerate(dg.gd_edges):
+            if key in wl_vc:
+                self.p_kd[wl_vc[key]] = i
+        self.rp_ar, self.rp_br = ar[self.rp], br[self.rp]
+
+    @cached_property
+    def primal(self):
+        return _Primal(self)
+
+    @cached_property
+    def dual(self):
+        return _Dual(self)
+
+    @cached_property
+    def sides(self):
+        """The dual Dirac entries of every edge: face and entry, f1 then f2 in
+        edge order; and (f1, f2, entry at f1, entry at f2) of every inner edge,
+        as four rows."""
+        pos = {(self.eids[e], self.blacks[b][1]): i for i, e, b in zip(
+            self.gd_dual.tolist(), self.gd_e[self.gd_dual].tolist(),
+            self.gd_black[self.gd_dual].tolist())}
+        rh = [self.ig.rhombi[x] for x in self.eids]
+        sides = [(f, pos[(r.edge_id, f)]) for r in rh for f in (r.f1, r.f2) if f is not None]
+        inner = np.array([(r.f1, r.f2, pos[(r.edge_id, r.f1)], pos[(r.edge_id, r.f2)])
+                          for r in rh if r.f2 is not None], dtype=np.intp).reshape(-1, 4).T
+        return _ints(f for f, _i in sides), _ints(i for _f, i in sides), inner
+
+    def ix(self, values):
+        """Positions in ``angles`` of lifted angles it holds."""
+        values = np.asarray(values, dtype=float)
+        i = np.searchsorted(self.angles, values)
+        if not (self.angles[np.minimum(i, len(self.angles) - 1)] == values).all():
+            raise DomainError("a lifted angle that is not one of this graph's")
+        return i
+
+    def gd_keys(self):
+        """The (white, black) keys of the Dirac entries, as a new list (the
+        table keeps their two halves only, which is lighter on large graphs)."""
+        return list(zip(self._gd_w, self._gd_b))
+
+    @cached_property
+    def gd_pos(self):
+        """The position of each double-graph edge (white edge id, black key)."""
+        return {(self.eids[e], b): i for i, (e, b) in enumerate(zip(self.gd_e.tolist(),
+                                                                    self._gd_b))}
+
+    def at(self, p, u=None):
+        """The stage of modulus ``p``, or of (p, u); the table keeps the latest
+        of each, so the builders at one (k, u) share them."""
+        if self._mod is None or (self._mod.p is not p and self._mod.p != p):
+            self._mod = _Modulus(self, p)
+        if u is None:
+            return self._mod
+        # repr tells -0.0 from 0.0, which == does not
+        if self._spec is None or self._spec.mod is not self._mod or repr(self._spec.u) != repr(u):
+            self._spec = _Spectral(self._mod, u)
+        return self._spec
+
+    def kq_layout(self, qg):
+        """Entry keys, edges, kinds and phases e^{i phi} of the quadri
+        Kasteleyn matrix of ``qg``, and the (key, pair) of the entries its
+        boundary-pair variant scales by sn(theta); kept for the latest ``qg``."""
+        if self._kq is None or self._kq[0] is not qg:
+            keys, e, kinds, phase, scaled = [], [], [], [], []
+            for blk, wht, kind, phase_bar in qg.edges:
+                keys.append((blk, wht))
+                e.append(self.epos[qg.quad_of[blk]])
+                kinds.append(kind)
+                phase.append(2.0 * phase_bar)
+                role = qg.pair_role.get(qg.quad_of[blk])
+                if (role and qg.corner_of[blk] == 1
+                        and (role[0], kind) in (("l", "ext"), ("r", "bq"))):
+                    scaled.append(((blk, wht), self.bp_index[role[1].vc]))
+            self._kq = (qg, (keys, _ints(e), np.array(kinds),
+                             np.exp(0.5j * np.array(phase, dtype=float)), scaled))
+        return self._kq[1]
+
+    def st_layout(self, qg):
+        """Keys and lifts of the S and T entries for the quadri graph ``qg``
+        of this graph; kept for the latest ``qg``.
+
+        S: keys, lifts a, b, the lift c of cn and of the phase e^{-ic/2}, the
+        edge, the phase.  T: keys, then for each kind of entry (0 at v:
+        e^{-ib/2} cn(u_b); 1 at f: e^{-i(b+pi)/2} cd(u_b - K); 2 and 3 at the
+        central white of a pair: -i k' e^{-i alpha_r/2} sn(theta)
+        nd(u_{alpha_r}) cd(u_{beta_r}) and e^{-i beta_l/2} cd(u_{beta_l})) its
+        positions, lifts x, y, pairs and phases.
+        """
+        if self._st is not None and self._st[0] is qg:
+            return self._st[1]
+        ig, s, t = qg.ig, [], []
+        for blk in qg.blacks:
+            eid = qg.quad_of[blk]
+            r, role = ig.rhombi[eid], qg.pair_role.get(eid)
+            if role is None:
+                a, b = ((r.alpha_bar, r.beta_bar) if qg.corner_of[blk] == 1
+                        else (r.alpha_bar + math.pi, r.beta_bar + math.pi))
+            else:
+                a, b = ((role[1].alpha_r, role[1].beta_r) if role[0] == "r"
+                        else (role[1].alpha_l, role[1].beta_l))
+            c = a if role is not None and role[0] == "l" else b
+            s.append(((blk, wkey(eid)), a, b, c, self.epos[eid]))
+        for wht in qg.whites:
+            eid = qg.quad_of[wht]
+            r, role, corner = ig.rhombi[eid], qg.pair_role.get(eid), qg.corner_of[wht]
+            if role is not None and corner == 2 and role[0] == "l":
+                bp = role[1]
+                if not bp.is_root:
+                    t.append(((wht, vkey(bp.vc)), 2, bp.alpha_r, bp.beta_r,
+                              self.bp_index[bp.vc]))
+                t.append(((wht, fkey(bp.fc)), 3, bp.beta_l, bp.beta_l, 0))
+                continue
+            v, f, b = (r.v2, r.f1, r.beta_bar) if corner == 2 else (
+                r.v1, r.f2, r.beta_bar + math.pi)
+            if not (self.rooted and v == ig.root):
+                t.append(((wht, vkey(v)), 0, b, b, 0))
+            t.append(((wht, fkey(f)), 1, b, b, 0))
+        s_keys, sa, sb, sc, se = zip(*s)
+        t_keys, kind, tx, ty, pair = zip(*t)
+        kind, tx, ty = _ints(kind), np.array(tx, dtype=float), np.array(ty, dtype=float)
+        groups = []
+        for k in range(4):
+            pos = np.flatnonzero(kind == k)
+            x = tx[pos]
+            groups.append((pos, self.ix(x), self.ix(ty[pos]), _ints(pair)[pos],
+                           np.exp(-0.5j * (x + math.pi if k == 1 else x))))
+        s_lay = (s_keys, self.ix(sa), self.ix(sb), self.ix(sc), _ints(se),
+                 np.exp(-0.5j * np.array(sc, dtype=float)))
+        self._st = (qg, (s_lay, (t_keys, groups)))
+        return self._st[1]
+
+
+def _cycle(c):
+    return zip(c, c[1:] + c[:1])
+
+
+class _Primal:
+    """The primal vertices V and their edges, with the lifts seen from the
+    vertex, and the row and edge keys of the Laplacians on V and V^r."""
+
+    def __init__(self, tab):
+        ig = tab.ig
+        rh = [ig.rhombi[x] for x in tab.eids]
+        self.verts = sorted(ig.base.coords)
+        boundary = ig.base.boundary_vertices()
+        self.vbound = np.array([v in boundary for v in self.verts], dtype=bool)
+        inc = [(i, tab.epos[ig.edge_ids[(min(v, w), max(v, w))]], v)
+               for i, v in enumerate(self.verts) for w in ig.base.adj[v]]
+        self.inc_row = _ints(i for i, _e, _v in inc)
+        e = self.inc_e = _ints(e for _i, e, _v in inc)
+        from_v1 = np.array([v == rh[x].v1 for _i, x, v in inc], dtype=bool)
+        self.inc_a = tab.ix(np.where(from_v1, tab.alpha[e], (tab.alpha + math.pi)[e]))
+        self.inc_b = tab.ix(np.where(from_v1, tab.beta[e], (tab.beta + math.pi)[e]))
+        self.inc_bnd = self.vbound[self.inc_row]
+        self.a_int = _first_of_class(tab.theta[e[~self.inc_bnd]])
+        self.a_all = _first_of_class(tab.theta[e])
+        vk = {v: vkey(v) for v in self.verts}
+        self.rows = tuple(vk.values())
+        self.r_rows = _ints(i for i, v in enumerate(self.verts) if v != ig.root)
+        self.r_keys = tuple(self.rows[i] for i in self.r_rows)
+        self.k1, self.k2 = [vk[r.v1] for r in rh], [vk[r.v2] for r in rh]
+        self.r_edges = _ints(i for i, r in enumerate(rh) if ig.root not in (r.v1, r.v2))
+        self.r_k1 = [self.k1[i] for i in self.r_edges]
+        self.r_k2 = [self.k2[i] for i in self.r_edges]
+        self.p_keys = [(vk[bp.vc], vk[bp.vl]) for bp in tab.pairs]
+
+
+class _Dual:
+    """The restricted dual: face cycles and dual edges."""
+
+    def __init__(self, tab):
+        ig = tab.ig
+        n = self.n_faces = len(ig.face_centers)
+        cyc = [tab.epos[ig.edge_ids[(min(a, b), max(a, b))]]
+               for fi in range(n) for a, b in _cycle(ig.base.faces[fi])]
+        self.face_row = _ints(fi for fi in range(n) for _ in ig.base.faces[fi])
+        self.a_face = _first_of_class(tab.theta_star[cyc])
+        self.fkeys = tuple(fkey(f) for f in range(n))
+        self.d_k1 = [self.fkeys[fa] for (fa, _fb), _e in ig.dual_edges]
+        self.d_k2 = [self.fkeys[fb] for (_fa, fb), _e in ig.dual_edges]
+        self.dual_e = _ints(tab.epos[e] for _fab, e in ig.dual_edges)
+
+
+class _Modulus:
+    """The stage of one modulus: ``angles`` rescaled by 2K/pi, and sn, cn, sc
+    and cs of theta, of pi/2 - theta and of the boundary-pair theta."""
+
+    def __init__(self, tab, p):
+        self.tab, self.p = tab, p
+        n = len(tab.theta)
+        th = np.concatenate([tab.theta, tab.theta_star, tab.bp_theta]) * 2.0 * p.bigK / math.pi
+        sn, cn, _dn = _jacobi(th, p)
+        self.sn_t, self.cn_t = sn[:n], cn[:n]
+        self.sc_t = _ratio(sn[:n], cn[:n], "sc", th[:n])
+        self.cs_t = _ratio(cn[:n], sn[:n], "cs", th[:n])
+        self.sc_s = _ratio(sn[n:2 * n], cn[n:2 * n], "sc", th[n:2 * n])
+        self.sn_b = sn[2 * n:]
+        self.sc_b = _ratio(sn[2 * n:], cn[2 * n:], "sc", th[2 * n:])
+
+    def meta(self):
+        return {"k": self.p.k, "graph": self.tab.graph}
+
+    @cached_property
+    def ell(self):
+        return self.tab.angles * 2.0 * self.p.bigK / math.pi
+
+    @cached_property
+    def a_values(self):
+        """A(theta) at the class angles ``a_int``, ``a_all`` and ``a_face`` of
+        the table, in that order, one evaluation per distinct angle."""
+        p, pr, du = self.p, self.tab.primal, self.tab.dual
+        uniq, inv = np.unique(np.concatenate([pr.a_int, pr.a_all, du.a_face]),
+                              return_inverse=True)
+        a = np.array([el.a_fun(el.angle_transform(x, p), p) for x in uniq.tolist()])[inv]
+        return np.split(a, np.cumsum([len(pr.a_int), len(pr.a_all)]))
+
+
+class _Spectral:
+    """The stage of one spectral value u: sn, cn and dn at every argument
+    (u - ell)/2 of ``angles``, nd and cd once asked for."""
+
+    def __init__(self, mod, u):
+        self.mod, self.tab, self.p, self.u = mod, mod.tab, mod.p, u
+        self.arg = 0.5 * (u - mod.ell)
+        self.sn, self.cn, self.dn = _jacobi(self.arg, mod.p)
+        self.allowed = set()            # the levels u has been checked against
+
+    def meta(self):
+        return {"k": self.p.k, "u": self.u, "graph": self.tab.graph}
+
+    @cached_property
+    def nd(self):
+        return _ratio(1.0, self.dn, "nd", self.arg)
+
+    @cached_property
+    def cd(self):
+        return _ratio(self.cn, self.dn, "cd", self.arg)
+
+    def sc(self, i):
+        return _ratio(self.sn[i], self.cn[i], "sc", self.arg[i])
+
+    def cd_shifted(self, i):
+        """cd at the arguments (u - ell)/2 - K of ``angles[i]``, which T reads."""
+        arg = self.arg[i] - self.p.bigK
+        _sn, cn, dn = _jacobi(arg, self.p)
+        return _ratio(cn, dn, "cd", arg)
+
+
+def _gd_phase(tab):
+    """e^{i(alpha+beta)/2} of every Dirac entry."""
+    return np.exp(0.5j * (tab.angles[tab.gd_a] + tab.angles[tab.gd_b]))
+
+
+def edge_table(g):
+    """The :class:`EdgeTable` of a double graph, built on first use and kept on it.
+
+    An isoradial graph stands for its rooted double graph, which its table
+    builds once, when a builder first needs it.
+    """
+    if g._table is None:
+        g._table = EdgeTable(g.ig, g) if isinstance(g, DoubleGraph) else EdgeTable(g)
+    return g._table
+
+
+# ---------------------------------------------------------------------------
 # massive Laplacians
 # ---------------------------------------------------------------------------
 
-def _massive_laplacian(ig, name, meta, verts, edges, diag, pair=None, key=vkey):
-    """The one massive-Laplacian assembly, rows and columns ``key(x)``.
+def _massive_laplacian(name, meta, rows, edges, diag, pairs=()):
+    """The one massive-Laplacian assembly on the row keys ``rows``.
 
-    Every weighted edge (x, y, c) adds -c at (x, y) and at (y, x), so
-    parallel edges add up, and ``diag(x)`` fills the diagonal.  ``pair(bp)``,
-    if given, returns the (v_c, v_l) and (v_c, v_c) entries that replace
-    these at every non-root boundary pair.
+    Every weighted edge (x, y, c) between row keys adds -c at (x, y) and at
+    (y, x), so parallel edges add up, and ``diag`` (aligned with ``rows``)
+    fills the diagonal.  Each (v_c, v_l, off, dia) of ``pairs`` then sets
+    the (v_c, v_l) and (v_c, v_c) entries of a non-root boundary pair.
     """
-    rows = tuple(key(x) for x in verts)
     ent = {}
     for x, y, c in edges:
-        for r, s in ((key(x), key(y)), (key(y), key(x))):
-            ent[(r, s)] = ent.get((r, s), 0.0) - c
-    for x in verts:
-        ent[(key(x), key(x))] = diag(x)
-    if pair is not None:
-        for bp in ig.boundary_pairs:
-            if not bp.is_root:
-                ent[(key(bp.vc), key(bp.vl))], ent[(key(bp.vc), key(bp.vc))] = pair(bp)
+        ent[x, y] = ent.get((x, y), 0.0) - c
+        ent[y, x] = ent.get((y, x), 0.0) - c
+    for r, d in zip(rows, diag):
+        ent[r, r] = d
+    for vc, vl, off, dia in pairs:
+        ent[vc, vl], ent[vc, vc] = off, dia
     return TypedSparseMatrix(rows, rows, ent, name, meta)
 
 
-def _primal(ig, weight, root=None):
-    """The primal vertices other than ``root``, and the edges that avoid it
-    as (v1, v2, weight(theta_bar))."""
-    verts = [v for v in sorted(ig.base.coords) if v != root]
-    edges = ((r.v1, r.v2, weight(r.theta_bar))
-             for r in map(ig.rhombi.__getitem__, ig.edge_list())
-             if root not in (r.v1, r.v2))
-    return verts, edges
+def _at(g, p, u, level):
+    """The edge-table stage of (p, u) for graph ``g``, u checked against ``level``."""
+    t = edge_table(g).at(p, u)
+    if level not in t.allowed:
+        _check_u_allowed(t.tab.ig, p, u, level)
+        t.allowed.add(level)
+    return t
 
 
 def delta_m_star(ig, p):
     """Finite dual massive Laplacian on the restricted dual (symmetric)."""
-    ctx = EllCtx(ig, p)
-
-    def face_diag(fi):
-        total = 0.0
-        cyc = ig.base.faces[fi]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            eid = ig.edge_ids[(min(a, b), max(a, b))]
-            total += ctx.a_of(math.pi / 2 - ig.rhombi[eid].theta_bar)
-        return total
-
-    edges = ((fa, fb, el.sc(ctx.ell(math.pi / 2 - ig.rhombi[eid].theta_bar), p))
-             for (fa, fb), eid in ig.dual_edges)
-    return _massive_laplacian(ig, "delta_m_star", {"k": p.k, "graph": ig.graph_hash()},
-                              range(len(ig.face_centers)), edges, face_diag, key=fkey)
+    m = edge_table(ig).at(p)
+    du = m.tab.dual
+    diag = np.bincount(du.face_row, m.a_values[2], du.n_faces)
+    return _massive_laplacian("delta_m_star", m.meta(), du.fkeys,
+                              zip(du.d_k1, du.d_k2, m.sc_s[du.dual_e].tolist()),
+                              diag.tolist())
 
 
-def _boundary_diag(ig, ctx, v, u):
-    """k' * sum over incident edges of sc(theta) nd(u_a) nd(u_b), from-v lifts."""
-    p = ctx.p
-    total = 0.0
-    for w in ig.base.adj[v]:
-        eid = ig.edge_ids[(min(v, w), max(v, w))]
-        a_bar, b_bar = ig.rhombus_vectors_from(eid, v)
-        th = ctx.ell(ig.rhombi[eid].theta_bar)
-        total += el.sc(th, p) * el.nd(ctx.u_arg(u, a_bar), p) * el.nd(ctx.u_arg(u, b_bar), p)
-    return p.kprime * total
-
-
-def _interior_diag(ig, ctx, v):
-    total = 0.0
-    for w in ig.base.adj[v]:
-        eid = ig.edge_ids[(min(v, w), max(v, w))]
-        total += ctx.a_of(ig.rhombi[eid].theta_bar)
-    return total
-
-
-def _tan_diag(ig, v):
-    """The k = 0 diagonal: sum of tan(theta) over the edges at v (nd = 1)."""
-    total = 0.0
-    for w in ig.base.adj[v]:
-        total += math.tan(ig.rhombi[ig.edge_ids[(min(v, w), max(v, w))]].theta_bar)
-    return total
-
-
-def _delta_m_rooted(ig, p, u, name, pair=None):
-    """Massive Laplacian on V^r with u-dependent boundary diagonals."""
-    ctx = EllCtx(ig, p)
-    boundary = ig.base.boundary_vertices()
-
-    def diag(v):
-        return _boundary_diag(ig, ctx, v, u) if v in boundary else _interior_diag(ig, ctx, v)
-
-    return _massive_laplacian(ig, name, {"k": p.k, "u": u, "graph": ig.graph_hash()},
-                              *_primal(ig, lambda th: el.sc(ctx.ell(th), p), ig.root),
-                              diag, pair)
+def _delta_m_rooted(t, name, pairs=()):
+    """Massive Laplacian on V^r at stage ``t``: a boundary row sums
+    k' sc(theta) nd(u_a) nd(u_b) over its edges (lifts seen from its vertex),
+    an interior row sums A(theta)."""
+    pr, m = t.tab.primal, t.mod
+    b, n = pr.inc_bnd, len(pr.verts)
+    term = m.sc_t[pr.inc_e[b]] * t.nd[pr.inc_a[b]] * t.nd[pr.inc_b[b]]
+    diag = np.where(pr.vbound, t.p.kprime * np.bincount(pr.inc_row[b], term, n),
+                    np.bincount(pr.inc_row[~b], m.a_values[0], n))
+    return _massive_laplacian(name, t.meta(), pr.r_keys,
+                              zip(pr.r_k1, pr.r_k2, m.sc_t[pr.r_edges].tolist()),
+                              diag[pr.r_rows].tolist(), pairs)
 
 
 def delta_m_natural(ig, p, u):
     """Natural finite massive Laplacian on V^r with u-dependent boundary diagonals."""
-    _check_u_allowed(ig, p, u, "base")
-    return _delta_m_rooted(ig, p, u, "delta_m_natural")
+    return _delta_m_rooted(_at(ig, p, u, "base"), "delta_m_natural")
 
 
 def delta_m_partial(ig, p, u):
     """Massive Laplacian with the Ising boundary conditions (directed at pairs)."""
-    _check_u_allowed(ig, p, u, "prime")
-    ctx = EllCtx(ig, p)
-
-    def pair(bp):
-        th = ctx.ell(bp.theta_bar)
-        u_al = ctx.u_arg(u, bp.alpha_l)
-        u_bl = ctx.u_arg(u, bp.beta_l)
-        u_br = ctx.u_arg(u, bp.beta_r)
-        _, cn_al, _ = ctx.jac(u_al)
-        _, cn_br, _ = ctx.jac(u_br)
-        return (-el.sc(th, p) * el.cd(u_br, p) / el.cd(u_al, p),
-                p.kprime * el.sc(th, p) * el.nd(u_bl, p) * el.nd(u_br, p)
-                * (cn_br + cn_al) / cn_al)
-
-    return _delta_m_rooted(ig, p, u, "delta_m_partial", pair)
+    t = _at(ig, p, u, "prime")
+    tab = t.tab
+    sc = t.mod.sc_b[tab.nr]
+    cn_al, cn_br = t.cn[tab.p_al], t.cn[tab.p_br]
+    off = -sc * t.cd[tab.p_br] / t.cd[tab.p_al]
+    dia = (p.kprime * sc * t.nd[tab.p_bl] * t.nd[tab.p_br] * (cn_br + cn_al) / cn_al)
+    return _delta_m_rooted(t, "delta_m_partial", (
+        (vc, vl, o, d) for (vc, vl), o, d in zip(tab.primal.p_keys, off.tolist(),
+                                                 dia.tolist())))
 
 
 def delta_m_bulk(ig, p):
@@ -241,10 +556,24 @@ def delta_m_bulk(ig, p):
     Diagonal sum of A(theta_j) at every vertex; used for Green-function
     truncation comparisons, not for the exact identities.
     """
-    ctx = EllCtx(ig, p)
-    return _massive_laplacian(ig, "delta_m_bulk", {"k": p.k, "graph": ig.graph_hash()},
-                              *_primal(ig, lambda th: el.sc(ctx.ell(th), p)),
-                              lambda v: _interior_diag(ig, ctx, v))
+    m = edge_table(ig).at(p)
+    pr = m.tab.primal
+    diag = np.bincount(pr.inc_row, m.a_values[1], len(pr.verts))
+    return _massive_laplacian("delta_m_bulk", m.meta(), pr.rows,
+                              zip(pr.k1, pr.k2, m.sc_t.tolist()), diag.tolist())
+
+
+def _tan_laplacian(ig, name, meta, pair):
+    """The k = 0 boundary Laplacian on V^r: tan(theta) weights, diagonals sum
+    of tan(theta) over the edges at a vertex (nd = 1), and pair(bp) at the pairs."""
+    root = ig.root
+    verts = [v for v in sorted(ig.base.coords) if v != root]
+    edges = ((vkey(r.v1), vkey(r.v2), math.tan(r.theta_bar))
+             for r in map(ig.rhombi.__getitem__, ig.edge_list()) if root not in (r.v1, r.v2))
+    diag = [sum(math.tan(ig.rhombi[ig.edge_ids[(min(v, w), max(v, w))]].theta_bar)
+                for w in ig.base.adj[v]) for v in verts]
+    pairs = ((vkey(bp.vc), vkey(bp.vl), *pair(bp)) for bp in ig.boundary_pairs if not bp.is_root)
+    return _massive_laplacian(name, meta, tuple(map(vkey, verts)), edges, diag, pairs)
 
 
 def delta_m_partial_critical_limit(ig):
@@ -261,10 +590,8 @@ def delta_m_partial_critical_limit(ig):
         t = math.tan(bp.theta_bar)
         return -phase * t, t * (phase + 1.0)
 
-    return _massive_laplacian(ig, "delta_m_partial_crit_limit",
-                              {"k": 0.0, "graph": ig.graph_hash()},
-                              *_primal(ig, math.tan, ig.root),
-                              lambda v: _tan_diag(ig, v), pair)
+    return _tan_laplacian(ig, "delta_m_partial_crit_limit",
+                          {"k": 0.0, "graph": ig.graph_hash()}, pair)
 
 
 def delta_m_partial_complex_u(ig, u_complex):
@@ -275,75 +602,49 @@ def delta_m_partial_complex_u(ig, u_complex):
                  / cmath.cos(0.5 * (u_complex - bp.alpha_l)))
         return -t * ratio, t * (ratio + 1.0)
 
-    return _massive_laplacian(ig, "delta_m_partial_complex",
-                              {"k": 0.0, "u": str(u_complex)},
-                              *_primal(ig, math.tan, ig.root),
-                              lambda v: _tan_diag(ig, v), pair)
+    return _tan_laplacian(ig, "delta_m_partial_complex",
+                          {"k": 0.0, "u": str(u_complex)}, pair)
 
 
 def q_matrix(ig, p, u):
     """The boundary coupling block Q(u): rows V^r, columns V*."""
-    _check_u_allowed(ig, p, u, "prime")
-    ctx = EllCtx(ig, p)
-    root = ig.root
-    rows = tuple(vkey(v) for v in sorted(ig.base.coords) if v != root)
-    cols = tuple(fkey(f) for f in range(len(ig.face_centers)))
-    ent = {}
-    for bp in ig.boundary_pairs:
-        if bp.is_root:
-            continue
-        val = (-1j * el.nd(ctx.u_arg(u, bp.beta_l), p) / el.cd(ctx.u_arg(u, bp.alpha_l), p)
-               * (el.cd(ctx.u_arg(u, bp.beta_r), p) - el.cd(ctx.u_arg(u, bp.alpha_l), p)))
-        ent[(vkey(bp.vc), fkey(bp.fc))] = val
-    return TypedSparseMatrix(rows, cols, ent, "q_matrix",
-                             {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    t = _at(ig, p, u, "prime")
+    tab = t.tab
+    rows = tab.primal.r_keys
+    # complex arithmetic in Python: numpy's complex division rounds differently
+    ent = {(vkey(bp.vc), fkey(bp.fc)): -1j * nd_bl / cd_al * (cd_br - cd_al)
+           for bp, nd_bl, cd_al, cd_br in zip(tab.pairs, t.nd[tab.p_bl].tolist(),
+                                              t.cd[tab.p_al].tolist(), t.cd[tab.p_br].tolist())}
+    return TypedSparseMatrix(rows, tab.dual.fkeys, ent, "q_matrix", t.meta())
 
 
 # ---------------------------------------------------------------------------
 # Dirac operators
 # ---------------------------------------------------------------------------
 
-def _dirac_entry(ctx, rec, u):
-    """Entry for one double-graph edge from its from-white lifted pair."""
-    p = ctx.p
-    ua = ctx.u_arg(u, rec["alpha"])
-    ub = ctx.u_arg(u, rec["beta"])
-    th = ctx.ell(rec["theta"])
-    da, db = el.dn(ua, p), el.dn(ub, p)
-    if rec["kind"] == "v":
-        rad = el.sc(th, p) * da * db
-    else:
-        rad = p.kprime * p.kprime * el.sc(th, p) / (da * db)
-    return _phase(rec["alpha"] + rec["beta"]) * _sqrt_pos(rad, "dirac entry")
-
-
 def dirac(dg, p, u, variant="plain"):
     """The Z^u-Dirac operator on the double graph (rows = whites, cols = blacks).
 
+    The entry of edge (w, b) with from-white lifts (alpha, beta) is
+    e^{i(alpha+beta)/2} [sc(theta) dn(u_alpha) dn(u_beta)]^(1/2) at a primal b
+    and e^{i(alpha+beta)/2} [k'^2 sc(theta) / (dn(u_alpha) dn(u_beta))]^(1/2)
+    at a dual b, theta the half-angle of that quarter rhombus.
     ``variant="boundary"`` multiplies the (w_l, v_c) entries of non-root
     boundary pairs by cd(u_{beta_r})/cd(u_{alpha_l}).
     """
-    ig = dg.ig
     if variant not in ("plain", "boundary"):
         raise DomainError(f"unknown dirac variant {variant!r}")
-    _check_u_allowed(ig, p, u, "base" if variant == "plain" else "prime")
-    ctx = EllCtx(ig, p)
-    rows = tuple(wkey(w) for w in dg.whites)
-    cols = tuple(dg.blacks)
-    ent = {}
-    for (w, black), rec in dg.gd_edges.items():
-        ent[(wkey(w), black)] = _dirac_entry(ctx, rec, u)
+    t = _at(dg, p, u, "base" if variant == "plain" else "prime")
+    tab = t.tab
+    da, db = t.dn[tab.gd_a], t.dn[tab.gd_b]
+    kp, e = p.kprime, tab.gd_e
+    rad = np.where(tab.gd_v, t.mod.sc_t[e] * da * db, kp * kp * t.mod.sc_s[e] / (da * db))
+    vals = _gd_phase(tab) * _sqrt_pos(rad, "dirac entry")
     if variant == "boundary":
-        for bp in ig.boundary_pairs:
-            if bp.is_root:
-                continue
-            factor = (el.cd(ctx.u_arg(u, bp.beta_r), p)
-                      / el.cd(ctx.u_arg(u, bp.alpha_l), p))
-            key = (wkey(bp.wl), vkey(bp.vc))
-            ent[key] = ent[key] * factor
+        vals[tab.p_kd] = vals[tab.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
     name = "dirac_plain" if variant == "plain" else "dirac_boundary"
-    return TypedSparseMatrix(rows, cols, ent, name,
-                             {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    return TypedSparseMatrix(tab.whites, tab.blacks, dict(zip(tab.gd_keys(), vals.tolist())),
+                             name, t.meta())
 
 
 def kd_gauge_and_directed_laplacian(dg, p, u):
@@ -355,95 +656,58 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
     The directed conductances toward/within the dual are
     gamma*(u)_{f,f'} = k'^(1/2) cs(theta_w) nd(u_a) nd(u_b) (from the f side).
     """
-    ig = dg.ig
-    _check_u_allowed(ig, p, u, "base")
-    ctx = EllCtx(ig, p)
-    rows = tuple(wkey(w) for w in dg.whites)
-    cols = tuple(dg.blacks)
-    ent = {}
-    for (w, black), rec in dg.gd_edges.items():
-        th_w = ctx.ell(dg.theta_w[w])
-        ua = ctx.u_arg(u, rec["alpha"])
-        ub = ctx.u_arg(u, rec["beta"])
-        if rec["kind"] == "v":
-            ent[(wkey(w), black)] = _phase(rec["alpha"] + rec["beta"])
-        else:
-            val = (math.sqrt(p.kprime) * el.cs(th_w, p)
-                   * el.nd(ua, p) * el.nd(ub, p))
-            ent[(wkey(w), black)] = _phase(rec["alpha"] + rec["beta"]) * val
-    kg = TypedSparseMatrix(rows, cols, ent, "dirac_gauge",
-                           {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    t = _at(dg, p, u, "base")
+    tab = t.tab
+    f = tab.gd_dual
+    gamma = np.zeros(len(tab.gd_e))
+    gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[tab.gd_e[f]]
+                * t.nd[tab.gd_a[f]] * t.nd[tab.gd_b[f]])
+    vals = _gd_phase(tab)
+    vals[f] = vals[f] * gamma[f]
+    kg = TypedSparseMatrix(tab.whites, tab.blacks, dict(zip(tab.gd_keys(), vals.tolist())),
+                           "dirac_gauge", t.meta())
 
-    # directed Laplacian on bounded faces + outer, with gamma*(u) conductances
-    n_f = len(ig.face_centers)
-    fk = [fkey(f) for f in range(n_f)]
+    # directed Laplacian on bounded faces + outer, with gamma*(u) conductances;
+    # an edge toward the outer face adds to its diagonal only
+    side_face, side_rec, inner = tab.sides
+    fk = tab.dual.fkeys
+    diag = np.bincount(side_face, gamma[side_rec], len(fk)).tolist()
+    g = gamma.tolist()
     lap = {}
-
-    def gamma_star(w, f_from):
-        rec = dg.gd_edges[(w, fkey(f_from))]
-        th_w = ctx.ell(dg.theta_w[w])
-        return (math.sqrt(p.kprime) * el.cs(th_w, p)
-                * el.nd(ctx.u_arg(u, rec["alpha"]), p)
-                * el.nd(ctx.u_arg(u, rec["beta"]), p))
-
-    diag = {f: 0.0 for f in range(n_f)}
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        g1 = gamma_star(eid, r.f1)
-        diag[r.f1] += g1
-        if r.f2 is not None:
-            g2 = gamma_star(eid, r.f2)
-            diag[r.f2] += g2
-            lap[(fkey(r.f1), fkey(r.f2))] = lap.get((fkey(r.f1), fkey(r.f2)), 0.0) - g1
-            lap[(fkey(r.f2), fkey(r.f1))] = lap.get((fkey(r.f2), fkey(r.f1)), 0.0) - g2
-        # else: edge toward outer contributes to the diagonal only
-    for f in range(n_f):
-        lap[(fkey(f), fkey(f))] = diag[f]
-    dstar = TypedSparseMatrix(tuple(fk), tuple(fk), lap, "delta_star_outer",
-                              {"k": p.k, "u": u, "graph": ig.graph_hash()})
-    return kg, dstar
+    for f1, f2, i1, i2 in zip(*(x.tolist() for x in inner)):
+        lap[fk[f1], fk[f2]] = lap.get((fk[f1], fk[f2]), 0.0) - g[i1]
+        lap[fk[f2], fk[f1]] = lap.get((fk[f2], fk[f1]), 0.0) - g[i2]
+    for r, d in zip(fk, diag):
+        lap[r, r] = d
+    return kg, TypedSparseMatrix(fk, fk, lap, "delta_star_outer", t.meta())
 
 
 # ---------------------------------------------------------------------------
 # quadri Kasteleyn matrices
 # ---------------------------------------------------------------------------
 
-def _nu_weight(ig, eid, kind, p):
-    if kind in ("ext", "bq"):
-        return 1.0
-    th = el.theta_transform(ig.rhombi[eid].theta_bar, p)
-    return el.sn(th, p) if kind == "sn" else el.cn(th, p)
-
-
 def kasteleyn_KQ(qg, ig, p):
-    """Complex bipartite Kasteleyn matrix of the quadri graph (rows black)."""
-    rows = tuple(qg.blacks)
-    cols = tuple(qg.whites)
-    ent = {}
-    for blk, wht, kind, phase_bar in qg.edges:
-        ent[(blk, wht)] = _phase(2.0 * phase_bar) * _nu_weight(ig, qg.quad_of[blk], kind, p)
-    return TypedSparseMatrix(rows, cols, ent, "kasteleyn_KQ",
-                             {"k": p.k, "graph": ig.graph_hash()})
+    """Complex bipartite Kasteleyn matrix of the quadri graph (rows black).
+
+    Edge weights: sn(theta) and cn(theta) on the quadrangle edges of their
+    kind, 1 on external and boundary-quadrangle edges.
+    """
+    m = edge_table(ig).at(p)
+    keys, e, kinds, phase, _scaled = m.tab.kq_layout(qg)
+    weight = np.where(kinds == "sn", m.sn_t[e], np.where(kinds == "cn", m.cn_t[e], 1.0))
+    ent = dict(zip(keys, (phase * weight).tolist()))
+    return TypedSparseMatrix(tuple(qg.blacks), tuple(qg.whites), ent, "kasteleyn_KQ",
+                             m.meta())
 
 
 def kq_bar_partial(qg, ig, p):
     """Modified matrix: boundary-pair edges (b_l, w_l), (b_r, w_r) x sn(theta)."""
     kq = kasteleyn_KQ(qg, ig, p)
+    m = edge_table(ig).at(p)
+    sn_b = m.sn_b.tolist()
     ent = dict(kq.entries)
-    for blk, wht, kind, _ in qg.edges:
-        eid = qg.quad_of[blk]
-        role = qg.pair_role.get(eid)
-        if role is None:
-            continue
-        side, bp = role
-        corner = qg.corner_of[blk]
-        if corner != 1:
-            continue
-        scale = el.sn(el.theta_transform(bp.theta_bar, p), p)
-        if side == "l" and kind == "ext":
-            ent[(blk, wht)] = ent[(blk, wht)] * scale
-        if side == "r" and kind == "bq":
-            ent[(blk, wht)] = ent[(blk, wht)] * scale
+    for key, pair in m.tab.kq_layout(qg)[4]:
+        ent[key] = ent[key] * sn_b[pair]
     return TypedSparseMatrix(kq.rows, kq.cols, ent, "kq_bar_partial", dict(kq.meta))
 
 
@@ -471,11 +735,10 @@ def kasteleyn_KQ_real(qg, ig, couplings, orientation, p=None):
 
 def z_invariant_couplings(ig, p):
     """J_e = (1/2) log((1+sn theta)/cn theta) per edge."""
-    out = {}
-    for eid in ig.edge_list():
-        th = el.theta_transform(ig.rhombi[eid].theta_bar, p)
-        out[eid] = 0.5 * math.log((1.0 + el.sn(th, p)) / el.cn(th, p))
-    return out
+    m = edge_table(ig).at(p)
+    # math.log, not np.log: numpy's log differs from libm's in the last bit
+    return {e: 0.5 * math.log(x)
+            for e, x in zip(m.tab.eids, ((1.0 + m.sn_t) / m.cn_t).tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -596,76 +859,26 @@ def fisher_aux(fg, qg, kf):
 # ---------------------------------------------------------------------------
 
 def s_t_matrices(qg, dg, p, u):
-    """The intertwiner pair: S rows = GQ blacks, T rows = GQ whites."""
-    ig = dg.ig
-    _check_u_allowed(ig, p, u, "prime")
-    ctx = EllCtx(ig, p)
+    """The intertwiner pair: S rows = GQ blacks, T rows = GQ whites (the
+    entries are listed at :meth:`EdgeTable.st_layout`)."""
+    t = _at(dg, p, u, "prime")
+    m, (s_rows, t_rows) = t.mod, t.tab.st_layout(qg)
 
-    s_ent = {}
-    for blk in qg.blacks:
-        eid = qg.quad_of[blk]
-        r = ig.rhombi[eid]
-        role = qg.pair_role.get(eid)
-        th = ctx.ell(r.theta_bar)
-        sn_t, cn_t = el.sn(th, p), el.cn(th, p)
-        if role is None:
-            if qg.corner_of[blk] == 1:
-                a_bar, b_bar = r.alpha_bar, r.beta_bar
-            else:
-                a_bar, b_bar = r.alpha_bar + math.pi, r.beta_bar + math.pi
-            ua, ub = ctx.u_arg(u, a_bar), ctx.u_arg(u, b_bar)
-            val = (cmath.exp(-0.5j * b_bar) * el.cn(ub, p)
-                   * _sqrt_pos(sn_t * cn_t * el.nd(ua, p) * el.nd(ub, p), "s entry"))
-        else:
-            side, bp = role
-            if side == "r":
-                ua, ub = ctx.u_arg(u, bp.alpha_r), ctx.u_arg(u, bp.beta_r)
-                val = (cmath.exp(-0.5j * bp.beta_r) * el.cn(ub, p)
-                       * _sqrt_pos(sn_t * cn_t * el.nd(ua, p) * el.nd(ub, p), "s entry"))
-            else:
-                ua, ub = ctx.u_arg(u, bp.alpha_l), ctx.u_arg(u, bp.beta_l)
-                val = (cmath.exp(-0.5j * bp.alpha_l) * el.cn(ua, p)
-                       * _sqrt_pos(sn_t * cn_t * el.nd(ua, p) * el.nd(ub, p), "s entry"))
-        s_ent[(blk, wkey(eid))] = val
-    s_mat = TypedSparseMatrix(tuple(qg.blacks), tuple(wkey(w) for w in dg.whites),
-                              s_ent, "intertwiner_S",
-                              {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    keys, a, b, c, e, phase = s_rows
+    rad = m.sn_t[e] * m.cn_t[e] * t.nd[a] * t.nd[b]
+    vals = phase * t.cn[c] * _sqrt_pos(rad, "s entry")
+    s_mat = TypedSparseMatrix(tuple(qg.blacks), t.tab.whites, dict(zip(keys, vals.tolist())),
+                              "intertwiner_S", t.meta())
 
-    t_ent = {}
-    root = ig.root
-    for wht in qg.whites:
-        eid = qg.quad_of[wht]
-        r = ig.rhombi[eid]
-        role = qg.pair_role.get(eid)
-        corner = qg.corner_of[wht]
-        if role is not None and corner == 2:
-            side, bp = role
-            if side == "l":
-                # this is the pair's central white vertex w^c
-                if not bp.is_root:
-                    val_v = (-1j * p.kprime * cmath.exp(-0.5j * bp.alpha_r)
-                             * el.sn(ctx.ell(bp.theta_bar), p)
-                             * el.nd(ctx.u_arg(u, bp.alpha_r), p)
-                             * el.cd(ctx.u_arg(u, bp.beta_r), p))
-                    t_ent[(wht, vkey(bp.vc))] = val_v
-                t_ent[(wht, fkey(bp.fc))] = (cmath.exp(-0.5j * bp.beta_l)
-                                             * el.cd(ctx.u_arg(u, bp.beta_l), p))
-                continue
-        # plain rule: the white sits on a diamond side (v, f)
-        if corner == 2:
-            v, f = r.v2, r.f1
-            b_bar = r.beta_bar
-        else:
-            v, f = r.v1, r.f2
-            b_bar = r.beta_bar + math.pi
-        if not (dg.rooted and v == root):
-            t_ent[(wht, vkey(v))] = (cmath.exp(-0.5j * b_bar)
-                                     * el.cn(ctx.u_arg(u, b_bar), p))
-        t_ent[(wht, fkey(f))] = (cmath.exp(-0.5j * (b_bar + math.pi))
-                                 * el.cd(ctx.u_arg(u, b_bar) - p.bigK, p))
-    t_mat = TypedSparseMatrix(tuple(qg.whites), tuple(dg.blacks), t_ent,
-                              "intertwiner_T",
-                              {"k": p.k, "u": u, "graph": ig.graph_hash()})
+    keys, (v, f, center_v, center_f) = t_rows
+    vals = np.empty(len(keys), dtype=complex)
+    vals[v[0]] = v[4] * t.cn[v[1]]
+    vals[f[0]] = f[4] * t.cd_shifted(f[1])
+    pos, x, y, pair, phase = center_v
+    vals[pos] = (-1j * p.kprime) * phase * m.sn_b[pair] * t.nd[x] * t.cd[y]
+    vals[center_f[0]] = center_f[4] * t.cd[center_f[1]]
+    t_mat = TypedSparseMatrix(tuple(qg.whites), t.tab.blacks, dict(zip(keys, vals.tolist())),
+                              "intertwiner_T", t.meta())
     return s_mat, t_mat
 
 

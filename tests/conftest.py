@@ -1,8 +1,11 @@
+import cmath
 import math
 
 import pytest
 
+from isodimer import elliptic as el
 from isodimer import isoradial as iso
+from isodimer.derived import fkey, vkey, wkey
 from isodimer.elliptic import complete_integrals
 from isodimer.errors import OracleBudgetError
 
@@ -143,3 +146,234 @@ def subset_scan_polygons(ig, couplings):
             count += 1
             total += weight
     return count, total
+
+
+# ---------------------------------------------------------------------------
+# per-edge scalar references for the edge-table gathers of isodimer.operators
+# ---------------------------------------------------------------------------
+
+class ScalarOperators:
+    """Operator entries of one (graph, k), edge by edge from the scalar
+    functions of ``elliptic``: the reference for the table gathers.
+
+    Each method returns an entries dict keyed like the builder's matrix.
+    """
+
+    def __init__(self, ig, p):
+        self.ig, self.p = ig, p
+
+    def ell(self, angle_bar):
+        return el.angle_transform(angle_bar, self.p)
+
+    def u_arg(self, u, angle_bar):
+        return 0.5 * (u - self.ell(angle_bar))
+
+    def a_of(self, theta_bar):
+        return el.a_fun(self.ell(theta_bar), self.p)
+
+    def _edge(self, a, b):
+        return self.ig.edge_ids[(min(a, b), max(a, b))]
+
+    # -- massive Laplacians ---------------------------------------------------
+
+    def boundary_diag(self, v, u):
+        """k' * sum over the edges at v of sc(theta) nd(u_a) nd(u_b), from-v lifts."""
+        ig, p = self.ig, self.p
+        total = 0.0
+        for w in ig.base.adj[v]:
+            r = ig.rhombi[self._edge(v, w)]
+            # the lifts seen from v: as stored from v1, turned by pi from v2
+            turn = 0.0 if v == r.v1 else math.pi
+            a_bar, b_bar = r.alpha_bar + turn, r.beta_bar + turn
+            total += (el.sc(self.ell(r.theta_bar), p)
+                      * el.nd(self.u_arg(u, a_bar), p) * el.nd(self.u_arg(u, b_bar), p))
+        return p.kprime * total
+
+    def interior_diag(self, v):
+        """sum over the edges at v of A(theta)."""
+        return sum(self.a_of(self.ig.rhombi[self._edge(v, w)].theta_bar)
+                   for w in self.ig.base.adj[v])
+
+    def _laplacian(self, verts, edges, diag, key=vkey):
+        ent = {}
+        for x, y, c in edges:
+            for r, s in ((key(x), key(y)), (key(y), key(x))):
+                ent[(r, s)] = ent.get((r, s), 0.0) - c
+        for x in verts:
+            ent[(key(x), key(x))] = diag(x)
+        return ent
+
+    def _primal(self, root=None):
+        ig, p = self.ig, self.p
+        verts = [v for v in sorted(ig.base.coords) if v != root]
+        edges = [(r.v1, r.v2, el.sc(self.ell(r.theta_bar), p))
+                 for r in map(ig.rhombi.__getitem__, ig.edge_list())
+                 if root not in (r.v1, r.v2)]
+        return verts, edges
+
+    def delta_m_star(self):
+        ig, p = self.ig, self.p
+
+        def face_diag(fi):
+            cyc = ig.base.faces[fi]
+            return sum(self.a_of(math.pi / 2 - ig.rhombi[self._edge(a, b)].theta_bar)
+                       for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+        edges = [(fa, fb, el.sc(self.ell(math.pi / 2 - ig.rhombi[eid].theta_bar), p))
+                 for (fa, fb), eid in ig.dual_edges]
+        return self._laplacian(range(len(ig.face_centers)), edges, face_diag, key=fkey)
+
+    def delta_m_bulk(self):
+        return self._laplacian(*self._primal(), self.interior_diag)
+
+    def delta_m_natural(self, u):
+        boundary = self.ig.base.boundary_vertices()
+        return self._laplacian(*self._primal(self.ig.root), lambda v: (
+            self.boundary_diag(v, u) if v in boundary else self.interior_diag(v)))
+
+    def delta_m_partial(self, u):
+        p = self.p
+        ent = self.delta_m_natural(u)
+        for bp in self.ig.boundary_pairs:
+            if bp.is_root:
+                continue
+            sc = el.sc(self.ell(bp.theta_bar), p)
+            u_al, u_bl, u_br = (self.u_arg(u, x) for x in (bp.alpha_l, bp.beta_l, bp.beta_r))
+            cn_al, cn_br = el.cn(u_al, p), el.cn(u_br, p)
+            ent[(vkey(bp.vc), vkey(bp.vl))] = -sc * el.cd(u_br, p) / el.cd(u_al, p)
+            ent[(vkey(bp.vc), vkey(bp.vc))] = (p.kprime * sc * el.nd(u_bl, p) * el.nd(u_br, p)
+                                               * (cn_br + cn_al) / cn_al)
+        return ent
+
+    def q_matrix(self, u):
+        p = self.p
+        ent = {}
+        for bp in self.ig.boundary_pairs:
+            if not bp.is_root:
+                cd_al = el.cd(self.u_arg(u, bp.alpha_l), p)
+                ent[(vkey(bp.vc), fkey(bp.fc))] = (
+                    -1j * el.nd(self.u_arg(u, bp.beta_l), p) / cd_al
+                    * (el.cd(self.u_arg(u, bp.beta_r), p) - cd_al))
+        return ent
+
+    # -- Dirac operators ------------------------------------------------------
+
+    def dirac(self, dg, u, variant="plain"):
+        p = self.p
+        ent = {}
+        for (w, black), rec in dg.gd_edges.items():
+            ua, ub = self.u_arg(u, rec["alpha"]), self.u_arg(u, rec["beta"])
+            theta = self.ig.rhombi[w].theta_bar
+            sc = el.sc(self.ell(theta if rec["kind"] == "v" else math.pi / 2 - theta), p)
+            da, db = el.dn(ua, p), el.dn(ub, p)
+            rad = sc * da * db if rec["kind"] == "v" else p.kprime ** 2 * sc / (da * db)
+            ent[(wkey(w), black)] = cmath.exp(0.5j * (rec["alpha"] + rec["beta"])) * math.sqrt(rad)
+        if variant == "boundary":
+            for bp in self.ig.boundary_pairs:
+                if not bp.is_root:
+                    ent[(wkey(bp.wl), vkey(bp.vc))] *= (el.cd(self.u_arg(u, bp.beta_r), p)
+                                                        / el.cd(self.u_arg(u, bp.alpha_l), p))
+        return ent
+
+    def gamma_star(self, dg, u, w, f):
+        """The directed conductance k'^(1/2) cs(theta_w) nd(u_a) nd(u_b) of white
+        w seen from face f."""
+        p = self.p
+        rec = dg.gd_edges[(w, fkey(f))]
+        return (math.sqrt(p.kprime) * el.cs(self.ell(self.ig.rhombi[w].theta_bar), p)
+                * el.nd(self.u_arg(u, rec["alpha"]), p) * el.nd(self.u_arg(u, rec["beta"]), p))
+
+    def gauge(self, dg, u):
+        """Entries of K^g(u) and of the directed dual Laplacian."""
+        kg = {}
+        for (w, black), rec in dg.gd_edges.items():
+            phase = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
+            kg[(wkey(w), black)] = phase * (
+                1.0 if rec["kind"] == "v" else self.gamma_star(dg, u, w, black[1]))
+        lap = {(fkey(f), fkey(f)): 0.0 for f in range(len(self.ig.face_centers))}
+        for eid in self.ig.edge_list():
+            r = self.ig.rhombi[eid]
+            for f, g in ((r.f1, r.f2), (r.f2, r.f1)):
+                if f is None:
+                    continue
+                gam = self.gamma_star(dg, u, eid, f)
+                lap[(fkey(f), fkey(f))] += gam
+                if g is not None:
+                    lap[(fkey(f), fkey(g))] = lap.get((fkey(f), fkey(g)), 0.0) - gam
+        return kg, lap
+
+    # -- quadri matrices, couplings and intertwiners -------------------------
+
+    def _theta(self, eid):
+        return el.theta_transform(self.ig.rhombi[eid].theta_bar, self.p)
+
+    def kasteleyn_kq(self, qg):
+        p = self.p
+        ent = {}
+        for blk, wht, kind, phase_bar in qg.edges:
+            th = self._theta(qg.quad_of[blk])
+            weight = {"sn": el.sn(th, p), "cn": el.cn(th, p)}.get(kind, 1.0)
+            ent[(blk, wht)] = cmath.exp(1j * phase_bar) * weight
+        return ent
+
+    def kq_bar_partial(self, qg):
+        p = self.p
+        ent = self.kasteleyn_kq(qg)
+        for blk, wht, kind, _ in qg.edges:
+            role = qg.pair_role.get(qg.quad_of[blk])
+            if role and qg.corner_of[blk] == 1 and (role[0], kind) in (("l", "ext"), ("r", "bq")):
+                ent[(blk, wht)] *= el.sn(el.theta_transform(role[1].theta_bar, p), p)
+        return ent
+
+    def couplings(self):
+        p = self.p
+        return {eid: 0.5 * math.log((1.0 + el.sn(self._theta(eid), p)) / el.cn(self._theta(eid), p))
+                for eid in self.ig.edge_list()}
+
+    def s_t(self, qg, dg, u):
+        """Entries of the intertwiners S(u) and T(u)."""
+        ig, p = self.ig, self.p
+        s_ent = {}
+        for blk in qg.blacks:
+            eid = qg.quad_of[blk]
+            r = ig.rhombi[eid]
+            th = self.ell(r.theta_bar)
+            role = qg.pair_role.get(eid)
+            if role is None:
+                shift = 0.0 if qg.corner_of[blk] == 1 else math.pi
+                a_bar, b_bar, c_bar = r.alpha_bar + shift, r.beta_bar + shift, r.beta_bar + shift
+            elif role[0] == "r":
+                a_bar, b_bar = role[1].alpha_r, role[1].beta_r
+                c_bar = b_bar
+            else:
+                a_bar, b_bar = role[1].alpha_l, role[1].beta_l
+                c_bar = a_bar
+            ua, ub = self.u_arg(u, a_bar), self.u_arg(u, b_bar)
+            s_ent[(blk, wkey(eid))] = (
+                cmath.exp(-0.5j * c_bar) * el.cn(self.u_arg(u, c_bar), p)
+                * math.sqrt(el.sn(th, p) * el.cn(th, p) * el.nd(ua, p) * el.nd(ub, p)))
+        t_ent = {}
+        for wht in qg.whites:
+            eid = qg.quad_of[wht]
+            r = ig.rhombi[eid]
+            role = qg.pair_role.get(eid)
+            corner = qg.corner_of[wht]
+            if role is not None and corner == 2 and role[0] == "l":
+                bp = role[1]
+                if not bp.is_root:
+                    t_ent[(wht, vkey(bp.vc))] = (
+                        -1j * p.kprime * cmath.exp(-0.5j * bp.alpha_r)
+                        * el.sn(self.ell(bp.theta_bar), p) * el.nd(self.u_arg(u, bp.alpha_r), p)
+                        * el.cd(self.u_arg(u, bp.beta_r), p))
+                t_ent[(wht, fkey(bp.fc))] = (cmath.exp(-0.5j * bp.beta_l)
+                                             * el.cd(self.u_arg(u, bp.beta_l), p))
+                continue
+            if corner == 2:
+                v, f, b_bar = r.v2, r.f1, r.beta_bar
+            else:
+                v, f, b_bar = r.v1, r.f2, r.beta_bar + math.pi
+            if not (dg.rooted and v == ig.root):
+                t_ent[(wht, vkey(v))] = cmath.exp(-0.5j * b_bar) * el.cn(self.u_arg(u, b_bar), p)
+            t_ent[(wht, fkey(f))] = (cmath.exp(-0.5j * (b_bar + math.pi))
+                                     * el.cd(self.u_arg(u, b_bar) - p.bigK, p))
+        return s_ent, t_ent

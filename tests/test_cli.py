@@ -75,6 +75,15 @@ def test_verify_rejects_bad_tol(capsys, tol):
     assert "--tol must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--k", "abc"), ("--k", "nan"), ("--u", "inf"), ("--u", "0.1,x")])
+def test_verify_rejects_bad_numbers(capsys, option, value):
+    # a handled input error: exit code 2 and a one-line message, no traceback
+    assert run_cli(["verify", "--builder", "square:1x1", "--u-count", "1",
+                    f"{option}={value}"]) == 2
+    assert f"DomainError: {option}" in capsys.readouterr().err
+
+
 def test_verify_passes_and_artifact_schema(tmp_path):
     out = tmp_path / "rep.json"
     code = run_cli(["verify", "--builder", "square:2x2", "--k", "0.6",
@@ -116,7 +125,8 @@ def test_verify_deterministic(tmp_path):
 
 def test_verify_artifact_independent_of_caches(tmp_path):
     # a run with cold elliptic caches and one with warm caches write the
-    # same bytes
+    # same bytes; the edge tables hang on the graphs a run builds, so every
+    # run starts without one and no process-wide table cache exists to clear
     from isodimer import elliptic as el
 
     out = tmp_path / "v.json"
@@ -129,6 +139,24 @@ def test_verify_artifact_independent_of_caches(tmp_path):
     assert el._landen_memo.cache_info().currsize > 0
     assert run_cli(args) == 0
     assert out.read_bytes() == cold
+
+
+def test_verify_jacobi_call_guard(tmp_path, monkeypatch):
+    """Jacobi kernel calls of `verify --builder square:3x3 --k 0.3,0.6,0.9
+    --u-count 4`: the per-edge builders made 55,446 calls of
+    ``elliptic.jacobi`` for it; the edge table must make at most a tenth."""
+    from isodimer import elliptic as el
+
+    real, calls = el.jacobi, []
+
+    def counting(u, p):
+        calls.append(u)
+        return real(u, p)
+
+    monkeypatch.setattr(el, "jacobi", counting)
+    assert run_cli(["verify", "--builder", "square:3x3", "--k", "0.3,0.6,0.9",
+                    "--u-count", "4", "--out", str(tmp_path / "v.json")]) == 0
+    assert 0 < len(calls) <= 55446 // 10
 
 
 def test_partition_with_oracle(tmp_path):

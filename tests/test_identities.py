@@ -165,21 +165,17 @@ def test_directed_laplacian_gauge(ig_1x1, ig_2x2):
 
 def test_outer_tree_enumeration_single_square(ig_1x1, params_half):
     # the single dual vertex: Z^outer = sum of the eight directed conductances
-    import isodimer.elliptic as el
+    from conftest import ScalarOperators
+
     import isodimer.operators as op
-    from isodimer.derived import build_double, fkey
+    from isodimer.derived import build_double
     from isodimer.inference import brute_force_outer_trees, logabsdet
 
     ig, p = ig_1x1, params_half
     dg = build_double(ig)
     u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=3)[1]
-    ctx = op.EllCtx(ig, p)
-    gamma = {}
-    for eid in ig.edge_list():
-        rec = dg.gd_edges[(eid, fkey(0))]
-        gamma[(0, eid)] = (math.sqrt(p.kprime) * el.cs(ctx.ell(dg.theta_w[eid]), p)
-                          * el.nd(ctx.u_arg(u, rec["alpha"]), p)
-                          * el.nd(ctx.u_arg(u, rec["beta"]), p))
+    ref = ScalarOperators(ig, p)
+    gamma = {(0, eid): ref.gamma_star(dg, u, eid, 0) for eid in ig.edge_list()}
     oc = brute_force_outer_trees(ig, gamma)
     assert oc.count == 8
     _, dstar = op.kd_gauge_and_directed_laplacian(dg, p, u)
@@ -344,9 +340,10 @@ def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
     # only by the reciprocity of the reverse step
     real_step = idn._dual_step
     for bad in (fa, fb):
-        def scaled_step(ws, ctx, u_, f_from, e, bad=bad):
-            s = real_step(ws, ctx, u_, f_from, e)
-            return s * (1.0 + 1e-6) if (f_from, e) == (bad, eid) else s
+        def scaled_step(at, bad=bad):
+            steps = real_step(at)
+            steps[(bad, eid)] *= 1.0 + 1e-6
+            return steps
 
         monkeypatch.setattr(idn, "_dual_step", scaled_step)
         rep = idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u)

@@ -10,7 +10,7 @@ from isodimer import derived as der
 from isodimer import inference as inf
 from isodimer import isoradial as iso
 from isodimer import operators as op
-from isodimer.derived import fkey, vkey, wkey
+from isodimer.derived import vkey, wkey
 from isodimer.elliptic import complete_integrals
 from isodimer.errors import DomainError, OracleBudgetError, SingularityError
 
@@ -671,24 +671,20 @@ def test_forests_and_outer_trees_match_end_of_branch_reference():
 
 
 def test_outer_trees_match_directed_laplacian(ig_2x2, ig_hex):
-    import isodimer.elliptic as el
+    from conftest import ScalarOperators
 
     for ig in (ig_2x2, ig_hex):
         for k in (0.3, 0.8):
             p = complete_integrals(k)
             dg = der.build_double(ig)
             u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=3)[1]
-            ctx = op.EllCtx(ig, p)
+            ref = ScalarOperators(ig, p)
             gamma = {}
             for eid in ig.edge_list():
                 r = ig.rhombi[eid]
                 for f in (r.f1, r.f2):
-                    if f is None:
-                        continue
-                    rec = dg.gd_edges[(eid, fkey(f))]
-                    gamma[(f, eid)] = (math.sqrt(p.kprime) * el.cs(ctx.ell(dg.theta_w[eid]), p)
-                                       * el.nd(ctx.u_arg(u, rec["alpha"]), p)
-                                       * el.nd(ctx.u_arg(u, rec["beta"]), p))
+                    if f is not None:
+                        gamma[(f, eid)] = ref.gamma_star(dg, u, eid, f)
             oc = inf.brute_force_outer_trees(ig, gamma)
             _, dstar = op.kd_gauge_and_directed_laplacian(dg, p, u)
             assert abs(math.log(oc.weighted_sum) - inf.logabsdet(dstar.dense())) < 1e-12

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import branching_matchings
+from conftest import ScalarOperators, branching_matchings
 
 from isodimer import derived as der
 from isodimer import elliptic as el
@@ -61,11 +61,11 @@ def test_interior_mass_identity(ig_2x2):
     assert interior
     for k in (0.3, 0.8):
         p = complete_integrals(k)
-        ctx = op.EllCtx(ig, p)
+        ref = ScalarOperators(ig, p)
         for u in (0.25 * p.bigK, 1.7 * p.bigK):
             for v in interior:
-                lhs = op._boundary_diag(ig, ctx, v, u)
-                rhs = op._interior_diag(ig, ctx, v)
+                lhs = ref.boundary_diag(v, u)
+                rhs = ref.interior_diag(v)
                 assert abs(lhs - rhs) < 1e-11
 
 
@@ -95,9 +95,8 @@ def test_delta_m_partial_structure(ig_2x2, params_half):
         assert np.allclose(m.dense()[i], m2.dense()[i])
     # root-pair rows keep the removed edge in their diagonal sums
     rp = ig.root_pair()
-    ctx = op.EllCtx(ig, p)
     assert abs(m.get(vkey(rp.vl), vkey(rp.vl))
-               - op._boundary_diag(ig, ctx, rp.vl, u)) < 1e-13
+               - ScalarOperators(ig, p).boundary_diag(rp.vl, u)) < 1e-13
 
 
 def test_q_matrix_properties(ig_2x2, params_half):
@@ -112,8 +111,8 @@ def test_q_matrix_properties(ig_2x2, params_half):
         assert abs(v.real) < 1e-14
     # vanishing at the symmetric spectral value of one pair
     bp = next(b for b in ig.boundary_pairs if not b.is_root)
-    ctx = op.EllCtx(ig, p)
-    u0 = 0.5 * (ctx.ell(bp.alpha_l) + ctx.ell(bp.beta_r))
+    ref = ScalarOperators(ig, p)
+    u0 = 0.5 * (ref.ell(bp.alpha_l) + ref.ell(bp.beta_r))
     try:
         q0 = op.q_matrix(ig, p, u0)
         assert abs(q0.get(vkey(bp.vc), fkey(bp.fc))) < 1e-10
@@ -127,13 +126,13 @@ def test_dirac_worked_coefficients(ig_2x2, params_half):
     dg = der.build_double(ig)
     u = 0.37 * p.bigK
     kd = op.dirac(dg, p, u, "plain")
-    ctx = op.EllCtx(ig, p)
+    ref = ScalarOperators(ig, p)
     inner = [eid for eid in ig.edge_list() if not ig.rhombi[eid].boundary]
     for eid in inner:
         r = ig.rhombi[eid]
         a_bar, b_bar = r.alpha_bar, r.beta_bar
-        th = ctx.ell(r.theta_bar)
-        ua, ub = ctx.u_arg(u, a_bar), ctx.u_arg(u, b_bar)
+        th = ref.ell(r.theta_bar)
+        ua, ub = ref.u_arg(u, a_bar), ref.u_arg(u, b_bar)
         phase = cmath.exp(0.5j * (a_bar + b_bar))
         kp = p.kprime
         expect = {
@@ -396,17 +395,13 @@ def test_kd_gauge_and_directed_laplacian(ig_2x2, params_half):
             assert abs(abs(v) - 1.0) < 1e-13
     # row sums of the outer-removed Laplacian = total conductance to outer
     a = dstar.dense().real
-    ctx = op.EllCtx(ig, p)
+    ref = ScalarOperators(ig, p)
     for fi in range(len(ig.face_centers)):
         expected = 0.0
         for eid in ig.edge_list():
             r = ig.rhombi[eid]
             if r.f1 == fi and r.f2 is None:
-                rec = dg.gd_edges[(eid, fkey(fi))]
-                expected += (math.sqrt(p.kprime)
-                             * el.cs(ctx.ell(dg.theta_w[eid]), p)
-                             * el.nd(ctx.u_arg(u, rec["alpha"]), p)
-                             * el.nd(ctx.u_arg(u, rec["beta"]), p))
+                expected += ref.gamma_star(dg, u, eid, fi)
         i = dstar.row_pos[fkey(fi)]
         assert abs(a[i].sum() - expected) < 1e-12
 
@@ -505,3 +500,105 @@ def test_delta_m_natural_interior_rows_are_bulk_rows():
             assert got == want
             assert all(x.hex() == want[c].hex() for c, x in got.items())
     assert len(checked) == 2    # the irregular pair has no interior vertex
+
+
+# ---------------------------------------------------------------------------
+# edge-table gathers against the per-edge scalar reference
+# ---------------------------------------------------------------------------
+
+def _table_cases():
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = get_graph(spec)
+        for k in (0.0, 0.3, 0.6, 0.9, 0.99):
+            p = complete_integrals(k)
+            yield spec, ig, p, iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16,
+                                                count=3)
+
+
+def _assert_entries_close(got, want, what):
+    assert set(got) == set(want), what
+    for key, w in want.items():
+        assert abs(got[key] - w) <= 1e-13 * abs(w), (what, key, got[key], w)
+
+
+def test_table_gathers_match_scalar_reference():
+    for spec, ig, p, us in _table_cases():
+        ref = ScalarOperators(ig, p)
+        dg, qg = der.build_double(ig), der.build_quadri(ig)
+        what = (spec, p.k)
+        _assert_entries_close(op.delta_m_star(ig, p).entries, ref.delta_m_star(), what)
+        _assert_entries_close(op.delta_m_bulk(ig, p).entries, ref.delta_m_bulk(), what)
+        _assert_entries_close(op.kasteleyn_KQ(qg, ig, p).entries, ref.kasteleyn_kq(qg), what)
+        _assert_entries_close(op.kq_bar_partial(qg, ig, p).entries, ref.kq_bar_partial(qg),
+                              what)
+        _assert_entries_close(op.z_invariant_couplings(ig, p), ref.couplings(), what)
+        for u in us:
+            what = (spec, p.k, u)
+            for variant in ("plain", "boundary"):
+                _assert_entries_close(op.dirac(dg, p, u, variant).entries,
+                                      ref.dirac(dg, u, variant), what)
+            for got, want in zip(op.kd_gauge_and_directed_laplacian(dg, p, u),
+                                 ref.gauge(dg, u)):
+                _assert_entries_close(got.entries, want, what)
+            _assert_entries_close(op.delta_m_natural(ig, p, u).entries,
+                                  ref.delta_m_natural(u), what)
+            _assert_entries_close(op.delta_m_partial(ig, p, u).entries,
+                                  ref.delta_m_partial(u), what)
+            _assert_entries_close(op.q_matrix(ig, p, u).entries, ref.q_matrix(u), what)
+            for got, want in zip(op.s_t_matrices(qg, dg, p, u), ref.s_t(qg, dg, u)):
+                _assert_entries_close(got.entries, want, what)
+
+
+def test_table_jacobi_matches_scipy():
+    # a second oracle for the kernel values the table gathers
+    from scipy.special import ellipj
+
+    worst = 0.0
+    for _spec, ig, p, us in _table_cases():
+        tab = op.edge_table(ig)
+        m = tab.at(p)
+        sn, cn, _dn, _ph = ellipj(tab.theta * 2.0 * p.bigK / math.pi, p.k * p.k)
+        worst = max(worst, np.abs(m.sn_t - sn).max(), np.abs(m.cn_t - cn).max())
+        for u in us:
+            t = tab.at(p, u)
+            sn, cn, dn, _ph = ellipj(t.arg, p.k * p.k)
+            worst = max(worst, np.abs(t.sn - sn).max(), np.abs(t.cn - cn).max(),
+                        np.abs(t.dn - dn).max())
+    assert worst <= 1.1e-14
+
+
+def test_table_builders_raise_typed_errors(monkeypatch):
+    from isodimer.errors import DomainError, NegativeRadicandError, PoleError
+
+    p = complete_integrals(0.6)
+    fresh = lambda: iso.make_isoradial(iso.builder_graph("square:2x2"))  # noqa: E731
+    ig = fresh()
+    dg, qg = der.build_double(ig), der.build_quadri(ig)
+    e = iso._excluded_set(ig, p, "prime")[0]
+    for build in (lambda u: op.delta_m_partial(ig, p, u), lambda u: op.q_matrix(ig, p, u),
+                  lambda u: op.dirac(dg, p, u, "boundary"),
+                  lambda u: op.s_t_matrices(qg, dg, p, u)):
+        with pytest.raises(DomainError, match="too close to the excluded direction"):
+            build(e + 5e-9)
+        for u in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"must be finite, got {u}"):
+                build(u)
+
+    # forced kernel values; each case builds on a fresh graph, so no table
+    # stage computed before the patch is reused
+    real = el.jacobi
+    u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=2)[1]
+    monkeypatch.setattr(el, "jacobi", lambda x, p_: real(x, p_)[:2] + (0.0,))
+    with pytest.raises(PoleError, match=r"cd\(.+\) evaluated at a pole"):
+        op.delta_m_partial(fresh(), p, u)
+    monkeypatch.setattr(el, "jacobi", lambda x, p_: (real(x, p_)[0], 0.0, real(x, p_)[2]))
+    with pytest.raises(PoleError, match=r"sc\(.+\) evaluated at a pole"):
+        op.dirac(fresh(), p, u)
+    monkeypatch.setattr(el, "jacobi", lambda x, p_: (real(x, p_)[0], -real(x, p_)[1],
+                                                     real(x, p_)[2]))
+    with pytest.raises(NegativeRadicandError) as err:
+        op.dirac(fresh(), p, u)
+    assert float(str(err.value).rsplit(": ", 1)[1]) < -1e-12
