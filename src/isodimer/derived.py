@@ -48,7 +48,6 @@ class DoubleGraph:
     whites: list = field(default_factory=list)     # edge ids
     blacks: list = field(default_factory=list)     # typed keys, primal then dual
     gd_edges: dict = field(default_factory=dict)   # (w, black) -> dict
-    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gd_edges:

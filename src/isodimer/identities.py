@@ -9,7 +9,7 @@ their operators from a :class:`Workspace`, which builds each once per
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -43,9 +43,9 @@ class ResidualReport:
     detail: dict = field(default_factory=dict)
 
     def as_json_dict(self):
-        d = asdict(self)
-        d.pop("elapsed")   # kept out of artifacts for byte-determinism
-        return d
+        # a shallow dict, without elapsed (kept out of artifacts for
+        # byte-determinism): json.dumps reads detail as it is
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
 
 
 def _report(name, ctx, residual, tol, t0, detail=None):
@@ -110,8 +110,8 @@ class Workspace(_Memo):
 
     The derived graphs and the reference matching depend on the graph alone
     and are shared with every workspace :meth:`with_modulus` makes.  The
-    double graph is the workspace's own, and every builder reads the edge
-    table kept on it, built when first needed.  The operators of the modulus
+    double graph is the workspace's own; every builder reads the edge table
+    of the isoradial graph, built when first needed.  The operators of the modulus
     are kept for the life of the workspace; those of a spectral value live in
     :meth:`at`, which keeps the latest u only.
     """
@@ -154,7 +154,7 @@ class Workspace(_Memo):
     @property
     def table(self):
         """The edge-table stage of the modulus."""
-        return op.edge_table(self.dg).at(self.p)
+        return op.edge_table(self.ig).at(self.p)
 
     @cached_property
     def white_logs(self):
@@ -211,7 +211,7 @@ class _AtU(_Memo):
     @property
     def table(self):
         """The edge-table stage of u."""
-        return op.edge_table(self.dg).at(self.p, self.u)
+        return op.edge_table(self.ig).at(self.p, self.u)
 
     @cached_property
     def kd(self):
@@ -259,12 +259,12 @@ def _logs(x):
 def _matching_log_product(ws, u, matching, kind):
     """log of prod over matched double-graph edges of the requested bracket.
 
-    ``ws`` is a Workspace or its view at one u: anything with dg and p.
+    ``ws`` is a Workspace or its view at one u: anything with ig, dg and p.
     """
-    t = op.edge_table(ws.dg).at(ws.p, u)
-    tab, lk = t.tab, math.log(ws.p.kprime)
-    i = np.array(list(map(tab.gd_pos.__getitem__, matching)), dtype=np.intp)
-    a, b = tab.gd_a[i], tab.gd_b[i]
+    t = op.edge_table(ws.ig).at(ws.p, u)
+    lay, lk = t.tab.layout(ws.dg), math.log(ws.p.kprime)
+    i = np.array(list(map(lay.gd_pos.__getitem__, matching)), dtype=np.intp)
+    a, b = lay.gd_a[i], lay.gd_b[i]
     la, lb = _logs(t.dn[a]), _logs(t.dn[b])
     if kind == "dn":
         terms = 0.5 * (la + lb)
@@ -273,7 +273,7 @@ def _matching_log_product(ws, u, matching, kind):
     elif kind == "abs_sc":
         terms = 0.5 * (_logs(np.abs(t.sc(a))) + _logs(np.abs(t.sc(b))))
     elif kind == "eta":
-        v = tab.gd_v[i]
+        v = lay.gd_v[i]
         terms = np.empty(len(i))
         terms[v] = (_logs(np.abs(t.sn[a[v]])) - _logs(np.abs(t.cn[b[v]]))
                     + 0.5 * (lb[v] - la[v]))
@@ -597,14 +597,15 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
 def _dual_step(at):
     """The gauge ratios q(f')/q(f) across the dual edges, keyed (f, eid) for
     dual edge ``eid`` leaving face f: (1/k') dn(u_alpha) dn(u_beta) of the
-    double-graph edge (eid, f)."""
-    t = at.table
-    tab = t.tab
-    f = tab.gd_dual
-    steps = (1.0 / at.p.kprime) * t.dn[tab.gd_a[f]] * t.dn[tab.gd_b[f]]
-    keys = ((tab.blacks[b][1], tab.eids[e]) for e, b in zip(tab.gd_e[f].tolist(),
-                                                            tab.gd_black[f].tolist()))
-    return dict(zip(keys, steps.tolist()))
+    double-graph edge (eid, f).  The lifts are read from this double graph's
+    own edge records, not from the Dirac layout of the edge table, which all
+    double graphs of the graph share: an edited record must show here."""
+    p = at.p
+    dual = [(key, rec) for key, rec in at.dg.gd_edges.items() if rec["kind"] == "f"]
+    lifts = np.array([rec[x] for x in ("alpha", "beta") for _key, rec in dual], dtype=float)
+    _sn, _cn, dn = op._jacobi(0.5 * (at.u - lifts * 2.0 * p.bigK / math.pi), p)
+    steps = (1.0 / p.kprime) * dn[:len(dual)] * dn[len(dual):]
+    return {(black[1], w): s for ((w, black), _rec), s in zip(dual, steps.tolist())}
 
 
 def _gauge_holonomy(ws, u):

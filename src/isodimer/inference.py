@@ -148,99 +148,68 @@ def _u_arg(u, angle_bar, p):
     return 0.5 * (u - el.angle_transform(angle_bar, p))
 
 
-def _kd_inv_primal_coeff(ig, p, u, w, green_partial, target_v):
-    """Formula coefficient K^{D,bd}(u)^{-1}_{v, w}.
-
-    Terms referencing the removed root vertex drop out (the rooted operator
-    has no column there).
-    """
-    r = ig.rhombi[w]
-    a_bar, b_bar = r.alpha_bar, r.beta_bar
-    th = el.angle_transform(r.theta_bar, p)
-    ua, ub = _u_arg(u, a_bar, p), _u_arg(u, b_bar, p)
-    g = green_partial
-    phase = cmath.exp(-0.5j * (a_bar + b_bar))
-    term2 = term1 = 0.0
-    if r.v2 != ig.root:
-        term2 = math.sqrt(el.dn(ua, p) * el.dn(ub, p)) * g(r.v2, target_v)
-    if r.v1 != ig.root:
-        term1 = math.sqrt(el.dn(ua - p.bigK, p) * el.dn(ub - p.bigK, p)) * g(r.v1, target_v)
-    return phase / p.kprime * math.sqrt(el.sc(th, p)) * (term2 - term1)
-
-
-def kd_inverse_formula(dg, p, u, pairs=None):
+def kd_inverse_formula(dg, p, u):
     """Coefficients of the inverse boundary Dirac operator through the Green
     functions of the massive Laplacians, plus the direct inverse for checks.
 
     Returns (formula, direct, rows, cols) where formula/direct are dense
     arrays indexed like the transpose of the Dirac operator (rows = blacks,
-    cols = whites).
+    cols = whites).  The blacks are the rows of Delta^{m,bd}(u), then those
+    of Delta^{m,*}, so the column of a white w is a combination of rows of
+    their Green functions G_bd and G_*, with coefficients of w alone.
     """
-    ig = dg.ig
+    ig, kp, big_k = dg.ig, p.kprime, p.bigK
     kdp = op.dirac(dg, p, u, "boundary")
     direct = invert(kdp.dense())
     dmp = op.delta_m_partial(ig, p, u)
     dms = op.delta_m_star(ig, p)
     g_par = invert(dmp.dense())
     g_star = invert(dms.dense())
-    vp = {key: i for i, key in enumerate(dmp.rows)}
-    fp = {key: i for i, key in enumerate(dms.rows)}
-
-    def green_partial(x, y):
-        return g_par[vp[vkey(x)], vp[vkey(y)]]
-
-    def green_star(x, y):
-        return g_star[fp[fkey(x)], fp[fkey(y)]]
-
+    vp, fp, n_v = dmp.row_pos, dms.row_pos, len(dmp.rows)
     boundary_whites = dg.boundary_whites()
     rows = list(kdp.cols)  # blacks
     cols = list(kdp.rows)  # whites
     formula = np.zeros((len(rows), len(cols)), dtype=complex)
 
-    # precompute the boundary sum coefficients per white w
+    # the boundary coupling of each non-root pair: its v_c row, i * coefficient
+    # and G_* row at f_c
     pair_data = []
     for bp in ig.boundary_pairs:
-        if bp.is_root:
-            continue
-        cd_al = el.cd(_u_arg(u, bp.alpha_l, p), p)
-        coeff = (el.nd(_u_arg(u, bp.beta_l, p), p) / cd_al
-                 * (el.cd(_u_arg(u, bp.beta_r, p), p) - cd_al))
-        pair_data.append((bp, coeff))
+        if not bp.is_root:
+            cd_al = el.cd(_u_arg(u, bp.alpha_l, p), p)
+            coeff = (el.nd(_u_arg(u, bp.beta_l, p), p) / cd_al
+                     * (el.cd(_u_arg(u, bp.beta_r, p), p) - cd_al))
+            pair_data.append((vp[vkey(bp.vc)], 1j * coeff, g_star[fp[fkey(bp.fc)]]))
 
-    want = None
-    if pairs is not None:
-        want = {(tuple(b), w) for (b, w) in pairs}
-
-    for jw, wk in enumerate(cols):
-        w = wk[1]
+    for jw, (_w, w) in enumerate(cols):
         r = ig.rhombi[w]
-        a_bar, b_bar = r.alpha_bar, r.beta_bar
-        th_star = el.angle_transform(math.pi / 2 - r.theta_bar, p)
-        ua, ub = _u_arg(u, a_bar, p), _u_arg(u, b_bar, p)
-        phase = cmath.exp(-0.5j * (a_bar + b_bar))
-        kd_inv_vc = {}
-        for bp, coeff in pair_data:
-            kd_inv_vc[bp.vc] = _kd_inv_primal_coeff(ig, p, u, w, green_partial, bp.vc)
-        for ib, bk in enumerate(rows):
-            if want is not None and (bk, w) not in want:
-                continue
-            if bk[0] == "v":
-                formula[ib, jw] = _kd_inv_primal_coeff(ig, p, u, w, green_partial, bk[1])
-            else:
-                f_t = bk[1]
-                # radicands: dn((u_b)*) dn((u_{a+2K})*) and dn((u_{b-2K})*) dn((u_a)*)
-                t2 = math.sqrt(el.dn(p.bigK - ub, p) * el.dn(p.bigK - (ua - p.bigK), p))
-                t1 = math.sqrt(el.dn(p.bigK - (ub + p.bigK), p) * el.dn(p.bigK - ua, p))
-                val = 0.0j
-                if w not in boundary_whites:
-                    val += t2 * green_star(r.f2, f_t)
-                val -= t1 * green_star(r.f1, f_t)
-                val *= -1j * phase / p.kprime * math.sqrt(el.sc(th_star, p))
-                # boundary coupling; sign fixed by the verified matrix form
-                # (the displayed coefficient expansion carries the opposite one)
-                for bp, coeff in pair_data:
-                    val -= 1j * coeff * kd_inv_vc[bp.vc] * green_star(bp.fc, f_t)
-                formula[ib, jw] = val
+        ua, ub = _u_arg(u, r.alpha_bar, p), _u_arg(u, r.beta_bar, p)
+        phase = cmath.exp(-0.5j * (r.alpha_bar + r.beta_bar))
+        # primal rows; a term at the removed root vertex drops out (the rooted
+        # operator has no column there)
+        term2 = term1 = 0.0
+        if r.v2 != ig.root:
+            term2 = math.sqrt(el.dn(ua, p) * el.dn(ub, p)) * g_par[vp[vkey(r.v2)]]
+        if r.v1 != ig.root:
+            term1 = (math.sqrt(el.dn(ua - big_k, p) * el.dn(ub - big_k, p))
+                     * g_par[vp[vkey(r.v1)]])
+        sc = el.sc(el.angle_transform(r.theta_bar, p), p)
+        primal = phase / kp * math.sqrt(sc) * (term2 - term1)
+        formula[:n_v, jw] = primal
+        # dual rows; radicands dn((u_b)*) dn((u_{a+2K})*) and dn((u_{b-2K})*) dn((u_a)*)
+        t2 = math.sqrt(el.dn(big_k - ub, p) * el.dn(big_k - (ua - big_k), p))
+        t1 = math.sqrt(el.dn(big_k - (ub + big_k), p) * el.dn(big_k - ua, p))
+        val = 0.0j
+        if w not in boundary_whites:
+            val += t2 * g_star[fp[fkey(r.f2)]]
+        val -= t1 * g_star[fp[fkey(r.f1)]]
+        sc_star = el.sc(el.angle_transform(math.pi / 2 - r.theta_bar, p), p)
+        val *= -1j * phase / kp * math.sqrt(sc_star)
+        # boundary coupling; sign fixed by the verified matrix form
+        # (the displayed coefficient expansion carries the opposite one)
+        for vc, i_coeff, g_fc in pair_data:
+            val -= i_coeff * primal[vc] * g_fc
+        formula[n_v:, jw] = val
     return formula, direct, rows, cols
 
 
@@ -336,15 +305,13 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
             def gamma(u):
                 inv, kdp = kd_inverse_at(u)
                 t_mat = t_matrix_at(u)
-                bpos = {b: i for i, b in enumerate(kdp.cols)}
-                wpos = {ww: i for i, ww in enumerate(kdp.rows)}
                 val = 0.0j
                 if not is_root_wc:
                     tv = t_mat.get(wht, vkey(v_i))
                     if tv:
-                        val += tv * inv[bpos[vkey(v_i)], wpos[wkey(w)]]
+                        val += tv * inv[kdp.col_pos[vkey(v_i)], kdp.row_pos[wkey(w)]]
                 tf = t_mat.get(wht, fkey(f_i))
-                val += tf * inv[bpos[fkey(f_i)], wpos[wkey(w)]]
+                val += tf * inv[kdp.col_pos[fkey(f_i)], kdp.row_pos[wkey(w)]]
                 return val
 
             if role_f is None:
@@ -372,6 +339,15 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
     return formula, direct, whites, blacks
 
 
+def _ext_of_b(fg):
+    """The other end and the primal edge of the external Fisher edge at each B."""
+    ext_of_b = {}
+    for bx, by, eid in fg.external_edges:
+        ext_of_b[bx] = (by, eid)
+        ext_of_b[by] = (bx, eid)
+    return ext_of_b
+
+
 def kf_inverse_formula(fg, qg, couplings, pairs=None):
     """The four coefficient families of the inverse Fisher operator from the
     inverse real quadri Kasteleyn matrix.
@@ -389,10 +365,11 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     kq_b = {b: i for i, b in enumerate(kqt.rows)}
     fpos = kf.row_pos
 
-    ext_of_b = {}
-    for bx, by, eid in fg.external_edges:
-        ext_of_b[bx] = (by, eid)
-        ext_of_b[by] = (bx, eid)
+    ext_of_b = _ext_of_b(fg)
+    kappa = op._kappa(fg)
+    black_of_a = {a: blk for blk, a in fqm.a_of_black.items()}
+    if len(black_of_a) != len(fqm.a_of_black) or set(black_of_a) != set(fg.a_vertices):
+        raise BijectionError("GQ blacks and Fisher A-vertices are not in bijection")
 
     out = {"case1": [], "case2": [], "case3": [], "case4": []}
 
@@ -426,27 +403,11 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
                 out["case1"].append((a_bar, b, case1_value(a_bar, b), direct))
         for a in a_list:
             direct = kf_inv[fpos[a_bar], fpos[a]]
-            b_hat = [blk for blk, aa in fqm.a_of_black.items() if aa == a]
-            assert len(b_hat) == 1
-            b_hat = b_hat[0]
+            b_hat = black_of_a[a]
             b = fqm.b_of_black[b_hat]
             w_bar = fqm.white_of_a[a_bar]
-            kap = 0.0
-            if a_bar[1] == a[1]:
-                cycle = fg.a_cycle[a_bar[1]]
-                i0 = cycle.index(a_bar)
-                if a_bar == a:
-                    kap = 0.25
-                else:
-                    sign = 1
-                    j = i0
-                    while cycle[j % len(cycle)] != a:
-                        nxt = (j + 1) % len(cycle)
-                        if fg.eps(cycle[j % len(cycle)], cycle[nxt]) == -1:
-                            sign = -sign
-                        j += 1
-                    kap = -0.25 * sign
-            form = -0.5 * kq_inv[kq_w[w_bar], kq_b[b_hat]] * fg.eps(b, a) + kap
+            form = (-0.5 * kq_inv[kq_w[w_bar], kq_b[b_hat]] * fg.eps(b, a)
+                    + kappa.get((a_bar, a), 0.0))
             out["case3"].append((a_bar, a, form, direct))
 
     b_init = b_list if pairs is None else [b for b in b_list if b in pairs]
@@ -474,10 +435,7 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     fpos = kf.row_pos
-    ext_of_b = {}
-    for bx, by, eid in fg.external_edges:
-        ext_of_b[bx] = (by, eid)
-        ext_of_b[by] = (bx, eid)
+    ext_of_b = _ext_of_b(fg)
     rng = np.random.default_rng(seed)
     configs = []
     for b_bar in fg.b_vertices:
@@ -821,10 +779,7 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     fpos = kf.row_pos
     wq = {w: i for i, w in enumerate(kq.cols)}
     bq = {b: i for i, b in enumerate(kq.rows)}
-    ext_of_b = {}
-    for bx, by, eid in fg.external_edges:
-        ext_of_b[bx] = (by, eid)
-        ext_of_b[by] = (bx, eid)
+    ext_of_b = _ext_of_b(fg)
 
     def q_fun(b_hat, w_bar):
         # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}
@@ -864,8 +819,8 @@ def green_center_diagonal(ig, p):
 def center_edge_probability_gd(ig, p, u):
     """Kenyon probability and bulk closed form at the most central primal edge.
 
-    The Dirac operator is that of the rooted double graph whose edge table
-    ``ig`` keeps, so calls on one graph share it.
+    The Dirac operator is that of the rooted double graph, whose entry
+    layout the edge table of ``ig`` keeps, so calls on one graph share it.
     """
     kd = op.dirac(ig, p, u, "plain")
     coords = ig.base.coords

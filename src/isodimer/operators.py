@@ -8,7 +8,8 @@ pure function of (graph, k, u) and the stored angle lifts.
 
 The builders that evaluate elliptic functions gather their entries from the
 :class:`EdgeTable` of their graph argument, which may be an isoradial graph
-or a double graph of one (see :func:`edge_table`).
+or a double graph of one: both read the one table of the isoradial graph
+(see :func:`edge_table`).
 """
 
 import cmath
@@ -134,21 +135,23 @@ def _ints(values):
 
 
 class EdgeTable:
-    """The rhombus data of one graph that the builders read, as arrays.
+    """The rhombus data of one isoradial graph that the builders read, as arrays.
 
-    The per-graph stage (see :func:`edge_table`).  From the rhombi and the
-    boundary pairs: the half-angles ``theta`` in ``edge_list`` order and the
-    pair data.  From ``dg.gd_edges``, when first needed: every lifted angle
-    a builder evaluates at, held once in ``angles``, and the index arrays
-    and keys of the Dirac entries.  The arrays of the Laplacians
-    (:attr:`primal`, :attr:`dual`) are built on first use too.  :meth:`at`
-    gives the stages of a modulus and of a spectral value.
+    The per-graph stage (see :func:`edge_table`): the half-angles ``theta`` in
+    ``edge_list`` order, the pair data, and every lifted angle a builder
+    evaluates at, held once in ``angles``: alpha, beta, alpha + pi, beta + pi
+    and beta - pi of every rhombus (the lifts of both double graphs) and the
+    boundary-pair lifts.  The arrays of the Laplacians (:attr:`primal`,
+    :attr:`dual`) and the Dirac-entry layouts (:meth:`layout`) are built on
+    first use.  :meth:`at` gives the stages of a modulus and of a spectral
+    value.
     """
 
-    def __init__(self, ig, dg=None):
+    def __init__(self, ig):
         self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
         self.graph = ig.graph_hash()
-        self._mod = self._spec = self._st = self._kq = None
+        self._mod = self._spec = self._kq = None
+        self._layouts = {}
         self.eids = ig.edge_list()
         self.epos = {e: i for i, e in enumerate(self.eids)}
         rh = [ig.rhombi[e] for e in self.eids]
@@ -158,63 +161,21 @@ class EdgeTable:
             raise DomainError("embedding half-angle must lie in (0, pi/2), "
                               f"got {self.theta[bad][0]}")
         self.theta_star = math.pi / 2 - self.theta
-        self.alpha = np.array([r.alpha_bar for r in rh], dtype=float)
-        self.beta = np.array([r.beta_bar for r in rh], dtype=float)
+        alpha = self.alpha = np.array([r.alpha_bar for r in rh], dtype=float)
+        beta = self.beta = np.array([r.beta_bar for r in rh], dtype=float)
         bps = ig.boundary_pairs
         self.bp_theta = np.array([bp.theta_bar for bp in bps], dtype=float)
         self.bp_index = {bp.vc: i for i, bp in enumerate(bps)}
         self.pairs = [bp for bp in bps if not bp.is_root]
         self.nr = _ints(self.bp_index[bp.vc] for bp in self.pairs)
         self.rp = self.bp_index[ig.root]
-        self._lifted = False
-        if dg is not None:
-            self._lift(dg)
-
-    def __getattr__(self, name):
-        # only the double-graph part is missing before _lift: an isoradial
-        # graph's table builds its rooted double graph for it on first use
-        if name.startswith("__") or self.__dict__.get("_lifted", True):
-            raise AttributeError(name)
-        self._lift(build_double(self.ig))
-        return getattr(self, name)
-
-    def _lift(self, dg):
-        """The part read from ``dg.gd_edges``: lifts, Dirac entries, pair lifts."""
-        self._lifted = True
-        recs = list(dg.gd_edges.values())
-        gd_alpha = np.array([rec["alpha"] for rec in recs], dtype=float)
-        gd_beta = np.array([rec["beta"] for rec in recs], dtype=float)
-        bps = self.ig.boundary_pairs
         bp_lifts = np.array([(bp.alpha_l, bp.beta_l, bp.alpha_r, bp.beta_r) for bp in bps],
                             dtype=float).reshape(-1, 4).T
-        # the Dirac operators read the lifts of gd_edges; S, T and the
-        # Laplacians those of the rhombi, as they are or turned by pi
-        alpha, beta = self.alpha, self.beta
         self.angles = np.unique(np.concatenate(
-            [alpha, beta, alpha + math.pi, beta + math.pi, gd_alpha, gd_beta, *bp_lifts]))
-        ix = self.ix
-
-        # Dirac entries, in gd_edges order
-        self.whites = tuple(wkey(w) for w in dg.whites)
-        self.blacks = tuple(dg.blacks)
-        self.rooted = dg.rooted
-        bpos = {b: i for i, b in enumerate(self.blacks)}
-        self.gd_e = _ints(self.epos[w] for w, _b in dg.gd_edges)
-        self.gd_black = _ints(bpos[b] for _w, b in dg.gd_edges)
-        self._gd_w = [self.whites[e] for e in self.gd_e.tolist()]
-        self._gd_b = [self.blacks[b] for b in self.gd_black.tolist()]
-        self.gd_a, self.gd_b = ix(gd_alpha), ix(gd_beta)
-        self.gd_v = np.array([rec["kind"] == "v" for rec in recs], dtype=bool)
-        self.gd_dual = np.flatnonzero(~self.gd_v)
-
-        # lifts and the Dirac (w_l, v_c) entry of the non-root pairs; the root pair
-        al, bl, ar, br = (ix(x) for x in bp_lifts)
+            [alpha, beta, alpha + math.pi, beta + math.pi, beta - math.pi, *bp_lifts]))
+        # lifts of the non-root pairs and of the root pair
+        al, bl, ar, br = (self.ix(x) for x in bp_lifts)
         self.p_al, self.p_bl, self.p_br = al[self.nr], bl[self.nr], br[self.nr]
-        wl_vc = {(bp.wl, vkey(bp.vc)): n for n, bp in enumerate(self.pairs)}
-        self.p_kd = np.empty(len(self.pairs), dtype=np.intp)
-        for i, key in enumerate(dg.gd_edges):
-            if key in wl_vc:
-                self.p_kd[wl_vc[key]] = i
         self.rp_ar, self.rp_br = ar[self.rp], br[self.rp]
 
     @cached_property
@@ -225,19 +186,15 @@ class EdgeTable:
     def dual(self):
         return _Dual(self)
 
-    @cached_property
-    def sides(self):
-        """The dual Dirac entries of every edge: face and entry, f1 then f2 in
-        edge order; and (f1, f2, entry at f1, entry at f2) of every inner edge,
-        as four rows."""
-        pos = {(self.eids[e], self.blacks[b][1]): i for i, e, b in zip(
-            self.gd_dual.tolist(), self.gd_e[self.gd_dual].tolist(),
-            self.gd_black[self.gd_dual].tolist())}
-        rh = [self.ig.rhombi[x] for x in self.eids]
-        sides = [(f, pos[(r.edge_id, f)]) for r in rh for f in (r.f1, r.f2) if f is not None]
-        inner = np.array([(r.f1, r.f2, pos[(r.edge_id, r.f1)], pos[(r.edge_id, r.f2)])
-                          for r in rh if r.f2 is not None], dtype=np.intp).reshape(-1, 4).T
-        return _ints(f for f, _i in sides), _ints(i for _f, i in sides), inner
+    def layout(self, g):
+        """The Dirac-entry layout of the double graph ``g``, or of the rooted
+        one when ``g`` is the isoradial graph: one per ``rooted`` value, read
+        from the first double graph asked for."""
+        rooted = g.rooted if isinstance(g, DoubleGraph) else True
+        if rooted not in self._layouts:
+            dg = g if isinstance(g, DoubleGraph) else build_double(self.ig, rooted)
+            self._layouts[rooted] = _Layout(self, dg)
+        return self._layouts[rooted]
 
     def ix(self, values):
         """Positions in ``angles`` of lifted angles it holds."""
@@ -246,17 +203,6 @@ class EdgeTable:
         if not (self.angles[np.minimum(i, len(self.angles) - 1)] == values).all():
             raise DomainError("a lifted angle that is not one of this graph's")
         return i
-
-    def gd_keys(self):
-        """The (white, black) keys of the Dirac entries, as a new list (the
-        table keeps their two halves only, which is lighter on large graphs)."""
-        return list(zip(self._gd_w, self._gd_b))
-
-    @cached_property
-    def gd_pos(self):
-        """The position of each double-graph edge (white edge id, black key)."""
-        return {(self.eids[e], b): i for i, (e, b) in enumerate(zip(self.gd_e.tolist(),
-                                                                    self._gd_b))}
 
     def at(self, p, u=None):
         """The stage of modulus ``p``, or of (p, u); the table keeps the latest
@@ -289,9 +235,60 @@ class EdgeTable:
                              np.exp(0.5j * np.array(phase, dtype=float)), scaled))
         return self._kq[1]
 
+
+class _Layout:
+    """The Dirac entries of one double graph, in ``gd_edges`` order: their
+    white edges, blacks and lifts (positions in ``angles``), whether the black
+    is primal, and the (w_l, v_c) entry of each non-root pair."""
+
+    def __init__(self, tab, dg):
+        self.tab, self.rooted = tab, dg.rooted
+        self._st = None
+        recs = list(dg.gd_edges.values())
+        self.whites = tuple(wkey(w) for w in dg.whites)
+        self.blacks = tuple(dg.blacks)
+        bpos = {b: i for i, b in enumerate(self.blacks)}
+        self.gd_e = _ints(tab.epos[w] for w, _b in dg.gd_edges)
+        self._gd_w = [self.whites[e] for e in self.gd_e.tolist()]
+        self._gd_b = [self.blacks[bpos[b]] for _w, b in dg.gd_edges]
+        self.gd_a = tab.ix([rec["alpha"] for rec in recs])
+        self.gd_b = tab.ix([rec["beta"] for rec in recs])
+        self.gd_v = np.array([rec["kind"] == "v" for rec in recs], dtype=bool)
+        self.gd_dual = np.flatnonzero(~self.gd_v)
+        pos = dict(zip(dg.gd_edges, range(len(recs))))
+        self.p_kd = _ints(pos[(bp.wl, vkey(bp.vc))] for bp in tab.pairs)
+
+    def phase(self):
+        """e^{i(alpha+beta)/2} of every entry, as a new array."""
+        angles = self.tab.angles
+        return np.exp(0.5j * (angles[self.gd_a] + angles[self.gd_b]))
+
+    def gd_keys(self):
+        """The (white, black) keys of the entries, as a new list (the layout
+        keeps their two halves only, which is lighter on large graphs)."""
+        return list(zip(self._gd_w, self._gd_b))
+
+    @cached_property
+    def gd_pos(self):
+        """The position of each double-graph edge (white edge id, black key)."""
+        eids = self.tab.eids
+        return {(eids[e], b): i for i, (e, b) in enumerate(zip(self.gd_e.tolist(), self._gd_b))}
+
+    @cached_property
+    def sides(self):
+        """The dual entries of every edge: face and entry, f1 then f2 in edge
+        order; and (f1, f2, entry at f1, entry at f2) of every inner edge, as
+        four rows."""
+        pos = self.gd_pos
+        rh = [self.tab.ig.rhombi[x] for x in self.tab.eids]
+        sides = [(f, pos[(r.edge_id, fkey(f))]) for r in rh for f in (r.f1, r.f2) if f is not None]
+        inner = np.array([(r.f1, r.f2, pos[(r.edge_id, fkey(r.f1))], pos[(r.edge_id, fkey(r.f2))])
+                          for r in rh if r.f2 is not None], dtype=np.intp).reshape(-1, 4).T
+        return _ints(f for f, _i in sides), _ints(i for _f, i in sides), inner
+
     def st_layout(self, qg):
-        """Keys and lifts of the S and T entries for the quadri graph ``qg``
-        of this graph; kept for the latest ``qg``.
+        """Keys and lifts of the S and T entries for the quadri graph ``qg``;
+        kept for the latest ``qg``.
 
         S: keys, lifts a, b, the lift c of cn and of the phase e^{-ic/2}, the
         edge, the phase.  T: keys, then for each kind of entry (0 at v:
@@ -302,7 +299,7 @@ class EdgeTable:
         """
         if self._st is not None and self._st[0] is qg:
             return self._st[1]
-        ig, s, t = qg.ig, [], []
+        tab, ig, s, t = self.tab, qg.ig, [], []
         for blk in qg.blacks:
             eid = qg.quad_of[blk]
             r, role = ig.rhombi[eid], qg.pair_role.get(eid)
@@ -313,7 +310,7 @@ class EdgeTable:
                 a, b = ((role[1].alpha_r, role[1].beta_r) if role[0] == "r"
                         else (role[1].alpha_l, role[1].beta_l))
             c = a if role is not None and role[0] == "l" else b
-            s.append(((blk, wkey(eid)), a, b, c, self.epos[eid]))
+            s.append(((blk, wkey(eid)), a, b, c, tab.epos[eid]))
         for wht in qg.whites:
             eid = qg.quad_of[wht]
             r, role, corner = ig.rhombi[eid], qg.pair_role.get(eid), qg.corner_of[wht]
@@ -321,7 +318,7 @@ class EdgeTable:
                 bp = role[1]
                 if not bp.is_root:
                     t.append(((wht, vkey(bp.vc)), 2, bp.alpha_r, bp.beta_r,
-                              self.bp_index[bp.vc]))
+                              tab.bp_index[bp.vc]))
                 t.append(((wht, fkey(bp.fc)), 3, bp.beta_l, bp.beta_l, 0))
                 continue
             v, f, b = (r.v2, r.f1, r.beta_bar) if corner == 2 else (
@@ -336,9 +333,9 @@ class EdgeTable:
         for k in range(4):
             pos = np.flatnonzero(kind == k)
             x = tx[pos]
-            groups.append((pos, self.ix(x), self.ix(ty[pos]), _ints(pair)[pos],
+            groups.append((pos, tab.ix(x), tab.ix(ty[pos]), _ints(pair)[pos],
                            np.exp(-0.5j * (x + math.pi if k == 1 else x))))
-        s_lay = (s_keys, self.ix(sa), self.ix(sb), self.ix(sc), _ints(se),
+        s_lay = (s_keys, tab.ix(sa), tab.ix(sb), tab.ix(sc), _ints(se),
                  np.exp(-0.5j * np.array(sc, dtype=float)))
         self._st = (qg, (s_lay, (t_keys, groups)))
         return self._st[1]
@@ -460,20 +457,13 @@ class _Spectral:
         return _ratio(cn, dn, "cd", arg)
 
 
-def _gd_phase(tab):
-    """e^{i(alpha+beta)/2} of every Dirac entry."""
-    return np.exp(0.5j * (tab.angles[tab.gd_a] + tab.angles[tab.gd_b]))
-
-
 def edge_table(g):
-    """The :class:`EdgeTable` of a double graph, built on first use and kept on it.
-
-    An isoradial graph stands for its rooted double graph, which its table
-    builds once, when a builder first needs it.
-    """
-    if g._table is None:
-        g._table = EdgeTable(g.ig, g) if isinstance(g, DoubleGraph) else EdgeTable(g)
-    return g._table
+    """The :class:`EdgeTable` of an isoradial graph, or of the one a double
+    graph is built on; built on first use and kept on the isoradial graph."""
+    ig = g.ig if isinstance(g, DoubleGraph) else g
+    if ig._table is None:
+        ig._table = EdgeTable(ig)
+    return ig._table
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +626,15 @@ def dirac(dg, p, u, variant="plain"):
         raise DomainError(f"unknown dirac variant {variant!r}")
     t = _at(dg, p, u, "base" if variant == "plain" else "prime")
     tab = t.tab
-    da, db = t.dn[tab.gd_a], t.dn[tab.gd_b]
-    kp, e = p.kprime, tab.gd_e
-    rad = np.where(tab.gd_v, t.mod.sc_t[e] * da * db, kp * kp * t.mod.sc_s[e] / (da * db))
-    vals = _gd_phase(tab) * _sqrt_pos(rad, "dirac entry")
+    lay = tab.layout(dg)
+    da, db = t.dn[lay.gd_a], t.dn[lay.gd_b]
+    kp, e = p.kprime, lay.gd_e
+    rad = np.where(lay.gd_v, t.mod.sc_t[e] * da * db, kp * kp * t.mod.sc_s[e] / (da * db))
+    vals = lay.phase() * _sqrt_pos(rad, "dirac entry")
     if variant == "boundary":
-        vals[tab.p_kd] = vals[tab.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
+        vals[lay.p_kd] = vals[lay.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
     name = "dirac_plain" if variant == "plain" else "dirac_boundary"
-    return TypedSparseMatrix(tab.whites, tab.blacks, dict(zip(tab.gd_keys(), vals.tolist())),
+    return TypedSparseMatrix(lay.whites, lay.blacks, dict(zip(lay.gd_keys(), vals.tolist())),
                              name, t.meta())
 
 
@@ -658,18 +649,19 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
     """
     t = _at(dg, p, u, "base")
     tab = t.tab
-    f = tab.gd_dual
-    gamma = np.zeros(len(tab.gd_e))
-    gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[tab.gd_e[f]]
-                * t.nd[tab.gd_a[f]] * t.nd[tab.gd_b[f]])
-    vals = _gd_phase(tab)
+    lay = tab.layout(dg)
+    f = lay.gd_dual
+    gamma = np.zeros(len(lay.gd_e))
+    gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[lay.gd_e[f]]
+                * t.nd[lay.gd_a[f]] * t.nd[lay.gd_b[f]])
+    vals = lay.phase()
     vals[f] = vals[f] * gamma[f]
-    kg = TypedSparseMatrix(tab.whites, tab.blacks, dict(zip(tab.gd_keys(), vals.tolist())),
+    kg = TypedSparseMatrix(lay.whites, lay.blacks, dict(zip(lay.gd_keys(), vals.tolist())),
                            "dirac_gauge", t.meta())
 
     # directed Laplacian on bounded faces + outer, with gamma*(u) conductances;
     # an edge toward the outer face adds to its diagonal only
-    side_face, side_rec, inner = tab.sides
+    side_face, side_rec, inner = lay.sides
     fk = tab.dual.fkeys
     diag = np.bincount(side_face, gamma[side_rec], len(fk)).tolist()
     g = gamma.tolist()
@@ -766,6 +758,24 @@ def kasteleyn_KF(fg, couplings):
     return m
 
 
+def _kappa(fg):
+    """The entries of kappa, block diagonal over the decorations: 1/4 on the
+    diagonal, and -1/4 times the sign of the ccw walk from a to a' around
+    their decoration cycle (one flip per step against eps) at (a, a')."""
+    k_ent = {}
+    for cycle in fg.a_cycle.values():
+        d = len(cycle)
+        for i, a in enumerate(cycle):
+            k_ent[(a, a)] = 0.25
+            sign = 1
+            for step in range(1, d):
+                prev, cur = cycle[(i + step - 1) % d], cycle[(i + step) % d]
+                if fg.eps(prev, cur) == -1:
+                    sign = -sign
+                k_ent[(a, cur)] = -0.25 * sign
+    return k_ent
+
+
 def fisher_aux(fg, qg, kf):
     """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B}."""
     fqm = fisher_quadri_map(fg, qg)
@@ -815,21 +825,7 @@ def fisher_aux(fg, qg, kf):
          if abs(m_prime_d[i, j]) > 1e-15},
         "fisher_Mprime")
 
-    # kappa: block diagonal over decorations
-    k_ent = {}
-    for f, cycle in fg.a_cycle.items():
-        d = len(cycle)
-        for i, a in enumerate(cycle):
-            k_ent[(a, a)] = 0.25
-            sign = 1
-            for step in range(1, d):
-                j = (i + step) % d
-                prev = cycle[(i + step - 1) % d]
-                cur = cycle[j]
-                if fg.eps(prev, cur) == -1:
-                    sign = -sign
-                k_ent[(a, cur)] = -0.25 * sign
-    kappa = TypedSparseMatrix(a_list, a_list, k_ent, "fisher_kappa")
+    kappa = TypedSparseMatrix(a_list, a_list, _kappa(fg), "fisher_kappa")
 
     # I_{W,A} and the diagonal couplers
     i_ent = {(w, fqm.a_of_white[w]): 1.0 for w in wq_list}
@@ -860,14 +856,15 @@ def fisher_aux(fg, qg, kf):
 
 def s_t_matrices(qg, dg, p, u):
     """The intertwiner pair: S rows = GQ blacks, T rows = GQ whites (the
-    entries are listed at :meth:`EdgeTable.st_layout`)."""
+    entries are listed at :meth:`_Layout.st_layout`)."""
     t = _at(dg, p, u, "prime")
-    m, (s_rows, t_rows) = t.mod, t.tab.st_layout(qg)
+    lay = t.tab.layout(dg)
+    m, (s_rows, t_rows) = t.mod, lay.st_layout(qg)
 
     keys, a, b, c, e, phase = s_rows
     rad = m.sn_t[e] * m.cn_t[e] * t.nd[a] * t.nd[b]
     vals = phase * t.cn[c] * _sqrt_pos(rad, "s entry")
-    s_mat = TypedSparseMatrix(tuple(qg.blacks), t.tab.whites, dict(zip(keys, vals.tolist())),
+    s_mat = TypedSparseMatrix(tuple(qg.blacks), lay.whites, dict(zip(keys, vals.tolist())),
                               "intertwiner_S", t.meta())
 
     keys, (v, f, center_v, center_f) = t_rows
@@ -877,7 +874,7 @@ def s_t_matrices(qg, dg, p, u):
     pos, x, y, pair, phase = center_v
     vals[pos] = (-1j * p.kprime) * phase * m.sn_b[pair] * t.nd[x] * t.cd[y]
     vals[center_f[0]] = center_f[4] * t.cd[center_f[1]]
-    t_mat = TypedSparseMatrix(tuple(qg.whites), t.tab.blacks, dict(zip(keys, vals.tolist())),
+    t_mat = TypedSparseMatrix(tuple(qg.whites), lay.blacks, dict(zip(keys, vals.tolist())),
                               "intertwiner_T", t.meta())
     return s_mat, t_mat
 

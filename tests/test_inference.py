@@ -12,7 +12,7 @@ from isodimer import isoradial as iso
 from isodimer import operators as op
 from isodimer.derived import vkey, wkey
 from isodimer.elliptic import complete_integrals
-from isodimer.errors import DomainError, OracleBudgetError, SingularityError
+from isodimer.errors import BijectionError, DomainError, OracleBudgetError, SingularityError
 
 
 def test_pfaffian_random():
@@ -156,6 +156,27 @@ def test_kd_inverse_formula_battery(ig_1x1, ig_2x2, ig_hex):
             assert err < 1e-9
 
 
+def test_kd_inverse_formula_jacobi_call_guard(monkeypatch):
+    """Jacobi kernel calls of one kd_inverse_formula on square:3x3 at k = 0.6:
+    the per-pair coefficients made 8,431 calls of ``elliptic.jacobi``; with
+    each white's coefficients evaluated once there must be at most a tenth."""
+    from isodimer import elliptic as el
+
+    ig = iso.make_isoradial(iso.builder_graph("square:3x3"))   # no table stage yet
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=3)[1]
+    real, calls = el.jacobi, []
+
+    def counting(x, p_):
+        calls.append(x)
+        return real(x, p_)
+
+    monkeypatch.setattr(el, "jacobi", counting)
+    formula, direct, _rows, _cols = inf.kd_inverse_formula(der.build_double(ig), p, u)
+    assert 0 < len(calls) <= 8431 // 10
+    assert np.abs(formula - direct).max() < 1e-9 * np.abs(direct).max()
+
+
 def test_kd_inverse_special_value_bracket(ig_2x2, params_half):
     # at u_hat = (alpha+beta)/2 + K the dn brackets collapse to sqrt(k')
     import isodimer.elliptic as el
@@ -280,6 +301,17 @@ def test_kf_case3_cross_decoration_kappa(ig_2x2, params_half):
     # across decorations the formula has no kappa term and still matches
     for (a_bar, a, formula, direct) in out["case3"]:
         assert abs(formula - direct) < 1e-10
+
+
+def test_kf_inverse_formula_needs_black_a_bijection(ig_2x2, params_half, monkeypatch):
+    fg, qg = der.build_fisher(ig_2x2), der.build_quadri(ig_2x2)
+    couplings = op.z_invariant_couplings(ig_2x2, params_half)
+    fqm = der.fisher_quadri_map(fg, qg)
+    b0, b1 = list(fqm.a_of_black)[:2]
+    fqm.a_of_black[b1] = fqm.a_of_black[b0]
+    monkeypatch.setattr(inf, "fisher_quadri_map", lambda _fg, _qg: fqm)
+    with pytest.raises(BijectionError):
+        inf.kf_inverse_formula(fg, qg, couplings, pairs={fg.a_vertices[0]})
 
 
 def test_kf_zinv_case1(ig_2x2):

@@ -528,6 +528,7 @@ def test_table_gathers_match_scalar_reference():
     for spec, ig, p, us in _table_cases():
         ref = ScalarOperators(ig, p)
         dg, qg = der.build_double(ig), der.build_quadri(ig)
+        dgu = der.build_double(ig, rooted=False)
         what = (spec, p.k)
         _assert_entries_close(op.delta_m_star(ig, p).entries, ref.delta_m_star(), what)
         _assert_entries_close(op.delta_m_bulk(ig, p).entries, ref.delta_m_bulk(), what)
@@ -537,9 +538,10 @@ def test_table_gathers_match_scalar_reference():
         _assert_entries_close(op.z_invariant_couplings(ig, p), ref.couplings(), what)
         for u in us:
             what = (spec, p.k, u)
-            for variant in ("plain", "boundary"):
-                _assert_entries_close(op.dirac(dg, p, u, variant).entries,
-                                      ref.dirac(dg, u, variant), what)
+            for g in (dg, dgu):
+                for variant in ("plain", "boundary"):
+                    _assert_entries_close(op.dirac(g, p, u, variant).entries,
+                                          ref.dirac(g, u, variant), what)
             for got, want in zip(op.kd_gauge_and_directed_laplacian(dg, p, u),
                                  ref.gauge(dg, u)):
                 _assert_entries_close(got.entries, want, what)
@@ -550,6 +552,29 @@ def test_table_gathers_match_scalar_reference():
             _assert_entries_close(op.q_matrix(ig, p, u).entries, ref.q_matrix(u), what)
             for got, want in zip(op.s_t_matrices(qg, dg, p, u), ref.s_t(qg, dg, u)):
                 _assert_entries_close(got.entries, want, what)
+
+
+def test_one_edge_table_per_isoradial_graph():
+    ig = iso.make_isoradial(iso.builder_graph("square:2x2"))
+    for rooted in (True, False):
+        dg = der.build_double(ig, rooted=rooted)
+        assert op.edge_table(dg) is op.edge_table(dg.ig)
+
+
+def test_laplacian_builders_build_no_double_graph(monkeypatch):
+    ig = iso.make_isoradial(iso.builder_graph("square:2x2"))
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "prime", delta=p.bigK / 16, count=3)[1]
+    built, real = [], der.DoubleGraph.__post_init__
+
+    def counting(dg):
+        built.append(dg)
+        real(dg)
+
+    monkeypatch.setattr(der.DoubleGraph, "__post_init__", counting)
+    op.delta_m_partial(ig, p, u)
+    op.q_matrix(ig, p, u)
+    assert not built
 
 
 def test_table_jacobi_matches_scipy():
