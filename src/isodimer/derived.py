@@ -853,51 +853,3 @@ def enumerate_matchings(vertices, edges, weights=None, budget=10 ** 6,
                                        budget, marginals)
     return (count, total, marg) if marginals else (count, total)
 
-
-# ---------------------------------------------------------------------------
-# JSON export of derived graphs (debugging / plotting interface)
-# ---------------------------------------------------------------------------
-
-def double_graph_json(dg):
-    import json
-
-    ig = dg.ig
-    verts = []
-    for black in dg.blacks:
-        role = "primal" if black[0] == "v" else "dual"
-        z = (ig.base.coords[black[1]] if black[0] == "v"
-             else ig.face_centers[black[1]])
-        verts.append({"key": list(black), "role": role, "x": z.real, "y": z.imag})
-    for w in dg.whites:
-        r = ig.rhombi[w]
-        z = 0.5 * (ig.base.coords[r.v1] + ig.base.coords[r.v2])
-        verts.append({"key": ["w", w], "role": "white", "x": z.real, "y": z.imag})
-    edges = [{"white": w, "black": list(b)} for (w, b) in sorted(dg.gd_edges)]
-    return json.dumps({"vertices": verts, "edges": edges}, sort_keys=True)
-
-
-def quadri_graph_json(qg):
-    import json
-
-    verts = [{"key": list(q), "role": "black" if q in set(qg.blacks) else "white"}
-             for q in qg.vertices]
-    edges = [{"black": list(b), "white": list(w), "kind": kind}
-             for b, w, kind, _ in qg.edges]
-    return json.dumps({"vertices": verts, "edges": edges}, sort_keys=True)
-
-
-def fisher_graph_json(fg):
-    import json
-
-    verts = ([{"key": [a[0], a[1], a[2]], "role": "A",
-               "x": fg.coords[a].real, "y": fg.coords[a].imag}
-              for a in fg.a_vertices]
-             + [{"key": [b[0], b[1], b[2]], "role": "B",
-                 "boundary": b in fg.boundary_b,
-                 "x": fg.coords[b].real, "y": fg.coords[b].imag}
-                for b in fg.b_vertices])
-    edges = ([{"ends": [list(x), list(y)], "kind": "internal"}
-              for x, y in fg.internal_edges]
-             + [{"ends": [list(x), list(y)], "kind": "external", "edge": eid}
-                for x, y, eid in fg.external_edges])
-    return json.dumps({"vertices": verts, "edges": edges}, sort_keys=True)

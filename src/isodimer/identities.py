@@ -296,28 +296,22 @@ def check_dirac_laplacian(ws, u, tol=DEFAULT_TOL, negative_control=False,
     ig, p = ws.ig, ws.p
     at = ws.at(u)
     kd, kdp, dms = at.kd, at.kdp, ws.dms
-    blacks = list(kd.cols)
-    n = len(blacks)
-    bpos = {b: i for i, b in enumerate(blacks)}
+    n = len(kd.cols)
+    nf = len(ig.face_centers)
+    # the blacks are the rows of Delta^{m,bd}, then the faces
+    lower = np.zeros((nf, n - nf), dtype=complex)
 
     def block(low_right, upper_right):
-        m = np.zeros((n, n), dtype=complex)
-        for mat in (low_right, dms):
-            for (r, c), v in mat.entries.items():
-                m[bpos[r], bpos[c]] = v
-        if upper_right is not None:
-            for (r, c), v in upper_right.entries.items():
-                m[bpos[r], bpos[c]] = v
-        return p.kprime * m
+        return p.kprime * np.block([[low_right.dense(), upper_right],
+                                    [lower, dms.dense()]])
 
     lhs1 = np.conj(kdp.dense()).T @ kd.dense()
     if negative_control:
         lhs1 = _perturb(lhs1, seed)
-    r1 = _rel_inf(lhs1, block(at.dmp, at.q))
+    r1 = _rel_inf(lhs1, block(at.dmp, at.q.dense()))
     lhs2 = np.conj(kd.dense()).T @ kd.dense()
-    r2 = _rel_inf(lhs2, block(at.dmn, None))
+    r2 = _rel_inf(lhs2, block(at.dmn, lower.T))
     # lower-left block of the product must vanish identically
-    nf = len(ig.face_centers)
     zero_block = lhs1[n - nf:, :n - nf]
     r3 = float(np.abs(zero_block).max() / max(np.abs(lhs1).max(), 1e-300))
     res = max(r1, r2, r3)
@@ -427,11 +421,8 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     _matching, part = ws.m1
     s_mat, t_mat = at.st
     sd, td = s_mat.dense(), t_mat.dense()
-    spos = {b: i for i, b in enumerate(s_mat.rows)}
-    tpos = {w: i for i, w in enumerate(t_mat.rows)}
-    wcols = {w: j for j, w in enumerate(s_mat.cols)}
-    kq_cols = {w: j for j, w in enumerate(kqp.cols)}
-    kq_rows = {b: i for i, b in enumerate(kqp.rows)}
+    spos, tpos, wcols = s_mat.row_pos, t_mat.row_pos, s_mat.col_pos
+    kq_rows, kq_cols = kqp.row_pos, kqp.col_pos
     w_bnd = ws.dg.boundary_whites()
     w_all = list(s_mat.cols)
     w_inner = [w for w in w_all if w[1] not in w_bnd]
@@ -643,9 +634,8 @@ def _dual_gauge_path_independence(ws, u):
     exact holonomy, plus the explicit diagonal conjugation."""
     p = ws.p
     _kg, dstar = ws.at(u).gauge
-    scaled = op.TypedSparseMatrix(
-        dstar.rows, dstar.cols,
-        {kk: v / math.sqrt(p.kprime) for kk, v in dstar.entries.items()}, "scaled")
+    scaled = op.TypedSparseMatrix(dstar.rows, dstar.cols, dstar.i, dstar.j,
+                                  dstar.vals / math.sqrt(p.kprime), "scaled")
     dms = ws.dms
     d = op.gauge_q(dms, scaled, bipartite=False, tol=1e-8)
     dd = d.dense()

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from . import elliptic as el
@@ -65,7 +66,7 @@ def inverse_entries(m, pairs):
     ||A^-1||_1 the larger of ``onenormest`` and the largest solved column's
     1-norm (exact when every column is solved).
     """
-    a = m.csc()
+    a = csc_matrix((m.vals, (m.i, m.j)), shape=(len(m.rows), len(m.cols)), dtype=complex)
     n = a.shape[0]
     if a.shape[1] != n:
         raise SingularityError("matrix is not square")
@@ -271,9 +272,31 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
             t_cache[key] = t_mat
         return t_cache[key]
 
-    wanted = None
-    if pairs is not None:
-        wanted = set(pairs)
+    def black_coeff(blk):
+        """The parts of blk's prefactor on either side of the white's
+        sn(theta)^(-1), the special values and, away from the boundary
+        pairs, the weights cn((K -+ theta)/2) of the inverses at them."""
+        a_bar, b_bar, u_hat, v_hat = kq_special_values(ig, p, blk, qg)
+        w = qg.quad_of[blk]
+        role_f = qg.pair_role.get(w)
+        if role_f is None:
+            th_f = el.theta_transform(ig.rhombi[w].theta_bar, p)
+            sn_f, cn_f, dn_f = el.jacobi(th_f, p)
+            return (w, cmath.exp(0.5j * b_bar) * math.sqrt(p.kprime),
+                    1.0 + dn_f / p.kprime, 2.0 * math.sqrt(cn_f * sn_f), u_hat, v_hat,
+                    (el.cn(0.5 * (p.bigK - th_f), p), el.cn(0.5 * (p.bigK + th_f), p)))
+        side, bp_f = role_f
+        th_b = el.theta_transform(bp_f.theta_bar, p)
+        sn_b = el.sn(th_b, p)
+        if side == "l":
+            head, c_half = cmath.exp(0.5j * a_bar), el.cn(0.5 * (p.bigK + th_b), p)
+        else:
+            head, c_half = cmath.exp(0.5j * b_bar), el.cn(0.5 * (p.bigK - th_b), p)
+        return (w, head * math.sqrt(p.kprime), sn_b,
+                c_half * math.sqrt(el.cn(th_b, p) * sn_b), u_hat, v_hat, None)
+
+    wanted = None if pairs is None else set(pairs)
+    coeffs = {}
 
     for jw, wht in enumerate(whites):
         # initial data of the white vertex; the modified matrix multiplies
@@ -293,49 +316,32 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
         if is_wc:
             v_i, f_i = role_i[1].vc, role_i[1].fc
 
+        def gamma(u, w):
+            inv, kdp = kd_inverse_at(u)
+            t_mat = t_matrix_at(u)
+            val = 0.0j
+            if not is_root_wc:
+                tv = t_mat.get(wht, vkey(v_i))
+                if tv:
+                    val += tv * inv[kdp.col_pos[vkey(v_i)], kdp.row_pos[wkey(w)]]
+            tf = t_mat.get(wht, fkey(f_i))
+            val += tf * inv[kdp.col_pos[fkey(f_i)], kdp.row_pos[wkey(w)]]
+            return val
+
         for ib, blk in enumerate(blacks):
             if wanted is not None and (wht, blk) not in wanted:
                 continue
-            a_bar, b_bar, u_hat, v_hat = kq_special_values(ig, p, blk, qg)
-            w = qg.quad_of[blk]
-            role_f = qg.pair_role.get(w)
-            th_f = el.theta_transform(ig.rhombi[w].theta_bar, p)
-            sn_f, cn_f, dn_f = el.jacobi(th_f, p)
-
-            def gamma(u):
-                inv, kdp = kd_inverse_at(u)
-                t_mat = t_matrix_at(u)
-                val = 0.0j
-                if not is_root_wc:
-                    tv = t_mat.get(wht, vkey(v_i))
-                    if tv:
-                        val += tv * inv[kdp.col_pos[vkey(v_i)], kdp.row_pos[wkey(w)]]
-                tf = t_mat.get(wht, fkey(f_i))
-                val += tf * inv[kdp.col_pos[fkey(f_i)], kdp.row_pos[wkey(w)]]
-                return val
-
-            if role_f is None:
-                pref = (cmath.exp(0.5j * b_bar) * math.sqrt(p.kprime) * sn_pref_i
-                        * (1.0 + dn_f / p.kprime)
-                        / (2.0 * math.sqrt(cn_f * sn_f)))
-                cplus = el.cn(0.5 * (p.bigK - th_f), p)
-                cminus = el.cn(0.5 * (p.bigK + th_f), p)
-                formula[jw, ib] = pref * (cplus * gamma(u_hat) + cminus * gamma(v_hat))
+            if blk not in coeffs:
+                coeffs[blk] = black_coeff(blk)
+            w, head, mul, div, u_hat, v_hat, weights = coeffs[blk]
+            # sn_pref_i sits in the middle of the product: moving it would
+            # change the rounding
+            pref = head * sn_pref_i * mul / div
+            if weights is None:
+                formula[jw, ib] = pref * gamma(u_hat, w)
             else:
-                side, bp_f = role_f
-                th_b = el.theta_transform(bp_f.theta_bar, p)
-                sn_b = el.sn(th_b, p)
-                if side == "l":
-                    pref = (cmath.exp(0.5j * a_bar) * math.sqrt(p.kprime)
-                            * sn_pref_i * sn_b
-                            / (el.cn(0.5 * (p.bigK + th_b), p)
-                               * math.sqrt(el.cn(th_b, p) * sn_b)))
-                else:
-                    pref = (cmath.exp(0.5j * b_bar) * math.sqrt(p.kprime)
-                            * sn_pref_i * sn_b
-                            / (el.cn(0.5 * (p.bigK - th_b), p)
-                               * math.sqrt(el.cn(th_b, p) * sn_b)))
-                formula[jw, ib] = pref * gamma(u_hat)
+                cplus, cminus = weights
+                formula[jw, ib] = pref * (cplus * gamma(u_hat, w) + cminus * gamma(v_hat, w))
     return formula, direct, whites, blacks
 
 
@@ -361,9 +367,7 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     kq_inv = invert(kqt.dense())
-    kq_w = {w: i for i, w in enumerate(kqt.cols)}
-    kq_b = {b: i for i, b in enumerate(kqt.rows)}
-    fpos = kf.row_pos
+    kq_w, kq_b, fpos = kqt.col_pos, kqt.row_pos, kf.row_pos
 
     ext_of_b = _ext_of_b(fg)
     kappa = op._kappa(fg)
@@ -757,7 +761,7 @@ def unit_dirac(dg):
     ent = {}
     for (w, black), rec in dg.gd_edges.items():
         ent[(wkey(w), black)] = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
-    return op.TypedSparseMatrix(rows, cols, ent, "unit_dirac")
+    return op.TypedSparseMatrix.of(rows, cols, ent, "unit_dirac")
 
 
 def kf_zinv_case1(fg, qg, p, pairs=None):
@@ -776,30 +780,30 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     kf_inv = invert(kf.dense())
     kq_inv = invert(kq.dense())
     fqm = fisher_quadri_map(fg, qg)
-    fpos = kf.row_pos
-    wq = {w: i for i, w in enumerate(kq.cols)}
-    bq = {b: i for i, b in enumerate(kq.rows)}
+    fpos, wq, bq = kf.row_pos, kq.col_pos, kq.row_pos
     ext_of_b = _ext_of_b(fg)
 
     def q_fun(b_hat, w_bar):
         # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}
         return 1.0 / (d_b.get(b_hat, b_hat) * d_w.get(w_bar, w_bar))
 
+    per_b = {}
+    for b in fg.b_vertices:
+        if b in fg.boundary_b:
+            continue
+        b_op, eid = ext_of_b[b]
+        th = el.theta_transform(ig.rhombi[eid].theta_bar, p)
+        dn_t = el.jacobi(th, p)[2]
+        cm = el.cn(0.5 * (p.bigK - th), p)
+        e2 = el.cn(0.5 * (p.bigK + th), p) / cm     # = e^{-2J}
+        pref = cm * cm * (1.0 + dn_t / p.kprime) / 2.0   # = 1/(1+e^{-4J})
+        per_b[b] = (fqm.black_of_b[b], fqm.black_of_b[b_op], e2, pref)
+
     out = []
     a_list = fg.a_vertices if pairs is None else [a for a in fg.a_vertices if a in pairs]
     for a_bar in a_list:
         w_bar = fqm.white_of_a[a_bar]
-        for b in fg.b_vertices:
-            if b in fg.boundary_b:
-                continue
-            b_op, eid = ext_of_b[b]
-            b_hat = fqm.black_of_b[b]
-            b_hat_op = fqm.black_of_b[b_op]
-            th = el.theta_transform(ig.rhombi[eid].theta_bar, p)
-            dn_t = el.jacobi(th, p)[2]
-            cm = el.cn(0.5 * (p.bigK - th), p)
-            e2 = el.cn(0.5 * (p.bigK + th), p) / cm     # = e^{-2J}
-            pref = cm * cm * (1.0 + dn_t / p.kprime) / 2.0   # = 1/(1+e^{-4J})
+        for b, (b_hat, b_hat_op, e2, pref) in per_b.items():
             val = (q_fun(b_hat, w_bar) * pref
                    * (kq_inv[wq[w_bar], bq[b_hat]]
                       - 1j * e2 * kq_inv[wq[w_bar], bq[b_hat_op]]))

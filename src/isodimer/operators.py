@@ -15,11 +15,9 @@ or a double graph of one: both read the one table of the isoradial graph
 import cmath
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import elliptic as el
 from .derived import DoubleGraph, build_double, fkey, vkey, wkey, fisher_quadri_map
@@ -32,33 +30,51 @@ from .errors import (
 )
 
 
-@dataclass
 class TypedSparseMatrix:
-    rows: tuple
-    cols: tuple
-    entries: dict
-    name: str = ""
-    meta: dict = field(default_factory=dict)
-    _dense: object = None
+    """A complex matrix with typed row and column keys, as coordinate arrays.
 
-    def __post_init__(self):
-        self.row_pos = dict(zip(self.rows, range(len(self.rows))))
-        self.col_pos = dict(zip(self.cols, range(len(self.cols))))
+    Entry n holds ``vals[n]`` at ``(rows[i[n]], cols[j[n]])``; no (i, j)
+    repeats.  ``vals`` keeps the dtype it is given (a matrix of real entries
+    keeps real ones); ``dense`` is complex.  The ``{(row, col): value}`` view
+    ``entries`` and the key positions ``row_pos`` and ``col_pos`` are built on
+    first use.
+    """
+
+    def __init__(self, rows, cols, i, j, vals, name="", meta=None):
+        self.rows, self.cols = tuple(rows), tuple(cols)
+        self.i, self.j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        self.vals = np.asarray(vals)
+        self.name = name
+        self.meta = {} if meta is None else meta
+        self._dense = None
+
+    @classmethod
+    def of(cls, rows, cols, entries, name="", meta=None):
+        """The matrix of a ``{(row, col): value}`` dict, in the dict's order."""
+        row_pos = {r: n for n, r in enumerate(rows)}
+        col_pos = {c: n for n, c in enumerate(cols)}
+        return cls(rows, cols, [row_pos[r] for r, _c in entries],
+                   [col_pos[c] for _r, c in entries], list(entries.values()), name, meta)
+
+    @cached_property
+    def entries(self):
+        keys = zip(map(self.rows.__getitem__, self.i.tolist()),
+                   map(self.cols.__getitem__, self.j.tolist()))
+        return dict(zip(keys, self.vals.tolist()))
+
+    @cached_property
+    def row_pos(self):
+        return {r: n for n, r in enumerate(self.rows)}
+
+    @cached_property
+    def col_pos(self):
+        return {c: n for n, c in enumerate(self.cols)}
 
     def dense(self):
         if self._dense is None:
-            a = np.zeros((len(self.rows), len(self.cols)), dtype=complex)
-            for (r, c), v in self.entries.items():
-                a[self.row_pos[r], self.col_pos[c]] = v
-            self._dense = a
+            self._dense = np.zeros((len(self.rows), len(self.cols)), dtype=complex)
+            self._dense[self.i, self.j] = self.vals
         return self._dense
-
-    def csc(self):
-        """The same matrix as a complex ``scipy.sparse`` CSC matrix."""
-        keys = list(self.entries)
-        vals = np.array([self.entries[k] for k in keys], dtype=complex)
-        ij = ([self.row_pos[r] for r, _c in keys], [self.col_pos[c] for _r, c in keys])
-        return sparse.csc_matrix((vals, ij), shape=(len(self.rows), len(self.cols)))
 
     def get(self, r, c):
         return self.entries.get((r, c), 0.0)
@@ -150,7 +166,8 @@ class EdgeTable:
     def __init__(self, ig):
         self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
         self.graph = ig.graph_hash()
-        self._mod = self._spec = self._kq = None
+        self._mod = self._kq = None
+        self._specs = []
         self._layouts = {}
         self.eids = ig.edge_list()
         self.epos = {e: i for i, e in enumerate(self.eids)}
@@ -206,33 +223,41 @@ class EdgeTable:
 
     def at(self, p, u=None):
         """The stage of modulus ``p``, or of (p, u); the table keeps the latest
-        of each, so the builders at one (k, u) share them."""
+        modulus and the latest two spectral values, so the builders at one
+        (k, u) share them, and so does a side evaluation at another u."""
         if self._mod is None or (self._mod.p is not p and self._mod.p != p):
             self._mod = _Modulus(self, p)
         if u is None:
             return self._mod
         # repr tells -0.0 from 0.0, which == does not
-        if self._spec is None or self._spec.mod is not self._mod or repr(self._spec.u) != repr(u):
-            self._spec = _Spectral(self._mod, u)
-        return self._spec
+        for t in self._specs:
+            if t.mod is self._mod and repr(t.u) == repr(u):
+                return t
+        self._specs = [_Spectral(self._mod, u)] + self._specs[:1]
+        return self._specs[0]
 
     def kq_layout(self, qg):
-        """Entry keys, edges, kinds and phases e^{i phi} of the quadri
-        Kasteleyn matrix of ``qg``, and the (key, pair) of the entries its
-        boundary-pair variant scales by sn(theta); kept for the latest ``qg``."""
+        """Entry positions (black, white), edges, kinds and phases e^{i phi}
+        of the quadri Kasteleyn matrix of ``qg``, and the (entry, pair) of the
+        entries its boundary-pair variant scales by sn(theta), as two arrays;
+        kept for the latest ``qg``."""
         if self._kq is None or self._kq[0] is not qg:
-            keys, e, kinds, phase, scaled = [], [], [], [], []
-            for blk, wht, kind, phase_bar in qg.edges:
-                keys.append((blk, wht))
+            bpos = {b: n for n, b in enumerate(qg.blacks)}
+            wpos = {w: n for n, w in enumerate(qg.whites)}
+            i, j, e, kinds, phase, scaled = [], [], [], [], [], []
+            for n, (blk, wht, kind, phase_bar) in enumerate(qg.edges):
+                i.append(bpos[blk])
+                j.append(wpos[wht])
                 e.append(self.epos[qg.quad_of[blk]])
                 kinds.append(kind)
                 phase.append(2.0 * phase_bar)
                 role = qg.pair_role.get(qg.quad_of[blk])
                 if (role and qg.corner_of[blk] == 1
                         and (role[0], kind) in (("l", "ext"), ("r", "bq"))):
-                    scaled.append(((blk, wht), self.bp_index[role[1].vc]))
-            self._kq = (qg, (keys, _ints(e), np.array(kinds),
-                             np.exp(0.5j * np.array(phase, dtype=float)), scaled))
+                    scaled.append((n, self.bp_index[role[1].vc]))
+            self._kq = (qg, (_ints(i), _ints(j), _ints(e), np.array(kinds),
+                             np.exp(0.5j * np.array(phase, dtype=float)),
+                             _ints(s for s, _p in scaled), _ints(p for _s, p in scaled)))
         return self._kq[1]
 
 
@@ -245,34 +270,28 @@ class _Layout:
         self.tab, self.rooted = tab, dg.rooted
         self._st = None
         recs = list(dg.gd_edges.values())
-        self.whites = tuple(wkey(w) for w in dg.whites)
+        self.whites = tuple(wkey(w) for w in dg.whites)     # in ``eids`` order
         self.blacks = tuple(dg.blacks)
-        bpos = {b: i for i, b in enumerate(self.blacks)}
+        self.bpos = {b: i for i, b in enumerate(self.blacks)}
         self.gd_e = _ints(tab.epos[w] for w, _b in dg.gd_edges)
-        self._gd_w = [self.whites[e] for e in self.gd_e.tolist()]
-        self._gd_b = [self.blacks[bpos[b]] for _w, b in dg.gd_edges]
+        self.gd_j = _ints(self.bpos[b] for _w, b in dg.gd_edges)
         self.gd_a = tab.ix([rec["alpha"] for rec in recs])
         self.gd_b = tab.ix([rec["beta"] for rec in recs])
         self.gd_v = np.array([rec["kind"] == "v" for rec in recs], dtype=bool)
         self.gd_dual = np.flatnonzero(~self.gd_v)
-        pos = dict(zip(dg.gd_edges, range(len(recs))))
-        self.p_kd = _ints(pos[(bp.wl, vkey(bp.vc))] for bp in tab.pairs)
+        self.p_kd = _ints(self.gd_pos[(bp.wl, vkey(bp.vc))] for bp in tab.pairs)
 
     def phase(self):
         """e^{i(alpha+beta)/2} of every entry, as a new array."""
         angles = self.tab.angles
         return np.exp(0.5j * (angles[self.gd_a] + angles[self.gd_b]))
 
-    def gd_keys(self):
-        """The (white, black) keys of the entries, as a new list (the layout
-        keeps their two halves only, which is lighter on large graphs)."""
-        return list(zip(self._gd_w, self._gd_b))
-
     @cached_property
     def gd_pos(self):
         """The position of each double-graph edge (white edge id, black key)."""
-        eids = self.tab.eids
-        return {(eids[e], b): i for i, (e, b) in enumerate(zip(self.gd_e.tolist(), self._gd_b))}
+        eids, blacks = self.tab.eids, self.blacks
+        return {(eids[e], blacks[j]): i
+                for i, (e, j) in enumerate(zip(self.gd_e.tolist(), self.gd_j.tolist()))}
 
     @cached_property
     def sides(self):
@@ -287,11 +306,12 @@ class _Layout:
         return _ints(f for f, _i in sides), _ints(i for _f, i in sides), inner
 
     def st_layout(self, qg):
-        """Keys and lifts of the S and T entries for the quadri graph ``qg``;
-        kept for the latest ``qg``.
+        """Positions and lifts of the S and T entries for the quadri graph
+        ``qg``; kept for the latest ``qg``.
 
-        S: keys, lifts a, b, the lift c of cn and of the phase e^{-ic/2}, the
-        edge, the phase.  T: keys, then for each kind of entry (0 at v:
+        S has one entry per black of ``qg``, in order: lifts a, b, the lift c
+        of cn and of the phase e^{-ic/2}, the edge (the white's position),
+        the phase.  T: row and column positions, then for each kind of entry (0 at v:
         e^{-ib/2} cn(u_b); 1 at f: e^{-i(b+pi)/2} cd(u_b - K); 2 and 3 at the
         central white of a pair: -i k' e^{-i alpha_r/2} sn(theta)
         nd(u_{alpha_r}) cd(u_{beta_r}) and e^{-i beta_l/2} cd(u_{beta_l})) its
@@ -310,24 +330,25 @@ class _Layout:
                 a, b = ((role[1].alpha_r, role[1].beta_r) if role[0] == "r"
                         else (role[1].alpha_l, role[1].beta_l))
             c = a if role is not None and role[0] == "l" else b
-            s.append(((blk, wkey(eid)), a, b, c, tab.epos[eid]))
-        for wht in qg.whites:
+            s.append((a, b, c, tab.epos[eid]))
+        bpos = self.bpos
+        for n, wht in enumerate(qg.whites):
             eid = qg.quad_of[wht]
             r, role, corner = ig.rhombi[eid], qg.pair_role.get(eid), qg.corner_of[wht]
             if role is not None and corner == 2 and role[0] == "l":
                 bp = role[1]
                 if not bp.is_root:
-                    t.append(((wht, vkey(bp.vc)), 2, bp.alpha_r, bp.beta_r,
+                    t.append((n, bpos[vkey(bp.vc)], 2, bp.alpha_r, bp.beta_r,
                               tab.bp_index[bp.vc]))
-                t.append(((wht, fkey(bp.fc)), 3, bp.beta_l, bp.beta_l, 0))
+                t.append((n, bpos[fkey(bp.fc)], 3, bp.beta_l, bp.beta_l, 0))
                 continue
             v, f, b = (r.v2, r.f1, r.beta_bar) if corner == 2 else (
                 r.v1, r.f2, r.beta_bar + math.pi)
             if not (self.rooted and v == ig.root):
-                t.append(((wht, vkey(v)), 0, b, b, 0))
-            t.append(((wht, fkey(f)), 1, b, b, 0))
-        s_keys, sa, sb, sc, se = zip(*s)
-        t_keys, kind, tx, ty, pair = zip(*t)
+                t.append((n, bpos[vkey(v)], 0, b, b, 0))
+            t.append((n, bpos[fkey(f)], 1, b, b, 0))
+        sa, sb, sc, se = zip(*s)
+        t_i, t_j, kind, tx, ty, pair = zip(*t)
         kind, tx, ty = _ints(kind), np.array(tx, dtype=float), np.array(ty, dtype=float)
         groups = []
         for k in range(4):
@@ -335,9 +356,9 @@ class _Layout:
             x = tx[pos]
             groups.append((pos, tab.ix(x), tab.ix(ty[pos]), _ints(pair)[pos],
                            np.exp(-0.5j * (x + math.pi if k == 1 else x))))
-        s_lay = (s_keys, tab.ix(sa), tab.ix(sb), tab.ix(sc), _ints(se),
+        s_lay = (tab.ix(sa), tab.ix(sb), tab.ix(sc), _ints(se),
                  np.exp(-0.5j * np.array(sc, dtype=float)))
-        self._st = (qg, (s_lay, (t_keys, groups)))
+        self._st = (qg, (s_lay, (_ints(t_i), _ints(t_j), groups)))
         return self._st[1]
 
 
@@ -486,7 +507,7 @@ def _massive_laplacian(name, meta, rows, edges, diag, pairs=()):
         ent[r, r] = d
     for vc, vl, off, dia in pairs:
         ent[vc, vl], ent[vc, vc] = off, dia
-    return TypedSparseMatrix(rows, rows, ent, name, meta)
+    return TypedSparseMatrix.of(rows, rows, ent, name, meta)
 
 
 def _at(g, p, u, level):
@@ -605,7 +626,7 @@ def q_matrix(ig, p, u):
     ent = {(vkey(bp.vc), fkey(bp.fc)): -1j * nd_bl / cd_al * (cd_br - cd_al)
            for bp, nd_bl, cd_al, cd_br in zip(tab.pairs, t.nd[tab.p_bl].tolist(),
                                               t.cd[tab.p_al].tolist(), t.cd[tab.p_br].tolist())}
-    return TypedSparseMatrix(rows, tab.dual.fkeys, ent, "q_matrix", t.meta())
+    return TypedSparseMatrix.of(rows, tab.dual.fkeys, ent, "q_matrix", t.meta())
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +655,7 @@ def dirac(dg, p, u, variant="plain"):
     if variant == "boundary":
         vals[lay.p_kd] = vals[lay.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
     name = "dirac_plain" if variant == "plain" else "dirac_boundary"
-    return TypedSparseMatrix(lay.whites, lay.blacks, dict(zip(lay.gd_keys(), vals.tolist())),
-                             name, t.meta())
+    return TypedSparseMatrix(lay.whites, lay.blacks, e, lay.gd_j, vals, name, t.meta())
 
 
 def kd_gauge_and_directed_laplacian(dg, p, u):
@@ -656,8 +676,8 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
                 * t.nd[lay.gd_a[f]] * t.nd[lay.gd_b[f]])
     vals = lay.phase()
     vals[f] = vals[f] * gamma[f]
-    kg = TypedSparseMatrix(lay.whites, lay.blacks, dict(zip(lay.gd_keys(), vals.tolist())),
-                           "dirac_gauge", t.meta())
+    kg = TypedSparseMatrix(lay.whites, lay.blacks, lay.gd_e, lay.gd_j, vals, "dirac_gauge",
+                           t.meta())
 
     # directed Laplacian on bounded faces + outer, with gamma*(u) conductances;
     # an edge toward the outer face adds to its diagonal only
@@ -671,7 +691,7 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
         lap[fk[f2], fk[f1]] = lap.get((fk[f2], fk[f1]), 0.0) - g[i2]
     for r, d in zip(fk, diag):
         lap[r, r] = d
-    return kg, TypedSparseMatrix(fk, fk, lap, "delta_star_outer", t.meta())
+    return kg, TypedSparseMatrix.of(fk, fk, lap, "delta_star_outer", t.meta())
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +705,9 @@ def kasteleyn_KQ(qg, ig, p):
     kind, 1 on external and boundary-quadrangle edges.
     """
     m = edge_table(ig).at(p)
-    keys, e, kinds, phase, _scaled = m.tab.kq_layout(qg)
+    i, j, e, kinds, phase, _pos, _pair = m.tab.kq_layout(qg)
     weight = np.where(kinds == "sn", m.sn_t[e], np.where(kinds == "cn", m.cn_t[e], 1.0))
-    ent = dict(zip(keys, (phase * weight).tolist()))
-    return TypedSparseMatrix(tuple(qg.blacks), tuple(qg.whites), ent, "kasteleyn_KQ",
+    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, phase * weight, "kasteleyn_KQ",
                              m.meta())
 
 
@@ -696,11 +715,11 @@ def kq_bar_partial(qg, ig, p):
     """Modified matrix: boundary-pair edges (b_l, w_l), (b_r, w_r) x sn(theta)."""
     kq = kasteleyn_KQ(qg, ig, p)
     m = edge_table(ig).at(p)
-    sn_b = m.sn_b.tolist()
-    ent = dict(kq.entries)
-    for key, pair in m.tab.kq_layout(qg)[4]:
-        ent[key] = ent[key] * sn_b[pair]
-    return TypedSparseMatrix(kq.rows, kq.cols, ent, "kq_bar_partial", dict(kq.meta))
+    pos, pair = m.tab.kq_layout(qg)[5:]
+    vals = kq.vals.copy()
+    vals[pos] = vals[pos] * m.sn_b[pair]
+    return TypedSparseMatrix(kq.rows, kq.cols, kq.i, kq.j, vals, "kq_bar_partial",
+                             dict(kq.meta))
 
 
 def kasteleyn_KQ_real(qg, ig, couplings, orientation, p=None):
@@ -721,8 +740,8 @@ def kasteleyn_KQ_real(qg, ig, couplings, orientation, p=None):
             j = couplings[eid]
             w = math.tanh(2.0 * j) if kind == "sn" else 1.0 / math.cosh(2.0 * j)
         ent[(blk, wht)] = orientation[(blk, wht)] * w
-    return TypedSparseMatrix(rows, cols, ent, "kasteleyn_KQ_real",
-                             {"graph": ig.graph_hash()})
+    return TypedSparseMatrix.of(rows, cols, ent, "kasteleyn_KQ_real",
+                                {"graph": ig.graph_hash()})
 
 
 def z_invariant_couplings(ig, p):
@@ -752,8 +771,8 @@ def kasteleyn_KF(fg, couplings):
         w = math.exp(-2.0 * couplings[eid])
         ent[(x, y)] = fg.eps(x, y) * w
         ent[(y, x)] = fg.eps(y, x) * w
-    m = TypedSparseMatrix(verts, verts, ent, "kasteleyn_KF",
-                          {"graph": fg.ig.graph_hash()})
+    m = TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF",
+                             {"graph": fg.ig.graph_hash()})
     m.check_antisymmetric()
     return m
 
@@ -794,7 +813,7 @@ def fisher_aux(fg, qg, kf):
         x_ent[(by, hat_x)] = kf.get(bx, by)
     for b in fg.boundary_b:
         x_ent[(b, fqm.black_of_b[b])] = 1.0
-    x_mat = TypedSparseMatrix(b_list, bq_list, x_ent, "fisher_X")
+    x_mat = TypedSparseMatrix.of(b_list, bq_list, x_ent, "fisher_X")
 
     # M: rows B, cols A.  With (a, a', b) in ccw order around the triangle,
     # (m_{b,a}, m_{b,a'}) = (-eps_{b,a}, eps_{b,a'}); in storage order the ccw
@@ -804,7 +823,7 @@ def fisher_aux(fg, qg, kf):
         a_prev, a_next = fg.triangles[b]
         m_ent[(b, a_next)] = -fg.eps(b, a_next)
         m_ent[(b, a_prev)] = fg.eps(b, a_prev)
-    m_mat = TypedSparseMatrix(b_list, a_list, m_ent, "fisher_M")
+    m_mat = TypedSparseMatrix.of(b_list, a_list, m_ent, "fisher_M")
 
     # blocks of K^F
     kf_d = kf.dense()
@@ -818,32 +837,28 @@ def fisher_aux(fg, qg, kf):
         m_prime_d = -np.linalg.solve(k_ba, k_bb)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("K^F_{B,A} block is singular") from exc
-    m_prime = TypedSparseMatrix(
-        a_list, b_list,
-        {(a_list[i], b_list[j]): m_prime_d[i, j]
-         for i in range(len(a_list)) for j in range(len(b_list))
-         if abs(m_prime_d[i, j]) > 1e-15},
-        "fisher_Mprime")
+    i, j = np.nonzero(np.abs(m_prime_d) > 1e-15)
+    m_prime = TypedSparseMatrix(a_list, b_list, i, j, m_prime_d[i, j], "fisher_Mprime")
 
-    kappa = TypedSparseMatrix(a_list, a_list, _kappa(fg), "fisher_kappa")
+    kappa = TypedSparseMatrix.of(a_list, a_list, _kappa(fg), "fisher_kappa")
 
     # I_{W,A} and the diagonal couplers
     i_ent = {(w, fqm.a_of_white[w]): 1.0 for w in wq_list}
-    i_wa = TypedSparseMatrix(wq_list, a_list, i_ent, "fisher_I_WA")
+    i_wa = TypedSparseMatrix.of(wq_list, a_list, i_ent, "fisher_I_WA")
 
     d_bqa_ent = {}
     for blk in bq_list:
         a = fqm.a_of_black[blk]
         b = fqm.b_of_black[blk]
         d_bqa_ent[(blk, a)] = float(fg.eps(b, a))
-    d_bqa = TypedSparseMatrix(bq_list, a_list, d_bqa_ent, "fisher_D_BQA")
+    d_bqa = TypedSparseMatrix.of(bq_list, a_list, d_bqa_ent, "fisher_D_BQA")
 
     d_ab_ent = {}
     for b in b_list:
         a_prev, a_next = fg.triangles[b]
         # cw cycle is (a_next, b, a_prev): b comes just before a_prev
         d_ab_ent[(a_prev, b)] = 0.5 * fg.eps(b, a_prev)
-    d_ab = TypedSparseMatrix(a_list, b_list, d_ab_ent, "fisher_D_AB")
+    d_ab = TypedSparseMatrix.of(a_list, b_list, d_ab_ent, "fisher_D_AB")
 
     blocks = {"K_BB": k_bb, "K_BA": k_ba, "K_AB": k_ab, "K_AA": k_aa,
               "B": b_list, "A": a_list}
@@ -861,21 +876,20 @@ def s_t_matrices(qg, dg, p, u):
     lay = t.tab.layout(dg)
     m, (s_rows, t_rows) = t.mod, lay.st_layout(qg)
 
-    keys, a, b, c, e, phase = s_rows
+    a, b, c, e, phase = s_rows
     rad = m.sn_t[e] * m.cn_t[e] * t.nd[a] * t.nd[b]
     vals = phase * t.cn[c] * _sqrt_pos(rad, "s entry")
-    s_mat = TypedSparseMatrix(tuple(qg.blacks), lay.whites, dict(zip(keys, vals.tolist())),
+    s_mat = TypedSparseMatrix(qg.blacks, lay.whites, np.arange(len(e)), e, vals,
                               "intertwiner_S", t.meta())
 
-    keys, (v, f, center_v, center_f) = t_rows
-    vals = np.empty(len(keys), dtype=complex)
+    i, j, (v, f, center_v, center_f) = t_rows
+    vals = np.empty(len(i), dtype=complex)
     vals[v[0]] = v[4] * t.cn[v[1]]
     vals[f[0]] = f[4] * t.cd_shifted(f[1])
     pos, x, y, pair, phase = center_v
     vals[pos] = (-1j * p.kprime) * phase * m.sn_b[pair] * t.nd[x] * t.cd[y]
     vals[center_f[0]] = center_f[4] * t.cd[center_f[1]]
-    t_mat = TypedSparseMatrix(tuple(qg.whites), lay.blacks, dict(zip(keys, vals.tolist())),
-                              "intertwiner_T", t.meta())
+    t_mat = TypedSparseMatrix(qg.whites, lay.blacks, i, j, vals, "intertwiner_T", t.meta())
     return s_mat, t_mat
 
 
@@ -927,9 +941,8 @@ def gauge_q(m_mat, n_mat, x0=None, bipartite=None, tol=1e-10):
             if abs(lhs - q[c]) > tol * max(abs(q[c]), 1.0):
                 raise NotGaugeEquivalentError(
                     f"cycle product mismatch through edge ({r}, {c})", cycle=[r, c])
-        d = TypedSparseMatrix(m_mat.rows, m_mat.rows,
-                              {(v, v): q[v] for v in verts}, "gauge_D")
-        return d
+        return TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
+                                    {(v, v): q[v] for v in verts}, "gauge_D")
 
     # bipartite: ratios q on edges, path products from x0 over the bipartite graph
     nodes = list(m_mat.rows) + list(m_mat.cols)
@@ -964,8 +977,8 @@ def gauge_q(m_mat, n_mat, x0=None, bipartite=None, tol=1e-10):
                 f"alternating product mismatch through edge ({b}, {w})", cycle=[b, w])
     # M = D_B N D_W with D_B = 1/q_b, D_W = q_w ... fixed so that
     # M_{b,w} = D_B[b] N_{b,w} D_W[w]; from q_w = q_b * N/M:  M = (q_b/q_w) N.
-    d_b = TypedSparseMatrix(m_mat.rows, m_mat.rows,
-                            {(b, b): q[b] for b in m_mat.rows}, "gauge_DB")
-    d_w = TypedSparseMatrix(m_mat.cols, m_mat.cols,
-                            {(w, w): 1.0 / q[w] for w in m_mat.cols}, "gauge_DW")
+    d_b = TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
+                               {(b, b): q[b] for b in m_mat.rows}, "gauge_DB")
+    d_w = TypedSparseMatrix.of(m_mat.cols, m_mat.cols,
+                               {(w, w): 1.0 / q[w] for w in m_mat.cols}, "gauge_DW")
     return d_b, d_w

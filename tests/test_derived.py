@@ -226,17 +226,3 @@ def test_reference_matching_partition(ig_2x2):
     tm = der.temperley_map(dg)
     _, dual_out = tm.matching_to_trees(m1)
     assert set(dual_out) == set(range(len(ig_2x2.face_centers)))
-
-
-def test_json_exports(ig_1x1):
-    dg = der.build_double(ig_1x1)
-    qg = der.build_quadri(ig_1x1)
-    fg = der.build_fisher(ig_1x1)
-    import json
-
-    for blob in (der.double_graph_json(dg), der.quadri_graph_json(qg),
-                 der.fisher_graph_json(fg)):
-        data = json.loads(blob)
-        assert "vertices" in data and "edges" in data
-        roles = {v["role"] for v in data["vertices"]}
-        assert roles & {"primal", "dual", "white", "black", "A", "B"}

@@ -313,6 +313,30 @@ def test_battery_builds_each_operator_once(ig_2x2, monkeypatch):
                            "build_fisher": 1, "reference_matching_M1": 1}
 
 
+def test_side_stage_is_kept(monkeypatch):
+    # the partition check evaluates u + 2K aside; the edge table keeps the
+    # stage at u through it, so the checks at one u build each stage once
+    import isodimer.operators as op
+
+    built = []
+    init = op._Spectral.__init__
+
+    def counting(self, mod, u):
+        built.append(repr(u))
+        init(self, mod, u)
+
+    monkeypatch.setattr(op._Spectral, "__init__", counting)
+    ig = iso.make_isoradial(iso.build_square_lattice(2, 2))
+    p = complete_integrals(0.6)
+    ws = idn.Workspace(ig, p)
+    for u in iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=3):
+        built.clear()
+        for check in (idn.check_det_tree_forest, idn.check_partition_function,
+                      idn.check_directed_laplacian_gauge):
+            assert check(ws, u).passed
+        assert sorted(built) == sorted([repr(u), repr((u + 2.0 * p.bigK) % (4.0 * p.bigK))])
+
+
 def test_gauge_holonomy_exact():
     from conftest import get_graph
 

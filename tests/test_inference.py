@@ -60,14 +60,14 @@ def test_sparse_inverse_entry_singular():
     with pytest.raises(SingularityError, match="conditioning gate"):
         inf.green_center_diagonal(ig, complete_integrals(0.0))
     keys = ("a", "b")
-    exact = op.TypedSparseMatrix(keys, keys, {("a", "a"): 1.0, ("a", "b"): 2.0,
-                                              ("b", "a"): 1.0, ("b", "b"): 2.0})
+    exact = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0, ("a", "b"): 2.0,
+                                                 ("b", "a"): 1.0, ("b", "b"): 2.0})
     with pytest.raises(SingularityError, match="exactly singular"):
         inf.inverse_entry(exact, "a", "a")
-    tiny = op.TypedSparseMatrix(keys, keys, {("a", "a"): 1.0, ("b", "b"): 1e-16})
+    tiny = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0, ("b", "b"): 1e-16})
     with pytest.raises(SingularityError, match="conditioning gate"):
         inf.inverse_entry(tiny, "a", "a")
-    wide = op.TypedSparseMatrix(("a",), keys, {("a", "a"): 1.0, ("a", "b"): 1.0})
+    wide = op.TypedSparseMatrix.of(("a",), keys, {("a", "a"): 1.0, ("a", "b"): 1.0})
     with pytest.raises(SingularityError, match="not square"):
         inf.inverse_entry(wide, "a", "a")
 
@@ -126,7 +126,7 @@ def test_sparse_table_singular(ig_2x2, params_half, monkeypatch):
     exact = {rc: v for rc, v in kd.entries.items() if rc[0] != w0}
     tiny = {rc: v * 1e-16 if rc[0] == w0 else v for rc, v in kd.entries.items()}
     for ent, msg in ((exact, "exactly singular"), (tiny, "conditioning gate")):
-        m = op.TypedSparseMatrix(kd.rows, kd.cols, ent, "singular")
+        m = op.TypedSparseMatrix.of(kd.rows, kd.cols, ent, "singular")
         monkeypatch.setattr(op, "dirac", lambda *_args, m=m: m)
         with pytest.raises(SingularityError, match=msg):
             inf.edge_probabilities_gd(dg, params_half, 0.3)
@@ -322,6 +322,34 @@ def test_kf_zinv_case1(ig_2x2):
     assert rows
     for (_a, _b, formula, direct) in rows:
         assert abs(formula - direct) < 1e-9
+
+
+def test_inverse_formulas_evaluate_once_per_vertex(monkeypatch):
+    # kq_inverse_formula evaluates special values, prefactors and cn weights
+    # once per black, kf_zinv_case1 theta, dn and cn once per B; evaluated per
+    # (white, black) or (A, B) pair they made 1,234 (irregular), 457 (1x1) and
+    # 576 (2x2) jacobi calls
+    from isodimer import elliptic as el
+
+    calls = []
+    real = el.jacobi
+    monkeypatch.setattr(el, "jacobi", lambda *args: calls.append(args) or real(*args))
+    p = complete_integrals(0.3)
+    for spec, bound in (("irregular", 720), ("square:1x1", 230)):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        calls.clear()
+        formula, direct, _w, _b = inf.kq_inverse_formula(der.build_quadri(ig),
+                                                         der.build_double(ig), p)
+        assert len(calls) <= bound, spec
+        assert np.abs(formula - direct).max() <= 1e-9 * np.abs(direct).max()
+    ig = iso.make_isoradial(iso.build_square_lattice(2, 2))
+    fg = der.build_fisher(ig)
+    op.z_invariant_couplings(ig, p)     # the modulus stage, built first
+    calls.clear()
+    rows = inf.kf_zinv_case1(fg, der.build_quadri(ig), p)
+    inner_b = [b for b in fg.b_vertices if b not in fg.boundary_b]
+    assert len(calls) == 3 * len(inner_b)
+    assert max(abs(formula - direct) for _a, _b, formula, direct in rows) < 1e-9
 
 
 def test_dotsenko(ig_2x2, ig_hex):

@@ -281,14 +281,71 @@ def test_gauge_negative_control(ig_2x2, params_half):
     eps_q = der.induce_orientation_GQ(fg, qg)
     kqt = op.kasteleyn_KQ_real(qg, ig_2x2, couplings, eps_q)
     kq = op.kasteleyn_KQ(qg, ig_2x2, params_half)
-    bad = op.TypedSparseMatrix(kq.rows, kq.cols, dict(kq.entries), "bad")
-    key = next(iter(bad.entries))
-    bad.entries[key] *= 1.5
+    ent = dict(kq.entries)
+    key = next(iter(ent))
+    ent[key] *= 1.5
+    bad = op.TypedSparseMatrix.of(kq.rows, kq.cols, ent, "bad")
     with pytest.raises(NotGaugeEquivalentError):
         op.gauge_q(kqt, bad, bipartite=True)
     # identity gauge
     d = op.gauge_q(kqt, kqt, bipartite=True)
     assert all(abs(v - 1.0) < 1e-14 for v in d[0].entries.values())
+
+
+def test_storage_contract(monkeypatch):
+    # every builder's coordinate arrays agree with its entry view, its dense
+    # form and the CSC matrix that inverse_entries factors
+    from conftest import get_graph
+
+    from isodimer import inference as inf
+    from isodimer.errors import SingularityError
+
+    factored = []
+    real_csc = inf.csc_matrix
+
+    def recording_csc(*args, **kwargs):
+        factored.append(real_csc(*args, **kwargs))
+        return factored[-1]
+
+    monkeypatch.setattr(inf, "csc_matrix", recording_csc)
+    for spec in ("square:2x2", "irregular"):
+        ig = get_graph(spec)
+        dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
+        eps_q = der.induce_orientation_GQ(fg, qg)
+        for k in (0.0, 0.6):
+            p = complete_integrals(k)
+            u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+            couplings = op.z_invariant_couplings(ig, p)
+            kq, kqt = op.kasteleyn_KQ(qg, ig, p), op.kasteleyn_KQ_real(qg, ig, couplings, eps_q)
+            kf = op.kasteleyn_KF(fg, couplings)
+            mats = [op.dirac(dg, p, u, "plain"), op.dirac(dg, p, u, "boundary"),
+                    op.delta_m_natural(ig, p, u), op.delta_m_partial(ig, p, u),
+                    op.delta_m_star(ig, p), op.delta_m_bulk(ig, p), op.q_matrix(ig, p, u),
+                    kq, op.kq_bar_partial(qg, ig, p), kqt, kf,
+                    *op.fisher_aux(fg, qg, kf)[:7], *op.s_t_matrices(qg, dg, p, u),
+                    *op.kd_gauge_and_directed_laplacian(dg, p, u),
+                    *op.gauge_q(kqt, kq, bipartite=True), inf.unit_dirac(dg)]
+            if k == 0.0:
+                mats += [op.delta_m_partial_critical_limit(ig),
+                         op.delta_m_partial_complex_u(ig, 0.3 - 2.0j)]
+            for m in mats:
+                what = (spec, k, m.name)
+                fill = np.zeros((len(m.rows), len(m.cols)), dtype=complex)
+                for (r, c), v in m.entries.items():
+                    fill[m.row_pos[r], m.col_pos[c]] = v
+                assert len(m.entries) == len(m.vals), what
+                assert np.array_equal(m.dense(), fill), what
+                again = op.TypedSparseMatrix.of(m.rows, m.cols, m.entries, m.name, m.meta)
+                assert (again.rows, again.cols) == (m.rows, m.cols), what
+                assert again.vals.dtype == m.vals.dtype, what
+                for a, b in ((again.i, m.i), (again.j, m.j), (again.vals, m.vals)):
+                    assert np.array_equal(a, b), what
+                factored.clear()
+                try:
+                    inf.inverse_entry(m, m.cols[0], m.rows[0])
+                except SingularityError:
+                    pass
+                assert np.array_equal(factored[0].toarray(), m.dense()), what
 
 
 def test_zinv_coupling_identities(params_half):
