@@ -290,9 +290,8 @@ def build_parser():
         sp.add_argument("--oracle", action="store_true",
                         help="enable brute-force cross checks")
         sp.add_argument("--budget", type=int, default=2 ** 20,
-                        help="oracle size bound, exit 3 past it: spin configurations "
-                             "(spins), frontier states (polygons, matchings), search "
-                             "nodes (dST pairs)")
+                        help="oracle size bound, exit 3 past it: frontier states "
+                             "(spins, polygons, matchings), search nodes (dST pairs)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--negative-control", dest="negative_control",
                         action="store_true")

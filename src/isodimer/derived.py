@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BijectionError, IsoradialityError, OracleBudgetError, OrientationError
+from .isoradial import PlanarGraph
 
 
 def vkey(v):
@@ -318,10 +319,10 @@ class FisherGraph:
         self.a_vertices.sort()
         self.b_vertices.sort()
 
-        # planar faces from coordinates, then a Kasteleyn orientation
+        # the faces of the straight-line embedding, then a Kasteleyn orientation
         all_edges = [(x, y) for x, y in self.internal_edges] + [
             (x, y) for x, y, _ in self.external_edges]
-        self.faces = _faces_from_coords(self.coords, all_edges)
+        self.faces = PlanarGraph(self.coords, all_edges).faces
         self.orientation = kasteleyn_orient(
             sorted(self.coords), [tuple(sorted(e, key=str)) for e in all_edges],
             self.faces)
@@ -352,42 +353,6 @@ def build_fisher(ig):
     fg = FisherGraph(ig=ig)
     fg.degree_check()
     return fg
-
-
-def _faces_from_coords(coords, edges):
-    """Bounded faces (CCW cycles) of a straight-line planar graph."""
-    import cmath
-
-    adj = {}
-    for x, y in edges:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    for v in adj:
-        adj[v].sort(key=lambda w: cmath.phase(coords[w] - coords[v]) % (2 * math.pi))
-    # every dart starts a face when it is the smallest (by str) not yet traced
-    used = set()
-    faces = []
-    for start in sorted([d for x, y in edges for d in ((x, y), (y, x))], key=str):
-        if start in used:
-            continue
-        cyc = []
-        cur = start
-        while True:
-            cyc.append(cur[0])
-            used.add(cur)
-            u, v = cur
-            nbrs = adj[v]
-            i = nbrs.index(u)
-            cur = (v, nbrs[i - 1])
-            if cur == start:
-                break
-        area = 0.0
-        for i in range(len(cyc)):
-            a, b = coords[cyc[i]], coords[cyc[(i + 1) % len(cyc)]]
-            area += a.real * b.imag - a.imag * b.real
-        if area > 0:
-            faces.append(tuple(cyc))
-    return faces
 
 
 def kasteleyn_orient(vertices, edges, faces):
@@ -501,7 +466,6 @@ class FisherQuadriMap:
     a_of_white: dict = field(default_factory=dict)   # GQ white -> A key (I_{W,A})
     a_of_black: dict = field(default_factory=dict)   # GQ black -> A key (D_{BQ,A})
     white_of_a: dict = field(default_factory=dict)
-    ext_white: dict = field(default_factory=dict)    # GQ vertex -> its ext partner
 
     def __post_init__(self):
         if self.b_of_black:
@@ -516,10 +480,6 @@ class FisherQuadriMap:
             f = r.f1 if qg.corner_of[blk] == 1 else r.f2
             self.b_of_black[blk] = ("b", f, eid)
             self.black_of_b[("b", f, eid)] = blk
-        for x, y, kind, _ in qg.edges:
-            if kind == "ext":
-                self.ext_white[x] = y
-                self.ext_white[y] = x
         for blk in qg.blacks:
             side = qg.side_of[blk]
             self.a_of_black[blk] = self.a_of_side[side]
@@ -758,7 +718,7 @@ def fisher_polygon_map(fg, matching):
 
 
 # ---------------------------------------------------------------------------
-# frontier (transfer-matrix) sum: the shared matching and polygon oracle
+# frontier (transfer-matrix) sum: the shared matching, polygon and spin oracle
 # ---------------------------------------------------------------------------
 
 def _frontier_sum(vertices, edges, weights, rule, budget, marginals=False):

@@ -8,7 +8,6 @@ their operators from a :class:`Workspace`, which builds each once per
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -24,7 +23,7 @@ from .derived import (
     induce_orientation_GQ,
     reference_matching_M1,
 )
-from .errors import DomainError
+from .errors import DomainError, OracleBudgetError
 
 DEFAULT_TOL = 1e-9
 DET_TOL = 1e-8
@@ -111,9 +110,9 @@ class Workspace(_Memo):
     The derived graphs and the reference matching depend on the graph alone
     and are shared with every workspace :meth:`with_modulus` makes.  The
     double graph is the workspace's own; every builder reads the edge table
-    of the isoradial graph, built when first needed.  The operators of the modulus
-    are kept for the life of the workspace; those of a spectral value live in
-    :meth:`at`, which keeps the latest u only.
+    of the isoradial graph, built when first needed.  The operators of the
+    modulus, and those of every spectral value asked for through :meth:`at`,
+    are kept for the life of the workspace.
     """
 
     def __init__(self, ig, p):
@@ -123,7 +122,7 @@ class Workspace(_Memo):
         self._graph = graph
         self.ig, self.dg, self.qg = graph.ig, graph.dg, graph.qg
         self.p = p
-        self._at = None
+        self._ats = {}
 
     def with_modulus(self, p):
         """A workspace for modulus ``p`` sharing this one's graph structures."""
@@ -143,11 +142,12 @@ class Workspace(_Memo):
         return {"k": self.p.k, "u": u, "graph": self.ig.graph_hash()}
 
     def at(self, u):
-        """The operators at spectral value ``u``; asking for another u drops them."""
+        """The operators at spectral value ``u``, built on first use."""
         # repr tells -0.0 from 0.0, which == does not
-        if self._at is None or repr(self._at.u) != repr(u):
-            self._at = _AtU(self, u)
-        return self._at
+        key = repr(u)
+        if key not in self._ats:
+            self._ats[key] = _AtU(self, u)
+        return self._ats[key]
 
     # -- modulus level ------------------------------------------------------
 
@@ -191,9 +191,15 @@ class Workspace(_Memo):
         return op.z_invariant_couplings(self.dg, self.p)
 
     def spin_sum(self, budget):
-        """The + boundary Ising partition function by spin enumeration."""
-        return self._once("spins", lambda: inf.brute_force_spins(
-            self.ig, self.couplings, budget).weighted_sum)
+        """The + boundary Ising partition function of the spin oracle, or None
+        when its frontier sum overruns ``budget``; either is found once."""
+        def spins():
+            try:
+                return inf.brute_force_spins(self.ig, self.couplings, budget).weighted_sum
+            except OracleBudgetError:
+                return None
+
+        return self._once("spins", spins)
 
 
 class _AtU(_Memo):
@@ -394,10 +400,7 @@ def _add_root_pair(total, t):
 def log_z_plus_squared_formula(ws, u):
     """log of the closed form for the squared + boundary Ising partition
     function (eta-product form; see _log_c_tilde)."""
-    return _log_z_plus_squared(ws, ws.at(u))
-
-
-def _log_z_plus_squared(ws, at):
+    at = ws.at(u)
     total = ws.white_logs[3] + at.log_product("eta")
     total += at.log_product("k_nd")
     return _add_root_pair(total, at.table) + at.lad("dmp")
@@ -407,9 +410,9 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
                              negative_control=False):
     """Partition-function chain: |det K^Q| vs C(u) |det K^{D,bd}(u)|, the
     block-partition factorization, and the squared Ising partition function
-    (against spin and polygon enumerations when affordable)."""
+    (against the spin oracle when its frontier sum fits ``oracle_budget``)."""
     t0 = time.perf_counter()
-    ig, p = ws.ig, ws.p
+    p = ws.p
     at = ws.at(u)
     kqp = ws.kqp
     lad_kq = ws.lad("kq")
@@ -465,18 +468,16 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     r2 = abs(lhs_fact - rhs_fact)
 
     # closed form for [Z+]^2
-    log_z2 = _log_z_plus_squared(ws, at)
+    log_z2 = log_z_plus_squared_formula(ws, u)
     detail = {"kq_vs_kd": r1, "factorization": r2}
     r3 = 0.0
-    boundary = ig.base.boundary_vertices()
-    n_free = len(ig.base.coords) - len(boundary)
-    if 2 ** n_free <= oracle_budget:
-        r3 = abs(2.0 * math.log(ws.spin_sum(oracle_budget)) - log_z2)
+    z_spins = ws.spin_sum(oracle_budget)
+    if z_spins is not None:
+        r3 = abs(2.0 * math.log(z_spins) - log_z2)
         detail["ising_vs_forest"] = r3
-    # u and u+2K symmetry of the second corollary form; the shifted u is
-    # evaluated aside so the operators at u stay cached
+    # u and u+2K symmetry of the second corollary form
     u_b = (u + 2.0 * p.bigK) % (4.0 * p.bigK)
-    log_z2_b = _log_z_plus_squared(ws, _AtU(ws, u_b))
+    log_z2_b = log_z_plus_squared_formula(ws, u_b)
     r4 = abs(log_z2 - log_z2_b)
     detail["u_shift_consistency"] = r4
     res = max(r1, r2, r3, r4)
@@ -608,25 +609,12 @@ def _gauge_holonomy(ws, u):
     steps are reciprocal and multiply to 1 around every cycle, i.e. when q is
     well defined.
     """
-    adj = {}
-    for (fa, fb), eid in ws.ig.dual_edges:
-        adj.setdefault(fa, []).append((fb, eid))
-        adj.setdefault(fb, []).append((fa, eid))
     step = _dual_step(ws.at(u))
-    q = {}
-    for root in sorted(adj):
-        if root in q:
-            continue
-        q[root] = 1.0
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b, eid in adj[a]:
-                if b not in q:
-                    q[b] = q[a] * step[(a, eid)]
-                    queue.append(b)
-    return max((abs(q[a] * step[(a, eid)] / q[b] - 1.0)
-                for a in adj for b, eid in adj[a]), default=0.0)
+    steps = {}
+    for (fa, fb), eid in ws.ig.dual_edges:
+        steps.setdefault(fa, []).append((fb, step[(fa, eid)]))
+        steps.setdefault(fb, []).append((fa, step[(fb, eid)]))
+    return op.gauge_potential(steps, sorted(steps))[1]
 
 
 def _dual_gauge_path_independence(ws, u):

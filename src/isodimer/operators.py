@@ -167,7 +167,7 @@ class EdgeTable:
         self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
         self.graph = ig.graph_hash()
         self._mod = self._kq = None
-        self._specs = []
+        self._specs = {}
         self._layouts = {}
         self.eids = ig.edge_list()
         self.epos = {e: i for i, e in enumerate(self.eids)}
@@ -222,19 +222,19 @@ class EdgeTable:
         return i
 
     def at(self, p, u=None):
-        """The stage of modulus ``p``, or of (p, u); the table keeps the latest
-        modulus and the latest two spectral values, so the builders at one
-        (k, u) share them, and so does a side evaluation at another u."""
+        """The stage of modulus ``p``, or of (p, u).  The table keeps the
+        latest modulus and every spectral stage of it, so each (k, u) is
+        evaluated once however its uses interleave; a new modulus drops them."""
         if self._mod is None or (self._mod.p is not p and self._mod.p != p):
             self._mod = _Modulus(self, p)
+            self._specs = {}
         if u is None:
             return self._mod
         # repr tells -0.0 from 0.0, which == does not
-        for t in self._specs:
-            if t.mod is self._mod and repr(t.u) == repr(u):
-                return t
-        self._specs = [_Spectral(self._mod, u)] + self._specs[:1]
-        return self._specs[0]
+        key = repr(u)
+        if key not in self._specs:
+            self._specs[key] = _Spectral(self._mod, u)
+        return self._specs[key]
 
     def kq_layout(self, qg):
         """Entry positions (black, white), edges, kinds and phases e^{i phi}
@@ -722,7 +722,7 @@ def kq_bar_partial(qg, ig, p):
                              dict(kq.meta))
 
 
-def kasteleyn_KQ_real(qg, ig, couplings, orientation, p=None):
+def kasteleyn_KQ_real(qg, ig, couplings, orientation):
     """Real bipartite Kasteleyn matrix of the quadri graph for couplings J.
 
     ``couplings`` maps primal edge ids to J; quadrangle weights are tanh(2J)
@@ -811,7 +811,7 @@ def fisher_aux(fg, qg, kf):
         x_ent[(bx, hat_y)] = kf.get(by, bx)
         x_ent[(by, hat_y)] = 1.0
         x_ent[(by, hat_x)] = kf.get(bx, by)
-    for b in fg.boundary_b:
+    for b in sorted(fg.boundary_b):
         x_ent[(b, fqm.black_of_b[b])] = 1.0
     x_mat = TypedSparseMatrix.of(b_list, bq_list, x_ent, "fisher_X")
 
@@ -897,86 +897,74 @@ def s_t_matrices(qg, dg, p, u):
 # gauge equivalence
 # ---------------------------------------------------------------------------
 
-def gauge_q(m_mat, n_mat, x0=None, bipartite=None, tol=1e-10):
+def gauge_potential(steps, roots):
+    """A multiplicative potential carried along BFS trees, and how far it is
+    from a gauge.
+
+    ``steps`` maps a node to its steps (y, s), in the order the search takes
+    them: q(y) is to be q(x) s.  Each of ``roots`` not reached yet roots a
+    tree with q = 1, and the first step to reach a node sets its q.  Returns
+    (q, worst, step): the largest |q(x) s / q(y) - 1| over the steps out of
+    the nodes reached, which is 0 exactly when the steps multiply to 1 around
+    every cycle (NaN once any gap is), and the (x, y) of that step (None when
+    there is none).
+    """
+    q = {}
+    for root in roots:
+        if root in q:
+            continue
+        q[root] = 1.0
+        queue = [root]
+        for x in queue:
+            for y, s in steps.get(x, ()):
+                if y not in q:
+                    q[y] = q[x] * s
+                    queue.append(y)
+    worst, where = 0.0, None
+    for x in q:
+        for y, s in steps.get(x, ()):
+            gap = abs(q[x] * s / q[y] - 1.0)
+            if gap > worst or math.isnan(gap):
+                worst, where = gap, (x, y)
+    return q, worst, where
+
+
+def gauge_q(m_mat, n_mat, bipartite, tol=1e-10):
     """Diagonal gauge between two matrices with equal cycle products.
 
     Directed case (square, same index set): returns D with M = D N D^(-1).
     Bipartite case (rows=blacks, cols=whites): returns (D_B, D_W) with
-    M = D_B N D_W.  Raises NotGaugeEquivalentError with an offending cycle.
+    M = D_B N D_W.  The potential is carried from the first row over the
+    entries, neighbours in str order.  Raises NotGaugeEquivalentError with an
+    offending edge when the pattern is not connected from there or a cycle
+    product differs by more than ``tol``.
     """
     if set(m_mat.entries) != set(n_mat.entries):
         raise NotGaugeEquivalentError("sparsity patterns differ")
-    if bipartite is None:
-        bipartite = m_mat.rows != m_mat.cols
-
     scale = max(max((abs(v) for v in m_mat.entries.values()), default=1.0), 1.0)
-
-    if not bipartite:
-        verts = list(m_mat.rows)
-        adj = {}
-        for (r, c) in m_mat.entries:
-            if r != c:
-                adj.setdefault(r, []).append(c)
-        x0 = x0 if x0 is not None else verts[0]
-        q = {x0: 1.0}
-        order = [x0]
-        tree_parent = {x0: None}
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for y in sorted(adj.get(x, []), key=str):
-                if y not in q:
-                    q[y] = q[x] * (n_mat.get(x, y) / m_mat.get(x, y))
-                    tree_parent[y] = x
-                    order.append(y)
-        if len(q) != len(verts):
-            raise NotGaugeEquivalentError("digraph not strongly connected on pattern")
-        for (r, c) in m_mat.entries:
-            if r == c:
-                if abs(m_mat.get(r, c) - n_mat.get(r, c)) > tol * scale:
-                    raise NotGaugeEquivalentError(f"diagonal mismatch at {r}", cycle=[r])
-                continue
-            lhs = q[r] * (n_mat.get(r, c) / m_mat.get(r, c))
-            if abs(lhs - q[c]) > tol * max(abs(q[c]), 1.0):
-                raise NotGaugeEquivalentError(
-                    f"cycle product mismatch through edge ({r}, {c})", cycle=[r, c])
-        return TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
-                                    {(v, v): q[v] for v in verts}, "gauge_D")
-
-    # bipartite: ratios q on edges, path products from x0 over the bipartite graph
-    nodes = list(m_mat.rows) + list(m_mat.cols)
-    adj = {}
-    for (b, w) in m_mat.entries:
-        adj.setdefault(b, []).append(w)
-        adj.setdefault(w, []).append(b)
-    x0 = x0 if x0 is not None else nodes[0]
-
-    def edge_q(b, w):
-        return n_mat.get(b, w) / m_mat.get(b, w)
-
-    q = {x0: 1.0}
-    order = [x0]
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for y in sorted(adj.get(x, []), key=str):
-            if y in q:
-                continue
-            if x in m_mat.row_pos and (x, y) in m_mat.entries:
-                q[y] = q[x] * edge_q(x, y)
-            else:
-                q[y] = q[x] / edge_q(y, x)
-            order.append(y)
+    steps = {}
+    for (r, c), m in m_mat.entries.items():
+        if r == c and not bipartite:
+            if abs(m - n_mat.get(r, c)) > tol * scale:
+                raise NotGaugeEquivalentError(f"diagonal mismatch at {r}", cycle=[r])
+            continue
+        ratio = n_mat.get(r, c) / m
+        steps.setdefault(r, []).append((c, ratio))
+        if bipartite:
+            steps.setdefault(c, []).append((r, 1.0 / ratio))
+    for out in steps.values():
+        out.sort(key=lambda ys: str(ys[0]))
+    nodes = m_mat.rows + m_mat.cols if bipartite else m_mat.rows
+    q, worst, where = gauge_potential(steps, nodes[:1])
     if len(q) != len(nodes):
-        raise NotGaugeEquivalentError("bipartite pattern not connected")
-    for (b, w) in m_mat.entries:
-        if abs(q[b] * edge_q(b, w) - q[w]) > tol * max(abs(q[w]), 1.0):
-            raise NotGaugeEquivalentError(
-                f"alternating product mismatch through edge ({b}, {w})", cycle=[b, w])
-    # M = D_B N D_W with D_B = 1/q_b, D_W = q_w ... fixed so that
-    # M_{b,w} = D_B[b] N_{b,w} D_W[w]; from q_w = q_b * N/M:  M = (q_b/q_w) N.
+        raise NotGaugeEquivalentError("pattern not connected from the first row")
+    if not worst <= tol:
+        raise NotGaugeEquivalentError(f"cycle product mismatch through edge {where}",
+                                      cycle=list(where))
+    if not bipartite:
+        return TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
+                                    {(v, v): q[v] for v in m_mat.rows}, "gauge_D")
+    # q_w = q_b N_{b,w} / M_{b,w}, so M_{b,w} = q_b N_{b,w} / q_w
     d_b = TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
                                {(b, b): q[b] for b in m_mat.rows}, "gauge_DB")
     d_w = TypedSparseMatrix.of(m_mat.cols, m_mat.cols,

@@ -148,6 +148,21 @@ def subset_scan_polygons(ig, couplings):
     return count, total
 
 
+def spin_loop(ig, couplings):
+    """Reference: (count, sum) of exp(sum_e J_e s_a s_b) over the spin
+    configurations with every boundary spin +1, one configuration at a time."""
+    boundary = ig.base.boundary_vertices()
+    free = [v for v in sorted(ig.base.coords) if v not in boundary]
+    edges = [(ig.rhombi[e].v1, ig.rhombi[e].v2, couplings[e]) for e in ig.edge_list()]
+    total = 0.0
+    for bits in range(2 ** len(free)):
+        spin = {v: 1 for v in boundary}
+        for i, v in enumerate(free):
+            spin[v] = 1 if (bits >> i) & 1 else -1
+        total += math.exp(sum(j * spin[a] * spin[b] for a, b, j in edges))
+    return 2 ** len(free), total
+
+
 # ---------------------------------------------------------------------------
 # per-edge scalar references for the edge-table gathers of isodimer.operators
 # ---------------------------------------------------------------------------

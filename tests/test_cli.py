@@ -208,12 +208,13 @@ def test_oracle_command_and_budget(tmp_path):
     assert kinds["dst-pairs"]["count"] == 8
     assert abs(kinds["spins"]["weighted_sum"]
                - kinds["polygons"]["weighted_sum"]) < 1e-6
+    # the spin frontier on 3x3 takes 43 states
     assert run_cli(["oracle", "--builder", "square:3x3", "--k", "0.5",
                     "--budget", "4"]) == 3
 
 
 def test_oracle_budget_bounds_dst_pairs(capsys):
-    # spins (4 configurations) and polygons fit in 200; the dST-pair search
+    # spins (17 frontier states) and polygons fit in 200; the dST-pair search
     # needs 89,719 nodes, so the caller's budget stops it
     assert run_cli(["oracle", "--builder", "square:3x2", "--k", "0.5",
                     "--budget", "200"]) == 3

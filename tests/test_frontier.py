@@ -1,5 +1,5 @@
-"""The frontier (transfer-matrix) sum under the matching and polygon oracles,
-checked against the exhaustive references in conftest."""
+"""The frontier (transfer-matrix) sum under the matching, polygon and spin
+oracles, checked against the exhaustive references in conftest."""
 
 import math
 import os
@@ -8,12 +8,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import branching_matchings, get_graph, subset_scan_polygons
+from conftest import branching_matchings, get_graph, spin_loop, subset_scan_polygons
 
 from isodimer import derived as der
 from isodimer import inference as inf
 from isodimer import operators as op
 from isodimer.derived import wkey
+from isodimer.elliptic import complete_integrals
 from isodimer.errors import OracleBudgetError
 
 
@@ -62,6 +63,24 @@ def test_polygons_match_subset_scan(params_half):
         assert abs(oc.extra["polygon_sum"] - z_ref) <= 1e-12 * z_ref
 
 
+def test_spins_match_configuration_loop():
+    # each graph at three moduli and at random couplings of either sign;
+    # square:5x5 (2^16 configurations, about 1.5 s for the loop) at one modulus
+    rng = np.random.default_rng(3)
+    for spec in ("square:1x1", "square:1x2", "square:2x2", "square:3x2", "square:3x3",
+                 "square:4x3", "square:5x5", "hex", "tripair", "irregular"):
+        ig = get_graph(spec)
+        cases = [op.z_invariant_couplings(ig, complete_integrals(0.5))]
+        if spec != "square:5x5":
+            cases += [op.z_invariant_couplings(ig, complete_integrals(k)) for k in (0.0, 0.9)]
+            cases.append({e: float(rng.uniform(-1.0, 1.0)) for e in ig.edge_list()})
+        for couplings in cases:
+            n_ref, z_ref = spin_loop(ig, couplings)
+            oc = inf.brute_force_spins(ig, couplings)
+            assert oc.count == n_ref, spec
+            assert abs(oc.weighted_sum - z_ref) <= 1e-12 * z_ref, spec
+
+
 def test_frontier_budget_counts_states():
     # the 4-cycle a-b-c-d: BFS from a takes (a,b), (a,d), (b,c), (c,d) and
     # keeps 2, 2, 2 and 1 frontier states, 7 in all, for its 2 matchings
@@ -87,7 +106,9 @@ ws = [1.0] * len(fg.internal_edges) + [
     math.exp(-2 * couplings[eid]) for *_xy, eid in fg.external_edges]
 print(repr(der.enumerate_matchings(set(fg.vertices()), es, ws, marginals=True)))
 ig = iso.make_isoradial(iso.builder_graph("square:3x3"))
-print(repr(inf.brute_force_polygons(ig, op.z_invariant_couplings(ig, complete_integrals(0.5)))))
+couplings = op.z_invariant_couplings(ig, complete_integrals(0.5))
+print(repr(inf.brute_force_polygons(ig, couplings)))
+print(repr(inf.brute_force_spins(ig, couplings)))
 """
 
 

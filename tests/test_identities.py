@@ -314,15 +314,16 @@ def test_battery_builds_each_operator_once(ig_2x2, monkeypatch):
 
 
 def test_side_stage_is_kept(monkeypatch):
-    # the partition check evaluates u + 2K aside; the edge table keeps the
-    # stage at u through it, so the checks at one u build each stage once
+    # the partition check also reads u + 2K; the edge table keeps every stage
+    # of its modulus, so the checks at one u build each stage once, and a
+    # battery builds one stage per distinct (k, u)
     import isodimer.operators as op
 
     built = []
     init = op._Spectral.__init__
 
     def counting(self, mod, u):
-        built.append(repr(u))
+        built.append((mod.p.k, repr(u)))
         init(self, mod, u)
 
     monkeypatch.setattr(op._Spectral, "__init__", counting)
@@ -334,7 +335,36 @@ def test_side_stage_is_kept(monkeypatch):
         for check in (idn.check_det_tree_forest, idn.check_partition_function,
                       idn.check_directed_laplacian_gauge):
             assert check(ws, u).passed
-        assert sorted(built) == sorted([repr(u), repr((u + 2.0 * p.bigK) % (4.0 * p.bigK))])
+        assert sorted(v for _k, v in built) == sorted(
+            [repr(u), repr((u + 2.0 * p.bigK) % (4.0 * p.bigK))])
+    for spec in ("hex", "square:2x2"):
+        built.clear()
+        assert all(r.passed for r in idn.run_battery(iso.make_isoradial(iso.builder_graph(spec))))
+        assert built and len(built) == len(set(built)), spec
+
+
+def test_spin_term_left_out_past_budget(ig_2x2, monkeypatch):
+    # the spin frontier of 2x2 needs more than 2 states: the partition check
+    # leaves its spin term out, and asks the oracle once per workspace
+    import isodimer.inference as inf
+
+    calls = []
+    spins = inf.brute_force_spins
+
+    def counting(*args):
+        calls.append(args)
+        return spins(*args)
+
+    monkeypatch.setattr(inf, "brute_force_spins", counting)
+    p = complete_integrals(0.6)
+    ws = idn.Workspace(ig_2x2, p)
+    us = iso.admissible_u(ig_2x2, p, "doubleprime", delta=p.bigK / 16, count=3)
+    for u in us:
+        rep = idn.check_partition_function(ws, u, oracle_budget=2)
+        assert rep.passed and "ising_vs_forest" not in rep.detail
+    assert len(calls) == 1
+    rep = idn.check_partition_function(idn.Workspace(ig_2x2, p), us[0])
+    assert rep.detail["ising_vs_forest"] <= 1e-12
 
 
 def test_gauge_holonomy_exact():

@@ -530,6 +530,10 @@ def test_oracle_budget(ig_3x3, params_half):
     couplings = op.z_invariant_couplings(ig_3x3, params_half)
     with pytest.raises(OracleBudgetError):
         inf.brute_force_polygons(ig_3x3, couplings, budget=4)
+    # the spin budget counts frontier states: 43 on 3x3, for 16 configurations
+    assert inf.brute_force_spins(ig_3x3, couplings, budget=43).count == 16
+    with pytest.raises(OracleBudgetError):
+        inf.brute_force_spins(ig_3x3, couplings, budget=42)
 
 
 def test_probability_csv(ig_1x1, params_half):

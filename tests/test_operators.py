@@ -4,6 +4,9 @@ intertwiners, gauge machinery."""
 import cmath
 import copy
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +290,11 @@ def test_gauge_negative_control(ig_2x2, params_half):
     bad = op.TypedSparseMatrix.of(kq.rows, kq.cols, ent, "bad")
     with pytest.raises(NotGaugeEquivalentError):
         op.gauge_q(kqt, bad, bipartite=True)
+    # a NaN entry is no gauge either
+    ent[key] = complex("nan")
+    nan = op.TypedSparseMatrix.of(kq.rows, kq.cols, ent, "nan")
+    with pytest.raises(NotGaugeEquivalentError):
+        op.gauge_q(kqt, nan, bipartite=True)
     # identity gauge
     d = op.gauge_q(kqt, kqt, bipartite=True)
     assert all(abs(v - 1.0) < 1e-14 for v in d[0].entries.values())
@@ -405,6 +413,30 @@ def test_fisher_aux_invariants(ig_2x2, params_half):
     # kappa t Kasteleyn relation: kappa K^F_{A,B} = -D_{A,B}
     prod = kappa.dense() @ blocks["K_AB"]
     assert np.abs(prod + d_ab.dense()).max() < 1e-13
+
+
+_X_ORDER = """
+from isodimer import derived as der, isoradial as iso, operators as op
+from isodimer.elliptic import complete_integrals
+ig = iso.make_isoradial(iso.builder_graph("square:2x2"))
+fg, qg = der.build_fisher(ig), der.build_quadri(ig)
+kf = op.kasteleyn_KF(fg, op.z_invariant_couplings(ig, complete_integrals(0.5)))
+x_mat = op.fisher_aux(fg, qg, kf)[0]
+print(x_mat.i.tolist(), x_mat.j.tolist())
+"""
+
+
+def test_fisher_x_order_independent_of_hash_seed():
+    # the boundary B-vertices are a set: X must not store them in hash order
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", _X_ORDER], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_s_t_sparsity_and_shift(ig_2x2, params_half):
