@@ -211,9 +211,8 @@ def cmd_partition(cfg):
         log_z2 = idn.log_z_plus_squared_formula(ws, u)
         entry = {"k": k, "u": u, "log_z_plus_squared_formula": log_z2}
         if cfg.oracle:
-            couplings = op.z_invariant_couplings(ig, p)
             try:
-                zs = inf.brute_force_spins(ig, couplings, cfg.budget)
+                zs = inf.brute_force_spins(ig, ws.couplings, cfg.budget)
             except OracleBudgetError as exc:
                 print(f"oracle budget exhausted: {exc}", file=sys.stderr)
                 return EXIT_BUDGET

@@ -187,6 +187,20 @@ class QuadriGraph:
         self.blacks.sort()
         self.whites.sort()
 
+    def black_lifts(self, blk):
+        """The lifts (a, b) of black ``blk``: alpha and beta of its rhombus
+        at corner 1, both plus pi at corner 3, and the lifts of its side of
+        the boundary pair on a pair rhombus."""
+        eid = self.quad_of[blk]
+        role = self.pair_role.get(eid)
+        if role is not None:
+            bp = role[1]
+            return (bp.alpha_l, bp.beta_l) if role[0] == "l" else (bp.alpha_r, bp.beta_r)
+        r = self.ig.rhombi[eid]
+        if self.corner_of[blk] == 1:
+            return r.alpha_bar, r.beta_bar
+        return r.alpha_bar + math.pi, r.beta_bar + math.pi
+
     # -- faces (combinatorial), used by the Kasteleyn orientation check -----
     def faces(self):
         ig = self.ig
@@ -266,6 +280,7 @@ class FisherGraph:
     b_vertices: list = field(default_factory=list)
     internal_edges: list = field(default_factory=list)
     external_edges: list = field(default_factory=list)  # (bkey, bkey, edge_id)
+    ext_of_b: dict = field(default_factory=dict)         # bkey -> (other bkey, edge_id)
     a_cycle: dict = field(default_factory=dict)          # f -> list of A keys, CCW
     triangles: dict = field(default_factory=dict)        # bkey -> (a_prev, a_next)
     boundary_b: set = field(default_factory=set)
@@ -316,6 +331,8 @@ class FisherGraph:
             if len(ports) != 2:
                 raise IsoradialityError(f"inner edge {eid} has {len(ports)} Fisher ports")
             self.external_edges.append((ports[0], ports[1], eid))
+            self.ext_of_b[ports[0]] = (ports[1], eid)
+            self.ext_of_b[ports[1]] = (ports[0], eid)
         self.a_vertices.sort()
         self.b_vertices.sort()
 
@@ -517,8 +534,7 @@ def induce_orientation_GQ(fg, qg):
         elif kind == "cn":
             # b' = the B across the external Fisher edge; a'' = A of the
             # opposite white's external side
-            bp = next(e for e in fg.external_edges if b in e[:2])
-            b_op = bp[0] if bp[1] == b else bp[1]
+            b_op = fg.ext_of_b[b][0]
             a_opp = fqm.a_of_white[wht]
             val = eps_f(b, b_op) * eps_f(b_op, a_opp)
         else:

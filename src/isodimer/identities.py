@@ -55,6 +55,12 @@ def _report(name, ctx, residual, tol, t0, detail=None):
                           detail=detail or {})
 
 
+def _worst(*parts):
+    """The largest residual part, or NaN when any part is NaN (``max`` drops
+    a NaN that does not come first)."""
+    return math.nan if any(map(math.isnan, parts)) else max(parts)
+
+
 def _rel_inf(lhs, rhs):
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
@@ -320,7 +326,7 @@ def check_dirac_laplacian(ws, u, tol=DEFAULT_TOL, negative_control=False,
     # lower-left block of the product must vanish identically
     zero_block = lhs1[n - nf:, :n - nf]
     r3 = float(np.abs(zero_block).max() / max(np.abs(lhs1).max(), 1e-300))
-    res = max(r1, r2, r3)
+    res = _worst(r1, r2, r3)
     return _report("dirac_laplacian", ws.ctx(u), res, tol, t0,
                    {"partial": r1, "natural": r2, "zero_block": r3})
 
@@ -345,7 +351,7 @@ def check_main_intertwiner(ws, u, tol=DEFAULT_TOL, negative_control=False,
         r2 = _rel_inf(lhs2, rhs2)
     else:
         r2 = 0.0
-    res = max(r1, r2)
+    res = _worst(r1, r2)
     return _report("main_intertwiner", ws.ctx(u), res, tol, t0,
                    {"finite": r1, "interior": r2})
 
@@ -369,7 +375,7 @@ def check_det_tree_forest(ws, u, tol=DET_TOL, negative_control=False):
     rhs2 = (0.5 * (n_v - 1) * math.log(p.kprime) + log_cs
             + at.log_product("k_nd") + at.lad("dmp"))
     r2 = abs(at.lad("kdp") - rhs2)
-    res = max(r1, r2)
+    res = _worst(r1, r2)
     return _report("det_tree_forest", ws.ctx(u), res, tol, t0,
                    {"dirac_vs_dual_forest": r1, "boundary_vs_forest": r2})
 
@@ -480,7 +486,7 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     log_z2_b = log_z_plus_squared_formula(ws, u_b)
     r4 = abs(log_z2 - log_z2_b)
     detail["u_shift_consistency"] = r4
-    res = max(r1, r2, r3, r4)
+    res = _worst(r1, r2, r3, r4)
     return _report("partition_function", ws.ctx(u), res, tol, t0, detail)
 
 
@@ -519,7 +525,7 @@ def check_z_invariance(p, thetas, u, alpha1=0.0, tol=1e-10):
         zt = (gt[(j1, j2)] * gt[(j2, j)] + gt[(j2, j1)] * gt[(j1, j)]
               + gt[(j1, j)] * gt[(j2, j)])
         checks.append(abs(zs - c_const * zt) / abs(zs))
-    res = max(checks)
+    res = _worst(*checks)
     ctx = {"k": p.k, "u": u, "graph": "star-triangle"}
     return _report("z_invariance", ctx, res, tol, t0,
                    {"checks": [float(c) for c in checks]})
@@ -556,7 +562,7 @@ def check_dubedat(ws, couplings=None, tol=DEFAULT_TOL, det_tol=DET_TOL,
     pf = inf.pfaffian(kf)
     det = np.linalg.det(kf.dense())
     r6 = abs(pf * pf - det) / abs(det)
-    res = max(r1, r2, r3, r4, r5 / max(1.0, abs(lad_f)), r6)
+    res = _worst(r1, r2, r3, r4, r5 / max(1.0, abs(lad_f)), r6)
     return _report("dubedat", ws.ctx(None), res, max(tol, det_tol), t0,
                    {"blocks": [float(r1), float(r2), float(r3), float(r4)],
                     "det_gap": float(r5), "pf_sq": float(r6)})
@@ -580,7 +586,7 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
              - ws.lad("dms"))
     # gauge function well defined: exact holonomy on the restricted dual
     r4 = _dual_gauge_path_independence(ws, u)
-    res = max(r1, r2, r3, r4)
+    res = _worst(r1, r2, r3, r4)
     return _report("directed_laplacian_gauge", ws.ctx(u), res, tol, t0,
                    {"kd_vs_kg": r1, "kg_vs_dstar": r2, "dstar_vs_forest": r3,
                     "path_independence": r4})
@@ -628,8 +634,8 @@ def _dual_gauge_path_independence(ws, u):
     d = op.gauge_q(dms, scaled, bipartite=False, tol=1e-8)
     dd = d.dense()
     resid = np.abs(dms.dense() - dd @ scaled.dense() @ np.linalg.inv(dd)).max()
-    return float(max(_gauge_holonomy(ws, u),
-                     resid / max(1.0, np.abs(dms.dense()).max())))
+    return float(_worst(_gauge_holonomy(ws, u),
+                        resid / max(1.0, np.abs(dms.dense()).max())))
 
 
 # ---------------------------------------------------------------------------

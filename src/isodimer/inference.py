@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from . import elliptic as el
@@ -149,6 +149,16 @@ def _u_arg(u, angle_bar, p):
     return 0.5 * (u - el.angle_transform(angle_bar, p))
 
 
+def _incidence(pos, ends, c):
+    """The matrix with c[e] at (pos[ends[e]], e) for every edge e whose end is
+    a row key of ``pos``; an end that is not (the root, a missing face) drops
+    out."""
+    m = np.zeros((len(pos), len(c)), dtype=complex)
+    e = [i for i, x in enumerate(ends) if x in pos]
+    m[[pos[ends[i]] for i in e], e] = c[e]
+    return m
+
+
 def kd_inverse_formula(dg, p, u):
     """Coefficients of the inverse boundary Dirac operator through the Green
     functions of the massive Laplacians, plus the direct inverse for checks.
@@ -156,202 +166,124 @@ def kd_inverse_formula(dg, p, u):
     Returns (formula, direct, rows, cols) where formula/direct are dense
     arrays indexed like the transpose of the Dirac operator (rows = blacks,
     cols = whites).  The blacks are the rows of Delta^{m,bd}(u), then those
-    of Delta^{m,*}, so the column of a white w is a combination of rows of
-    their Green functions G_bd and G_*, with coefficients of w alone.
+    of Delta^{m,*}: the primal block is G_bd^T C_V and the dual block
+    G_*^T (C_F + Q^T G_bd^T C_V), where C_V and C_F hold the coefficients of
+    each white w at the vertices and faces of its rhombus and Q is the
+    boundary coupling block.
     """
-    ig, kp, big_k = dg.ig, p.kprime, p.bigK
     kdp = op.dirac(dg, p, u, "boundary")
     direct = invert(kdp.dense())
-    dmp = op.delta_m_partial(ig, p, u)
-    dms = op.delta_m_star(ig, p)
-    g_par = invert(dmp.dense())
-    g_star = invert(dms.dense())
-    vp, fp, n_v = dmp.row_pos, dms.row_pos, len(dmp.rows)
-    boundary_whites = dg.boundary_whites()
-    rows = list(kdp.cols)  # blacks
-    cols = list(kdp.rows)  # whites
-    formula = np.zeros((len(rows), len(cols)), dtype=complex)
-
-    # the boundary coupling of each non-root pair: its v_c row, i * coefficient
-    # and G_* row at f_c
-    pair_data = []
-    for bp in ig.boundary_pairs:
-        if not bp.is_root:
-            cd_al = el.cd(_u_arg(u, bp.alpha_l, p), p)
-            coeff = (el.nd(_u_arg(u, bp.beta_l, p), p) / cd_al
-                     * (el.cd(_u_arg(u, bp.beta_r, p), p) - cd_al))
-            pair_data.append((vp[vkey(bp.vc)], 1j * coeff, g_star[fp[fkey(bp.fc)]]))
-
-    for jw, (_w, w) in enumerate(cols):
-        r = ig.rhombi[w]
-        ua, ub = _u_arg(u, r.alpha_bar, p), _u_arg(u, r.beta_bar, p)
-        phase = cmath.exp(-0.5j * (r.alpha_bar + r.beta_bar))
-        # primal rows; a term at the removed root vertex drops out (the rooted
-        # operator has no column there)
-        term2 = term1 = 0.0
-        if r.v2 != ig.root:
-            term2 = math.sqrt(el.dn(ua, p) * el.dn(ub, p)) * g_par[vp[vkey(r.v2)]]
-        if r.v1 != ig.root:
-            term1 = (math.sqrt(el.dn(ua - big_k, p) * el.dn(ub - big_k, p))
-                     * g_par[vp[vkey(r.v1)]])
-        sc = el.sc(el.angle_transform(r.theta_bar, p), p)
-        primal = phase / kp * math.sqrt(sc) * (term2 - term1)
-        formula[:n_v, jw] = primal
-        # dual rows; radicands dn((u_b)*) dn((u_{a+2K})*) and dn((u_{b-2K})*) dn((u_a)*)
-        t2 = math.sqrt(el.dn(big_k - ub, p) * el.dn(big_k - (ua - big_k), p))
-        t1 = math.sqrt(el.dn(big_k - (ub + big_k), p) * el.dn(big_k - ua, p))
-        val = 0.0j
-        if w not in boundary_whites:
-            val += t2 * g_star[fp[fkey(r.f2)]]
-        val -= t1 * g_star[fp[fkey(r.f1)]]
-        sc_star = el.sc(el.angle_transform(math.pi / 2 - r.theta_bar, p), p)
-        val *= -1j * phase / kp * math.sqrt(sc_star)
-        # boundary coupling; sign fixed by the verified matrix form
-        # (the displayed coefficient expansion carries the opposite one)
-        for vc, i_coeff, g_fc in pair_data:
-            val -= i_coeff * primal[vc] * g_fc
-        formula[n_v:, jw] = val
-    return formula, direct, rows, cols
+    dmp, dms = op.delta_m_partial(dg, p, u), op.delta_m_star(dg, p)
+    g_par, g_star = invert(dmp.dense()), invert(dms.dense())
+    t = op.edge_table(dg).at(p, u)
+    tab, kp = t.tab, p.kprime
+    rh = [tab.ig.rhombi[e] for e in tab.eids]
+    a, b = tab.ix(tab.alpha), tab.ix(tab.beta)
+    dn_a, dn_b, nd_a, nd_b = t.dn[a], t.dn[b], t.nd[a], t.nd[b]
+    phase = np.exp(-0.5j * (tab.alpha + tab.beta)) / kp
+    c_v = phase * np.sqrt(t.mod.sc_t)
+    c_f = -1j * phase * np.sqrt(t.mod.sc_s)
+    # the brackets are dn(u_a) dn(u_b) at v2, dn(u_a - K) dn(u_b - K) at v1,
+    # dn(u_a) dn(u_b - K) at f2 and dn(u_a - K) dn(u_b) at f1, with
+    # dn(x - K) = k' nd(x)
+    vp, fp = dmp.row_pos, dms.row_pos
+    primal = g_par.T @ (_incidence(vp, [vkey(r.v2) for r in rh], c_v * np.sqrt(dn_a * dn_b))
+                        - _incidence(vp, [vkey(r.v1) for r in rh],
+                                     c_v * kp * np.sqrt(nd_a * nd_b)))
+    dual = g_star.T @ (_incidence(fp, [fkey(r.f2) for r in rh], c_f * np.sqrt(kp * nd_b * dn_a))
+                       - _incidence(fp, [fkey(r.f1) for r in rh], c_f * np.sqrt(kp * dn_b * nd_a))
+                       + op.q_matrix(dg, p, u).dense().T @ primal)
+    return np.vstack([primal, dual]), direct, list(kdp.cols), list(kdp.rows)
 
 
 def kq_special_values(ig, p, b_black, qg):
     """The special spectral values (u_hat, v_hat) attached to a quadri black."""
-    role = qg.pair_role.get(qg.quad_of[b_black])
-    r = ig.rhombi[qg.quad_of[b_black]]
-    if role is None:
-        if qg.corner_of[b_black] == 1:
-            a_bar, b_bar = r.alpha_bar, r.beta_bar
-        else:
-            a_bar, b_bar = r.alpha_bar + math.pi, r.beta_bar + math.pi
-    else:
-        side, bp = role
-        if side == "l":
-            a_bar, b_bar = bp.alpha_l, bp.beta_l
-        else:
-            a_bar, b_bar = bp.alpha_r, bp.beta_r
-    ell = lambda x: el.angle_transform(x, p)
-    u_hat = 0.5 * (ell(a_bar) + ell(b_bar)) + p.bigK
+    a_bar, b_bar = qg.black_lifts(b_black)
+    u_hat = 0.5 * (el.angle_transform(a_bar, p) + el.angle_transform(b_bar, p)) + p.bigK
     return a_bar, b_bar, u_hat, u_hat - 2.0 * p.bigK
 
 
 def kq_inverse_formula(qg, dg, p, pairs=None):
     """Closed-form coefficients of the inverse quadri Kasteleyn matrix.
 
-    Evaluates the boundary Dirac operator at the per-black special values
-    u_hat/v_hat; raises DomainError naming the excluded direction when those
-    operators are numerically singular (this happens on lattices whose
-    train-track directions collide with the special values).
+    With P(u) = T(u) K^{D,bd}(u)^-1, the column of a black with special
+    values (u_hat, v_hat) and double-graph white w is a prefactor times
+    cn((K - theta)/2) P(u_hat)[:, w] + cn((K + theta)/2) P(v_hat)[:, w], or
+    P(u_hat)[:, w] alone at a boundary pair.  P is formed once per special
+    value (to 12 decimals) of a requested black; raises DomainError naming
+    the value when its boundary Dirac operator is numerically singular (this
+    happens on lattices whose train-track directions collide with the
+    special values).  Entries not in ``pairs`` are NaN.
     Returns (formula, direct, whites, blacks).
     """
     ig = dg.ig
     kq = op.kasteleyn_KQ(qg, ig, p)
     direct = invert(kq.dense())
-    whites = list(kq.cols)
-    blacks = list(kq.rows)
-    formula = np.full((len(whites), len(blacks)), np.nan + 0j, dtype=complex)
+    whites, blacks = list(kq.cols), list(kq.rows)
+    want = None if pairs is None else set(pairs)
+    wanted = np.array([[want is None or (w, blk) in want for blk in blacks] for w in whites])
+    m = op.edge_table(dg).at(p)
+    tab, kp, n_e = m.tab, p.kprime, len(m.tab.eids)
 
-    kd_inv_cache = {}
+    # per white: the modified matrix multiplies the boundary-pair edges by
+    # sn(theta), so the inverse of KQ carries sn(theta)^(-1) on the central
+    # boundary whites (the displayed corollary's sn(theta) does not match
+    # the direct inverse)
+    sn_pref = np.ones(len(whites))
+    for n, wht in enumerate(whites):
+        role = qg.pair_role.get(qg.quad_of[wht])
+        if role is not None and role[0] == "l" and qg.corner_of[wht] == 2:
+            sn_pref[n] = 1.0 / m.sn_b[tab.bp_index[role[1].vc]]
 
-    def kd_inverse_at(u):
-        key = round(u, 12)
-        if key not in kd_inv_cache:
-            kdp = op.dirac(dg, p, u, "boundary")
-            try:
-                kd_inv_cache[key] = (invert(kdp.dense()), kdp)
-            except SingularityError as exc:
-                raise DomainError(
-                    f"special value u={u:.6f} hits an excluded direction: {exc}") from exc
-        return kd_inv_cache[key]
-
-    t_cache = {}
-
-    def t_matrix_at(u):
-        key = round(u, 12)
-        if key not in t_cache:
-            _, t_mat = op.s_t_matrices(qg, dg, p, u)
-            t_cache[key] = t_mat
-        return t_cache[key]
-
-    def black_coeff(blk):
-        """The parts of blk's prefactor on either side of the white's
-        sn(theta)^(-1), the special values and, away from the boundary
-        pairs, the weights cn((K -+ theta)/2) of the inverses at them."""
+    # per black: its special values, the lift of its phase, its side of a
+    # boundary pair ("" inside) and its theta, the edge's or (after the
+    # edges) the pair's
+    hats, head, side, th, wcol = [], [], [], [], []
+    for blk in blacks:
         a_bar, b_bar, u_hat, v_hat = kq_special_values(ig, p, blk, qg)
-        w = qg.quad_of[blk]
-        role_f = qg.pair_role.get(w)
-        if role_f is None:
-            th_f = el.theta_transform(ig.rhombi[w].theta_bar, p)
-            sn_f, cn_f, dn_f = el.jacobi(th_f, p)
-            return (w, cmath.exp(0.5j * b_bar) * math.sqrt(p.kprime),
-                    1.0 + dn_f / p.kprime, 2.0 * math.sqrt(cn_f * sn_f), u_hat, v_hat,
-                    (el.cn(0.5 * (p.bigK - th_f), p), el.cn(0.5 * (p.bigK + th_f), p)))
-        side, bp_f = role_f
-        th_b = el.theta_transform(bp_f.theta_bar, p)
-        sn_b = el.sn(th_b, p)
-        if side == "l":
-            head, c_half = cmath.exp(0.5j * a_bar), el.cn(0.5 * (p.bigK + th_b), p)
-        else:
-            head, c_half = cmath.exp(0.5j * b_bar), el.cn(0.5 * (p.bigK - th_b), p)
-        return (w, head * math.sqrt(p.kprime), sn_b,
-                c_half * math.sqrt(el.cn(th_b, p) * sn_b), u_hat, v_hat, None)
+        e = tab.epos[qg.quad_of[blk]]
+        role = qg.pair_role.get(qg.quad_of[blk])
+        hats.append((u_hat, v_hat))
+        side.append("" if role is None else role[0])
+        head.append(a_bar if side[-1] == "l" else b_bar)
+        th.append(e if role is None else n_e + tab.bp_index[role[1].vc])
+        wcol.append(e)
+    side, wcol = np.array(side), np.array(wcol)
+    inner = side == ""
+    sn, cn, dn = (np.concatenate(x)[th] for x in ((m.sn_t, m.sn_b), (m.cn_t, m.cn_b),
+                                                   (m.dn_t, m.dn_b)))
+    # cn^2((K -+ theta)/2) = k'(1 +- sn)/(k' + dn), with 1 - sn = cn^2/(1 + sn)
+    c_hat = np.sqrt(kp * (1.0 + sn) / (kp + dn))
+    c_vhat = np.sqrt(kp * (cn * cn / (1.0 + sn)) / (kp + dn))
+    pref = (np.exp(0.5j * np.array(head)) * math.sqrt(kp) / np.sqrt(cn * sn)
+            * np.where(inner, 0.5 * (1.0 + dn / kp), sn / np.where(side == "l", c_vhat, c_hat)))
 
-    wanted = None if pairs is None else set(pairs)
-    coeffs = {}
-
-    for jw, wht in enumerate(whites):
-        # initial data of the white vertex; the modified matrix multiplies
-        # the boundary-pair edges by sn(theta), so the inverse of KQ carries
-        # sn(theta)^(-1) on the central boundary whites (the displayed
-        # corollary's sn(theta) does not match the direct inverse)
-        role_i = qg.pair_role.get(qg.quad_of[wht])
-        is_wc = role_i is not None and role_i[0] == "l" and qg.corner_of[wht] == 2
-        is_root_wc = is_wc and role_i[1].is_root
-        sn_pref_i = (1.0 / el.sn(el.theta_transform(role_i[1].theta_bar, p), p)
-                     if is_wc else 1.0)
-        r_i = ig.rhombi[qg.quad_of[wht]]
-        if qg.corner_of[wht] == 2:
-            v_i, f_i = r_i.v2, r_i.f1
-        else:
-            v_i, f_i = r_i.v1, r_i.f2
-        if is_wc:
-            v_i, f_i = role_i[1].vc, role_i[1].fc
-
-        def gamma(u, w):
-            inv, kdp = kd_inverse_at(u)
-            t_mat = t_matrix_at(u)
-            val = 0.0j
-            if not is_root_wc:
-                tv = t_mat.get(wht, vkey(v_i))
-                if tv:
-                    val += tv * inv[kdp.col_pos[vkey(v_i)], kdp.row_pos[wkey(w)]]
-            tf = t_mat.get(wht, fkey(f_i))
-            val += tf * inv[kdp.col_pos[fkey(f_i)], kdp.row_pos[wkey(w)]]
-            return val
-
-        for ib, blk in enumerate(blacks):
-            if wanted is not None and (wht, blk) not in wanted:
-                continue
-            if blk not in coeffs:
-                coeffs[blk] = black_coeff(blk)
-            w, head, mul, div, u_hat, v_hat, weights = coeffs[blk]
-            # sn_pref_i sits in the middle of the product: moving it would
-            # change the rounding
-            pref = head * sn_pref_i * mul / div
-            if weights is None:
-                formula[jw, ib] = pref * gamma(u_hat, w)
-            else:
-                cplus, cminus = weights
-                formula[jw, ib] = pref * (cplus * gamma(u_hat, w) + cminus * gamma(v_hat, w))
+    # the (black, weight) terms of the requested blacks, by special value
+    groups = {}
+    for ib in np.flatnonzero(wanted.any(axis=0)).tolist():
+        u_hat, v_hat = hats[ib]
+        terms = [(u_hat, c_hat[ib]), (v_hat, c_vhat[ib])] if inner[ib] else [(u_hat, 1.0)]
+        for u, weight in terms:
+            groups.setdefault(round(u, 12), (u, []))[1].append((ib, weight))
+    acc = np.zeros(wanted.shape, dtype=complex)
+    for u, terms in groups.values():
+        kdp = op.dirac(dg, p, u, "boundary")
+        try:
+            kd_inv = invert(kdp.dense())
+        except SingularityError as exc:
+            raise DomainError(
+                f"special value u={u:.6f} hits an excluded direction: {exc}") from exc
+        # a sparse product sums each row's two T terms in order; at the
+        # boundary-pair blacks they cancel about 250-fold, and a dense
+        # product (fused complex multiplies) moves those columns by 1e-14
+        t_mat = op.s_t_matrices(qg, dg, p, u)[1]
+        p_u = csr_matrix((t_mat.vals, (t_mat.i, t_mat.j)),
+                         shape=(len(t_mat.rows), len(t_mat.cols))) @ kd_inv
+        ib = np.array([i for i, _w in terms])
+        acc[:, ib] += np.array([w for _i, w in terms]) * p_u[:, wcol[ib]]
+    formula = np.full(wanted.shape, np.nan + 0j, dtype=complex)
+    formula[wanted] = (sn_pref[:, None] * acc * pref)[wanted]
     return formula, direct, whites, blacks
-
-
-def _ext_of_b(fg):
-    """The other end and the primal edge of the external Fisher edge at each B."""
-    ext_of_b = {}
-    for bx, by, eid in fg.external_edges:
-        ext_of_b[bx] = (by, eid)
-        ext_of_b[by] = (bx, eid)
-    return ext_of_b
 
 
 def kf_inverse_formula(fg, qg, couplings, pairs=None):
@@ -369,7 +301,6 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     kq_inv = invert(kqt.dense())
     kq_w, kq_b, fpos = kqt.col_pos, kqt.row_pos, kf.row_pos
 
-    ext_of_b = _ext_of_b(fg)
     kappa = op._kappa(fg)
     black_of_a = {a: blk for blk, a in fqm.a_of_black.items()}
     if len(black_of_a) != len(fqm.a_of_black) or set(black_of_a) != set(fg.a_vertices):
@@ -387,7 +318,7 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     def case1_value(a_bar, b):
         w_bar = fqm.white_of_a[a_bar]
         b_hat = fqm.black_of_b[b]
-        b_op, eid = ext_of_b[b]
+        b_op, eid = fg.ext_of_b[b]
         b_hat_op = fqm.black_of_b[b_op]
         j = couplings[eid]
         e2 = math.exp(-2.0 * j)
@@ -439,14 +370,13 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     fpos = kf.row_pos
-    ext_of_b = _ext_of_b(fg)
     rng = np.random.default_rng(seed)
     configs = []
     for b_bar in fg.b_vertices:
         if b_bar in fg.boundary_b:
             continue
         a_prev, a_next = fg.triangles[b_bar]
-        b_op, eid = ext_of_b[b_bar]
+        b_op, eid = fg.ext_of_b[b_bar]
         blk_bar = fqm.black_of_b[b_bar]
         # a1 pairs with the external white of blk_bar, a2 with the sn-white
         a1 = fqm.a_of_black[blk_bar]
@@ -792,35 +722,22 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     kf_inv = invert(kf.dense())
     kq_inv = invert(kq.dense())
     fqm = fisher_quadri_map(fg, qg)
-    fpos, wq, bq = kf.row_pos, kq.col_pos, kq.row_pos
-    ext_of_b = _ext_of_b(fg)
-
-    def q_fun(b_hat, w_bar):
-        # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}
-        return 1.0 / (d_b.get(b_hat, b_hat) * d_w.get(w_bar, w_bar))
-
-    per_b = {}
-    for b in fg.b_vertices:
-        if b in fg.boundary_b:
-            continue
-        b_op, eid = ext_of_b[b]
-        th = el.theta_transform(ig.rhombi[eid].theta_bar, p)
-        dn_t = el.jacobi(th, p)[2]
-        cm = el.cn(0.5 * (p.bigK - th), p)
-        e2 = el.cn(0.5 * (p.bigK + th), p) / cm     # = e^{-2J}
-        pref = cm * cm * (1.0 + dn_t / p.kprime) / 2.0   # = 1/(1+e^{-4J})
-        per_b[b] = (fqm.black_of_b[b], fqm.black_of_b[b_op], e2, pref)
-
-    out = []
+    m = op.edge_table(ig).at(p)
+    b_list = [b for b in fg.b_vertices if b not in fg.boundary_b]
     a_list = fg.a_vertices if pairs is None else [a for a in fg.a_vertices if a in pairs]
-    for a_bar in a_list:
-        w_bar = fqm.white_of_a[a_bar]
-        for b, (b_hat, b_hat_op, e2, pref) in per_b.items():
-            val = (q_fun(b_hat, w_bar) * pref
-                   * (kq_inv[wq[w_bar], bq[b_hat]]
-                      - 1j * e2 * kq_inv[wq[w_bar], bq[b_hat_op]]))
-            out.append((a_bar, b, val, kf_inv[fpos[a_bar], fpos[b]]))
-    return out
+    w_ix = [kq.col_pos[fqm.white_of_a[a]] for a in a_list]
+    b_ix = [kq.row_pos[fqm.black_of_b[b]] for b in b_list]
+    op_ix = [kq.row_pos[fqm.black_of_b[fg.ext_of_b[b][0]]] for b in b_list]
+    e = [m.tab.epos[fg.ext_of_b[b][1]] for b in b_list]
+    sn, cn = m.sn_t[e], m.cn_t[e]
+    e2 = cn / (1.0 + sn)            # e^{-2J}
+    pref = 0.5 * (1.0 + sn)         # 1/(1 + e^{-4J})
+    # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}
+    q = 1.0 / np.outer(d_w.dense().diagonal()[w_ix], d_b.dense().diagonal()[b_ix])
+    val = q * pref * (kq_inv[np.ix_(w_ix, b_ix)] - 1j * e2 * kq_inv[np.ix_(w_ix, op_ix)])
+    direct = kf_inv[np.ix_([kf.row_pos[a] for a in a_list], [kf.row_pos[b] for b in b_list])]
+    return [(a_bar, b, v, d) for a_bar, vs, ds in zip(a_list, val.tolist(), direct.tolist())
+            for b, v, d in zip(b_list, vs, ds)]
 
 
 def green_center_diagonal(ig, p):

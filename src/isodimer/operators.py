@@ -322,13 +322,8 @@ class _Layout:
         tab, ig, s, t = self.tab, qg.ig, [], []
         for blk in qg.blacks:
             eid = qg.quad_of[blk]
-            r, role = ig.rhombi[eid], qg.pair_role.get(eid)
-            if role is None:
-                a, b = ((r.alpha_bar, r.beta_bar) if qg.corner_of[blk] == 1
-                        else (r.alpha_bar + math.pi, r.beta_bar + math.pi))
-            else:
-                a, b = ((role[1].alpha_r, role[1].beta_r) if role[0] == "r"
-                        else (role[1].alpha_l, role[1].beta_l))
+            a, b = qg.black_lifts(blk)
+            role = qg.pair_role.get(eid)
             c = a if role is not None and role[0] == "l" else b
             s.append((a, b, c, tab.epos[eid]))
         bpos = self.bpos
@@ -414,19 +409,20 @@ class _Dual:
 
 
 class _Modulus:
-    """The stage of one modulus: ``angles`` rescaled by 2K/pi, and sn, cn, sc
-    and cs of theta, of pi/2 - theta and of the boundary-pair theta."""
+    """The stage of one modulus: ``angles`` rescaled by 2K/pi; sn, cn, dn, sc
+    and cs of theta; sc of pi/2 - theta; sn, cn, dn and sc of the
+    boundary-pair theta."""
 
     def __init__(self, tab, p):
         self.tab, self.p = tab, p
         n = len(tab.theta)
         th = np.concatenate([tab.theta, tab.theta_star, tab.bp_theta]) * 2.0 * p.bigK / math.pi
-        sn, cn, _dn = _jacobi(th, p)
-        self.sn_t, self.cn_t = sn[:n], cn[:n]
+        sn, cn, dn = _jacobi(th, p)
+        self.sn_t, self.cn_t, self.dn_t = sn[:n], cn[:n], dn[:n]
         self.sc_t = _ratio(sn[:n], cn[:n], "sc", th[:n])
         self.cs_t = _ratio(cn[:n], sn[:n], "cs", th[:n])
         self.sc_s = _ratio(sn[n:2 * n], cn[n:2 * n], "sc", th[n:2 * n])
-        self.sn_b = sn[2 * n:]
+        self.sn_b, self.cn_b, self.dn_b = sn[2 * n:], cn[2 * n:], dn[2 * n:]
         self.sc_b = _ratio(sn[2 * n:], cn[2 * n:], "sc", th[2 * n:])
 
     def meta(self):
@@ -449,13 +445,14 @@ class _Modulus:
 
 class _Spectral:
     """The stage of one spectral value u: sn, cn and dn at every argument
-    (u - ell)/2 of ``angles``, nd and cd once asked for."""
+    (u - ell)/2 of ``angles``, nd, cd and the shifted cd once asked for."""
 
     def __init__(self, mod, u):
         self.mod, self.tab, self.p, self.u = mod, mod.tab, mod.p, u
         self.arg = 0.5 * (u - mod.ell)
         self.sn, self.cn, self.dn = _jacobi(self.arg, mod.p)
         self.allowed = set()            # the levels u has been checked against
+        self._shifted = None
 
     def meta(self):
         return {"k": self.p.k, "u": self.u, "graph": self.tab.graph}
@@ -472,10 +469,13 @@ class _Spectral:
         return _ratio(self.sn[i], self.cn[i], "sc", self.arg[i])
 
     def cd_shifted(self, i):
-        """cd at the arguments (u - ell)/2 - K of ``angles[i]``, which T reads."""
-        arg = self.arg[i] - self.p.bigK
-        _sn, cn, dn = _jacobi(arg, self.p)
-        return _ratio(cn, dn, "cd", arg)
+        """cd at the arguments (u - ell)/2 - K of ``angles[i]``, which T
+        reads; kept for the latest ``i``, so T is evaluated once per stage."""
+        if self._shifted is None or not np.array_equal(self._shifted[0], i):
+            arg = self.arg[i] - self.p.bigK
+            _sn, cn, dn = _jacobi(arg, self.p)
+            self._shifted = (i, _ratio(cn, dn, "cd", arg))
+        return self._shifted[1]
 
 
 def edge_table(g):

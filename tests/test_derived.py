@@ -102,6 +102,27 @@ def test_induced_orientation(ig_2x2, ig_hex):
                 assert bb in fg.boundary_b
 
 
+def test_induced_orientation_on_every_builder():
+    # the cn rule reads b' from FisherGraph.ext_of_b; it must pick the B that
+    # a scan of the external edges finds
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        fg, qg = der.build_fisher(ig), der.build_quadri(ig)
+        assert len(fg.ext_of_b) == 2 * len(fg.external_edges)
+        for bx, by, eid in fg.external_edges:
+            assert fg.ext_of_b[bx] == (by, eid) and fg.ext_of_b[by] == (bx, eid)
+        fqm = der.fisher_quadri_map(fg, qg)
+        eps_q = der.induce_orientation_GQ(fg, qg)
+        for blk, wht, kind, _ in qg.edges:
+            if kind == "cn":
+                b = fqm.b_of_black[blk]
+                bp = next(e for e in fg.external_edges if b in e[:2])
+                b_op = bp[0] if bp[1] == b else bp[1]
+                expect = fg.eps(b, b_op) * fg.eps(b_op, fqm.a_of_white[wht])
+                assert eps_q[(blk, wht)] == expect == -eps_q[(wht, blk)], spec
+
+
 def test_induced_orientation_flip_locality(ig_2x2):
     # flipping one Fisher triangle edge changes the induced orientation only
     # on the quadri edges whose rules reference that edge's triangle

@@ -17,6 +17,8 @@ from scipy.integrate import quad
 from scipy.special import ellipj
 
 from isodimer import elliptic as el
+from isodimer import isoradial as iso
+from isodimer import operators as op
 from isodimer.errors import DomainError, PoleError
 
 
@@ -121,6 +123,31 @@ def test_jacobi_identities_and_periodicity():
         assert abs(d2 - d) < 1e-12
         assert abs(c2 + c) < 1e-12
         assert abs(s2 + s) < 1e-12
+        # the shifted brackets of kd_inverse_formula
+        assert abs(el.dn(u - p.bigK, p) - p.kprime / d) < 1e-12
+
+
+def test_half_angle_weights_and_coupling():
+    # the kq_inverse_formula weights cn^2((K -+ theta)/2) =
+    # k'(1 +- sn theta)/(k' + dn theta), and the kf_zinv_case1 weight
+    # cn theta/(1 + sn theta) = exp(-2 J_e) of the Z-invariant couplings
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        k = rng.uniform(0.0, 0.95)
+        p = el.complete_integrals(k)
+        th = rng.uniform(0.0, p.bigK)
+        s, c, d = el.jacobi(th, p)
+        kp = p.kprime
+        assert abs(el.cn(0.5 * (p.bigK - th), p) ** 2 - kp * (1.0 + s) / (kp + d)) < 1e-12
+        assert abs(el.cn(0.5 * (p.bigK + th), p) ** 2 - kp * (1.0 - s) / (kp + d)) < 1e-12
+        assert abs(el.cn(0.5 * (p.bigK + th), p) ** 2
+                   - kp * (c * c / (1.0 + s)) / (kp + d)) < 1e-12
+    ig = iso.make_isoradial(iso.builder_graph("irregular"))
+    for k in (0.0, 0.3, 0.9):
+        p = el.complete_integrals(k)
+        for e, j in op.z_invariant_couplings(ig, p).items():
+            s, c, _d = el.jacobi(el.theta_transform(ig.rhombi[e].theta_bar, p), p)
+            assert abs(c / (1.0 + s) - math.exp(-2.0 * j)) < 1e-12
 
 
 def test_cn_square_sum_identity():

@@ -410,3 +410,16 @@ def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
     rec = ws.dg.gd_edges[(eid, fkey(fa))]
     ws.dg.gd_edges[(eid, fkey(fa))] = dict(rec, alpha=rec["alpha"] + 1e-3)
     assert idn._gauge_holonomy(ws, u) > 1e-8
+
+
+def test_nan_part_fails_the_check(ig_2x2, monkeypatch):
+    # Python's max drops a NaN that does not come first: a NaN holonomy once
+    # gave passed=True with the NaN only in the detail
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig_2x2, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+    monkeypatch.setattr(idn, "_gauge_holonomy", lambda ws, u: math.nan)
+    rep = idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u)
+    assert math.isnan(rep.detail["path_independence"])
+    assert math.isnan(rep.residual) and not rep.passed
+    assert math.isnan(idn._worst(0.0, math.nan, 1.0))
+    assert idn._worst(1e-15, 2e-15) == 2e-15

@@ -159,7 +159,8 @@ def test_kd_inverse_formula_battery(ig_1x1, ig_2x2, ig_hex):
 def test_kd_inverse_formula_jacobi_call_guard(monkeypatch):
     """Jacobi kernel calls of one kd_inverse_formula on square:3x3 at k = 0.6:
     the per-pair coefficients made 8,431 calls of ``elliptic.jacobi``; with
-    each white's coefficients evaluated once there must be at most a tenth."""
+    each white's coefficients evaluated once there must be at most a tenth.
+    Once the (p, u) stage exists, the formula reads every value from it."""
     from isodimer import elliptic as el
 
     ig = iso.make_isoradial(iso.builder_graph("square:3x3"))   # no table stage yet
@@ -175,6 +176,9 @@ def test_kd_inverse_formula_jacobi_call_guard(monkeypatch):
     formula, direct, _rows, _cols = inf.kd_inverse_formula(der.build_double(ig), p, u)
     assert 0 < len(calls) <= 8431 // 10
     assert np.abs(formula - direct).max() < 1e-9 * np.abs(direct).max()
+    calls.clear()
+    inf.kd_inverse_formula(der.build_double(ig), p, u)
+    assert calls == []
 
 
 def test_kd_inverse_special_value_bracket(ig_2x2, params_half):
@@ -325,10 +329,11 @@ def test_kf_zinv_case1(ig_2x2):
 
 
 def test_inverse_formulas_evaluate_once_per_vertex(monkeypatch):
-    # kq_inverse_formula evaluates special values, prefactors and cn weights
-    # once per black, kf_zinv_case1 theta, dn and cn once per B; evaluated per
-    # (white, black) or (A, B) pair they made 1,234 (irregular), 457 (1x1) and
-    # 576 (2x2) jacobi calls
+    # kq_inverse_formula reads its prefactors and cn weights from the modulus
+    # stage and its special values from the spectral stages, so a second call
+    # evaluates nothing; kf_zinv_case1 reads the modulus stage alone.
+    # Evaluated per (white, black) or (A, B) pair they made 1,234
+    # (irregular), 457 (1x1) and 576 (2x2) jacobi calls
     from isodimer import elliptic as el
 
     calls = []
@@ -338,17 +343,20 @@ def test_inverse_formulas_evaluate_once_per_vertex(monkeypatch):
     for spec, bound in (("irregular", 720), ("square:1x1", 230)):
         ig = iso.make_isoradial(iso.builder_graph(spec))
         calls.clear()
-        formula, direct, _w, _b = inf.kq_inverse_formula(der.build_quadri(ig),
-                                                         der.build_double(ig), p)
+        qg, dg = der.build_quadri(ig), der.build_double(ig)
+        formula, direct, _w, _b = inf.kq_inverse_formula(qg, dg, p)
         assert len(calls) <= bound, spec
         assert np.abs(formula - direct).max() <= 1e-9 * np.abs(direct).max()
+        calls.clear()
+        again, _d, _w, _b = inf.kq_inverse_formula(qg, dg, p)
+        assert calls == [], spec
+        assert np.array_equal(again, formula)
     ig = iso.make_isoradial(iso.build_square_lattice(2, 2))
     fg = der.build_fisher(ig)
     op.z_invariant_couplings(ig, p)     # the modulus stage, built first
     calls.clear()
     rows = inf.kf_zinv_case1(fg, der.build_quadri(ig), p)
-    inner_b = [b for b in fg.b_vertices if b not in fg.boundary_b]
-    assert len(calls) == 3 * len(inner_b)
+    assert calls == []
     assert max(abs(formula - direct) for _a, _b, formula, direct in rows) < 1e-9
 
 
