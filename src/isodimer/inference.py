@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+import numpy.random  # noqa: F401  (numpy loads it on first use; load it with the module)
 
 from . import elliptic as el
 from . import operators as op
@@ -59,14 +58,20 @@ def inverse_entries(m, pairs):
     """Entries of the inverse of a TypedSparseMatrix from one sparse LU factorisation.
 
     ``pairs`` lists (row, col) keys of the inverse, whose rows follow ``m.cols``
-    and columns ``m.rows``; the result is a complex array in that order.  The
-    distinct columns are solved in blocks of ``_SOLVE_BLOCK``.  The guarantees
-    of ``invert`` hold: a non-square or exactly singular matrix, non-finite
-    results, or ||A||_1 ||A^-1||_1 > 1/_SING_RCOND raise SingularityError, with
-    ||A^-1||_1 the larger of ``onenormest`` and the largest solved column's
-    1-norm (exact when every column is solved).
+    and columns ``m.rows``; the result is an array in that order, real when
+    ``m.vals`` is (the factorisation keeps its dtype).  The distinct columns
+    are solved in blocks of ``_SOLVE_BLOCK``.  The guarantees of ``invert``
+    hold: a non-square or exactly singular matrix, non-finite results, or
+    ||A||_1 ||A^-1||_1 > 1/_SING_RCOND raise SingularityError, with
+    ||A^-1||_1 the largest solved column's 1-norm when every column is solved
+    (then it is exact), else the larger of that and ``onenormest``.  scipy is
+    imported on the first call, so the CLI starts without it.
     """
-    a = csc_matrix((m.vals, (m.i, m.j)), shape=(len(m.rows), len(m.cols)), dtype=complex)
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+    dtype = np.result_type(m.vals.dtype, np.float64)
+    a = csc_matrix((m.vals, (m.i, m.j)), shape=(len(m.rows), len(m.cols)), dtype=dtype)
     n = a.shape[0]
     if a.shape[1] != n:
         raise SingularityError("matrix is not square")
@@ -77,11 +82,11 @@ def inverse_entries(m, pairs):
     rows = np.array([m.col_pos[r] for r, _c in pairs], dtype=int)
     cols, slot = np.unique(np.array([m.row_pos[c] for _r, c in pairs], dtype=int),
                            return_inverse=True)
-    out = np.empty(len(pairs), dtype=complex)
+    out = np.empty(len(pairs), dtype=dtype)
     inv_norm = 0.0
     for start in range(0, len(cols), _SOLVE_BLOCK):
         block = cols[start:start + _SOLVE_BLOCK]
-        rhs = np.zeros((n, len(block)), dtype=complex)
+        rhs = np.zeros((n, len(block)), dtype=dtype)
         rhs[block, np.arange(len(block))] = 1.0
         x = lu.solve(rhs)
         if not np.all(np.isfinite(x)):
@@ -89,9 +94,11 @@ def inverse_entries(m, pairs):
         inv_norm = max(inv_norm, np.abs(x).sum(axis=0).max())
         sel = (slot >= start) & (slot < start + len(block))
         out[sel] = x[rows[sel], slot[sel] - start]
-    inv_op = LinearOperator((n, n), matvec=lu.solve, dtype=complex,
-                            rmatvec=lambda y: lu.solve(y, trans="H"))
-    cond = abs(a).sum(axis=0).max() * max(onenormest(inv_op), inv_norm)
+    if len(cols) < n:
+        inv_op = LinearOperator((n, n), matvec=lu.solve, dtype=dtype,
+                                rmatvec=lambda y: lu.solve(y, trans="H"))
+        inv_norm = max(onenormest(inv_op), inv_norm)
+    cond = abs(a).sum(axis=0).max() * inv_norm
     if not cond <= 1.0 / _SING_RCOND:
         raise SingularityError("matrix numerically singular (conditioning gate)")
     return out
@@ -216,6 +223,8 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
     special values).  Entries not in ``pairs`` are NaN.
     Returns (formula, direct, whites, blacks).
     """
+    from scipy.sparse import csr_matrix
+
     ig = dg.ig
     kq = op.kasteleyn_KQ(qg, ig, p)
     direct = invert(kq.dense())
@@ -443,11 +452,17 @@ class ProbabilityTable:
         return worst
 
 
-def _kenyon_probabilities(m, edges):
-    """Re K[r, c] K^-1[c, r] for each (r, c) entry of m, as Python floats."""
-    inv = inverse_entries(m, [(c, r) for r, c in edges])
-    weights = np.array([m.get(r, c) for r, c in edges], dtype=complex)
-    return (weights * inv).real.tolist()
+def _kenyon_probabilities(m, edges, pos):
+    """K[r, c] K^-1[c, r] for each (r, c) of ``edges``, entry ``pos`` of m, as
+    Python floats.
+
+    Both factors are read from the real form R of m (``op.real_form``), whose
+    probabilities are m's: the solves are real, and the products keep the
+    digits that multiplying phases back into a complex inverse would lose.
+    """
+    r = op.real_form(m)
+    inv = inverse_entries(r, [(c, row) for row, c in edges])
+    return (r.vals[np.asarray(pos, dtype=np.intp)] * inv).tolist()
 
 
 def edge_probabilities_gd(dg, p, u, closed_form=False):
@@ -458,10 +473,13 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
     truncations).
     """
     kd = op.dirac(dg, p, u, "plain")
-    edges = sorted(dg.gd_edges.items(), key=str)
-    probs = _kenyon_probabilities(kd, [(wkey(w), black) for (w, black), _rec in edges])
+    pos = op.edge_table(dg).layout(dg).gd_pos
+    edges = sorted(dg.gd_edges, key=str)
+    probs = _kenyon_probabilities(kd, [(wkey(w), black) for w, black in edges],
+                                  [pos[e] for e in edges])
     rows = ProbabilityTable(kind="GD")
-    for ((w, black), rec), prob in zip(edges, probs):
+    for (w, black), prob in zip(edges, probs):
+        rec = dg.gd_edges[(w, black)]
         cf = None
         gap = None
         if closed_form:
@@ -476,7 +494,9 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
 
 def edge_probabilities_gq(qg, ig, p):
     kq = op.kasteleyn_KQ(qg, ig, p)
-    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges])
+    # entry n of KQ is the n-th edge
+    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges],
+                                  range(len(qg.edges)))
     return ProbabilityTable("GQ", [
         ProbabilityRow((blk, wht), kind, prob, "kenyon-direct")
         for (blk, wht, kind, _), prob in zip(qg.edges, probs)])
@@ -486,7 +506,8 @@ def edge_probabilities_gf(fg, couplings):
     kf = op.kasteleyn_KF(fg, couplings)
     all_edges = ([(x, y, "internal") for x, y in fg.internal_edges]
                  + [(x, y, "external") for x, y, _ in fg.external_edges])
-    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges])
+    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges],
+                                  range(0, 2 * len(all_edges), 2))
     return ProbabilityTable("GF", [
         ProbabilityRow((x, y), role, prob, "kenyon-direct")
         for (x, y, role), prob in zip(all_edges, probs)])
@@ -767,8 +788,8 @@ def center_edge_probability_gd(ig, p, u):
             best = (d, eid)
     eid = best[1]
     r = ig.rhombi[eid]
-    p_ken = float((kd.get(wkey(eid), vkey(r.v2))
-                   * inverse_entry(kd, vkey(r.v2), wkey(eid))).real)
+    pos = op.edge_table(ig).layout(ig).gd_pos[(eid, vkey(r.v2))]
+    p_ken = _kenyon_probabilities(kd, [(wkey(eid), vkey(r.v2))], [pos])[0]
     # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
     ua = _u_arg(u, r.alpha_bar, p)
     ub = _u_arg(u, r.beta_bar, p)

@@ -18,6 +18,7 @@ import weakref
 from functools import cached_property
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy loads on first use)
 
 from . import elliptic as el
 from .derived import DoubleGraph, build_double, fkey, vkey, wkey, fisher_quadri_map
@@ -37,15 +38,18 @@ class TypedSparseMatrix:
     repeats.  ``vals`` keeps the dtype it is given (a matrix of real entries
     keeps real ones); ``dense`` is complex.  The ``{(row, col): value}`` view
     ``entries`` and the key positions ``row_pos`` and ``col_pos`` are built on
-    first use.
+    first use.  ``gauge``, when the builder knows it, holds per entry the
+    unit factor q_row q_col of a diagonal gauge that makes the matrix real
+    (see :func:`real_form`).
     """
 
-    def __init__(self, rows, cols, i, j, vals, name="", meta=None):
+    def __init__(self, rows, cols, i, j, vals, name="", meta=None, gauge=None):
         self.rows, self.cols = tuple(rows), tuple(cols)
         self.i, self.j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         self.vals = np.asarray(vals)
         self.name = name
         self.meta = {} if meta is None else meta
+        self.gauge = gauge
         self._dense = None
 
     @classmethod
@@ -230,8 +234,9 @@ class EdgeTable:
             self._specs = {}
         if u is None:
             return self._mod
-        # repr tells -0.0 from 0.0, which == does not
-        key = repr(u)
+        # repr tells -0.0 from 0.0, which == does not; float() makes a numpy
+        # scalar and the equal Python float one key
+        key = repr(float(u))
         if key not in self._specs:
             self._specs[key] = _Spectral(self._mod, u)
         return self._specs[key]
@@ -285,6 +290,18 @@ class _Layout:
         """e^{i(alpha+beta)/2} of every entry, as a new array."""
         angles = self.tab.angles
         return np.exp(0.5j * (angles[self.gd_a] + angles[self.gd_b]))
+
+    @cached_property
+    def gauge(self):
+        """Per entry the unit factor q_w q_b of a diagonal gauge that makes
+        the Dirac operators of the layout real (Kenyon's Kasteleyn-flat
+        phases): q_w = e^{i(alpha+beta)/2} with the lifts of w's rhombus, and
+        q_b = 1 at a primal, i at a dual black.  The entry lifts (a, b) have
+        a + b - alpha - beta a multiple of 2 pi at a primal black and an odd
+        multiple of pi at a dual one, so e^{i(a+b)/2} / (q_w q_b) = +-1."""
+        tab = self.tab
+        return (np.exp(0.5j * (tab.alpha + tab.beta))[self.gd_e]
+                * np.where(self.gd_v, 1.0, 1j))
 
     @cached_property
     def gd_pos(self):
@@ -655,7 +672,8 @@ def dirac(dg, p, u, variant="plain"):
     if variant == "boundary":
         vals[lay.p_kd] = vals[lay.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
     name = "dirac_plain" if variant == "plain" else "dirac_boundary"
-    return TypedSparseMatrix(lay.whites, lay.blacks, e, lay.gd_j, vals, name, t.meta())
+    return TypedSparseMatrix(lay.whites, lay.blacks, e, lay.gd_j, vals, name, t.meta(),
+                             lay.gauge)
 
 
 def kd_gauge_and_directed_laplacian(dg, p, u):
@@ -760,7 +778,8 @@ def kasteleyn_KF(fg, couplings):
     """Skew-symmetric Kasteleyn matrix of the Fisher graph.
 
     Internal edges have weight 1, the external edge over primal edge e has
-    weight e^{-2 J_e}.  Couplings may be any reals.
+    weight e^{-2 J_e}.  Couplings may be any reals.  Entry 2n holds (x, y) of
+    the n-th edge, internal edges first, and entry 2n + 1 its transpose.
     """
     verts = tuple(fg.vertices())
     ent = {}
@@ -970,3 +989,51 @@ def gauge_q(m_mat, n_mat, bipartite, tol=1e-10):
     d_w = TypedSparseMatrix.of(m_mat.cols, m_mat.cols,
                                {(w, w): 1.0 / q[w] for w in m_mat.cols}, "gauge_DW")
     return d_b, d_w
+
+
+def unit_gauge(m):
+    """Per entry n the unit factor q_r q_c (at row i[n], column j[n]) of
+    potentials carried along BFS trees of the pattern of m's nonzero entries
+    (:func:`gauge_potential`), with q_r q_c the phase of the entry on every
+    tree entry.  Where m is gauge-real, vals / (q_r q_c) is real everywhere."""
+    n = len(m.rows)
+    nz = np.flatnonzero(m.vals)
+    # potential x = q_r on the rows and 1/q_c on the columns (node n + c): a
+    # step row -> column multiplies it by 1/phase
+    steps = {}
+    for r, c, s in zip(m.i[nz].tolist(), (m.j[nz] + n).tolist(),
+                       (m.vals[nz] / np.abs(m.vals[nz])).tolist()):
+        steps.setdefault(r, []).append((c, 1.0 / s))
+        steps.setdefault(c, []).append((r, s))
+    nodes = range(n + len(m.cols))
+    x, _worst, _where = gauge_potential(steps, nodes)
+    x = np.array([x[v] for v in nodes], dtype=complex)
+    return x[m.i] / x[n + m.j]
+
+
+_REAL_GAUGE_TOL = 1e-12
+
+
+def real_form(m):
+    """The real matrix R = D_r^-1 m D_c^-1 of a gauge-real matrix m.
+
+    Real ``vals`` are returned as they are (m itself).  Complex ones are
+    divided by the unit gauge factors (``m.gauge`` when the builder set it,
+    else :func:`unit_gauge` of the entries), and R = sign(Re) |vals|, so R
+    has the moduli of m and R[r, c] R^-1[c, r] = m[r, c] m^-1[c, r].  Raises
+    NotGaugeEquivalentError when some entry keeps an imaginary part above
+    1e-12 of its modulus: then no such gauge exists.
+    """
+    if not np.iscomplexobj(m.vals):
+        return m
+    g = m.vals * np.conj(unit_gauge(m) if m.gauge is None else m.gauge)
+    mag = np.abs(m.vals)
+    bad = ~(np.abs(g.imag) <= _REAL_GAUGE_TOL * mag)      # NaN fails too
+    if bad.any():
+        n = int(np.flatnonzero(bad)[0])
+        r, c = m.rows[m.i[n]], m.cols[m.j[n]]
+        raise NotGaugeEquivalentError(
+            f"{m.name} is not gauge-equivalent to a real matrix at entry {(r, c)}",
+            cycle=[r, c])
+    return TypedSparseMatrix(m.rows, m.cols, m.i, m.j, np.copysign(mag, g.real),
+                             f"{m.name}_real", m.meta)

@@ -5,6 +5,7 @@ integrands directly), scipy.special.ellipj as an independent evaluation of
 the Jacobi functions, and mpmath at 50 digits for K, E, sn/cn/dn, A and H.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -349,12 +350,21 @@ def test_closed_forms_vs_mpmath():
                 assert abs(el.a_fun(u, p) - ref) <= 1e-14 * max(1.0, abs(ref)), (k, frac)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # no scipy module at all: not after importing the CLI, and not after a
+    # verify run, which makes no sparse solve
     src = os.path.dirname(os.path.dirname(el.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, isodimer.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    code = ("import json, sys\n"
+            "import isodimer.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "before = scipy_modules()\n"
+            "code = isodimer.cli.main(['verify', '--builder', 'square:2x2', '--out', sys.argv[1]])\n"
+            "print(json.dumps([before, code, scipy_modules()]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "verify.json")],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    before, exit_code, after = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert (before, exit_code, after) == ([], 0, [])

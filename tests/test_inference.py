@@ -1,10 +1,12 @@
 """Inverses, Pfaffians, inverse-operator formulas, probabilities, oracles."""
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import get_graph
 
 from isodimer import derived as der
 from isodimer import inference as inf
@@ -12,7 +14,13 @@ from isodimer import isoradial as iso
 from isodimer import operators as op
 from isodimer.derived import vkey, wkey
 from isodimer.elliptic import complete_integrals
-from isodimer.errors import BijectionError, DomainError, OracleBudgetError, SingularityError
+from isodimer.errors import (
+    BijectionError,
+    DomainError,
+    NotGaugeEquivalentError,
+    OracleBudgetError,
+    SingularityError,
+)
 
 
 def test_pfaffian_random():
@@ -100,6 +108,69 @@ def test_sparse_tables_match_dense_invert():
             ref = dense_kenyon(m, [row.edge_id for row in tab.rows])
             assert all(type(row.probability) is float for row in tab.rows)
             assert max(abs(row.probability - r) for row, r in zip(tab.rows, ref)) <= 1e-12
+
+
+BUILDERS = ("square:1x1", "square:2x2", "square:3x2", "hex", "tripair", "irregular")
+GATE_KS = (0.0, 0.3, 0.6, 0.9)
+
+
+def test_real_gauge_gate_on_every_builder():
+    # the Dirac phases e^{i(alpha+beta)/2} and the KQ phases are a diagonal
+    # gauge of signs: the real form keeps every modulus and passes the gate,
+    # with the Dirac layout's closed-form gauge and with the BFS one
+    for spec in BUILDERS:
+        ig = get_graph(spec)
+        dg, qg = der.build_double(ig), der.build_quadri(ig)
+        for k in GATE_KS:
+            p = complete_integrals(k)
+            u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+            kds = [op.dirac(dg, p, u, "plain"), op.dirac(dg, p, u, "boundary")]
+            assert all(m.gauge is not None for m in kds)
+            bfs = [op.TypedSparseMatrix(m.rows, m.cols, m.i, m.j, m.vals, m.name) for m in kds]
+            for m in (*kds, *bfs, op.kasteleyn_KQ(qg, ig, p)):
+                r = op.real_form(m)
+                assert r.vals.dtype == np.float64, (spec, k, m.name)
+                assert np.array_equal(np.abs(r.vals), np.abs(m.vals)), (spec, k, m.name)
+
+
+def test_real_gauge_tables_match_dense_kenyon():
+    # GD, GQ and GF tables against Re K o invert(K)^T on every builder
+    for spec in BUILDERS:
+        ig = get_graph(spec)
+        dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
+        for k in GATE_KS:
+            p = complete_integrals(k)
+            u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+            couplings = op.z_invariant_couplings(ig, p)
+            gd = inf.edge_probabilities_gd(dg, p, u)
+            tables = ((gd, op.dirac(dg, p, u, "plain"),
+                       [(wkey(w), b) for w, b in (row.edge_id for row in gd.rows)]),
+                      (inf.edge_probabilities_gq(qg, ig, p), op.kasteleyn_KQ(qg, ig, p), None),
+                      (inf.edge_probabilities_gf(fg, couplings), op.kasteleyn_KF(fg, couplings),
+                       None))
+            for tab, m, edges in tables:
+                ref = dense_kenyon(m, edges or [row.edge_id for row in tab.rows])
+                gap = max(abs(row.probability - r) for row, r in zip(tab.rows, ref))
+                assert gap <= 1e-12, (spec, k, tab.kind, gap)
+
+
+def test_real_form_rejects_a_matrix_that_is_not_gauge_real(ig_2x2, params_half, monkeypatch):
+    keys = ("a", "b")
+    twisted = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0 + 0j, ("a", "b"): 1.0,
+                                                   ("b", "a"): 1.0, ("b", "b"): cmath.exp(0.3j)})
+    with pytest.raises(NotGaugeEquivalentError, match="not gauge-equivalent to a real"):
+        op.real_form(twisted)
+    # one Dirac entry turned by 0.3 rad: the table raises before any solve,
+    # with the layout's gauge and with the BFS one
+    dg, p = der.build_double(ig_2x2), params_half
+    kd = op.dirac(dg, p, 0.3, "plain")
+    vals = kd.vals.copy()
+    vals[5] *= cmath.exp(0.3j)
+    for gauge in (kd.gauge, None):
+        bad = op.TypedSparseMatrix(kd.rows, kd.cols, kd.i, kd.j, vals, "twisted", gauge=gauge)
+        monkeypatch.setattr(op, "dirac", lambda *_args, m=bad: m)
+        with pytest.raises(NotGaugeEquivalentError):
+            inf.edge_probabilities_gd(dg, p, 0.3)
 
 
 def test_sparse_tables_never_form_a_dense_matrix(ig_2x2, params_half, monkeypatch):

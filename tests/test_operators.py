@@ -303,19 +303,21 @@ def test_gauge_negative_control(ig_2x2, params_half):
 def test_storage_contract(monkeypatch):
     # every builder's coordinate arrays agree with its entry view, its dense
     # form and the CSC matrix that inverse_entries factors
+    import scipy.sparse
     from conftest import get_graph
 
     from isodimer import inference as inf
     from isodimer.errors import SingularityError
 
     factored = []
-    real_csc = inf.csc_matrix
+    real_csc = scipy.sparse.csc_matrix
 
     def recording_csc(*args, **kwargs):
         factored.append(real_csc(*args, **kwargs))
         return factored[-1]
 
-    monkeypatch.setattr(inf, "csc_matrix", recording_csc)
+    # inverse_entries imports csc_matrix from scipy.sparse on each call
+    monkeypatch.setattr(scipy.sparse, "csc_matrix", recording_csc)
     for spec in ("square:2x2", "irregular"):
         ig = get_graph(spec)
         dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
@@ -648,6 +650,20 @@ def test_one_edge_table_per_isoradial_graph():
     for rooted in (True, False):
         dg = der.build_double(ig, rooted=rooted)
         assert op.edge_table(dg) is op.edge_table(dg.ig)
+
+
+def test_spectral_stage_keyed_by_float_value():
+    # a numpy scalar and the equal Python float share one stage; the signed
+    # zeros stay two
+    ig = iso.make_isoradial(iso.builder_graph("square:2x2"))
+    p = complete_integrals(0.6)
+    tab = op.edge_table(ig)
+    u = 0.3 * p.bigK
+    stage = tab.at(p, np.float64(u))
+    assert tab.at(p, u) is stage
+    assert tab.at(p, np.float64(u)) is stage
+    assert tab.at(p, 0.0) is not tab.at(p, -0.0)
+    assert tab.at(p, np.float64(-0.0)) is tab.at(p, -0.0)
 
 
 def test_laplacian_builders_build_no_double_graph(monkeypatch):

@@ -1,5 +1,6 @@
 """The benchmark's tracer against the package it traces."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -31,3 +32,32 @@ def test_every_traced_name_resolves():
             if not callable(owner):
                 missing.add(f"{layer}.{qual}")
     assert missing <= _ABSENT, sorted(missing - _ABSENT)
+
+
+def _import_time_imports(tree):
+    """Absolute module names imported when the module runs: everywhere but
+    inside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    # scipy loads on the first sparse solve, so the CLI starts without it
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "isodimer")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}: {mod}" for mod in _import_time_imports(tree)
+                      if mod == "scipy" or mod.startswith("scipy.")]
+    assert not found, found
