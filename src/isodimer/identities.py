@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy loads it on first use; load it with the module)
 
 from . import elliptic as el
 from . import inference as inf

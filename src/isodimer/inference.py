@@ -452,9 +452,8 @@ class ProbabilityTable:
         return worst
 
 
-def _kenyon_probabilities(m, edges, pos):
-    """K[r, c] K^-1[c, r] for each (r, c) of ``edges``, entry ``pos`` of m, as
-    Python floats.
+def _kenyon_probabilities(m, edges):
+    """K[r, c] K^-1[c, r] for each (r, c) entry of m, as Python floats.
 
     Both factors are read from the real form R of m (``op.real_form``), whose
     probabilities are m's: the solves are real, and the products keep the
@@ -462,7 +461,8 @@ def _kenyon_probabilities(m, edges, pos):
     """
     r = op.real_form(m)
     inv = inverse_entries(r, [(c, row) for row, c in edges])
-    return (r.vals[np.asarray(pos, dtype=np.intp)] * inv).tolist()
+    weights = np.array([r.get(row, c) for row, c in edges])
+    return (weights * inv).tolist()
 
 
 def edge_probabilities_gd(dg, p, u, closed_form=False):
@@ -473,10 +473,8 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
     truncations).
     """
     kd = op.dirac(dg, p, u, "plain")
-    pos = op.edge_table(dg).layout(dg).gd_pos
     edges = sorted(dg.gd_edges, key=str)
-    probs = _kenyon_probabilities(kd, [(wkey(w), black) for w, black in edges],
-                                  [pos[e] for e in edges])
+    probs = _kenyon_probabilities(kd, [(wkey(w), black) for w, black in edges])
     rows = ProbabilityTable(kind="GD")
     for (w, black), prob in zip(edges, probs):
         rec = dg.gd_edges[(w, black)]
@@ -494,9 +492,7 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
 
 def edge_probabilities_gq(qg, ig, p):
     kq = op.kasteleyn_KQ(qg, ig, p)
-    # entry n of KQ is the n-th edge
-    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges],
-                                  range(len(qg.edges)))
+    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges])
     return ProbabilityTable("GQ", [
         ProbabilityRow((blk, wht), kind, prob, "kenyon-direct")
         for (blk, wht, kind, _), prob in zip(qg.edges, probs)])
@@ -506,8 +502,7 @@ def edge_probabilities_gf(fg, couplings):
     kf = op.kasteleyn_KF(fg, couplings)
     all_edges = ([(x, y, "internal") for x, y in fg.internal_edges]
                  + [(x, y, "external") for x, y, _ in fg.external_edges])
-    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges],
-                                  range(0, 2 * len(all_edges), 2))
+    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges])
     return ProbabilityTable("GF", [
         ProbabilityRow((x, y), role, prob, "kenyon-direct")
         for (x, y, role), prob in zip(all_edges, probs)])
@@ -788,8 +783,7 @@ def center_edge_probability_gd(ig, p, u):
             best = (d, eid)
     eid = best[1]
     r = ig.rhombi[eid]
-    pos = op.edge_table(ig).layout(ig).gd_pos[(eid, vkey(r.v2))]
-    p_ken = _kenyon_probabilities(kd, [(wkey(eid), vkey(r.v2))], [pos])[0]
+    p_ken = _kenyon_probabilities(kd, [(wkey(eid), vkey(r.v2))])[0]
     # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
     ua = _u_arg(u, r.alpha_bar, p)
     ub = _u_arg(u, r.beta_bar, p)

@@ -38,9 +38,9 @@ class TypedSparseMatrix:
     repeats.  ``vals`` keeps the dtype it is given (a matrix of real entries
     keeps real ones); ``dense`` is complex.  The ``{(row, col): value}`` view
     ``entries`` and the key positions ``row_pos`` and ``col_pos`` are built on
-    first use.  ``gauge``, when the builder knows it, holds per entry the
-    unit factor q_row q_col of a diagonal gauge that makes the matrix real
-    (see :func:`real_form`).
+    first use.  ``gauge``, when the builder keeps it, holds per entry the unit
+    factor q_row q_col of a diagonal gauge that makes the matrix real (see
+    :func:`real_form`).
     """
 
     def __init__(self, rows, cols, i, j, vals, name="", meta=None, gauge=None):
@@ -293,15 +293,11 @@ class _Layout:
 
     @cached_property
     def gauge(self):
-        """Per entry the unit factor q_w q_b of a diagonal gauge that makes
-        the Dirac operators of the layout real (Kenyon's Kasteleyn-flat
-        phases): q_w = e^{i(alpha+beta)/2} with the lifts of w's rhombus, and
-        q_b = 1 at a primal, i at a dual black.  The entry lifts (a, b) have
-        a + b - alpha - beta a multiple of 2 pi at a primal black and an odd
-        multiple of pi at a dual one, so e^{i(a+b)/2} / (q_w q_b) = +-1."""
-        tab = self.tab
-        return (np.exp(0.5j * (tab.alpha + tab.beta))[self.gd_e]
-                * np.where(self.gd_v, 1.0, 1j))
+        """The :func:`unit_gauge` of the phases: every Dirac operator of the
+        layout is ``phase()`` times real factors, so one gauge serves all
+        (k, u)."""
+        return unit_gauge(TypedSparseMatrix(self.whites, self.blacks, self.gd_e, self.gd_j,
+                                            self.phase()))
 
     @cached_property
     def gd_pos(self):
@@ -778,8 +774,7 @@ def kasteleyn_KF(fg, couplings):
     """Skew-symmetric Kasteleyn matrix of the Fisher graph.
 
     Internal edges have weight 1, the external edge over primal edge e has
-    weight e^{-2 J_e}.  Couplings may be any reals.  Entry 2n holds (x, y) of
-    the n-th edge, internal edges first, and entry 2n + 1 its transpose.
+    weight e^{-2 J_e}.  Couplings may be any reals.
     """
     verts = tuple(fg.vertices())
     ent = {}
@@ -1018,9 +1013,9 @@ def real_form(m):
     """The real matrix R = D_r^-1 m D_c^-1 of a gauge-real matrix m.
 
     Real ``vals`` are returned as they are (m itself).  Complex ones are
-    divided by the unit gauge factors (``m.gauge`` when the builder set it,
-    else :func:`unit_gauge` of the entries), and R = sign(Re) |vals|, so R
-    has the moduli of m and R[r, c] R^-1[c, r] = m[r, c] m^-1[c, r].  Raises
+    divided by the unit gauge factors (``m.gauge`` when the builder kept it,
+    else :func:`unit_gauge` of m), and R = sign(Re) |vals|, so R has the
+    moduli of m and R[r, c] R^-1[c, r] = m[r, c] m^-1[c, r].  Raises
     NotGaugeEquivalentError when some entry keeps an imaginary part above
     1e-12 of its modulus: then no such gauge exists.
     """

@@ -117,7 +117,7 @@ GATE_KS = (0.0, 0.3, 0.6, 0.9)
 def test_real_gauge_gate_on_every_builder():
     # the Dirac phases e^{i(alpha+beta)/2} and the KQ phases are a diagonal
     # gauge of signs: the real form keeps every modulus and passes the gate,
-    # with the Dirac layout's closed-form gauge and with the BFS one
+    # with the Dirac layout's gauge and with the BFS gauge of the matrix
     for spec in BUILDERS:
         ig = get_graph(spec)
         dg, qg = der.build_double(ig), der.build_quadri(ig)
@@ -161,7 +161,7 @@ def test_real_form_rejects_a_matrix_that_is_not_gauge_real(ig_2x2, params_half, 
     with pytest.raises(NotGaugeEquivalentError, match="not gauge-equivalent to a real"):
         op.real_form(twisted)
     # one Dirac entry turned by 0.3 rad: the table raises before any solve,
-    # with the layout's gauge and with the BFS one
+    # with the layout's gauge and with the BFS gauge of the matrix
     dg, p = der.build_double(ig_2x2), params_half
     kd = op.dirac(dg, p, 0.3, "plain")
     vals = kd.vals.copy()
