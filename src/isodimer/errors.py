@@ -41,6 +41,10 @@ class SingularityError(IsodimerError):
     """Matrix numerically singular where invertibility is required."""
 
 
+class LUPatternError(IsodimerError):
+    """Selected inversion read an entry outside the structural LU pattern (internal bug signal)."""
+
+
 class NotGaugeEquivalentError(IsodimerError):
     """Two matrices fail the cycle-product test; carries the offending cycle."""
 

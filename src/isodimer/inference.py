@@ -2,6 +2,8 @@
 edge probabilities and the brute-force enumeration oracles."""
 
 import cmath
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +20,13 @@ from .derived import (
     vkey,
     wkey,
 )
-from .errors import BijectionError, DomainError, OracleBudgetError, SingularityError
+from .errors import (
+    BijectionError,
+    DomainError,
+    LUPatternError,
+    OracleBudgetError,
+    SingularityError,
+)
 
 _SING_RCOND = 1e-13
 
@@ -50,22 +58,15 @@ def invert(m):
     return inv
 
 
-# right-hand sides per sparse solve: the extra memory stays at n x 64
-_SOLVE_BLOCK = 64
+def _sparse_lu(m):
+    """The CSC form of a TypedSparseMatrix, its sparse LU and the gate of ``invert``.
 
-
-def inverse_entries(m, pairs):
-    """Entries of the inverse of a TypedSparseMatrix from one sparse LU factorisation.
-
-    ``pairs`` lists (row, col) keys of the inverse, whose rows follow ``m.cols``
-    and columns ``m.rows``; the result is an array in that order, real when
-    ``m.vals`` is (the factorisation keeps its dtype).  The distinct columns
-    are solved in blocks of ``_SOLVE_BLOCK``.  The guarantees of ``invert``
-    hold: a non-square or exactly singular matrix, non-finite results, or
-    ||A||_1 ||A^-1||_1 > 1/_SING_RCOND raise SingularityError, with
-    ||A^-1||_1 the largest solved column's 1-norm when every column is solved
-    (then it is exact), else the larger of that and ``onenormest``.  scipy is
-    imported on the first call, so the CLI starts without it.
+    The matrix keeps the dtype of ``m.vals`` (integers promoted to float).  A
+    non-square or exactly singular matrix raises SingularityError here.
+    ``gate(values, inv_norm=0.0)`` returns ``values``, entries of A^-1, unless
+    they are non-finite or ||A||_1 ||A^-1||_1 > 1/_SING_RCOND, with ||A^-1||_1
+    the larger of ``inv_norm`` (a known lower bound) and ``onenormest``.
+    scipy is imported on the first call, so the CLI starts without it.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import LinearOperator, onenormest, splu
@@ -79,35 +80,122 @@ def inverse_entries(m, pairs):
         lu = splu(a)
     except RuntimeError as exc:
         raise SingularityError(f"singular matrix: {exc}") from exc
-    rows = np.array([m.col_pos[r] for r, _c in pairs], dtype=int)
-    cols, slot = np.unique(np.array([m.row_pos[c] for _r, c in pairs], dtype=int),
-                           return_inverse=True)
-    out = np.empty(len(pairs), dtype=dtype)
-    inv_norm = 0.0
-    for start in range(0, len(cols), _SOLVE_BLOCK):
-        block = cols[start:start + _SOLVE_BLOCK]
-        rhs = np.zeros((n, len(block)), dtype=dtype)
-        rhs[block, np.arange(len(block))] = 1.0
-        x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
+
+    def gate(values, inv_norm=0.0):
+        if not np.all(np.isfinite(values)):
             raise SingularityError("inverse contains non-finite entries")
-        inv_norm = max(inv_norm, np.abs(x).sum(axis=0).max())
-        sel = (slot >= start) & (slot < start + len(block))
-        out[sel] = x[rows[sel], slot[sel] - start]
-    if len(cols) < n:
         inv_op = LinearOperator((n, n), matvec=lu.solve, dtype=dtype,
                                 rmatvec=lambda y: lu.solve(y, trans="H"))
-        inv_norm = max(onenormest(inv_op), inv_norm)
-    cond = abs(a).sum(axis=0).max() * inv_norm
-    if not cond <= 1.0 / _SING_RCOND:
-        raise SingularityError("matrix numerically singular (conditioning gate)")
-    return out
+        if not abs(a).sum(axis=0).max() * max(onenormest(inv_op), inv_norm) <= 1.0 / _SING_RCOND:
+            raise SingularityError("matrix numerically singular (conditioning gate)")
+        return values
+
+    return a, lu, gate
 
 
 def inverse_entry(m, row, col):
-    """Entry (row, col) of the inverse of a TypedSparseMatrix: the one-pair
-    case of ``inverse_entries``, with the same index convention and gate."""
-    return inverse_entries(m, [(row, col)])[0]
+    """Entry (row, col) of the inverse of a TypedSparseMatrix, from one sparse
+    LU and one column solve.
+
+    The row key follows ``m.cols`` and the column key ``m.rows``; the value is
+    real when ``m.vals`` is.  The gates are those of ``_sparse_lu``, with the
+    solved column's 1-norm as the lower bound of ||A^-1||_1.
+    """
+    a, lu, gate = _sparse_lu(m)
+    rhs = np.zeros(a.shape[0], dtype=a.dtype)
+    rhs[m.row_pos[col]] = 1.0
+    x = lu.solve(rhs)
+    return gate(x, np.abs(x).sum())[m.col_pos[row]]
+
+
+def _lu_keys(f, n):
+    """Keys c n + r and values of the entries (r, c) of the strict lower part
+    of L and of U, for a SuperLU factorisation f: the entries of (L + U)^T,
+    keyed row-major.  SuperLU leaves out entries that cancel to 0.0."""
+    lo, up = f.L.tocoo(), f.U.tocoo()
+    strict = lo.row > lo.col
+    keys = np.concatenate([lo.col[strict].astype(np.int64) * n + lo.row[strict],
+                           up.col.astype(np.int64) * n + up.row])
+    return keys, np.concatenate([lo.data[strict], up.data])
+
+
+def _slots(keys, wanted):
+    """Positions of ``wanted`` in the sorted ``keys``; every one must be there."""
+    at = np.searchsorted(keys, wanted)
+    if not np.array_equal(keys.take(at, mode="clip"), wanted):
+        raise LUPatternError("selected inversion reads an entry outside the LU pattern")
+    return at
+
+
+def _structural_keys(bi, bj, n):
+    """The sorted ``_lu_keys`` of the structural LU pattern of the n x n
+    pattern (bi, bj), factored in place with diagonal pivots.
+
+    The pattern is given -1 off the diagonal and (row count) + 2^-20 on it:
+    elimination keeps that M-matrix's signs, so no entry of its factors
+    cancels, and the diagonal, which is in the filled pattern, adds no fill.
+    With a margin of 1 instead of 2^-20 the fill entries shrink along long
+    elimination paths, to 1e-103 on the L = 96 Dirac operator, and would
+    underflow on larger ones; with 2^-20 they stay above 1e-18 up to L = 160.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    off, ids = bi != bj, np.arange(n)
+    sym = splu(csc_matrix((np.concatenate([-np.ones(off.sum()),
+                                           np.bincount(bi[off], minlength=n) + 2.0 ** -20]),
+                           (np.concatenate([bi[off], ids]), np.concatenate([bj[off], ids]))),
+                          shape=(n, n)), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    if not (np.array_equal(sym.perm_r, ids) and np.array_equal(sym.perm_c, ids)):
+        raise LUPatternError("the structural factorisation permuted the matrix")
+    return np.sort(_lu_keys(sym, n)[0])
+
+
+def selected_inverse(m):
+    """The inverse of a TypedSparseMatrix on the pattern of its transpose.
+
+    Returns an array aligned with ``m.vals``: entry n is m^-1[cols[j[n]],
+    rows[i[n]]], real when ``m.vals`` is.  With Pr m Pc = L U from one sparse
+    LU, Z = (L U)^-1 = U^-1 L^-1 is computed on the structural pattern of
+    (L + U)^T by Takahashi's recurrences (Takahashi-Fagan-Chin 1973;
+    Erisman-Tinney 1975).  For j = n-1 ... 0, with L_j the rows below j of
+    column j of L, U_j the columns right of j of row j of U and S = Z[U_j, L_j]:
+
+        Z[U_j, j] = -S L[L_j, j]
+        Z[j, L_j] = -U[j, U_j] S / U[j, j]
+        Z[j, j]   = (1 - U[j, U_j] Z[U_j, j]) / U[j, j]
+
+    and m^-1[c, r] = Z[perm_c[c], perm_r[r]].  The recurrences close on the
+    structural pattern only, and SuperLU leaves out factor entries that cancel
+    to 0.0 (generic values cancel too: some pivots of Pr m Pc are fill, not
+    entries), so the pattern comes from ``_structural_keys``.  The gates are
+    those of ``_sparse_lu``, with ||m^-1||_1 from ``onenormest``.
+    """
+    a, lu, gate = _sparse_lu(m)
+    n = a.shape[0]
+    bi, bj = lu.perm_r[m.i], lu.perm_c[m.j]
+    key = _structural_keys(bi, bj, n)
+    num_key, num_val = _lu_keys(lu, n)
+    val = np.zeros(len(key), dtype=a.dtype)
+    val[_slots(key, num_key)] = num_val
+    del num_key, num_val
+    # Z[r, c] sits at key r n + c; val holds L[c, r] or U[c, r] there
+    zr, zc = np.divmod(key, n)
+    diag = _slots(key, np.arange(n, dtype=np.int64) * (n + 1))
+    right = np.flatnonzero(zr < zc)                 # Z[j, L_j], grouped by j = zr
+    below = np.flatnonzero(zr > zc)
+    below = below[np.argsort(zc[below], kind="stable")]     # Z[U_j, j], by j = zc
+    right_ptr = np.searchsorted(zr[right], np.arange(n + 1))
+    below_ptr = np.searchsorted(zc[below], np.arange(n + 1))
+    z = np.zeros_like(val)
+    for j in range(n - 1, -1, -1):
+        ls, us = right[right_ptr[j]:right_ptr[j + 1]], below[below_ptr[j]:below_ptr[j + 1]]
+        s = z[_slots(key, (zr[us, None] * n + zc[ls]).ravel())].reshape(len(us), len(ls))
+        u_row, u_jj = val[us], val[diag[j]]
+        z[us] = -(s @ val[ls])
+        z[ls] = -(u_row @ s) / u_jj
+        z[diag[j]] = (1.0 - u_row @ z[us]) / u_jj
+    return gate(z)[_slots(key, bj.astype(np.int64) * n + bi)]
 
 
 def logabsdet(m):
@@ -435,12 +523,15 @@ class ProbabilityTable:
     rows: list = field(default_factory=list)
 
     def to_csv(self):
-        lines = ["edge_id,role,p_kenyon,p_closed_form,gap"]
+        """The rows as CSV; an edge id holds commas, so csv quotes it."""
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(["edge_id", "role", "p_kenyon", "p_closed_form", "gap"])
         for r in self.rows:
-            cf = "" if r.closed_form is None else repr(r.closed_form)
-            gap = "" if r.gap is None else repr(r.gap)
-            lines.append(f"{r.edge_id},{r.role},{r.probability!r},{cf},{gap}")
-        return "\n".join(lines) + "\n"
+            out.writerow([r.edge_id, r.role, repr(r.probability),
+                          "" if r.closed_form is None else repr(r.closed_form),
+                          "" if r.gap is None else repr(r.gap)])
+        return buf.getvalue()
 
     def vertex_sum_defect(self, incidence):
         """Max |1 - sum of incident probabilities| over the given incidence map."""
@@ -456,13 +547,13 @@ def _kenyon_probabilities(m, edges):
     """K[r, c] K^-1[c, r] for each (r, c) entry of m, as Python floats.
 
     Both factors are read from the real form R of m (``op.real_form``), whose
-    probabilities are m's: the solves are real, and the products keep the
+    probabilities are m's: the inverse is real, and the products keep the
     digits that multiplying phases back into a complex inverse would lose.
+    R^-1 is read on the pattern of R^T by ``selected_inverse``.
     """
     r = op.real_form(m)
-    inv = inverse_entries(r, [(c, row) for row, c in edges])
-    weights = np.array([r.get(row, c) for row, c in edges])
-    return (weights * inv).tolist()
+    probs = op.TypedSparseMatrix(r.rows, r.cols, r.i, r.j, r.vals * selected_inverse(r))
+    return [probs.entries[e] for e in edges]
 
 
 def edge_probabilities_gd(dg, p, u, closed_form=False):
@@ -783,7 +874,8 @@ def center_edge_probability_gd(ig, p, u):
             best = (d, eid)
     eid = best[1]
     r = ig.rhombi[eid]
-    p_ken = _kenyon_probabilities(kd, [(wkey(eid), vkey(r.v2))])[0]
+    w, b, rf = wkey(eid), vkey(r.v2), op.real_form(kd)
+    p_ken = float(rf.get(w, b) * inverse_entry(rf, b, w))
     # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
     ua = _u_arg(u, r.alpha_bar, p)
     ub = _u_arg(u, r.beta_bar, p)

@@ -1,5 +1,7 @@
 """CLI surface: exit codes, artifact schema, determinism."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -192,11 +194,14 @@ def test_probabilities_csv_repeatable_and_exact(tmp_path):
     kd = op.dirac(dg, p, u, "plain")
     inv = inf.invert(kd.dense())
     edges = sorted(dg.gd_edges, key=str)
-    lines = first.decode().splitlines()[1:]
-    assert len(lines) == len(edges)
-    for (w, b), line in zip(edges, lines):
+    rows = list(csv.reader(io.StringIO(first.decode())))
+    assert rows[0] == ["edge_id", "role", "p_kenyon", "p_closed_form", "gap"]
+    assert len(rows) == 1 + len(edges)
+    assert all(len(row) == 5 for row in rows)
+    for (w, b), row in zip(edges, rows[1:]):
+        assert row[0] == str((w, b))
         ref = (kd.get(der.wkey(w), b) * inv[kd.col_pos[b], kd.row_pos[der.wkey(w)]]).real
-        assert abs(float(line.rsplit(",", 4)[2]) - ref) <= 1e-12
+        assert abs(float(row[2]) - ref) <= 1e-12
 
 
 def test_oracle_command_and_budget(tmp_path):

@@ -17,6 +17,7 @@ from isodimer.elliptic import complete_integrals
 from isodimer.errors import (
     BijectionError,
     DomainError,
+    LUPatternError,
     NotGaugeEquivalentError,
     OracleBudgetError,
     SingularityError,
@@ -152,6 +153,82 @@ def test_real_gauge_tables_match_dense_kenyon():
                 ref = dense_kenyon(m, edges or [row.edge_id for row in tab.rows])
                 gap = max(abs(row.probability - r) for row, r in zip(tab.rows, ref))
                 assert gap <= 1e-12, (spec, k, tab.kind, gap)
+
+
+def test_selected_inverse_matches_invert():
+    # Takahashi's recurrences against the dense inverse on the whole pattern
+    # of m^T.  K^F on 2x2 at k = 0.5 and the real 16x16 Dirac operator at
+    # k = 0 have fill entries that cancel to 0.0 in SuperLU's factors, so
+    # a pattern read from those factors misses entries the recurrences read
+    cases = []
+    for spec in BUILDERS:
+        ig = get_graph(spec)
+        dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
+        for k in GATE_KS:
+            p = complete_integrals(k)
+            u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+            cases += [(spec, k, op.dirac(dg, p, u, "plain")), (spec, k, op.kasteleyn_KQ(qg, ig, p)),
+                      (spec, k, op.kasteleyn_KF(fg, op.z_invariant_couplings(ig, p)))]
+    ig, p = get_graph("square:2x2"), complete_integrals(0.5)
+    cases.append(("square:2x2", 0.5,
+                  op.kasteleyn_KF(der.build_fisher(ig), op.z_invariant_couplings(ig, p))))
+    ig, p = iso.make_isoradial(iso.build_square_lattice(16, 16)), complete_integrals(0.0)
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    cases.append(("square:16x16", 0.0, op.real_form(op.dirac(der.build_double(ig), p, u, "plain"))))
+    for spec, k, m in cases:
+        inv = inf.invert(m.dense())
+        got = inf.selected_inverse(m)
+        assert got.dtype == np.result_type(m.vals.dtype, np.float64), (spec, k, m.name)
+        gap = np.abs(got - inv[m.j, m.i]).max()
+        assert gap <= 1e-12 * np.abs(inv).max(), (spec, k, m.name, gap)
+
+
+def test_structural_pattern_is_the_symbolic_factorisation():
+    # the M-matrix factorisation's nonzeros against boolean elimination
+    ig, p = iso.make_isoradial(iso.build_square_lattice(16, 16)), complete_integrals(0.0)
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    gd = op.real_form(op.dirac(der.build_double(ig), p, u, "plain"))
+    ig = get_graph("tripair")
+    couplings = op.z_invariant_couplings(ig, complete_integrals(0.5))
+    for m in (gd, op.kasteleyn_KF(der.build_fisher(ig), couplings)):
+        n = len(m.rows)
+        lu = inf._sparse_lu(m)[1]
+        bi, bj = lu.perm_r[m.i], lu.perm_c[m.j]
+        filled = np.zeros((n, n), dtype=bool)
+        filled[bi, bj] = True
+        for k in range(n):
+            after = np.arange(n) > k
+            filled[np.ix_(filled[:, k] & after, filled[k] & after)] = True
+        r, c = np.nonzero(filled)
+        assert np.array_equal(inf._structural_keys(bi, bj, n), np.sort(c * n + r)), m.name
+
+
+def test_selected_inverse_needs_the_structural_pattern(ig_2x2, params_half, monkeypatch):
+    # the pattern of SuperLU's own factors lacks the fill that cancels to
+    # 0.0 on K^F at k = 0.5, and a gathered key outside the pattern raises
+    kf = op.kasteleyn_KF(der.build_fisher(ig_2x2), op.z_invariant_couplings(ig_2x2, params_half))
+    real_lu, held = inf._sparse_lu, []
+
+    def keep_lu(m):
+        held.append(real_lu(m))
+        return held[-1]
+
+    monkeypatch.setattr(inf, "_sparse_lu", keep_lu)
+    monkeypatch.setattr(inf, "_structural_keys",
+                        lambda _bi, _bj, n: np.sort(inf._lu_keys(held[-1][1], n)[0]))
+    with pytest.raises(LUPatternError):
+        inf.selected_inverse(kf)
+
+
+def test_point_queries_stay_column_solves(ig_2x2, params_half, monkeypatch):
+    def no_selected_inverse(m):
+        raise AssertionError(f"{m.name}: selected inversion for a point query")
+
+    monkeypatch.setattr(inf, "selected_inverse", no_selected_inverse)
+    ig, p = ig_2x2, params_half
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    assert math.isfinite(inf.green_center_diagonal(ig, p)[0])
+    assert 0.0 < inf.center_edge_probability_gd(ig, p, u)[0] < 1.0
 
 
 def test_real_form_rejects_a_matrix_that_is_not_gauge_real(ig_2x2, params_half, monkeypatch):

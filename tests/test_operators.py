@@ -302,7 +302,7 @@ def test_gauge_negative_control(ig_2x2, params_half):
 
 def test_storage_contract(monkeypatch):
     # every builder's coordinate arrays agree with its entry view, its dense
-    # form and the CSC matrix that inverse_entries factors
+    # form and the CSC matrix that inverse_entry factors
     import scipy.sparse
     from conftest import get_graph
 
@@ -316,7 +316,7 @@ def test_storage_contract(monkeypatch):
         factored.append(real_csc(*args, **kwargs))
         return factored[-1]
 
-    # inverse_entries imports csc_matrix from scipy.sparse on each call
+    # inverse_entry imports csc_matrix from scipy.sparse on each call
     monkeypatch.setattr(scipy.sparse, "csc_matrix", recording_csc)
     for spec in ("square:2x2", "irregular"):
         ig = get_graph(spec)

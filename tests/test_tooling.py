@@ -49,15 +49,33 @@ def _import_time_imports(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_no_module_level_scipy_import():
-    # scipy loads on the first sparse solve, so the CLI starts without it
+def _package_trees():
     pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "isodimer")
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            found += [f"{name}: {mod}" for mod in _import_time_imports(tree)
-                      if mod == "scipy" or mod.startswith("scipy.")]
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_no_module_level_scipy_import():
+    # scipy loads on the first sparse solve, so the CLI starts without it
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}: {mod}" for mod in _import_time_imports(tree)
+                  if mod == "scipy" or mod.startswith("scipy.")]
     assert not found, found
+
+
+def test_splu_keeps_default_relax_and_panel_size():
+    # non-default relax or panel_size crashed the interpreter in a trial
+    # (a segfault, a double free); a ** argument could pass either
+    calls, found = 0, []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "splu" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                calls += 1
+                found += [f"{name}:{node.lineno}: {kw.arg or '**'}" for kw in node.keywords
+                          if kw.arg in (None, "relax", "panel_size")]
+    assert calls and not found, (calls, found)
