@@ -290,7 +290,7 @@ def build_parser():
                         help="enable brute-force cross checks")
         sp.add_argument("--budget", type=int, default=2 ** 20,
                         help="oracle size bound, exit 3 past it: frontier states "
-                             "(spins, polygons, matchings), search nodes (dST pairs)")
+                             "summed over all steps, for every oracle")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--negative-control", dest="negative_control",
                         action="store_true")

@@ -734,17 +734,45 @@ def fisher_polygon_map(fg, matching):
 
 
 # ---------------------------------------------------------------------------
-# frontier (transfer-matrix) sum: the shared matching, polygon and spin oracle
+# frontier (transfer-matrix) sums: the matching, polygon, spin and forest oracles
 # ---------------------------------------------------------------------------
+
+def _edge_order(vertices, ends, start=None):
+    """The str-sorted vertices, their positions and the BFS order of the edges.
+
+    ``ends`` holds each edge's ends as a tuple.  Vertices are visited in BFS
+    order from ``start``, then from the str-smallest unvisited one,
+    neighbours in str order, and an edge is taken when the BFS reaches the
+    last of its ends.
+    """
+    vs = sorted(vertices, key=str)
+    pos = {v: i for i, v in enumerate(vs)}
+    ends = [[pos[x] for x in e] for e in ends]
+    nbr = [[] for _ in vs]
+    for idx, e in enumerate(ends):
+        for i, x in enumerate(e):
+            nbr[x] += [(y, idx) for j, y in enumerate(e) if j != i]
+    order, seen, reached = {}, [False] * len(vs), [False] * len(vs)   # order: an ordered set
+    for root in ([] if start is None else [pos[start]]) + list(range(len(vs))):
+        queue = [] if seen[root] else [root]
+        seen[root] = True
+        for x in queue:
+            reached[x] = True
+            for y, idx in sorted(nbr[x]):
+                if all(reached[z] for z in ends[idx]) and idx not in order:
+                    order[idx] = None
+                elif not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return vs, pos, list(order)
+
 
 def _frontier_sum(vertices, edges, weights, rule, budget, marginals=False):
     """Exact sum over the edge subsets that meet a degree rule at every vertex.
 
-    A transfer-matrix sum (Baxter, *Exactly Solved Models*, 1982): vertices
-    are visited in BFS order from the str-smallest unvisited one, neighbours
-    in str order, and an edge is taken when the BFS reaches its later end.
-    A table maps a frontier bitmask to the exact count and the weight behind
-    it.  A vertex leaves after its last edge and must then meet ``rule``:
+    A transfer-matrix sum (Baxter, *Exactly Solved Models*, 1982) over the
+    edges in the order of ``_edge_order``: a table maps a frontier bitmask to
+    the exact count and the weight behind it.  A vertex leaves after its last edge and must then meet ``rule``:
     ``"matching"`` takes an edge only between free ends and asks degree 1;
     ``"even"`` flips the parity of both ends and asks even degree.
     ``weights`` holds one weight per edge (1 when ``None``).  Returns (count,
@@ -752,27 +780,10 @@ def _frontier_sum(vertices, edges, weights, rule, budget, marginals=False):
     forward tables and one backward pass.  Raises ``OracleBudgetError`` once
     the states created over all steps exceed ``budget``.
     """
-    vs = sorted(vertices, key=str)
-    pos = {v: i for i, v in enumerate(vs)}
-    nbr = [[] for _ in vs]
-    for idx, (x, y) in enumerate(edges):
-        nbr[pos[x]].append((pos[y], idx))
-        nbr[pos[y]].append((pos[x], idx))
+    vs, pos, order = _edge_order(vertices, edges)
     matching = rule == "matching"
-    if matching and not all(nbr):
+    if matching and len({x for e in edges for x in e}) < len(vs):
         return 0, 0.0, [0.0] * len(edges) if marginals else None
-    order, seen, reached = [], [False] * len(vs), [False] * len(vs)
-    for root in range(len(vs)):
-        queue = [] if seen[root] else [root]
-        seen[root] = True
-        for x in queue:
-            reached[x] = True
-            for y, idx in sorted(nbr[x]):
-                if reached[y]:
-                    order.append(idx)
-                elif not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
     # per step: both ends, the ends leaving (no later edge), the bits they must carry, weight
     steps, later = [], 0
     for idx in reversed(order):
@@ -829,3 +840,62 @@ def enumerate_matchings(vertices, edges, weights=None, budget=10 ** 6,
                                        budget, marginals)
     return (count, total, marg) if marginals else (count, total)
 
+
+def _forest_sum(vertices, groups, roots, budget, start=None):
+    """Exact (count, weighted sum) of the rooted spanning forests of a directed
+    graph whose arcs (x, y, weight) come in ``groups``, a list of arc lists.
+
+    A forest takes at most one arc per group and one out-arc from every
+    vertex that does not root, closes no cycle, and roots v with weight
+    ``roots[v]``; a vertex that is no key of ``roots`` cannot root.  The
+    transfer-matrix scheme of ``_frontier_sum``, over the groups in the order
+    of ``_edge_order`` from ``start``, on connectivity states (Kawahara et
+    al., *IEICE Trans.* 2017): each frontier vertex has a component label and
+    a head flag, the head being the component's one vertex without an
+    out-arc yet.  An arc x -> y needs x a head and y in another component; a
+    head that leaves the frontier roots.  Raises ``OracleBudgetError`` once
+    the states created over all steps exceed ``budget``.
+    """
+    ends = [tuple(dict.fromkeys(v for x, y, _w in g for v in (x, y))) for g in groups]
+    order = _edge_order(vertices, ends, start)[2]
+    last = {v: t for t, idx in enumerate(order) for v in ends[idx]}
+    isolated = [v for v in vertices if v not in last]     # no arc: each roots
+    if any(v not in roots for v in isolated):
+        return 0, 0.0
+    # a state holds 2 * label + head per frontier vertex, labels numbered in order
+    front, created = [], 0
+    table = {(): (1, math.prod((roots[v] for v in isolated), start=1.0))}
+    for t, idx in enumerate(order):
+        new = [v for v in ends[idx] if v not in front]
+        front += new
+        slot = {v: i for i, v in enumerate(front)}
+        arcs = [(slot[x], slot[y], w) for x, y, w in groups[idx]]
+        leave = [(slot[v], roots.get(v)) for v in ends[idx] if last[v] == t]
+        keep = [i for i, v in enumerate(front) if last[v] != t]
+        fresh = [2 * i + 1 for i in range(len(front) - len(new), len(front))]
+        table2 = {}
+        for state, (c, w) in table.items():
+            lab = list(state) + fresh
+            nexts = [(lab, w)]
+            for x, y, rho in arcs:
+                if lab[x] & 1 and lab[x] >> 1 != lab[y] >> 1:
+                    old, to = lab[x] >> 1, lab[y] >> 1
+                    nexts.append(([2 * to if e >> 1 == old else e for e in lab], w * rho))
+            for lab2, w2 in nexts:
+                for i, mass in leave:
+                    if lab2[i] & 1:
+                        if mass is None:
+                            break
+                        w2 *= mass
+                else:
+                    names = {}
+                    key = tuple([2 * names.setdefault(lab2[i] >> 1, len(names)) + (lab2[i] & 1)
+                                 for i in keep])
+                    c0, w0 = table2.get(key, (0, 0.0))
+                    table2[key] = (c0 + c, w0 + w2)
+        created += len(table2)
+        if created > budget:
+            raise OracleBudgetError(f"frontier sum exceeded {budget} states")
+        front = [front[i] for i in keep]
+        table = table2
+    return table.get((), (0, 0.0))

@@ -149,8 +149,9 @@ class Workspace(_Memo):
 
     def at(self, u):
         """The operators at spectral value ``u``, built on first use."""
-        # repr tells -0.0 from 0.0, which == does not
-        key = repr(u)
+        # repr tells -0.0 from 0.0, which == does not; float() makes a numpy
+        # scalar and the equal Python float one key
+        key = repr(float(u))
         if key not in self._ats:
             self._ats[key] = _AtU(self, u)
         return self._ats[key]
@@ -476,17 +477,15 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     # closed form for [Z+]^2
     log_z2 = log_z_plus_squared_formula(ws, u)
     detail = {"kq_vs_kd": r1, "factorization": r2}
-    r3 = 0.0
-    z_spins = ws.spin_sum(oracle_budget)
-    if z_spins is not None:
-        r3 = abs(2.0 * math.log(z_spins) - log_z2)
-        detail["ising_vs_forest"] = r3
+    z_spins = ws.spin_sum(oracle_budget)      # None past the budget: the term is left out
+    r3 = None if z_spins is None else abs(2.0 * math.log(z_spins) - log_z2)
+    detail["ising_vs_forest"] = r3
     # u and u+2K symmetry of the second corollary form
     u_b = (u + 2.0 * p.bigK) % (4.0 * p.bigK)
     log_z2_b = log_z_plus_squared_formula(ws, u_b)
     r4 = abs(log_z2 - log_z2_b)
     detail["u_shift_consistency"] = r4
-    res = _worst(r1, r2, r3, r4)
+    res = _worst(r1, r2, 0.0 if r3 is None else r3, r4)
     return _report("partition_function", ws.ctx(u), res, tol, t0, detail)
 
 

@@ -13,6 +13,7 @@ import numpy.random  # noqa: F401  (numpy loads it on first use; load it with th
 from . import elliptic as el
 from . import operators as op
 from .derived import (
+    _forest_sum,
     _frontier_sum,
     fisher_quadri_map,
     induce_orientation_GQ,
@@ -24,7 +25,6 @@ from .errors import (
     BijectionError,
     DomainError,
     LUPatternError,
-    OracleBudgetError,
     SingularityError,
 )
 
@@ -65,7 +65,9 @@ def _sparse_lu(m):
     non-square or exactly singular matrix raises SingularityError here.
     ``gate(values, inv_norm=0.0)`` returns ``values``, entries of A^-1, unless
     they are non-finite or ||A||_1 ||A^-1||_1 > 1/_SING_RCOND, with ||A^-1||_1
-    the larger of ``inv_norm`` (a known lower bound) and ``onenormest``.
+    the larger of ``inv_norm`` (a known lower bound) and ``onenormest``, exact for
+    n <= 2 and else Hager's one-column estimate: weaker than t=2 but free of random
+    draws, so the gate neither reads nor moves numpy's global RNG.
     scipy is imported on the first call, so the CLI starts without it.
     """
     from scipy.sparse import csc_matrix
@@ -86,7 +88,8 @@ def _sparse_lu(m):
             raise SingularityError("inverse contains non-finite entries")
         inv_op = LinearOperator((n, n), matvec=lu.solve, dtype=dtype,
                                 rmatvec=lambda y: lu.solve(y, trans="H"))
-        if not abs(a).sum(axis=0).max() * max(onenormest(inv_op), inv_norm) <= 1.0 / _SING_RCOND:
+        inv_norm = max(onenormest(inv_op, t=1 if n > 2 else n), inv_norm)
+        if not abs(a).sum(axis=0).max() * inv_norm <= 1.0 / _SING_RCOND:
             raise SingularityError("matrix numerically singular (conditioning gate)")
         return values
 
@@ -461,9 +464,7 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
 
 def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     """Residuals of the three-terms relation on sampled (a, a1, a2, a3)."""
-    ig = fg.ig
     fqm = fisher_quadri_map(fg, qg)
-    induce_orientation_GQ(fg, qg)
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     fpos = kf.row_pos
@@ -653,119 +654,52 @@ def brute_force_polygons(ig, couplings, budget=2 ** 20):
                              {"polygon_sum": total})
 
 
-def _rooted_forests(options, budget):
-    """Stream the rooted spanning forests of a directed graph.
-
-    ``options`` maps every vertex to its choices (target, weight): an
-    out-edge, or a target outside the map (``None``, ``"outer"`` or the
-    root), which is a sink and so makes the vertex a root.  Vertices choose
-    in the map's order, and a choice that would close a cycle is pruned when
-    it is made.  Yields (choice, weight) per forest, the weight being the
-    product of the chosen weights in vertex order; ``choice`` is one dict
-    updated in place, so read it before resuming.  Raises
-    ``OracleBudgetError`` past ``budget`` search nodes.
-    """
-    vs = list(options)
-    choice = {}
-    nodes = 0
-
-    def grow(i, w):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise OracleBudgetError(f"rooted forest enumeration exceeded {budget} nodes")
-        if i == len(vs):
-            yield choice, w
-            return
-        v = vs[i]
-        for tgt, rho in options[v]:
-            end = tgt
-            while end != v and end in choice:
-                end = choice[end]
-            if end != v:
-                choice[v] = tgt
-                yield from grow(i + 1, w * rho)
-        choice.pop(v, None)
-
-    return grow(0, 1.0)
-
-
-def _tally(kind, instance, forests):
-    """Count the streamed (choice, weight) pairs and sum their weights in order."""
-    count, total = 0, 0.0
-    for _choice, w in forests:
-        count += 1
-        total += w
-    return OracleConfigSpace(kind, instance, count, total)
+def _dual_arcs(ig, eid, gamma):
+    """The arcs of the augmented dual across edge ``eid``, weighted by
+    ``gamma[(f, eid)]`` at their tail f; no arc leaves "outer"."""
+    r = ig.rhombi[eid]
+    if r.f2 is None:
+        return [(fkey(r.f1), "outer", gamma[(r.f1, eid)])]
+    return [(fkey(f), fkey(g), gamma[(f, eid)]) for f, g in ((r.f1, r.f2), (r.f2, r.f1))]
 
 
 def brute_force_dst_pairs(ig, weights_primal=None, weights_dual=None, budget=10 ** 6):
-    """Weighted sum over pairs of dual directed spanning trees.
+    """Weighted sum over pairs of dual directed spanning trees, by the forest sum.
 
     ``weights_primal`` maps directed primal edges (v, v') to conductances;
     ``weights_dual`` maps (f, crossed primal edge id), since dual edges toward
-    the outer vertex come in parallel bundles.  Unit weights when omitted.
-    The primal tree is directed toward the root and the dual tree is its
-    planar complement.  ``budget`` bounds the search nodes.
+    the outer vertex come in parallel bundles; unit weights when omitted.
+    With ``weights_dual`` a pair is one forest of the primal graph and the
+    augmented dual, rooted at the root and "outer", with one group of arcs
+    per edge: at most one arc per group and |V| - 1 + |F| = |E| make the
+    dual tree the complement of the primal one.  Without it only the primal
+    trees are summed.  ``budget`` bounds the frontier states.
     """
-    # vertices choose in reverse BFS order from the root: each one's BFS parent
-    # is still free when it chooses, so no branch of the search dies
-    order, seen = [ig.root], {ig.root}
-    for x in order:
-        for y in ig.base.adj[x]:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    options = {v: [(w, 1.0 if weights_primal is None else weights_primal[(v, w)])
-                   for w in ig.base.adj[v]]
-               for v in reversed(order[1:])}
-
-    def pairs():
-        for choice, w in _rooted_forests(options, budget):
-            if weights_dual is not None:
-                tree = {ig.edge_ids[(min(v, t), max(v, t))] for v, t in choice.items()}
-                dual_out = _dual_tree_out(ig, [e for e in ig.edge_list() if e not in tree])
-                for f, (_f2, eid) in dual_out.items():
-                    w *= weights_dual[(f, eid)]
-            yield choice, w
-
-    return _tally("dst-pairs", ig.graph_hash(), pairs())
-
-
-def _dual_tree_out(ig, co_edges):
-    adj = {}
-    for eid in co_edges:
+    root = vkey(ig.root)
+    vertices, roots = [vkey(v) for v in ig.base.coords], {root: 1.0}
+    if weights_dual is not None:
+        if len(ig.base.coords) - 1 + len(ig.face_centers) != len(ig.edge_list()):
+            raise BijectionError("|V| - 1 + |F| != |E|: the dual tree is not the complement")
+        vertices += [fkey(f) for f in range(len(ig.face_centers))] + ["outer"]
+        roots["outer"] = 1.0
+    groups = []
+    for eid in ig.edge_list():
         r = ig.rhombi[eid]
-        fa = r.f1
-        fb = r.f2 if r.f2 is not None else "outer"
-        adj.setdefault(fa, []).append((fb, eid))
-        adj.setdefault(fb, []).append((fa, eid))
-    out = {}
-    parent = {"outer": None}
-    stack = ["outer"]
-    while stack:
-        x = stack.pop()
-        for y, eid in adj.get(x, []):
-            if y not in parent:
-                parent[y] = (x, eid)
-                out[y] = (x, eid)
-                stack.append(y)
-    n_f = len(ig.face_centers)
-    if len(out) != n_f:
-        raise BijectionError("complement does not induce a dual spanning tree")
-    return out
+        groups.append([(vkey(x), vkey(y), 1.0 if weights_primal is None else weights_primal[(x, y)])
+                       for x, y in ((r.v1, r.v2), (r.v2, r.v1)) if x != ig.root]
+                      + ([] if weights_dual is None else _dual_arcs(ig, eid, weights_dual)))
+    count, total = _forest_sum(vertices, groups, roots, budget, start=root)
+    return OracleConfigSpace("dst-pairs", ig.graph_hash(), count, total)
 
 
 def brute_force_forests(vertices, directed_edges, masses, budget=10 ** 6):
-    """Weighted rooted directed spanning forests by explicit enumeration.
+    """Weighted rooted directed spanning forests by the forest sum.
 
-    ``directed_edges`` is a list of (x, y, rho).  Every vertex picks either an
-    out-edge or becomes a root (weight = its mass); acyclic choices only.
+    ``directed_edges`` is a list of (x, y, rho).  Every vertex takes an
+    out-edge or roots with weight ``masses[v]``; acyclic choices only.
     """
-    options = {v: [(None, masses[v])] for v in vertices}
-    for x, y, rho in directed_edges:
-        options[x].append((y, rho))
-    return _tally("forests", "custom", _rooted_forests(options, budget))
+    count, total = _forest_sum(vertices, [[arc] for arc in directed_edges], masses, budget)
+    return OracleConfigSpace("forests", "custom", count, total)
 
 
 def brute_force_outer_trees(ig, gamma, budget=10 ** 6):
@@ -774,14 +708,10 @@ def brute_force_outer_trees(ig, gamma, budget=10 ** 6):
     ``gamma`` maps (f, w_edge_id) to the conductance of the directed dual edge
     leaving f across the white vertex of that primal edge.
     """
-    options = {f: [] for f in range(len(ig.face_centers))}
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        options[r.f1].append((r.f2 if r.f2 is not None else "outer",
-                              gamma[(r.f1, eid)]))
-        if r.f2 is not None:
-            options[r.f2].append((r.f1, gamma[(r.f2, eid)]))
-    return _tally("outer-trees", ig.graph_hash(), _rooted_forests(options, budget))
+    count, total = _forest_sum([fkey(f) for f in range(len(ig.face_centers))] + ["outer"],
+                               [_dual_arcs(ig, eid, gamma) for eid in ig.edge_list()],
+                               {"outer": 1.0}, budget, start="outer")
+    return OracleConfigSpace("outer-trees", ig.graph_hash(), count, total)
 
 
 def brute_force(kind, ig, couplings=None, budget=2 ** 20, **kw):

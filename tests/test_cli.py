@@ -219,11 +219,15 @@ def test_oracle_command_and_budget(tmp_path):
 
 
 def test_oracle_budget_bounds_dst_pairs(capsys):
-    # spins (17 frontier states) and polygons fit in 200; the dST-pair search
-    # needs 89,719 nodes, so the caller's budget stops it
+    # spins (17 frontier states) and polygons fit in 200; the dST-pair forest
+    # sum needs 3,757 states, so the caller's budget stops it
     assert run_cli(["oracle", "--builder", "square:3x2", "--k", "0.5",
                     "--budget", "200"]) == 3
-    assert "rooted forest enumeration exceeded 200 nodes" in capsys.readouterr().err
+    assert "frontier sum exceeded 200 states" in capsys.readouterr().err
+    ig = iso.make_isoradial(iso.builder_graph("square:3x2"))
+    couplings = op.z_invariant_couplings(ig, complete_integrals(0.5))
+    inf.brute_force_spins(ig, couplings, budget=200)
+    inf.brute_force_polygons(ig, couplings, budget=200)
 
 
 def test_matrices_dump(tmp_path):

@@ -105,6 +105,10 @@ es = ([tuple(sorted(e, key=str)) for e in fg.internal_edges]
 ws = [1.0] * len(fg.internal_edges) + [
     math.exp(-2 * couplings[eid]) for *_xy, eid in fg.external_edges]
 print(repr(der.enumerate_matchings(set(fg.vertices()), es, ws, marginals=True)))
+wp = {(v, w): 1.0 + 0.1 * ((3 * v + w) % 7) for v in ig.base.adj for w in ig.base.adj[v]}
+wd = {(f, eid): 1.0 + 0.1 * ((f + 2 * eid) % 5) for eid in ig.edge_list()
+      for f in (ig.rhombi[eid].f1, ig.rhombi[eid].f2) if f is not None}
+print(repr(inf.brute_force_dst_pairs(ig, weights_primal=wp, weights_dual=wd)))
 ig = iso.make_isoradial(iso.builder_graph("square:3x3"))
 couplings = op.z_invariant_couplings(ig, complete_integrals(0.5))
 print(repr(inf.brute_force_polygons(ig, couplings)))

@@ -63,6 +63,44 @@ def test_sparse_bulk_entries_match_dense_invert():
         assert abs(p_ken - dense.real) <= 1e-12
 
 
+def test_sparse_gate_leaves_global_rng_alone():
+    # the conditioning gate's norm estimate draws no random numbers: it
+    # neither depends on nor moves numpy's global stream
+    ig = iso.make_isoradial(iso.build_square_lattice(4, 4))
+    p = complete_integrals(0.5)
+    saved = np.random.get_state()
+    try:
+        np.random.seed(0)
+        want = np.random.random()
+        np.random.seed(0)
+        g = inf.green_center_diagonal(ig, p)[0]
+        assert np.random.random() == want
+        np.random.seed(1)
+        assert inf.green_center_diagonal(ig, p)[0] == g
+    finally:
+        np.random.set_state(saved)
+
+
+def test_sparse_gate_threshold():
+    # the bidiagonal matrix with 1 on the diagonal and -c above it has
+    # ||A||_1 ||A^-1||_1 = 0.990e13 at c = 146.2 and 1.010e13 at c = 146.7;
+    # the gate, estimating ||A^-1||_1 from the first column's lower bound,
+    # passes the first and rejects the second
+    keys = tuple("abcdef")
+    for c, cond, ok in ((146.2, 0.990e13, True), (146.7, 1.010e13, False)):
+        ent = {(x, x): 1.0 for x in keys}
+        ent.update({(x, y): -c for x, y in zip(keys, keys[1:])})
+        m = op.TypedSparseMatrix.of(keys, keys, ent)
+        d = m.dense()
+        exact = np.abs(d).sum(axis=0).max() * np.abs(np.linalg.inv(d)).sum(axis=0).max()
+        assert abs(exact / cond - 1.0) < 1e-3
+        if ok:
+            assert inf.inverse_entry(m, "a", "a") == 1.0
+        else:
+            with pytest.raises(SingularityError, match="conditioning gate"):
+                inf.inverse_entry(m, "a", "a")
+
+
 def test_sparse_inverse_entry_singular():
     # the k = 0 bulk Laplacian is massless: constants span its kernel
     ig = iso.make_isoradial(iso.build_square_lattice(4, 4))
@@ -659,12 +697,14 @@ def test_forest_oracle_matches_determinant(ig_1x1, params_half):
     assert abs(math.log(oc2.weighted_sum) - inf.logabsdet(dm.dense())) < 1e-9
 
 
-def test_dst_pairs_vs_unit_determinant(ig_1x1, ig_1x2):
-    for ig, expect in ((ig_1x1, 8), (ig_1x2, None)):
+def test_dst_pairs_vs_unit_determinant(ig_1x1, ig_1x2, ig_3x3, ig_4x3):
+    for ig, expect in ((ig_1x1, 8), (ig_1x2, None), (ig_3x3, 1_881_600),
+                       (ig_4x3, 137_944_800)):
         dg = der.build_double(ig)
         oc = inf.brute_force_dst_pairs(ig)
         det = abs(np.linalg.det(inf.unit_dirac(dg).dense()))
-        assert abs(det - oc.count) < 1e-8
+        assert abs(det - oc.count) <= 1e-12 * det
+        assert oc.weighted_sum == float(oc.count)
         if expect is not None:
             assert oc.count == expect
         # cross-check with the matrix-tree count of the primal graph
@@ -798,6 +838,27 @@ def _end_of_branch_forests(options):
     return count, total
 
 
+def _dual_tree_out(ig, co_edges):
+    """Reference: the crossed edge id of each face's arc in the dual tree on
+    ``co_edges``, directed toward the outer vertex by a search from it."""
+    adj = {}
+    for eid in co_edges:
+        r = ig.rhombi[eid]
+        fb = r.f2 if r.f2 is not None else "outer"
+        adj.setdefault(r.f1, []).append((fb, eid))
+        adj.setdefault(fb, []).append((r.f1, eid))
+    out, stack = {"outer": None}, ["outer"]
+    while stack:
+        x = stack.pop()
+        for y, eid in adj.get(x, []):
+            if y not in out:
+                out[y] = eid
+                stack.append(y)
+    del out["outer"]
+    assert len(out) == len(ig.face_centers)     # the complement is a dual spanning tree
+    return out
+
+
 def test_rooted_trees_match_subset_scan():
     from conftest import get_graph
 
@@ -805,15 +866,6 @@ def test_rooted_trees_match_subset_scan():
     for spec in _TREE_SPECS:
         ig = get_graph(spec)
         ref = _subset_scan_trees(ig)
-        # the engine's trees, rooted at ig.root, as undirected edge sets
-        options = {v: [(w, 1.0) for w in ig.base.adj[v]]
-                   for v in sorted(ig.base.coords) if v != ig.root}
-        forests = inf._rooted_forests(options, 10 ** 6)
-        assert iter(forests) is forests      # streamed, not collected
-        got = [frozenset(ig.edge_ids[(min(v, t), max(v, t))] for v, t in choice.items())
-               for choice, _w in forests]
-        assert len(got) == len(ref) == len(set(got))
-        assert set(got) == set(ref)
         unit = inf.brute_force_dst_pairs(ig)
         assert unit.count == len(ref) and unit.weighted_sum == float(len(ref))
         # weighted: primal tree directed to the root, dual tree its complement
@@ -840,7 +892,7 @@ def test_rooted_trees_match_subset_scan():
                         w *= wp[(y, x)]
                         stack.append(y)
             co = [e for e in ig.edge_list() if e not in tree]
-            for f, (_f2, eid) in inf._dual_tree_out(ig, co).items():
+            for f, eid in _dual_tree_out(ig, co).items():
                 w *= wd[(f, eid)]
             want += w
         oc = inf.brute_force_dst_pairs(ig, weights_primal=wp, weights_dual=wd)
@@ -910,7 +962,17 @@ def test_outer_trees_match_directed_laplacian(ig_2x2, ig_hex):
             assert abs(math.log(oc.weighted_sum) - inf.logabsdet(dstar.dense())) < 1e-12
 
 
+def test_dst_pairs_need_euler(ig_1x1, monkeypatch):
+    # one face fewer breaks |V| - 1 + |F| = |E|, which makes the dual tree
+    # the complement of the primal one: the weighted sum is refused
+    monkeypatch.setattr(ig_1x1, "face_centers", ig_1x1.face_centers[:-1])
+    with pytest.raises(BijectionError, match="complement"):
+        inf.brute_force_dst_pairs(ig_1x1, weights_dual={})
+
+
 def test_dst_pairs_budget(ig_3x3):
-    # 1,881,600 spanning trees: past the fixed budget of 10**6 search nodes
+    # 1,881,600 spanning trees in 8,035 frontier states: the budget counts states
+    assert inf.brute_force_dst_pairs(ig_3x3, budget=8035).count == 1_881_600
     with pytest.raises(OracleBudgetError):
-        inf.brute_force_dst_pairs(ig_3x3)
+        inf.brute_force_dst_pairs(ig_3x3, budget=8034)
+
