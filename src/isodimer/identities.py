@@ -23,7 +23,7 @@ from .derived import (
     induce_orientation_GQ,
     reference_matching_M1,
 )
-from .errors import DomainError, OracleBudgetError
+from .errors import DomainError, NotGaugeEquivalentError, OracleBudgetError
 
 DEFAULT_TOL = 1e-9
 DET_TOL = 1e-8
@@ -624,13 +624,17 @@ def _gauge_holonomy(ws, u):
 
 def _dual_gauge_path_independence(ws, u):
     """Path independence of the gauge function q on the restricted dual by
-    exact holonomy, plus the explicit diagonal conjugation."""
+    exact holonomy, plus the explicit diagonal conjugation; +inf when no
+    diagonal gauge carries D* / sqrt(k') to the dual massive Laplacian."""
     p = ws.p
     _kg, dstar = ws.at(u).gauge
     scaled = op.TypedSparseMatrix(dstar.rows, dstar.cols, dstar.i, dstar.j,
                                   dstar.vals / math.sqrt(p.kprime), "scaled")
     dms = ws.dms
-    d = op.gauge_q(dms, scaled, bipartite=False, tol=1e-8)
+    try:
+        d = op.gauge_q(dms, scaled, bipartite=False, tol=1e-8)
+    except NotGaugeEquivalentError:
+        return math.inf
     dd = d.dense()
     resid = np.abs(dms.dense() - dd @ scaled.dense() @ np.linalg.inv(dd)).max()
     return float(_worst(_gauge_holonomy(ws, u),

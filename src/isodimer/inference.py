@@ -1,7 +1,6 @@
 """Inverses, Pfaffians, partition functions, inverse-operator formulas,
 edge probabilities and the brute-force enumeration oracles."""
 
-import cmath
 import csv
 import io
 import math
@@ -735,12 +734,7 @@ def unit_dirac(dg):
 
     |det| counts perfect matchings = pairs of dual directed spanning trees.
     """
-    rows = tuple(wkey(w) for w in dg.whites)
-    cols = tuple(dg.blacks)
-    ent = {}
-    for (w, black), rec in dg.gd_edges.items():
-        ent[(wkey(w), black)] = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
-    return op.TypedSparseMatrix.of(rows, cols, ent, "unit_dirac")
+    return op.edge_table(dg).layout(dg).unit()
 
 
 def kf_zinv_case1(fg, qg, p, pairs=None):

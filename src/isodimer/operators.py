@@ -43,22 +43,21 @@ class TypedSparseMatrix:
     :func:`real_form`).
     """
 
-    def __init__(self, rows, cols, i, j, vals, name="", meta=None, gauge=None):
+    def __init__(self, rows, cols, i, j, vals, name="", gauge=None):
         self.rows, self.cols = tuple(rows), tuple(cols)
         self.i, self.j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         self.vals = np.asarray(vals)
         self.name = name
-        self.meta = {} if meta is None else meta
         self.gauge = gauge
         self._dense = None
 
     @classmethod
-    def of(cls, rows, cols, entries, name="", meta=None):
+    def of(cls, rows, cols, entries, name=""):
         """The matrix of a ``{(row, col): value}`` dict, in the dict's order."""
         row_pos = {r: n for n, r in enumerate(rows)}
         col_pos = {c: n for n, c in enumerate(cols)}
         return cls(rows, cols, [row_pos[r] for r, _c in entries],
-                   [col_pos[c] for _r, c in entries], list(entries.values()), name, meta)
+                   [col_pos[c] for _r, c in entries], list(entries.values()), name)
 
     @cached_property
     def entries(self):
@@ -169,7 +168,6 @@ class EdgeTable:
 
     def __init__(self, ig):
         self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
-        self.graph = ig.graph_hash()
         self._mod = self._kq = None
         self._specs = {}
         self._layouts = {}
@@ -291,13 +289,18 @@ class _Layout:
         angles = self.tab.angles
         return np.exp(0.5j * (angles[self.gd_a] + angles[self.gd_b]))
 
+    def unit(self):
+        """The unit-weight Dirac operator, of entries ``phase()``, as a new
+        matrix on every call (a caller may write to its ``vals``)."""
+        return TypedSparseMatrix(self.whites, self.blacks, self.gd_e, self.gd_j, self.phase(),
+                                 "unit_dirac")
+
     @cached_property
     def gauge(self):
-        """The :func:`unit_gauge` of the phases: every Dirac operator of the
+        """The :func:`unit_gauge` of :meth:`unit`: every Dirac operator of the
         layout is ``phase()`` times real factors, so one gauge serves all
         (k, u)."""
-        return unit_gauge(TypedSparseMatrix(self.whites, self.blacks, self.gd_e, self.gd_j,
-                                            self.phase()))
+        return unit_gauge(self.unit())
 
     @cached_property
     def gd_pos(self):
@@ -438,9 +441,6 @@ class _Modulus:
         self.sn_b, self.cn_b, self.dn_b = sn[2 * n:], cn[2 * n:], dn[2 * n:]
         self.sc_b = _ratio(sn[2 * n:], cn[2 * n:], "sc", th[2 * n:])
 
-    def meta(self):
-        return {"k": self.p.k, "graph": self.tab.graph}
-
     @cached_property
     def ell(self):
         return self.tab.angles * 2.0 * self.p.bigK / math.pi
@@ -466,9 +466,6 @@ class _Spectral:
         self.sn, self.cn, self.dn = _jacobi(self.arg, mod.p)
         self.allowed = set()            # the levels u has been checked against
         self._shifted = None
-
-    def meta(self):
-        return {"k": self.p.k, "u": self.u, "graph": self.tab.graph}
 
     @cached_property
     def nd(self):
@@ -504,23 +501,24 @@ def edge_table(g):
 # massive Laplacians
 # ---------------------------------------------------------------------------
 
-def _massive_laplacian(name, meta, rows, edges, diag, pairs=()):
+def _massive_laplacian(name, rows, edges, diag, pairs=()):
     """The one massive-Laplacian assembly on the row keys ``rows``.
 
-    Every weighted edge (x, y, c) between row keys adds -c at (x, y) and at
-    (y, x), so parallel edges add up, and ``diag`` (aligned with ``rows``)
-    fills the diagonal.  Each (v_c, v_l, off, dia) of ``pairs`` then sets
-    the (v_c, v_l) and (v_c, v_c) entries of a non-root boundary pair.
+    Every weighted edge (x, y, c_xy, c_yx) between row keys adds -c_xy at
+    (x, y) and -c_yx at (y, x), so parallel edges add up; a symmetric
+    Laplacian passes c_xy = c_yx.  ``diag`` (aligned with ``rows``) fills the
+    diagonal.  Each (v_c, v_l, off, dia) of ``pairs`` then sets the
+    (v_c, v_l) and (v_c, v_c) entries of a non-root boundary pair.
     """
     ent = {}
-    for x, y, c in edges:
-        ent[x, y] = ent.get((x, y), 0.0) - c
-        ent[y, x] = ent.get((y, x), 0.0) - c
+    for x, y, c_xy, c_yx in edges:
+        ent[x, y] = ent.get((x, y), 0.0) - c_xy
+        ent[y, x] = ent.get((y, x), 0.0) - c_yx
     for r, d in zip(rows, diag):
         ent[r, r] = d
     for vc, vl, off, dia in pairs:
         ent[vc, vl], ent[vc, vc] = off, dia
-    return TypedSparseMatrix.of(rows, rows, ent, name, meta)
+    return TypedSparseMatrix.of(rows, rows, ent, name)
 
 
 def _at(g, p, u, level):
@@ -537,8 +535,8 @@ def delta_m_star(ig, p):
     m = edge_table(ig).at(p)
     du = m.tab.dual
     diag = np.bincount(du.face_row, m.a_values[2], du.n_faces)
-    return _massive_laplacian("delta_m_star", m.meta(), du.fkeys,
-                              zip(du.d_k1, du.d_k2, m.sc_s[du.dual_e].tolist()),
+    c = m.sc_s[du.dual_e].tolist()
+    return _massive_laplacian("delta_m_star", du.fkeys, zip(du.d_k1, du.d_k2, c, c),
                               diag.tolist())
 
 
@@ -551,8 +549,8 @@ def _delta_m_rooted(t, name, pairs=()):
     term = m.sc_t[pr.inc_e[b]] * t.nd[pr.inc_a[b]] * t.nd[pr.inc_b[b]]
     diag = np.where(pr.vbound, t.p.kprime * np.bincount(pr.inc_row[b], term, n),
                     np.bincount(pr.inc_row[~b], m.a_values[0], n))
-    return _massive_laplacian(name, t.meta(), pr.r_keys,
-                              zip(pr.r_k1, pr.r_k2, m.sc_t[pr.r_edges].tolist()),
+    c = m.sc_t[pr.r_edges].tolist()
+    return _massive_laplacian(name, pr.r_keys, zip(pr.r_k1, pr.r_k2, c, c),
                               diag[pr.r_rows].tolist(), pairs)
 
 
@@ -583,21 +581,22 @@ def delta_m_bulk(ig, p):
     m = edge_table(ig).at(p)
     pr = m.tab.primal
     diag = np.bincount(pr.inc_row, m.a_values[1], len(pr.verts))
-    return _massive_laplacian("delta_m_bulk", m.meta(), pr.rows,
-                              zip(pr.k1, pr.k2, m.sc_t.tolist()), diag.tolist())
+    c = m.sc_t.tolist()
+    return _massive_laplacian("delta_m_bulk", pr.rows, zip(pr.k1, pr.k2, c, c), diag.tolist())
 
 
-def _tan_laplacian(ig, name, meta, pair):
+def _tan_laplacian(ig, name, pair):
     """The k = 0 boundary Laplacian on V^r: tan(theta) weights, diagonals sum
     of tan(theta) over the edges at a vertex (nd = 1), and pair(bp) at the pairs."""
-    root = ig.root
-    verts = [v for v in sorted(ig.base.coords) if v != root]
-    edges = ((vkey(r.v1), vkey(r.v2), math.tan(r.theta_bar))
-             for r in map(ig.rhombi.__getitem__, ig.edge_list()) if root not in (r.v1, r.v2))
-    diag = [sum(math.tan(ig.rhombi[ig.edge_ids[(min(v, w), max(v, w))]].theta_bar)
-                for w in ig.base.adj[v]) for v in verts]
-    pairs = ((vkey(bp.vc), vkey(bp.vl), *pair(bp)) for bp in ig.boundary_pairs if not bp.is_root)
-    return _massive_laplacian(name, meta, tuple(map(vkey, verts)), edges, diag, pairs)
+    tab = edge_table(ig)
+    pr = tab.primal
+    # math.tan, not np.tan: numpy's tan differs from libm's in the last bit
+    tan = np.array([math.tan(x) for x in tab.theta.tolist()])
+    c = tan[pr.r_edges].tolist()
+    diag = np.bincount(pr.inc_row, tan[pr.inc_e])[pr.r_rows]
+    pairs = ((vc, vl, *pair(bp)) for (vc, vl), bp in zip(pr.p_keys, tab.pairs))
+    return _massive_laplacian(name, pr.r_keys, zip(pr.r_k1, pr.r_k2, c, c), diag.tolist(),
+                              pairs)
 
 
 def delta_m_partial_critical_limit(ig):
@@ -614,8 +613,7 @@ def delta_m_partial_critical_limit(ig):
         t = math.tan(bp.theta_bar)
         return -phase * t, t * (phase + 1.0)
 
-    return _tan_laplacian(ig, "delta_m_partial_crit_limit",
-                          {"k": 0.0, "graph": ig.graph_hash()}, pair)
+    return _tan_laplacian(ig, "delta_m_partial_crit_limit", pair)
 
 
 def delta_m_partial_complex_u(ig, u_complex):
@@ -626,8 +624,7 @@ def delta_m_partial_complex_u(ig, u_complex):
                  / cmath.cos(0.5 * (u_complex - bp.alpha_l)))
         return -t * ratio, t * (ratio + 1.0)
 
-    return _tan_laplacian(ig, "delta_m_partial_complex",
-                          {"k": 0.0, "u": str(u_complex)}, pair)
+    return _tan_laplacian(ig, "delta_m_partial_complex", pair)
 
 
 def q_matrix(ig, p, u):
@@ -639,7 +636,7 @@ def q_matrix(ig, p, u):
     ent = {(vkey(bp.vc), fkey(bp.fc)): -1j * nd_bl / cd_al * (cd_br - cd_al)
            for bp, nd_bl, cd_al, cd_br in zip(tab.pairs, t.nd[tab.p_bl].tolist(),
                                               t.cd[tab.p_al].tolist(), t.cd[tab.p_br].tolist())}
-    return TypedSparseMatrix.of(rows, tab.dual.fkeys, ent, "q_matrix", t.meta())
+    return TypedSparseMatrix.of(rows, tab.dual.fkeys, ent, "q_matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +665,7 @@ def dirac(dg, p, u, variant="plain"):
     if variant == "boundary":
         vals[lay.p_kd] = vals[lay.p_kd] * (t.cd[tab.p_br] / t.cd[tab.p_al])
     name = "dirac_plain" if variant == "plain" else "dirac_boundary"
-    return TypedSparseMatrix(lay.whites, lay.blacks, e, lay.gd_j, vals, name, t.meta(),
-                             lay.gauge)
+    return TypedSparseMatrix(lay.whites, lay.blacks, e, lay.gd_j, vals, name, lay.gauge)
 
 
 def kd_gauge_and_directed_laplacian(dg, p, u):
@@ -690,22 +686,16 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
                 * t.nd[lay.gd_a[f]] * t.nd[lay.gd_b[f]])
     vals = lay.phase()
     vals[f] = vals[f] * gamma[f]
-    kg = TypedSparseMatrix(lay.whites, lay.blacks, lay.gd_e, lay.gd_j, vals, "dirac_gauge",
-                           t.meta())
+    kg = TypedSparseMatrix(lay.whites, lay.blacks, lay.gd_e, lay.gd_j, vals, "dirac_gauge")
 
-    # directed Laplacian on bounded faces + outer, with gamma*(u) conductances;
-    # an edge toward the outer face adds to its diagonal only
-    side_face, side_rec, inner = lay.sides
+    # directed Laplacian on bounded faces + outer, with gamma*(u) conductances
+    # read at each end; an edge toward the outer face adds to its diagonal only
+    side_face, side_rec, (f1, f2, i1, i2) = lay.sides
     fk = tab.dual.fkeys
     diag = np.bincount(side_face, gamma[side_rec], len(fk)).tolist()
-    g = gamma.tolist()
-    lap = {}
-    for f1, f2, i1, i2 in zip(*(x.tolist() for x in inner)):
-        lap[fk[f1], fk[f2]] = lap.get((fk[f1], fk[f2]), 0.0) - g[i1]
-        lap[fk[f2], fk[f1]] = lap.get((fk[f2], fk[f1]), 0.0) - g[i2]
-    for r, d in zip(fk, diag):
-        lap[r, r] = d
-    return kg, TypedSparseMatrix.of(fk, fk, lap, "delta_star_outer", t.meta())
+    edges = zip(map(fk.__getitem__, f1.tolist()), map(fk.__getitem__, f2.tolist()),
+                gamma[i1].tolist(), gamma[i2].tolist())
+    return kg, _massive_laplacian("delta_star_outer", fk, edges, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +711,7 @@ def kasteleyn_KQ(qg, ig, p):
     m = edge_table(ig).at(p)
     i, j, e, kinds, phase, _pos, _pair = m.tab.kq_layout(qg)
     weight = np.where(kinds == "sn", m.sn_t[e], np.where(kinds == "cn", m.cn_t[e], 1.0))
-    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, phase * weight, "kasteleyn_KQ",
-                             m.meta())
+    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, phase * weight, "kasteleyn_KQ")
 
 
 def kq_bar_partial(qg, ig, p):
@@ -732,8 +721,7 @@ def kq_bar_partial(qg, ig, p):
     pos, pair = m.tab.kq_layout(qg)[5:]
     vals = kq.vals.copy()
     vals[pos] = vals[pos] * m.sn_b[pair]
-    return TypedSparseMatrix(kq.rows, kq.cols, kq.i, kq.j, vals, "kq_bar_partial",
-                             dict(kq.meta))
+    return TypedSparseMatrix(kq.rows, kq.cols, kq.i, kq.j, vals, "kq_bar_partial")
 
 
 def kasteleyn_KQ_real(qg, ig, couplings, orientation):
@@ -743,19 +731,15 @@ def kasteleyn_KQ_real(qg, ig, couplings, orientation):
     (primal-parallel) and 1/cosh(2J) (dual-parallel); external and boundary
     quadrangle edges have weight 1.
     """
-    rows = tuple(qg.blacks)
-    cols = tuple(qg.whites)
-    ent = {}
-    for blk, wht, kind, _ in qg.edges:
-        eid = qg.quad_of[blk]
-        if kind in ("ext", "bq"):
-            w = 1.0
-        else:
-            j = couplings[eid]
-            w = math.tanh(2.0 * j) if kind == "sn" else 1.0 / math.cosh(2.0 * j)
-        ent[(blk, wht)] = orientation[(blk, wht)] * w
-    return TypedSparseMatrix.of(rows, cols, ent, "kasteleyn_KQ_real",
-                                {"graph": ig.graph_hash()})
+    tab = edge_table(ig)
+    i, j, e, kinds = tab.kq_layout(qg)[:4]
+    # math.tanh and math.cosh, not numpy's: theirs differ from libm's in the last bit
+    two_j = [2.0 * couplings[x] for x in tab.eids]
+    tanh = np.array([math.tanh(x) for x in two_j])
+    sech = np.array([1.0 / math.cosh(x) for x in two_j])
+    weight = np.where(kinds == "sn", tanh[e], np.where(kinds == "cn", sech[e], 1.0))
+    sign = np.array([orientation[(blk, wht)] for blk, wht, _kind, _phase in qg.edges])
+    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, sign * weight, "kasteleyn_KQ_real")
 
 
 def z_invariant_couplings(ig, p):
@@ -785,8 +769,7 @@ def kasteleyn_KF(fg, couplings):
         w = math.exp(-2.0 * couplings[eid])
         ent[(x, y)] = fg.eps(x, y) * w
         ent[(y, x)] = fg.eps(y, x) * w
-    m = TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF",
-                             {"graph": fg.ig.graph_hash()})
+    m = TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF")
     m.check_antisymmetric()
     return m
 
@@ -894,7 +877,7 @@ def s_t_matrices(qg, dg, p, u):
     rad = m.sn_t[e] * m.cn_t[e] * t.nd[a] * t.nd[b]
     vals = phase * t.cn[c] * _sqrt_pos(rad, "s entry")
     s_mat = TypedSparseMatrix(qg.blacks, lay.whites, np.arange(len(e)), e, vals,
-                              "intertwiner_S", t.meta())
+                              "intertwiner_S")
 
     i, j, (v, f, center_v, center_f) = t_rows
     vals = np.empty(len(i), dtype=complex)
@@ -903,7 +886,7 @@ def s_t_matrices(qg, dg, p, u):
     pos, x, y, pair, phase = center_v
     vals[pos] = (-1j * p.kprime) * phase * m.sn_b[pair] * t.nd[x] * t.cd[y]
     vals[center_f[0]] = center_f[4] * t.cd[center_f[1]]
-    t_mat = TypedSparseMatrix(qg.whites, lay.blacks, i, j, vals, "intertwiner_T", t.meta())
+    t_mat = TypedSparseMatrix(qg.whites, lay.blacks, i, j, vals, "intertwiner_T")
     return s_mat, t_mat
 
 
@@ -1031,4 +1014,4 @@ def real_form(m):
             f"{m.name} is not gauge-equivalent to a real matrix at entry {(r, c)}",
             cycle=[r, c])
     return TypedSparseMatrix(m.rows, m.cols, m.i, m.j, np.copysign(mag, g.real),
-                             f"{m.name}_real", m.meta)
+                             f"{m.name}_real")

@@ -434,3 +434,30 @@ def test_nan_part_fails_the_check(ig_2x2, monkeypatch):
     assert math.isnan(rep.residual) and not rep.passed
     assert math.isnan(idn._worst(0.0, math.nan, 1.0))
     assert idn._worst(1e-15, 2e-15) == 2e-15
+
+
+def test_wrong_directed_laplacian_fails_the_check(ig_2x2, monkeypatch, tmp_path):
+    # a D* that no diagonal gauge carries to the dual massive Laplacian is a
+    # failed theorem (exit 1), not an input error (exit 2)
+    from isodimer import cli
+    from isodimer import operators as op
+
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig_2x2, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+    real = op.kd_gauge_and_directed_laplacian
+
+    def scaled(dg, p_, u_):
+        kg, dstar = real(dg, p_, u_)
+        vals = dstar.vals.copy()
+        n = int(np.flatnonzero(dstar.i != dstar.j)[0])
+        vals[n] *= 1.001
+        return kg, op.TypedSparseMatrix(dstar.rows, dstar.cols, dstar.i, dstar.j, vals,
+                                        dstar.name)
+
+    monkeypatch.setattr(op, "kd_gauge_and_directed_laplacian", scaled)
+    rep = idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u)
+    assert rep.detail["path_independence"] == math.inf
+    assert not rep.passed
+    code = cli.main(["verify", "--builder", "square:2x2", "--k", "0.6", "--u", repr(u),
+                     "--out", str(tmp_path / "verify.json")])
+    assert code == cli.EXIT_CHECK_FAILED

@@ -63,6 +63,21 @@ def test_sparse_bulk_entries_match_dense_invert():
         assert abs(p_ken - dense.real) <= 1e-12
 
 
+def test_bulk_path_does_not_hash_the_graph():
+    # the digest is the JSON encoding of the whole graph: only a report pays for it
+    from isodimer import identities as idn
+
+    ig = iso.make_isoradial(iso.builder_graph("square:8x8"))
+    p = complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "prime", delta=p.bigK / 16, count=4)[1]
+    inf.green_center_diagonal(ig, p)
+    inf.center_edge_probability_gd(ig, p, u)
+    inf.edge_probabilities_gd(der.build_double(ig), p, u)
+    assert ig._hash is None
+    rep = idn.check_dirac_laplacian(idn.Workspace(ig, p), u)
+    assert rep.graph == ig.graph_hash()
+
+
 def test_sparse_gate_leaves_global_rng_alone():
     # the conditioning gate's norm estimate draws no random numbers: it
     # neither depends on nor moves numpy's global stream

@@ -345,7 +345,7 @@ def test_storage_contract(monkeypatch):
                     fill[m.row_pos[r], m.col_pos[c]] = v
                 assert len(m.entries) == len(m.vals), what
                 assert np.array_equal(m.dense(), fill), what
-                again = op.TypedSparseMatrix.of(m.rows, m.cols, m.entries, m.name, m.meta)
+                again = op.TypedSparseMatrix.of(m.rows, m.cols, m.entries, m.name)
                 assert (again.rows, again.cols) == (m.rows, m.cols), what
                 assert again.vals.dtype == m.vals.dtype, what
                 for a, b in ((again.i, m.i), (again.j, m.j), (again.vals, m.vals)):
@@ -732,3 +732,118 @@ def test_table_builders_raise_typed_errors(monkeypatch):
     with pytest.raises(NegativeRadicandError) as err:
         op.dirac(fresh(), p, u)
     assert float(str(err.value).rsplit(": ", 1)[1]) < -1e-12
+
+
+# ---------------------------------------------------------------------------
+# edge-table gathers against the graph walks they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _unit_dirac_walk(dg):
+    """Reference: the phase e^{i(alpha+beta)/2} of every double-graph edge record."""
+    ent = {(wkey(w), black): cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
+           for (w, black), rec in dg.gd_edges.items()}
+    return op.TypedSparseMatrix.of(tuple(wkey(w) for w in dg.whites), tuple(dg.blacks), ent,
+                                   "unit_dirac")
+
+
+def _tan_laplacian_walk(ig, name, pair):
+    """Reference: the k = 0 boundary Laplacian from the vertices, adjacency and
+    rhombi of ``ig``."""
+    root = ig.root
+    verts = [v for v in sorted(ig.base.coords) if v != root]
+    ent = {}
+    for r in map(ig.rhombi.__getitem__, ig.edge_list()):
+        if root not in (r.v1, r.v2):
+            x, y, c = vkey(r.v1), vkey(r.v2), math.tan(r.theta_bar)
+            ent[x, y] = ent.get((x, y), 0.0) - c
+            ent[y, x] = ent.get((y, x), 0.0) - c
+    for v in verts:
+        ent[vkey(v), vkey(v)] = sum(
+            math.tan(ig.rhombi[ig.edge_ids[(min(v, w), max(v, w))]].theta_bar)
+            for w in ig.base.adj[v])
+    for bp in ig.boundary_pairs:
+        if not bp.is_root:
+            ent[vkey(bp.vc), vkey(bp.vl)], ent[vkey(bp.vc), vkey(bp.vc)] = pair(bp)
+    rows = tuple(map(vkey, verts))
+    return op.TypedSparseMatrix.of(rows, rows, ent, name)
+
+
+def _directed_laplacian_walk(dg, p, u):
+    """Reference: the outer-removed directed dual Laplacian, gamma*(u) read
+    at each end of every inner dual edge."""
+    t = op.edge_table(dg).at(p, u)
+    lay = t.tab.layout(dg)
+    f = lay.gd_dual
+    gamma = np.zeros(len(lay.gd_e))
+    gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[lay.gd_e[f]]
+                * t.nd[lay.gd_a[f]] * t.nd[lay.gd_b[f]])
+    side_face, side_rec, inner = lay.sides
+    fk = t.tab.dual.fkeys
+    diag = np.bincount(side_face, gamma[side_rec], len(fk)).tolist()
+    g = gamma.tolist()
+    lap = {}
+    for f1, f2, i1, i2 in zip(*(x.tolist() for x in inner)):
+        lap[fk[f1], fk[f2]] = lap.get((fk[f1], fk[f2]), 0.0) - g[i1]
+        lap[fk[f2], fk[f1]] = lap.get((fk[f2], fk[f1]), 0.0) - g[i2]
+    for r, d in zip(fk, diag):
+        lap[r, r] = d
+    return op.TypedSparseMatrix.of(fk, fk, lap, "delta_star_outer")
+
+
+def _kq_real_walk(qg, couplings, orientation):
+    """Reference: the real quadri Kasteleyn matrix, one weight per edge of ``qg``."""
+    ent = {}
+    for blk, wht, kind, _ in qg.edges:
+        if kind in ("ext", "bq"):
+            w = 1.0
+        else:
+            j = couplings[qg.quad_of[blk]]
+            w = math.tanh(2.0 * j) if kind == "sn" else 1.0 / math.cosh(2.0 * j)
+        ent[(blk, wht)] = orientation[(blk, wht)] * w
+    return op.TypedSparseMatrix.of(tuple(qg.blacks), tuple(qg.whites), ent,
+                                   "kasteleyn_KQ_real")
+
+
+def _assert_same_bits(got, want, what):
+    assert (got.name, got.rows, got.cols) == (want.name, want.rows, want.cols), what
+    assert got.vals.dtype == want.vals.dtype, what
+    for a, b in ((got.i, want.i), (got.j, want.j), (got.vals, want.vals)):
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), what
+
+
+def test_gathered_builders_match_graph_walks(monkeypatch):
+    from conftest import get_graph
+
+    from isodimer import inference as inf
+
+    pairs, real_tan = [], op._tan_laplacian
+    monkeypatch.setattr(op, "_tan_laplacian",
+                        lambda ig, name, pair: pairs.append(pair) or real_tan(ig, name, pair))
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = get_graph(spec)
+        qg, fg = der.build_quadri(ig), der.build_fisher(ig)
+        eps_q = der.induce_orientation_GQ(fg, qg)
+        for k in (0.0, 0.3, 0.6, 0.9):
+            what = (spec, k)
+            p = complete_integrals(k)
+            for rooted in (True, False):
+                dg = der.build_double(ig, rooted=rooted)
+                _assert_same_bits(inf.unit_dirac(dg), _unit_dirac_walk(dg), what)
+            # a fresh matrix per call: writing to one leaves the next as it was
+            inf.unit_dirac(dg).vals[:] = 0.0
+            _assert_same_bits(inf.unit_dirac(dg), _unit_dirac_walk(dg), what)
+
+            for build in (op.delta_m_partial_critical_limit,
+                          lambda ig: op.delta_m_partial_complex_u(ig, k + 0.3 - 2.0j)):
+                m = build(ig)
+                _assert_same_bits(m, _tan_laplacian_walk(ig, m.name, pairs[-1]), what)
+
+            dg = der.build_double(ig)
+            for u in iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=3):
+                _kg, dstar = op.kd_gauge_and_directed_laplacian(dg, p, u)
+                _assert_same_bits(dstar, _directed_laplacian_walk(dg, p, u), (*what, u))
+
+            couplings = op.z_invariant_couplings(ig, p)
+            _assert_same_bits(op.kasteleyn_KQ_real(qg, ig, couplings, eps_q),
+                              _kq_real_walk(qg, couplings, eps_q), what)

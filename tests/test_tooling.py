@@ -79,3 +79,14 @@ def test_splu_keeps_default_relax_and_panel_size():
                 found += [f"{name}:{node.lineno}: {kw.arg or '**'}" for kw in node.keywords
                           if kw.arg in (None, "relax", "panel_size")]
     assert calls and not found, (calls, found)
+
+
+def test_operators_never_names_graph_hash():
+    # the digest runs the pure-Python JSON encoder over the whole graph; the
+    # builders of every bulk matrix live in operators, and reports get the
+    # digest elsewhere
+    trees = dict(_package_trees())
+    found = [node.lineno for node in ast.walk(trees["operators.py"])
+             if "graph_hash" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "value", None))]
+    assert not found, found
