@@ -105,6 +105,8 @@ def _descent(u, k):
     a_seq, c_seq = _agm_sequence(k)
     n = len(a_seq) - 1
     phi = (2.0 ** n) * a_seq[n] * u
+    if not math.isfinite(phi):
+        raise DomainError(f"argument {u!r} overflows the Landen descent")
     tail = 0.0
     for i in range(n, 0, -1):
         sin_phi = math.sin(phi)

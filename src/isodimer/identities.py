@@ -438,7 +438,8 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     w_inner = [w for w in w_all if w[1] not in w_bnd]
 
     b1d = part["B1d"]
-    b1o = [b for b in part["B1"] if b not in set(b1d)]
+    b1d_set = set(b1d)
+    b1o = [b for b in part["B1"] if b not in b1d_set]
     b2 = part["B2"]
     w1 = part["W1"]
     w2 = part["W2"]

@@ -3,7 +3,9 @@ edge probabilities and the brute-force enumeration oracles."""
 
 import csv
 import io
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,119 +389,81 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
 
 def kf_inverse_formula(fg, qg, couplings, pairs=None):
     """The four coefficient families of the inverse Fisher operator from the
-    inverse real quadri Kasteleyn matrix.
+    inverse real quadri Kasteleyn matrix K~_Q^-1 (whites x blacks), as three
+    block products over the ``op.fisher_aux`` blocks (Dubedat 2011):
 
-    Returns a dict with the per-case formula/direct coefficient listings.
+    - K_F^-1[A, B] = I_{W,A}^T K~_Q^-1 X^T diag(1/(1 + e^{-4 J_b})), with
+      e^{-4 J_b} = 0 at a boundary B (case1 inner, case2 boundary columns);
+    - K_F^-1[A, A] = -1/2 I_{W,A}^T K~_Q^-1 D_{BQ,A} + kappa (case3);
+    - K_F^-1[B, B] = M K_F^-1[A, B] at the inner columns (case4).
+
+    ``pairs`` holds the A and B vertices whose rows are listed (all by
+    default); the columns are always complete.  Returns a dict from case to
+    its (row, col, formula, direct) entries, row-major in vertex order.
     """
-    ig = fg.ig
     fqm = fisher_quadri_map(fg, qg)
-    eps_q = induce_orientation_GQ(fg, qg)
-    kqt = op.kasteleyn_KQ_real(qg, ig, couplings, eps_q)
-    kf = op.kasteleyn_KF(fg, couplings)
-    kf_inv = invert(kf.dense())
-    kq_inv = invert(kqt.dense())
-    kq_w, kq_b, fpos = kqt.col_pos, kqt.row_pos, kf.row_pos
-
-    kappa = op._kappa(fg)
-    black_of_a = {a: blk for blk, a in fqm.a_of_black.items()}
-    if len(black_of_a) != len(fqm.a_of_black) or set(black_of_a) != set(fg.a_vertices):
+    # D_{BQ,A} puts each black in the column of its A: off a bijection, a
+    # column would sum two blacks or none, and case3 would be silently wrong
+    if Counter(fqm.a_of_black.values()) != Counter(fg.a_vertices):
         raise BijectionError("GQ blacks and Fisher A-vertices are not in bijection")
+    kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
+    kf = op.kasteleyn_KF(fg, couplings)
+    x_mat, m_mat, _m_prime, kappa, i_wa, d_bqa, _d_ab, _blocks = op.fisher_aux(fg, qg, kf)
+    x = x_mat.dense()
+    ik = i_wa.dense().T @ invert(kqt.dense())       # I_{W,A}^T K~_Q^-1
+    # 1 + e^{-4J_b} is the squared norm of X's row b: (1, eps e^{-2J}), or (1) at a boundary B
+    kf_ab = ik @ x.T / (x * x).sum(axis=1)
+    kf_inv = invert(kf.dense())
+    a_ix = [kf.row_pos[a] for a in fg.a_vertices]
+    b_ix = [kf.row_pos[b] for b in fg.b_vertices]
+    form = np.full(kf_inv.shape, np.nan + 0j)
+    form[np.ix_(a_ix, b_ix)] = kf_ab
+    form[np.ix_(a_ix, a_ix)] = -0.5 * ik @ d_bqa.dense() + kappa.dense()
+    form[np.ix_(b_ix, b_ix)] = m_mat.dense() @ kf_ab
 
-    out = {"case1": [], "case2": [], "case3": [], "case4": []}
+    def listing(rows, cols):
+        cells = np.ix_([kf.row_pos[v] for v in rows], [kf.row_pos[v] for v in cols])
+        return [(*rc, f, d) for rc, f, d in zip(itertools.product(rows, cols),
+                                                form[cells].ravel(), kf_inv[cells].ravel())]
 
-    a_list = fg.a_vertices
-    b_list = fg.b_vertices
-    if pairs is not None:
-        a_init = [a for a in a_list if a in pairs]
-    else:
-        a_init = a_list
-
-    def case1_value(a_bar, b):
-        w_bar = fqm.white_of_a[a_bar]
-        b_hat = fqm.black_of_b[b]
-        b_op, eid = fg.ext_of_b[b]
-        b_hat_op = fqm.black_of_b[b_op]
-        j = couplings[eid]
-        e2 = math.exp(-2.0 * j)
-        val = (kq_inv[kq_w[w_bar], kq_b[b_hat]]
-               + kq_inv[kq_w[w_bar], kq_b[b_hat_op]] * fg.eps(b_op, b) * e2)
-        return val / (1.0 + e2 * e2)
-
-    for a_bar in a_init:
-        for b in b_list:
-            direct = kf_inv[fpos[a_bar], fpos[b]]
-            if b in fg.boundary_b:
-                b_hat = fqm.black_of_b[b]
-                w_bar = fqm.white_of_a[a_bar]
-                form = kq_inv[kq_w[w_bar], kq_b[b_hat]]
-                out["case2"].append((a_bar, b, form, direct))
-            else:
-                out["case1"].append((a_bar, b, case1_value(a_bar, b), direct))
-        for a in a_list:
-            direct = kf_inv[fpos[a_bar], fpos[a]]
-            b_hat = black_of_a[a]
-            b = fqm.b_of_black[b_hat]
-            w_bar = fqm.white_of_a[a_bar]
-            form = (-0.5 * kq_inv[kq_w[w_bar], kq_b[b_hat]] * fg.eps(b, a)
-                    + kappa.get((a_bar, a), 0.0))
-            out["case3"].append((a_bar, a, form, direct))
-
-    b_init = b_list if pairs is None else [b for b in b_list if b in pairs]
-    for b_bar in b_init:
-        a_prev, a_next = fg.triangles[b_bar]
-        # ccw triangle cycle is (a_prev, b, a_next): starting at b it reads
-        # (b, a1, a2) = (b, a_next, a_prev)
-        aa1, aa2 = a_next, a_prev
-        for b in b_list:
-            direct = kf_inv[fpos[b_bar], fpos[b]]
-            if b in fg.boundary_b:
-                continue
-            v1 = case1_value(aa1, b)
-            v2 = case1_value(aa2, b)
-            form = -fg.eps(b_bar, aa1) * v1 + fg.eps(b_bar, aa2) * v2
-            out["case4"].append((b_bar, b, form, direct))
-    return out
+    a_rows, b_rows = (vs if pairs is None else [v for v in vs if v in pairs]
+                      for vs in (fg.a_vertices, fg.b_vertices))
+    inner = [b for b in fg.b_vertices if b not in fg.boundary_b]
+    boundary = [b for b in fg.b_vertices if b in fg.boundary_b]
+    return {"case1": listing(a_rows, inner), "case2": listing(a_rows, boundary),
+            "case3": listing(a_rows, fg.a_vertices), "case4": listing(b_rows, inner)}
 
 
 def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
-    """Residuals of the three-terms relation on sampled (a, a1, a2, a3)."""
-    fqm = fisher_quadri_map(fg, qg)
-    kf = op.kasteleyn_KF(fg, couplings)
-    kf_inv = invert(kf.dense())
-    fpos = kf.row_pos
-    rng = np.random.default_rng(seed)
-    configs = []
-    for b_bar in fg.b_vertices:
-        if b_bar in fg.boundary_b:
-            continue
-        a_prev, a_next = fg.triangles[b_bar]
-        b_op, eid = fg.ext_of_b[b_bar]
-        blk_bar = fqm.black_of_b[b_bar]
-        # a1 pairs with the external white of blk_bar, a2 with the sn-white
-        a1 = fqm.a_of_black[blk_bar]
-        a2 = a_next if a1 == a_prev else a_prev
-        # a3 = the A at the external side of the cn-white adjacent to blk_bar
-        cn_white = next(w for b, w, kind, _ in qg.edges
-                        if kind == "cn" and b == blk_bar)
-        a3 = fqm.a_of_white[cn_white]
-        configs.append((b_bar, a1, a2, a3, b_op, eid))
-    if not configs:
+    """Residuals of Dotsenko's three-terms relation on sampled (b, a).
+
+    At an inner B the relation is the row of K~_Q I_{W,A} K_F^-1[A, A] at its
+    quadri black: eps(b, a1), eps(b, a2) tanh 2J and eps(b, b') eps(b', a3)
+    sech 2J at the ext, sn and cn whites.  The sampled A avoids the
+    decorations of a1, a2 and a3.
+    """
+    inner = [b for b in fg.b_vertices if b not in fg.boundary_b]
+    if not inner:
         return []
+    fqm = fisher_quadri_map(fg, qg)
+    kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
+    kf = op.kasteleyn_KF(fg, couplings)
+    i_wa = op.fisher_aux(fg, qg, kf)[4]
+    kf_inv = invert(kf.dense())
+    a_ix = [kf.row_pos[a] for a in fg.a_vertices]
+    rel = kqt.dense() @ i_wa.dense() @ kf_inv[np.ix_(a_ix, a_ix)]
+    rng = np.random.default_rng(seed)
     res = []
     forbidden_scale = np.abs(kf_inv).max()
     for _ in range(n_samples):
-        b_bar, a1, a2, a3, b_op, eid = configs[rng.integers(len(configs))]
-        decos = {a1[1], a2[1], a3[1]}
-        candidates = [a for a in fg.a_vertices if a[1] not in decos]
+        blk = fqm.black_of_b[inner[rng.integers(len(inner))]]
+        r = kqt.row_pos[blk]
+        decos = {fqm.a_of_white[kqt.cols[j]][1] for j in kqt.j[kqt.i == r]}
+        candidates = [n for n, a in enumerate(fg.a_vertices) if a[1] not in decos]
         if not candidates:
             continue
-        a = candidates[rng.integers(len(candidates))]
-        j = couplings[eid]
-        val = (fg.eps(b_bar, a1) * kf_inv[fpos[a1], fpos[a]]
-               + fg.eps(b_bar, a2) * math.tanh(2.0 * j) * kf_inv[fpos[a2], fpos[a]]
-               + fg.eps(b_bar, b_op) * fg.eps(b_op, a3) / math.cosh(2.0 * j)
-               * kf_inv[fpos[a3], fpos[a]])
-        res.append(abs(val) / max(forbidden_scale, 1e-30))
+        res.append(abs(rel[r, candidates[rng.integers(len(candidates))]])
+                   / max(forbidden_scale, 1e-30))
     return res
 
 

@@ -354,7 +354,17 @@ class IsoradialGraph:
         return self._hash
 
 
-def _validate_isoradial_faces(g, epsilon):
+def _edge_faces(g):
+    """The ids of the bounded faces on each edge (min, max) of g, in face order."""
+    edge_faces = {}
+    for fi, f in enumerate(g.faces):
+        for i in range(len(f)):
+            a, b = f[i], f[(i + 1) % len(f)]
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
+    return edge_faces
+
+
+def _validate_isoradial_faces(g):
     centers = []
     for f in g.faces:
         pts = [g.coords[v] for v in f]
@@ -377,14 +387,10 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
     """
     if not g.faces:
         raise IsoradialityError("graph has no bounded face")
-    face_centers_pre = _validate_isoradial_faces(g, epsilon)
+    face_centers_pre = _validate_isoradial_faces(g)
 
     # face id of the unique bounded face containing a boundary edge
-    edge_faces = {}
-    for fi, f in enumerate(g.faces):
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
+    edge_faces = _edge_faces(g)
 
     boundary = sorted(g.boundary_edges())
     boundary_degree = Counter(v for e in boundary for v in e)
@@ -417,21 +423,17 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
         next_id += 1
 
     base = PlanarGraph(coords=coords, edges=new_edges)
-    face_centers = _validate_isoradial_faces(base, epsilon)
+    face_centers = _validate_isoradial_faces(base)
 
     # face ids adjacent to each edge of the split graph
-    edge_faces2 = {}
-    for fi, f in enumerate(base.faces):
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            edge_faces2.setdefault((min(a, b), max(a, b)), []).append(fi)
+    edge_faces2 = _edge_faces(base)
     boundary2 = base.boundary_edges()
 
     edge_ids = {e: i for i, e in enumerate(base.edges)}
     rhombi = {}
     dual_edges = []
 
-    def theta_of(v1, v2, c):
+    def theta_of(v1, v2):
         # half-angle of the rhombus at the primal vertices
         half_chord = 0.5 * abs(base.coords[v2] - base.coords[v1])
         psi = math.asin(min(1.0, half_chord / RADIUS))
@@ -458,7 +460,7 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
             f1 = flist[0] if right_face(v1, v2, flist[0]) else flist[1]
             f2 = flist[1] if f1 == flist[0] else flist[0]
             dual_edges.append(((min(f1, f2), max(f1, f2)), eid))
-        theta = theta_of(v1, v2, f1)
+        theta = theta_of(v1, v2)
         if not (epsilon < theta < math.pi / 2 - epsilon):
             raise IsoradialityError(
                 f"edge {(a, b)}: half-angle {theta:.4f} outside ({epsilon}, pi/2-{epsilon})")
@@ -722,8 +724,10 @@ def build_irregular_pair():
 def builder_graph(spec):
     """Resolve a builder spec string like 'square:3x2', 'hex' or 'tripair'."""
     if spec.startswith("square:"):
-        dims = spec.split(":", 1)[1]
-        n, m = (int(t) for t in dims.split("x"))
+        try:
+            n, m = (int(t) for t in spec.split(":", 1)[1].split("x"))
+        except ValueError:
+            raise DomainError(f"builder spec {spec!r} is not square:<n>x<m>") from None
         return build_square_lattice(n, m)
     if spec == "hex":
         return build_hex_triangles()

@@ -793,7 +793,13 @@ def _kappa(fg):
 
 
 def fisher_aux(fg, qg, kf):
-    """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B}."""
+    """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B} and the
+    four blocks of K^F (Dubedat 2011).
+
+    ``inference.kf_inverse_formula`` reads X, M, kappa, I_{W,A} and D_{BQ,A};
+    ``inference.dotsenko_residuals`` reads I_{W,A}; ``check_dubedat`` reads
+    X, M, M', I_{W,A} and the K^F blocks.
+    """
     fqm = fisher_quadri_map(fg, qg)
     b_list = tuple(fg.b_vertices)
     a_list = tuple(fg.a_vertices)

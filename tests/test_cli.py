@@ -86,6 +86,19 @@ def test_verify_rejects_bad_numbers(capsys, option, value):
     assert f"DomainError: {option}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "gen"])
+@pytest.mark.parametrize("spec", ["square:ax1", "square:3", "square:1x1x1"])
+def test_malformed_builder_spec_is_an_input_error(capsys, command, spec):
+    assert run_cli([command, "--builder", spec]) == 2
+    assert f"DomainError: builder spec {spec!r}" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_spectral_value_past_the_descent(capsys):
+    # 2^N a_N u overflows to inf before the Landen descent takes its sine
+    assert run_cli(["verify", "--builder", "square:1x1", "--u", "1e308"]) == 2
+    assert "DomainError" in capsys.readouterr().err
+
+
 def test_verify_passes_and_artifact_schema(tmp_path):
     out = tmp_path / "rep.json"
     code = run_cli(["verify", "--builder", "square:2x2", "--k", "0.6",

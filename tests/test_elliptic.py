@@ -77,6 +77,13 @@ def test_modulus_domain():
         el.complete_integrals(-0.1)
 
 
+def test_jacobi_rejects_an_argument_that_overflows_the_descent():
+    p = el.complete_integrals(0.5)
+    with pytest.raises(DomainError, match="overflows the Landen descent"):
+        el.jacobi(1e308, p)
+    assert all(math.isfinite(x) for x in el.jacobi(1e300, p))     # finite phi: the usual path
+
+
 def test_jacobi_zero_and_trig():
     p = el.complete_integrals(0.37)
     assert el.jacobi(0.0, p) == (0.0, 1.0, 1.0)

@@ -571,6 +571,134 @@ def test_dotsenko(ig_2x2, ig_hex):
         assert res and max(res) < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# the Fisher inverse formulas against their per-entry references
+# ---------------------------------------------------------------------------
+
+_FISHER_SPECS = ("square:1x1", "square:2x2", "square:3x3", "square:4x3",
+                 "hex", "tripair", "irregular")
+
+
+def _fisher_couplings(ig):
+    """Z-invariant couplings at k in {0, 0.3, 0.6, 0.9}, and J = -0.3 throughout."""
+    for k in (0.0, 0.3, 0.6, 0.9):
+        yield op.z_invariant_couplings(ig, complete_integrals(k))
+    yield {e: -0.3 for e in ig.edge_list()}
+
+
+def _case_loops_kf_inverse(fg, qg, couplings, pairs=None):
+    """Reference: K_F^-1 entry by entry from K~_Q^-1, one case per loop."""
+    fqm = der.fisher_quadri_map(fg, qg)
+    kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, der.induce_orientation_GQ(fg, qg))
+    kf = op.kasteleyn_KF(fg, couplings)
+    kf_inv, kq_inv = inf.invert(kf.dense()), inf.invert(kqt.dense())
+    kq_w, kq_b, fpos = kqt.col_pos, kqt.row_pos, kf.row_pos
+    kappa = op._kappa(fg)
+    black_of_a = {a: blk for blk, a in fqm.a_of_black.items()}
+    out = {"case1": [], "case2": [], "case3": [], "case4": []}
+
+    def case1_value(a_bar, b):
+        w_bar = fqm.white_of_a[a_bar]
+        b_op, eid = fg.ext_of_b[b]
+        e2 = math.exp(-2.0 * couplings[eid])
+        val = (kq_inv[kq_w[w_bar], kq_b[fqm.black_of_b[b]]]
+               + kq_inv[kq_w[w_bar], kq_b[fqm.black_of_b[b_op]]] * fg.eps(b_op, b) * e2)
+        return val / (1.0 + e2 * e2)
+
+    for a_bar in (a for a in fg.a_vertices if pairs is None or a in pairs):
+        w_bar = fqm.white_of_a[a_bar]
+        for b in fg.b_vertices:
+            direct = kf_inv[fpos[a_bar], fpos[b]]
+            if b in fg.boundary_b:
+                form = kq_inv[kq_w[w_bar], kq_b[fqm.black_of_b[b]]]
+                out["case2"].append((a_bar, b, form, direct))
+            else:
+                out["case1"].append((a_bar, b, case1_value(a_bar, b), direct))
+        for a in fg.a_vertices:
+            b_hat = black_of_a[a]
+            form = (-0.5 * kq_inv[kq_w[w_bar], kq_b[b_hat]] * fg.eps(fqm.b_of_black[b_hat], a)
+                    + kappa.get((a_bar, a), 0.0))
+            out["case3"].append((a_bar, a, form, kf_inv[fpos[a_bar], fpos[a]]))
+    for b_bar in (b for b in fg.b_vertices if pairs is None or b in pairs):
+        # the ccw triangle cycle (a_prev, b, a_next) reads (b, a1, a2) from b
+        a2, a1 = fg.triangles[b_bar]
+        for b in fg.b_vertices:
+            if b not in fg.boundary_b:
+                form = (-fg.eps(b_bar, a1) * case1_value(a1, b)
+                        + fg.eps(b_bar, a2) * case1_value(a2, b))
+                out["case4"].append((b_bar, b, form, kf_inv[fpos[b_bar], fpos[b]]))
+    return out
+
+
+def _config_scan_dotsenko(fg, qg, couplings, n_samples=50, seed=7):
+    """Reference: Dotsenko's relation term by term, with a3 found by a scan
+    of the quadri edges for the cn-white of each inner B's black."""
+    fqm = der.fisher_quadri_map(fg, qg)
+    kf = op.kasteleyn_KF(fg, couplings)
+    kf_inv = inf.invert(kf.dense())
+    fpos = kf.row_pos
+    rng = np.random.default_rng(seed)
+    configs = []
+    for b_bar in fg.b_vertices:
+        if b_bar in fg.boundary_b:
+            continue
+        a_prev, a_next = fg.triangles[b_bar]
+        b_op, eid = fg.ext_of_b[b_bar]
+        blk_bar = fqm.black_of_b[b_bar]
+        a1 = fqm.a_of_black[blk_bar]
+        a2 = a_next if a1 == a_prev else a_prev
+        cn_white = next(w for b, w, kind, _ in qg.edges if kind == "cn" and b == blk_bar)
+        configs.append((b_bar, a1, a2, fqm.a_of_white[cn_white], b_op, eid))
+    if not configs:
+        return []
+    res = []
+    scale = np.abs(kf_inv).max()
+    for _ in range(n_samples):
+        b_bar, a1, a2, a3, b_op, eid = configs[rng.integers(len(configs))]
+        decos = {a1[1], a2[1], a3[1]}
+        candidates = [a for a in fg.a_vertices if a[1] not in decos]
+        if not candidates:
+            continue
+        a = candidates[rng.integers(len(candidates))]
+        j = couplings[eid]
+        val = (fg.eps(b_bar, a1) * kf_inv[fpos[a1], fpos[a]]
+               + fg.eps(b_bar, a2) * math.tanh(2.0 * j) * kf_inv[fpos[a2], fpos[a]]
+               + fg.eps(b_bar, b_op) * fg.eps(b_op, a3) / math.cosh(2.0 * j)
+               * kf_inv[fpos[a3], fpos[a]])
+        res.append(abs(val) / max(scale, 1e-30))
+    return res
+
+
+@pytest.mark.parametrize("spec", _FISHER_SPECS)
+def test_kf_inverse_blocks_match_case_loops(spec):
+    ig = get_graph(spec)
+    fg, qg = der.build_fisher(ig), der.build_quadri(ig)
+    for couplings in _fisher_couplings(ig):
+        for pairs in (None, set(fg.a_vertices[:3] + fg.b_vertices[:3])):
+            got = inf.kf_inverse_formula(fg, qg, couplings, pairs=pairs)
+            ref = _case_loops_kf_inverse(fg, qg, couplings, pairs=pairs)
+            assert list(got) == list(ref)
+            for case in ref:
+                assert [r[:2] for r in got[case]] == [r[:2] for r in ref[case]], case
+                for (_r, _c, f, d), (_rr, _cc, f_ref, d_ref) in zip(got[case], ref[case]):
+                    assert d == d_ref
+                    assert abs(f - f_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", _FISHER_SPECS)
+def test_dotsenko_rows_match_config_scan(spec):
+    ig = get_graph(spec)
+    fg, qg = der.build_fisher(ig), der.build_quadri(ig)
+    for couplings in _fisher_couplings(ig):
+        for seed in (7, 1):
+            got = inf.dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=seed)
+            ref = _config_scan_dotsenko(fg, qg, couplings, n_samples=50, seed=seed)
+            assert len(got) == len(ref)
+            assert all(abs(x - y) <= 1e-15 for x, y in zip(got, ref))
+    if spec == "square:1x1":
+        assert got == []        # no inner B
+
+
 def gd_oracle_frequencies(dg, p, u):
     kd = op.dirac(dg, p, u, "plain")
     edges = sorted(dg.gd_edges)
