@@ -69,6 +69,14 @@ def _config_from_args(args, command):
     u_values = None
     if getattr(args, "u", None):
         u_values = _numbers(args.u, "--u")
+        # every operator is 8K-periodic in u; far out, (u - gamma)/2 keeps only
+        # the digits of u above its ulp
+        for k in ks:
+            period = 8.0 * el.complete_integrals(k).bigK
+            for u in u_values:
+                if abs(u) > period:
+                    raise DomainError(f"--u {u!r} exceeds 8K = {period!r} at k = {k!r}; "
+                                      "reduce u modulo 8K")
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 < tol < math.inf:
         raise DomainError(f"--tol must be finite and > 0, got {tol}")

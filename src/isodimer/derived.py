@@ -87,6 +87,25 @@ def build_double(ig, rooted=True):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class FisherQuadriMap:
+    """Vertex correspondences between the quadri and Fisher graphs: the
+    quadri vertex on side (v, f) of rhombus e is the black of B ("b", f, e)
+    (corners 1, 3) or the white of A ("a", f, v) (corners 2, 4); a black
+    also has the A of its side (D_{BQ,A})."""
+
+    b_of_black: dict = field(default_factory=dict)   # GQ black -> B key
+    black_of_b: dict = field(default_factory=dict)
+    a_of_white: dict = field(default_factory=dict)   # GQ white -> A key (I_{W,A})
+    a_of_black: dict = field(default_factory=dict)   # GQ black -> A key (D_{BQ,A})
+    white_of_a: dict = field(default_factory=dict)
+
+
+# a quadri vertex sits at the midpoint of its side, pulled this far toward the
+# centre of its rhombus
+_QUADRI_PULL = 0.25
+
+
+@dataclass
 class QuadriGraph:
     """The quadri-tiling graph with fixed bipartite coloring.
 
@@ -96,7 +115,9 @@ class QuadriGraph:
     Boundary rhombi carry corners 1,2 only; their quadrangles are single
     edges.  ``edges`` records for every GQ edge the black endpoint, white
     endpoint, its kind ("sn", "cn", "bq", "ext") and the lifted phase angle
-    (half-sum convention) of the complex Kasteleyn matrix.
+    (half-sum convention) of the complex Kasteleyn matrix.  ``faces`` are the
+    bounded faces of the straight-line embedding ``coords``, traced by
+    ``PlanarGraph``; ``fisher`` holds the correspondence with the Fisher graph.
     """
 
     ig: object
@@ -104,56 +125,58 @@ class QuadriGraph:
     blacks: list = field(default_factory=list)
     whites: list = field(default_factory=list)
     edges: list = field(default_factory=list)
-    side_of: dict = field(default_factory=dict)     # vertex -> side key (v, f)
     quad_of: dict = field(default_factory=dict)     # vertex -> edge id (its quadrangle)
     corner_of: dict = field(default_factory=dict)
     pair_role: dict = field(default_factory=dict)   # edge_id -> ("l"|"r", BoundaryPair)
     boundary_quads: list = field(default_factory=list)  # edge ids of boundary rhombi
+    coords: dict = field(default_factory=dict)
+    faces: list = field(default_factory=list)
+    fisher: FisherQuadriMap = field(default_factory=FisherQuadriMap)
 
     def __post_init__(self):
         if self.vertices:
             return
         ig = self.ig
+        xy, fmap = ig.base.coords, self.fisher
         for bp in ig.boundary_pairs:
             self.pair_role[bp.wl] = ("l", bp)
             self.pair_role[bp.wr] = ("r", bp)
-
-        def corner_side(r, corner):
-            return {1: (r.v1, r.f1), 2: (r.v2, r.f1),
-                    3: (r.v2, r.f2), 4: (r.v1, r.f2)}[corner]
 
         side_members = {}
         for eid in ig.edge_list():
             r = ig.rhombi[eid]
             corners = (1, 2) if r.f2 is None else (1, 2, 3, 4)
-            if r.f2 is None:
-                self.boundary_quads.append(eid)
+            centre = 0.5 * (xy[r.v1] + xy[r.v2])
             for c in corners:
                 q = ("q", eid, c)
+                v, f = {1: (r.v1, r.f1), 2: (r.v2, r.f1), 3: (r.v2, r.f2), 4: (r.v1, r.f2)}[c]
                 self.vertices.append(q)
                 self.quad_of[q] = eid
                 self.corner_of[q] = c
-                s = corner_side(r, c)
-                self.side_of[q] = s
-                side_members.setdefault(s, []).append(q)
-                (self.blacks if c in (1, 3) else self.whites).append(q)
-
-        black_set = set(self.blacks)
-        # quadrangle edges
-        for eid in ig.edge_list():
-            r = ig.rhombi[eid]
-            a, b = r.alpha_bar, r.beta_bar
-            t = {c: ("q", eid, c) for c in (1, 2, 3, 4)}
-            if r.f2 is None:
-                role, bp = self.pair_role[eid]
-                if role == "l":
-                    # swapped embedding: the boundary quadrangle edge is flat
-                    phase = bp.beta_l + math.pi / 2
-                    self.edges.append((t[1], t[2], "bq", phase))
+                side_members.setdefault((v, f), []).append(q)
+                mid = 0.5 * (xy[v] + ig.face_centers[f])
+                self.coords[q] = mid + _QUADRI_PULL * (centre - mid)
+                if c in (1, 3):
+                    self.blacks.append(q)
+                    fmap.b_of_black[q] = ("b", f, eid)
+                    fmap.black_of_b[("b", f, eid)] = q
+                    fmap.a_of_black[q] = ("a", f, v)
                 else:
-                    phase = 0.5 * (bp.alpha_r + bp.beta_r)
-                    self.edges.append((t[1], t[2], "bq", phase))
+                    self.whites.append(q)
+                    fmap.a_of_white[q] = ("a", f, v)
+                    fmap.white_of_a[("a", f, v)] = q
+
+            # quadrangle edges
+            t = {c: ("q", eid, c) for c in corners}
+            if r.f2 is None:
+                self.boundary_quads.append(eid)
+                role, bp = self.pair_role[eid]
+                # swapped embedding on the left: the boundary quadrangle edge is flat
+                phase = (bp.beta_l + math.pi / 2 if role == "l"
+                         else 0.5 * (bp.alpha_r + bp.beta_r))
+                self.edges.append((t[1], t[2], "bq", phase))
                 continue
+            a, b = r.alpha_bar, r.beta_bar
             self.edges.append((t[1], t[2], "sn", 0.5 * (a + b)))
             self.edges.append((t[3], t[4], "sn", 0.5 * (a + b) + math.pi))
             self.edges.append((t[1], t[4], "cn", 0.5 * (a + b + math.pi)))
@@ -166,11 +189,9 @@ class QuadriGraph:
             if len(members) != 2:
                 raise IsoradialityError(f"side {s} hosts {len(members)} triangles")
             x, y = members
-            bx = x in black_set
-            by = y in black_set
-            if bx == by:
+            if (x in fmap.b_of_black) == (y in fmap.b_of_black):
                 raise OrientationError(f"external edge at side {s} not bicolored")
-            blk, wht = (x, y) if bx else (y, x)
+            blk, wht = (x, y) if x in fmap.b_of_black else (y, x)
             eid = self.quad_of[blk]
             r = self.ig.rhombi[eid]
             role = self.pair_role.get(eid)
@@ -186,6 +207,7 @@ class QuadriGraph:
         self.vertices.sort()
         self.blacks.sort()
         self.whites.sort()
+        self.faces = PlanarGraph(self.coords, [(x, y) for x, y, _, _ in self.edges]).faces
 
     def black_lifts(self, blk):
         """The lifts (a, b) of black ``blk``: alpha and beta of its rhombus
@@ -200,59 +222,6 @@ class QuadriGraph:
         if self.corner_of[blk] == 1:
             return r.alpha_bar, r.beta_bar
         return r.alpha_bar + math.pi, r.beta_bar + math.pi
-
-    # -- faces (combinatorial), used by the Kasteleyn orientation check -----
-    def faces(self):
-        ig = self.ig
-        out = []
-        # inner quadrangles, CCW
-        for eid in ig.edge_list():
-            if ig.rhombi[eid].f2 is not None:
-                out.append(tuple(("q", eid, c) for c in (1, 2, 3, 4)))
-
-        edge_ids = ig.edge_ids
-
-        def corner_at(eid, side):
-            r = ig.rhombi[eid]
-            table = {(r.v1, r.f1): 1, (r.v2, r.f1): 2}
-            if r.f2 is not None:
-                table[(r.v2, r.f2)] = 3
-                table[(r.v1, r.f2)] = 4
-            c = table.get(side)
-            if c is None:
-                raise KeyError(f"side {side} not in rhombus {eid}")
-            return ("q", eid, c)
-
-        # faces around every restricted-dual vertex f: walk the face cycle
-        for fi, cyc in enumerate(ig.base.faces):
-            n = len(cyc)
-            verts = []
-            for i in range(n):
-                v_a, v_b = cyc[i], cyc[(i + 1) % n]
-                eid = edge_ids[(min(v_a, v_b), max(v_a, v_b))]
-                verts.append(corner_at(eid, (v_a, fi)))
-                verts.append(corner_at(eid, (v_b, fi)))
-            out.append(tuple(verts))
-
-        # faces around interior primal vertices
-        boundary = ig.base.boundary_vertices()
-        for v in sorted(ig.base.coords):
-            if v in boundary:
-                continue
-            nbrs = ig.base.adj[v]
-            d = len(nbrs)
-            verts = []
-            for i in range(d):
-                w_a, w_b = nbrs[i], nbrs[(i + 1) % d]
-                e_a = edge_ids[(min(v, w_a), max(v, w_a))]
-                e_b = edge_ids[(min(v, w_b), max(v, w_b))]
-                # shared face between consecutive edges (CCW): right face of (v->w_b)
-                r_b = ig.rhombi[e_b]
-                f_shared = r_b.f1 if r_b.v1 == v else r_b.f2
-                verts.append(corner_at(e_a, (v, f_shared)))
-                verts.append(corner_at(e_b, (v, f_shared)))
-            out.append(tuple(verts))
-        return out
 
 
 def build_quadri(ig):
@@ -471,43 +440,9 @@ def check_clockwise_odd(eps, faces):
 # Fisher <-> quadri correspondence and induced orientation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FisherQuadriMap:
-    """Vertex correspondences between the Fisher and quadri graphs."""
-
-    fg: object
-    qg: object
-    b_of_black: dict = field(default_factory=dict)   # GQ black -> B key
-    black_of_b: dict = field(default_factory=dict)
-    a_of_side: dict = field(default_factory=dict)    # side (v,f) -> A key
-    a_of_white: dict = field(default_factory=dict)   # GQ white -> A key (I_{W,A})
-    a_of_black: dict = field(default_factory=dict)   # GQ black -> A key (D_{BQ,A})
-    white_of_a: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.b_of_black:
-            return
-        fg, qg = self.fg, self.qg
-        ig = qg.ig
-        for (v, f) in {qg.side_of[q] for q in qg.vertices}:
-            self.a_of_side[(v, f)] = ("a", f, v)
-        for blk in qg.blacks:
-            eid = qg.quad_of[blk]
-            r = ig.rhombi[eid]
-            f = r.f1 if qg.corner_of[blk] == 1 else r.f2
-            self.b_of_black[blk] = ("b", f, eid)
-            self.black_of_b[("b", f, eid)] = blk
-        for blk in qg.blacks:
-            side = qg.side_of[blk]
-            self.a_of_black[blk] = self.a_of_side[side]
-        for wht in qg.whites:
-            side = qg.side_of[wht]
-            self.a_of_white[wht] = self.a_of_side[side]
-            self.white_of_a[self.a_of_side[side]] = wht
-
-
-def fisher_quadri_map(fg, qg):
-    return FisherQuadriMap(fg=fg, qg=qg)
+def fisher_quadri_map(qg):
+    """The Fisher correspondence of ``qg``, filled while ``qg`` was built."""
+    return qg.fisher
 
 
 def induce_orientation_GQ(fg, qg):
@@ -517,7 +452,7 @@ def induce_orientation_GQ(fg, qg):
     eps(b_hat, w_ext) = eps(b, a); eps(b_hat, w_sn) = eps(b, a');
     eps(b_hat, w_cn) = eps(b, b') eps(b', a'').  Verified clockwise odd.
     """
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     eps_f = fg.eps
     eps_q = {}
     for blk, wht, kind, _ in qg.edges:
@@ -541,7 +476,7 @@ def induce_orientation_GQ(fg, qg):
             raise OrientationError(f"unknown edge kind {kind}")
         eps_q[(blk, wht)] = val
         eps_q[(wht, blk)] = -val
-    check_clockwise_odd(eps_q, qg.faces())
+    check_clockwise_odd(eps_q, qg.faces)
     return eps_q
 
 
@@ -679,20 +614,10 @@ def reference_matching_M1(dg):
     # fixed iteration order: summation order must not depend on hash seeds
     matching = tuple(sorted(tm.trees_to_matching(prim_out, dual_out)))
 
-    # partition of quadri vertices
-    qg = build_quadri(ig)
+    # partition of quadri vertices: the G_Q edge crossing the matched double-graph
+    # edge of each inner white, as (black corner, white corner); one entry per
+    # edge in edge order keeps each list sorted
     part = {"B1": [], "B2": [], "W1": [], "W2": [], "B1d": [], "W1d": []}
-    crossing = {}
-    for x, y, kind, _ in qg.edges:
-        if kind in ("sn", "cn", "bq"):
-            # GQ edge crossing double-graph edge (w, black)
-            eid = qg.quad_of[x]
-            r = ig.rhombi[eid]
-            c_b, c_w = qg.corner_of[x], qg.corner_of[y]
-            pair = tuple(sorted((c_b, c_w)))
-            black_gd = {(1, 2): fkey(r.f1), (3, 4): fkey(r.f2),
-                        (1, 4): vkey(r.v1), (2, 3): vkey(r.v2)}[pair]
-            crossing[(eid, black_gd)] = (x, y)
     match_by_white = {w: black for (w, black) in matching}
     for eid in ig.edge_list():
         r = ig.rhombi[eid]
@@ -702,17 +627,12 @@ def reference_matching_M1(dg):
             part["B1d"].append(("q", eid, 1))
             part["W1d"].append(("q", eid, 2))
             continue
-        black = match_by_white[eid]
-        b1, w1 = crossing[(eid, black)]
-        part["B1"].append(b1)
-        part["W1"].append(w1)
-        others = [("q", eid, c) for c in (1, 2, 3, 4)]
-        for q in others:
-            if q in (b1, w1):
-                continue
-            (part["B2"] if qg.corner_of[q] in (1, 3) else part["W2"]).append(q)
-    for key in part:
-        part[key].sort()
+        c_b, c_w = {fkey(r.f1): (1, 2), fkey(r.f2): (3, 4),
+                    vkey(r.v1): (1, 4), vkey(r.v2): (3, 2)}[match_by_white[eid]]
+        part["B1"].append(("q", eid, c_b))
+        part["W1"].append(("q", eid, c_w))
+        part["B2"].append(("q", eid, 4 - c_b))
+        part["W2"].append(("q", eid, 6 - c_w))
     return matching, part
 
 

@@ -541,17 +541,18 @@ def check_dubedat(ws, couplings=None, tol=DEFAULT_TOL, det_tol=DET_TOL,
     fg, qg = ws.fg, ws.qg
     kf = op.kasteleyn_KF(fg, couplings)
     kqt = op.kasteleyn_KQ_real(qg, ig, couplings, ws._graph.eps_q)
-    x_mat, m_mat, m_prime, _kappa, i_wa, _d_bqa, _d_ab, blocks = op.fisher_aux(fg, qg, kf)
-    xki = x_mat.dense() @ kqt.dense() @ i_wa.dense()
+    aux = op.fisher_aux(fg, qg, kf)
+    xki = aux.x.dense() @ kqt.dense() @ aux.i_wa.dense()
     if negative_control:
         xki = _perturb(xki, seed)
-    kbb, kba = blocks["K_BB"], blocks["K_BA"]
-    kab, kaa = blocks["K_AB"], blocks["K_AA"]
+    kbb, kba = aux.blocks["K_BB"], aux.blocks["K_BA"]
+    kab, kaa = aux.blocks["K_AB"], aux.blocks["K_AA"]
+    m, m_prime = aux.m.dense(), aux.m_prime.dense()
     scale = max(1.0, np.abs(kf.dense()).max())
-    r1 = np.abs(kbb + kba @ m_prime.dense()).max() / scale
-    r2 = np.abs(kab @ m_mat.dense() + kaa).max() / scale
-    r3 = np.abs(kbb @ m_mat.dense() + kba - xki).max() / scale
-    r4 = np.abs(kab + kaa @ m_prime.dense() + xki.T).max() / scale
+    r1 = np.abs(kbb + kba @ m_prime).max() / scale
+    r2 = np.abs(kab @ m + kaa).max() / scale
+    r3 = np.abs(kbb @ m + kba - xki).max() / scale
+    r4 = np.abs(kab + kaa @ m_prime + xki.T).max() / scale
     # determinant relation and Pfaffian consistency
     lad_f = inf.logabsdet(kf.dense())
     rhs = (len(ig.face_centers) * math.log(2.0)

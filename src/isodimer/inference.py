@@ -401,16 +401,16 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     default); the columns are always complete.  Returns a dict from case to
     its (row, col, formula, direct) entries, row-major in vertex order.
     """
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     # D_{BQ,A} puts each black in the column of its A: off a bijection, a
     # column would sum two blacks or none, and case3 would be silently wrong
     if Counter(fqm.a_of_black.values()) != Counter(fg.a_vertices):
         raise BijectionError("GQ blacks and Fisher A-vertices are not in bijection")
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
-    x_mat, m_mat, _m_prime, kappa, i_wa, d_bqa, _d_ab, _blocks = op.fisher_aux(fg, qg, kf)
-    x = x_mat.dense()
-    ik = i_wa.dense().T @ invert(kqt.dense())       # I_{W,A}^T K~_Q^-1
+    aux = op.fisher_aux(fg, qg, kf)
+    x = aux.x.dense()
+    ik = aux.i_wa.dense().T @ invert(kqt.dense())   # I_{W,A}^T K~_Q^-1
     # 1 + e^{-4J_b} is the squared norm of X's row b: (1, eps e^{-2J}), or (1) at a boundary B
     kf_ab = ik @ x.T / (x * x).sum(axis=1)
     kf_inv = invert(kf.dense())
@@ -418,8 +418,8 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     b_ix = [kf.row_pos[b] for b in fg.b_vertices]
     form = np.full(kf_inv.shape, np.nan + 0j)
     form[np.ix_(a_ix, b_ix)] = kf_ab
-    form[np.ix_(a_ix, a_ix)] = -0.5 * ik @ d_bqa.dense() + kappa.dense()
-    form[np.ix_(b_ix, b_ix)] = m_mat.dense() @ kf_ab
+    form[np.ix_(a_ix, a_ix)] = -0.5 * ik @ aux.d_bqa.dense() + aux.kappa.dense()
+    form[np.ix_(b_ix, b_ix)] = aux.m.dense() @ kf_ab
 
     def listing(rows, cols):
         cells = np.ix_([kf.row_pos[v] for v in rows], [kf.row_pos[v] for v in cols])
@@ -445,10 +445,10 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     inner = [b for b in fg.b_vertices if b not in fg.boundary_b]
     if not inner:
         return []
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
-    i_wa = op.fisher_aux(fg, qg, kf)[4]
+    i_wa = op.fisher_aux(fg, qg, kf).i_wa
     kf_inv = invert(kf.dense())
     a_ix = [kf.row_pos[a] for a in fg.a_vertices]
     rel = kqt.dense() @ i_wa.dense() @ kf_inv[np.ix_(a_ix, a_ix)]
@@ -677,15 +677,14 @@ def brute_force_outer_trees(ig, gamma, budget=10 ** 6):
     return OracleConfigSpace("outer-trees", ig.graph_hash(), count, total)
 
 
-def brute_force(kind, ig, couplings=None, budget=2 ** 20, **kw):
+def brute_force(kind, ig, couplings=None, budget=2 ** 20):
     """Dispatcher used by the CLI oracle command."""
     if kind == "spins":
         return brute_force_spins(ig, couplings, budget)
     if kind == "polygons":
         return brute_force_polygons(ig, couplings, budget)
     if kind == "dst-pairs":
-        return brute_force_dst_pairs(ig, kw.get("weights_primal"),
-                                     kw.get("weights_dual"), budget)
+        return brute_force_dst_pairs(ig, budget=budget)
     raise DomainError(f"unknown oracle kind {kind!r}")
 
 
@@ -716,7 +715,7 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     kq_inv = invert(kq.dense())
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     m = op.edge_table(ig).at(p)
     b_list = [b for b in fg.b_vertices if b not in fg.boundary_b]
     a_list = fg.a_vertices if pairs is None else [a for a in fg.a_vertices if a in pairs]

@@ -319,10 +319,8 @@ class IsoradialGraph:
     rhombi: dict                  # edge_id -> RhombusRecord
     edge_ids: dict                # (a, b) sorted pair -> edge_id
     boundary_pairs: list          # BoundaryPair, sorted by vc
-    midpoints: set                # the added boundary midpoint vertices
     root: int                     # chosen root midpoint
     epsilon: float
-    original: PlanarGraph = None  # the pre-split input graph
     _hash: str = field(default=None, init=False, repr=False, compare=False)
     _excl: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _table: object = field(default=None, init=False, repr=False, compare=False)
@@ -523,7 +521,7 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
 
     return IsoradialGraph(base=base, face_centers=face_centers, dual_edges=dual_edges,
                           rhombi=rhombi, edge_ids=edge_ids, boundary_pairs=pairs,
-                          midpoints=midpoints, root=root, epsilon=epsilon, original=g)
+                          root=root, epsilon=epsilon)
 
 
 def train_tracks(ig):

@@ -16,6 +16,7 @@ import cmath
 import math
 import weakref
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy loads on first use)
@@ -792,15 +793,29 @@ def _kappa(fg):
     return k_ent
 
 
+class FisherAux(NamedTuple):
+    """The block matrices of :func:`fisher_aux`, also read by position;
+    ``blocks`` holds the dense K^F blocks "K_BB", "K_BA", "K_AB" and "K_AA"."""
+
+    x: object
+    m: object
+    m_prime: object
+    kappa: object
+    i_wa: object
+    d_bqa: object
+    d_ab: object
+    blocks: dict
+
+
 def fisher_aux(fg, qg, kf):
     """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B} and the
-    four blocks of K^F (Dubedat 2011).
+    four blocks of K^F (Dubedat 2011), as a :class:`FisherAux`.
 
     ``inference.kf_inverse_formula`` reads X, M, kappa, I_{W,A} and D_{BQ,A};
     ``inference.dotsenko_residuals`` reads I_{W,A}; ``check_dubedat`` reads
     X, M, M', I_{W,A} and the K^F blocks.
     """
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     b_list = tuple(fg.b_vertices)
     a_list = tuple(fg.a_vertices)
     bq_list = tuple(qg.blacks)
@@ -863,9 +878,8 @@ def fisher_aux(fg, qg, kf):
         d_ab_ent[(a_prev, b)] = 0.5 * fg.eps(b, a_prev)
     d_ab = TypedSparseMatrix.of(a_list, b_list, d_ab_ent, "fisher_D_AB")
 
-    blocks = {"K_BB": k_bb, "K_BA": k_ba, "K_AB": k_ab, "K_AA": k_aa,
-              "B": b_list, "A": a_list}
-    return x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, d_ab, blocks
+    blocks = {"K_BB": k_bb, "K_BA": k_ba, "K_AB": k_ab, "K_AA": k_aa}
+    return FisherAux(x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, d_ab, blocks)
 
 
 # ---------------------------------------------------------------------------

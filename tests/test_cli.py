@@ -94,9 +94,23 @@ def test_malformed_builder_spec_is_an_input_error(capsys, command, spec):
 
 
 def test_verify_rejects_a_spectral_value_past_the_descent(capsys):
-    # 2^N a_N u overflows to inf before the Landen descent takes its sine
+    # 2^N a_N u would overflow the Landen descent (tested in test_elliptic);
+    # 1e308 is far past 8K, so the CLI rejects it first
     assert run_cli(["verify", "--builder", "square:1x1", "--u", "1e308"]) == 2
     assert "DomainError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks, u", [("0.5", "1e8"), ("0.5", "-13.5"), ("0,0.9", "13")])
+def test_verify_rejects_u_past_the_period(capsys, ks, u):
+    # every operator is 8K-periodic in u; 8K(0.5) = 13.486 and 8K(0) = 4 pi < 13,
+    # so each u is past 8K at some k of --k
+    assert run_cli(["verify", "--builder", "square:1x1", "--k", ks, "--u", u]) == 2
+    assert "reduce u modulo 8K" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks, u", [("0.9", "13"), ("0.5", "-13.4")])
+def test_verify_accepts_u_within_the_period(ks, u):
+    assert run_cli(["verify", "--builder", "square:1x1", "--k", ks, "--u", u]) == 0
 
 
 def test_verify_passes_and_artifact_schema(tmp_path):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from conftest import branching_matchings
 
 from isodimer import derived as der
@@ -93,11 +94,11 @@ def test_induced_orientation(ig_2x2, ig_hex):
         fg = der.build_fisher(ig)
         qg = der.build_quadri(ig)
         eps_q = der.induce_orientation_GQ(fg, qg)
-        der.check_clockwise_odd(eps_q, qg.faces())
+        der.check_clockwise_odd(eps_q, qg.faces)
         # boundary quadrangle edges only use the two simple rules
         for b, w, kind, _ in qg.edges:
             if kind == "bq":
-                fqm = der.fisher_quadri_map(fg, qg)
+                fqm = der.fisher_quadri_map(qg)
                 bb = fqm.b_of_black[b]
                 assert bb in fg.boundary_b
 
@@ -112,7 +113,7 @@ def test_induced_orientation_on_every_builder():
         assert len(fg.ext_of_b) == 2 * len(fg.external_edges)
         for bx, by, eid in fg.external_edges:
             assert fg.ext_of_b[bx] == (by, eid) and fg.ext_of_b[by] == (bx, eid)
-        fqm = der.fisher_quadri_map(fg, qg)
+        fqm = der.fisher_quadri_map(qg)
         eps_q = der.induce_orientation_GQ(fg, qg)
         for blk, wht, kind, _ in qg.edges:
             if kind == "cn":
@@ -135,7 +136,7 @@ def test_induced_orientation_flip_locality(ig_2x2):
     fg.orientation[(a_prev, b0)] *= -1
     try:
         eps2 = {}
-        fqm = der.fisher_quadri_map(fg, qg)
+        fqm = der.fisher_quadri_map(qg)
         for blk, wht, kind, _ in qg.edges:
             b = fqm.b_of_black[blk]
             a_ext = fqm.a_of_black[blk]
@@ -152,7 +153,7 @@ def test_induced_orientation_flip_locality(ig_2x2):
     finally:
         fg.orientation[(b0, a_prev)] *= -1
         fg.orientation[(a_prev, b0)] *= -1
-    fqm = der.fisher_quadri_map(fg, qg)
+    fqm = der.fisher_quadri_map(qg)
     blk0 = fqm.black_of_b[b0]
     changed = {k for k in eps2 if eps1[k] != eps2[k]}
     assert changed
@@ -247,3 +248,133 @@ def test_reference_matching_partition(ig_2x2):
     tm = der.temperley_map(dg)
     _, dual_out = tm.matching_to_trees(m1)
     assert set(dual_out) == set(range(len(ig_2x2.face_centers)))
+
+
+_QUADRI_SPECS = ("square:1x1", "square:1x2", "square:2x2", "square:3x3", "square:4x3",
+                 "hex", "tripair", "irregular")
+
+
+def _corner_side(r, c):
+    return {1: (r.v1, r.f1), 2: (r.v2, r.f1), 3: (r.v2, r.f2), 4: (r.v1, r.f2)}[c]
+
+
+def _walked_quadri_faces(ig):
+    """Reference: the bounded faces of G_Q walked by hand, CCW: the inner
+    quadrangles, then around every restricted-dual vertex, then around every
+    interior primal vertex."""
+    out = [tuple(("q", eid, c) for c in (1, 2, 3, 4))
+           for eid in ig.edge_list() if ig.rhombi[eid].f2 is not None]
+
+    def corner_at(eid, side):
+        r = ig.rhombi[eid]
+        corners = (1, 2) if r.f2 is None else (1, 2, 3, 4)
+        return next(("q", eid, c) for c in corners if _corner_side(r, c) == side)
+
+    def eid_of(a, b):
+        return ig.edge_ids[(min(a, b), max(a, b))]
+
+    for fi, cyc in enumerate(ig.base.faces):
+        verts = []
+        for v_a, v_b in zip(cyc, cyc[1:] + cyc[:1]):
+            verts += [corner_at(eid_of(v_a, v_b), (v_a, fi)),
+                      corner_at(eid_of(v_a, v_b), (v_b, fi))]
+        out.append(tuple(verts))
+    boundary = ig.base.boundary_vertices()
+    for v in sorted(ig.base.coords):
+        if v in boundary:
+            continue
+        nbrs, verts = ig.base.adj[v], []
+        for w_a, w_b in zip(nbrs, nbrs[1:] + nbrs[:1]):
+            # shared face between consecutive edges (CCW): right face of (v->w_b)
+            r_b = ig.rhombi[eid_of(v, w_b)]
+            f_shared = r_b.f1 if r_b.v1 == v else r_b.f2
+            verts += [corner_at(eid_of(v, w_a), (v, f_shared)),
+                      corner_at(eid_of(v, w_b), (v, f_shared))]
+        out.append(tuple(verts))
+    return out
+
+
+def _rotated_to_min(face):
+    i = face.index(min(face))
+    return face[i:] + face[:i]
+
+
+def test_quadri_faces_match_the_walk():
+    # the traced faces of the embedding are the walked cycles, same orientation
+    for spec in _QUADRI_SPECS:
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        qg = der.build_quadri(ig)
+        walked = _walked_quadri_faces(ig)
+        assert len(qg.faces) == len(walked), spec
+        assert (sorted(map(_rotated_to_min, qg.faces))
+                == sorted(map(_rotated_to_min, walked))), spec
+        der.check_clockwise_odd(der.induce_orientation_GQ(der.build_fisher(ig), qg),
+                                walked)
+
+
+def _scanned_fisher_map(qg):
+    """Reference: the Fisher correspondence by a pass over the quadri vertices."""
+    ig = qg.ig
+    side_of = {q: _corner_side(ig.rhombi[qg.quad_of[q]], qg.corner_of[q]) for q in qg.vertices}
+    maps = {"b_of_black": {}, "black_of_b": {}, "a_of_black": {}, "a_of_white": {},
+            "white_of_a": {}}
+    for blk in qg.blacks:
+        eid, (v, f) = qg.quad_of[blk], side_of[blk]
+        maps["b_of_black"][blk] = ("b", f, eid)
+        maps["black_of_b"][("b", f, eid)] = blk
+        maps["a_of_black"][blk] = ("a", f, v)
+    for wht in qg.whites:
+        v, f = side_of[wht]
+        maps["a_of_white"][wht] = ("a", f, v)
+        maps["white_of_a"][("a", f, v)] = wht
+    return maps
+
+
+def test_fisher_quadri_map_filled_by_the_build():
+    for spec in _QUADRI_SPECS:
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        qg = der.build_quadri(ig)
+        fqm = der.fisher_quadri_map(qg)
+        assert fqm is qg.fisher
+        for name, ref in _scanned_fisher_map(qg).items():
+            assert list(getattr(fqm, name).items()) == list(ref.items()), (spec, name)
+
+
+def _crossing_partition(qg, matching):
+    """Reference: the quadri partition from a scan of the G_Q edges for the one
+    that crosses each matched double-graph edge."""
+    ig = qg.ig
+    crossing = {}
+    for x, y, kind, _ in qg.edges:
+        if kind in ("sn", "cn", "bq"):
+            r = ig.rhombi[qg.quad_of[x]]
+            pair = tuple(sorted((qg.corner_of[x], qg.corner_of[y])))
+            black_gd = {(1, 2): der.fkey(r.f1), (3, 4): der.fkey(r.f2),
+                        (1, 4): der.vkey(r.v1), (2, 3): der.vkey(r.v2)}[pair]
+            crossing[(qg.quad_of[x], black_gd)] = (x, y)
+    part = {"B1": [], "B2": [], "W1": [], "W2": [], "B1d": [], "W1d": []}
+    for w, black in matching:
+        b1, w1 = crossing[(w, black)]
+        part["B1"].append(b1)
+        part["W1"].append(w1)
+        for q in qg.vertices:
+            if qg.quad_of[q] == w and q not in (b1, w1):
+                part["B2" if qg.corner_of[q] in (1, 3) else "W2"].append(q)
+    for eid in qg.boundary_quads:
+        part["B1"].append(("q", eid, 1))
+        part["W1"].append(("q", eid, 2))
+        part["B1d"].append(("q", eid, 1))
+        part["W1d"].append(("q", eid, 2))
+    return {key: sorted(val) for key, val in part.items()}
+
+
+def test_reference_partition_from_corners(monkeypatch):
+    for spec in _QUADRI_SPECS:
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        dg, qg = der.build_double(ig), der.build_quadri(ig)
+        with monkeypatch.context() as m:
+            m.setattr(der, "build_quadri", lambda _ig: pytest.fail("second G_Q"))
+            matching, part = der.reference_matching_M1(dg)
+        inner = [(w, b) for w, b in matching if ig.rhombi[w].f2 is not None]
+        assert part == _crossing_partition(qg, inner), spec
+        assert all(part[key] == sorted(part[key]) for key in part)

@@ -511,10 +511,10 @@ def test_kf_case3_cross_decoration_kappa(ig_2x2, params_half):
 def test_kf_inverse_formula_needs_black_a_bijection(ig_2x2, params_half, monkeypatch):
     fg, qg = der.build_fisher(ig_2x2), der.build_quadri(ig_2x2)
     couplings = op.z_invariant_couplings(ig_2x2, params_half)
-    fqm = der.fisher_quadri_map(fg, qg)
+    fqm = der.fisher_quadri_map(qg)
     b0, b1 = list(fqm.a_of_black)[:2]
     fqm.a_of_black[b1] = fqm.a_of_black[b0]
-    monkeypatch.setattr(inf, "fisher_quadri_map", lambda _fg, _qg: fqm)
+    monkeypatch.setattr(inf, "fisher_quadri_map", lambda _qg: fqm)
     with pytest.raises(BijectionError):
         inf.kf_inverse_formula(fg, qg, couplings, pairs={fg.a_vertices[0]})
 
@@ -588,7 +588,7 @@ def _fisher_couplings(ig):
 
 def _case_loops_kf_inverse(fg, qg, couplings, pairs=None):
     """Reference: K_F^-1 entry by entry from K~_Q^-1, one case per loop."""
-    fqm = der.fisher_quadri_map(fg, qg)
+    fqm = der.fisher_quadri_map(qg)
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, der.induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv, kq_inv = inf.invert(kf.dense()), inf.invert(kqt.dense())
@@ -633,7 +633,7 @@ def _case_loops_kf_inverse(fg, qg, couplings, pairs=None):
 def _config_scan_dotsenko(fg, qg, couplings, n_samples=50, seed=7):
     """Reference: Dotsenko's relation term by term, with a3 found by a scan
     of the quadri edges for the cn-white of each inner B's black."""
-    fqm = der.fisher_quadri_map(fg, qg)
+    fqm = der.fisher_quadri_map(qg)
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = inf.invert(kf.dense())
     fpos = kf.row_pos
@@ -751,7 +751,7 @@ def test_gf_probabilities_and_example_relations(ig_2x2, params_half):
     pq = {}
     for row in tab_q.rows:
         pq[row.edge_id] = row.probability
-    fqm = der.fisher_quadri_map(fg, qg)
+    fqm = der.fisher_quadri_map(qg)
     checked = 0
     for b, bw_list in [(bb, None) for bb in fg.b_vertices]:
         if b in fg.boundary_b:

@@ -383,6 +383,36 @@ def test_kasteleyn_kf_properties(ig_2x2, params_half):
     kfn.check_antisymmetric()
 
 
+def test_fisher_aux_fields(ig_2x2, params_half):
+    fg, qg = der.build_fisher(ig_2x2), der.build_quadri(ig_2x2)
+    kf = op.kasteleyn_KF(fg, op.z_invariant_couplings(ig_2x2, params_half))
+    aux = op.fisher_aux(fg, qg, kf)
+    assert aux._fields == ("x", "m", "m_prime", "kappa", "i_wa", "d_bqa", "d_ab", "blocks")
+    assert tuple(aux[:7]) == (aux.x, aux.m, aux.m_prime, aux.kappa, aux.i_wa, aux.d_bqa,
+                              aux.d_ab)
+    assert set(aux.blocks) == {"K_BB", "K_BA", "K_AB", "K_AA"}
+
+
+@pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
+def test_operators_are_8k_periodic_in_u(ig_2x2, k):
+    # the reason the CLI asks for u reduced modulo 8K; S and T flip sign at 4K
+    p = complete_integrals(k)
+    dg, qg = der.build_double(ig_2x2), der.build_quadri(ig_2x2)
+    u = 0.37 * p.bigK
+
+    def ops(u):
+        return [op.dirac(dg, p, u, "plain"), op.dirac(dg, p, u, "boundary"),
+                op.delta_m_partial(ig_2x2, p, u), op.q_matrix(ig_2x2, p, u),
+                *op.s_t_matrices(qg, dg, p, u)]
+
+    for a, b in zip(ops(u), ops(u + 8.0 * p.bigK)):
+        d_a = a.dense()
+        assert np.abs(b.dense() - d_a).max() < 1e-12 * np.abs(d_a).max(), a.name
+    for a, b in zip(ops(u)[-2:], ops(u + 4.0 * p.bigK)[-2:]):
+        d_a = a.dense()
+        assert np.abs(b.dense() + d_a).max() < 1e-12 * np.abs(d_a).max(), a.name
+
+
 def test_fisher_aux_invariants(ig_2x2, params_half):
     fg = der.build_fisher(ig_2x2)
     qg = der.build_quadri(ig_2x2)
@@ -395,7 +425,7 @@ def test_fisher_aux_invariants(ig_2x2, params_half):
     # X blocks have det 1 + e^{-4J}
     from isodimer.derived import fisher_quadri_map
 
-    fqm = fisher_quadri_map(fg, qg)
+    fqm = fisher_quadri_map(qg)
     for bx, by, eid in fg.external_edges:
         bh_x, bh_y = fqm.black_of_b[bx], fqm.black_of_b[by]
         det = (x_mat.get(bx, bh_x) * x_mat.get(by, bh_y)
