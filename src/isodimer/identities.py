@@ -617,11 +617,10 @@ def _gauge_holonomy(ws, u):
     well defined.
     """
     step = _dual_step(ws.at(u))
-    steps = {}
-    for (fa, fb), eid in ws.ig.dual_edges:
-        steps.setdefault(fa, []).append((fb, step[(fa, eid)]))
-        steps.setdefault(fb, []).append((fa, step[(fb, eid)]))
-    return op.gauge_potential(steps, sorted(steps))[1]
+    arcs = [(x, y, step[(x, eid)]) for (fa, fb), eid in ws.ig.dual_edges
+            for x, y in ((fa, fb), (fb, fa))]
+    src, dst, s = zip(*arcs) if arcs else ((), (), ())
+    return op.gauge_potential(len(ws.ig.face_centers), src, dst, s, sorted(set(src)))[2]
 
 
 def _dual_gauge_path_independence(ws, u):

@@ -448,7 +448,7 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     fqm = fisher_quadri_map(qg)
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
-    i_wa = op.fisher_aux(fg, qg, kf).i_wa
+    i_wa = op.fisher_i_wa(fg, qg)
     kf_inv = invert(kf.dense())
     a_ix = [kf.row_pos[a] for a in fg.a_vertices]
     rel = kqt.dense() @ i_wa.dense() @ kf_inv[np.ix_(a_ix, a_ix)]
@@ -498,17 +498,21 @@ class ProbabilityTable:
         return buf.getvalue()
 
     def vertex_sum_defect(self, incidence):
-        """Max |1 - sum of incident probabilities| over the given incidence map."""
+        """Max |1 - sum of incident probabilities| over the given incidence
+        map; NaN when any sum is NaN."""
+        p_by_edge = dict(zip((r.edge_id for r in self.rows), (r.probability for r in self.rows)))
         worst = 0.0
-        p_by_edge = {r.edge_id: r.probability for r in self.rows}
-        for v, edges in incidence.items():
-            s = sum(p_by_edge[e] for e in edges)
-            worst = max(worst, abs(1.0 - s))
+        for edges in incidence.values():
+            gap = abs(1.0 - sum(map(p_by_edge.__getitem__, edges)))
+            if not gap <= worst:
+                worst = gap
+                if math.isnan(gap):
+                    break
         return worst
 
 
-def _kenyon_probabilities(m, edges):
-    """K[r, c] K^-1[c, r] for each (r, c) entry of m, as Python floats.
+def _kenyon_probabilities(m):
+    """K[r, c] K^-1[c, r] for every entry (r, c) of m, aligned with ``m.vals``.
 
     Both factors are read from the real form R of m (``op.real_form``), whose
     probabilities are m's: the inverse is real, and the products keep the
@@ -516,38 +520,41 @@ def _kenyon_probabilities(m, edges):
     R^-1 is read on the pattern of R^T by ``selected_inverse``.
     """
     r = op.real_form(m)
-    probs = op.TypedSparseMatrix(r.rows, r.cols, r.i, r.j, r.vals * selected_inverse(r))
-    return [probs.entries[e] for e in edges]
+    return r.vals * selected_inverse(r)
 
 
 def edge_probabilities_gd(dg, p, u, closed_form=False):
-    """Kenyon single-edge probabilities on the rooted double graph.
+    """Kenyon single-edge probabilities on the rooted double graph, one row
+    per edge in the str order of its (white edge id, black key).
 
     With closed_form=True also evaluates the bulk formula
     H(2 u_alpha) - H(2 u_beta) per edge (meaningful near the center of large
     truncations).
     """
     kd = op.dirac(dg, p, u, "plain")
-    edges = sorted(dg.gd_edges, key=str)
-    probs = _kenyon_probabilities(kd, [(wkey(w), black) for w, black in edges])
+    lay = op.edge_table(dg).layout(dg)
+    eids, angles = lay.tab.eids, lay.tab.angles
+    keys = list(zip(map(eids.__getitem__, lay.gd_e.tolist()),
+                    map(lay.blacks.__getitem__, lay.gd_j.tolist())))
+    probs = _kenyon_probabilities(kd).tolist()
+    kinds = ["v" if v else "f" for v in lay.gd_v.tolist()]
+    alphas, betas = angles[lay.gd_a].tolist(), angles[lay.gd_b].tolist()
     rows = ProbabilityTable(kind="GD")
-    for (w, black), prob in zip(edges, probs):
-        rec = dg.gd_edges[(w, black)]
+    for n in sorted(range(len(keys)), key=list(map(str, keys)).__getitem__):
         cf = None
         gap = None
         if closed_form:
-            ua = _u_arg(u, rec["alpha"], p)
-            ub = _u_arg(u, rec["beta"], p)
+            ua = _u_arg(u, alphas[n], p)
+            ub = _u_arg(u, betas[n], p)
             cf = el.h_fun(2.0 * ua, p) - el.h_fun(2.0 * ub, p)
-            gap = abs(prob - cf)
-        rows.rows.append(ProbabilityRow((w, black), rec["kind"], prob,
-                                        "kenyon-direct", cf, gap))
+            gap = abs(probs[n] - cf)
+        rows.rows.append(ProbabilityRow(keys[n], kinds[n], probs[n], "kenyon-direct", cf, gap))
     return rows
 
 
 def edge_probabilities_gq(qg, ig, p):
     kq = op.kasteleyn_KQ(qg, ig, p)
-    probs = _kenyon_probabilities(kq, [(blk, wht) for blk, wht, _k, _ in qg.edges])
+    probs = _kenyon_probabilities(kq).tolist()
     return ProbabilityTable("GQ", [
         ProbabilityRow((blk, wht), kind, prob, "kenyon-direct")
         for (blk, wht, kind, _), prob in zip(qg.edges, probs)])
@@ -557,7 +564,8 @@ def edge_probabilities_gf(fg, couplings):
     kf = op.kasteleyn_KF(fg, couplings)
     all_edges = ([(x, y, "internal") for x, y in fg.internal_edges]
                  + [(x, y, "external") for x, y, _ in fg.external_edges])
-    probs = _kenyon_probabilities(kf, [(x, y) for x, y, _role in all_edges])
+    at = op.TypedSparseMatrix(kf.rows, kf.cols, kf.i, kf.j, _kenyon_probabilities(kf)).entries
+    probs = [at[(x, y)] for x, y, _role in all_edges]
     return ProbabilityTable("GF", [
         ProbabilityRow((x, y), role, prob, "kenyon-direct")
         for (x, y, role), prob in zip(all_edges, probs)])
@@ -746,23 +754,26 @@ def green_center_diagonal(ig, p):
 def center_edge_probability_gd(ig, p, u):
     """Kenyon probability and bulk closed form at the most central primal edge.
 
-    The Dirac operator is that of the rooted double graph, whose entry
-    layout the edge table of ``ig`` keeps, so calls on one graph share it.
+    The central edge is the first in edge order whose midpoint is nearest
+    the mean of the vertices.  The Dirac operator is that of the rooted
+    double graph, whose entry layout the edge table of ``ig`` keeps, so calls
+    on one graph share it.
     """
     kd = op.dirac(ig, p, u, "plain")
+    tab = op.edge_table(ig)
     coords = ig.base.coords
     center = sum(coords.values()) / len(coords)
-    best = None
-    for eid in ig.edge_list():
-        r = ig.rhombi[eid]
-        mid = 0.5 * (coords[r.v1] + coords[r.v2])
-        d = abs(mid - center)
-        if best is None or d < best[0]:
-            best = (d, eid)
-    eid = best[1]
-    r = ig.rhombi[eid]
-    w, b, rf = wkey(eid), vkey(r.v2), op.real_form(kd)
-    p_ken = float(rf.get(w, b) * inverse_entry(rf, b, w))
+    z = np.array(list(map(coords.__getitem__, tab.verts.tolist())))
+    # the sums, halves and differences of the parts round as Python's
+    # complex arithmetic does, and hypot is its abs
+    x = 0.5 * (z.real[tab.v1] + z.real[tab.v2]) - center.real
+    y = 0.5 * (z.imag[tab.v1] + z.imag[tab.v2]) - center.imag
+    e = int(np.argmin(np.hypot(x, y)))
+    eid, r, lay = tab.eids[e], ig.rhombi[tab.eids[e]], tab.layout(ig)
+    rf = op.real_form(kd)
+    at = lay.slot[e, 0]                 # the entry (w_e, v2), none when v2 is the root
+    k_wb = rf.vals[at] if at >= 0 else 0.0
+    p_ken = float(k_wb * inverse_entry(rf, vkey(r.v2), wkey(eid)))
     # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
     ua = _u_arg(u, r.alpha_bar, p)
     ub = _u_arg(u, r.beta_bar, p)

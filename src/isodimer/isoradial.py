@@ -10,7 +10,6 @@ beta_l = alpha_r + 2 pi.
 """
 
 import cmath
-import itertools
 import json
 import math
 from collections import Counter
@@ -42,17 +41,15 @@ def _cross(a, b):
 
 
 def _seg_intersect(p1, p2, q1, q2):
-    """Proper or improper intersection of open segments (shared endpoints excluded)."""
+    """Proper or improper intersection of open segments (shared endpoints
+    excluded), of scalars or elementwise of arrays."""
     d1 = _cross(p2 - p1, q1 - p1)
     d2 = _cross(p2 - p1, q2 - p1)
     d3 = _cross(q2 - q1, p1 - q1)
     d4 = _cross(q2 - q1, p2 - q1)
     eps = 1e-12
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    return False
+    return ((((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps)))
+            & (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))))
 
 
 @dataclass
@@ -80,7 +77,7 @@ class PlanarGraph:
                 raise ParseError(f"loop edge at vertex {a}")
             if a not in self.coords or b not in self.coords:
                 raise ParseError(f"edge ({a},{b}) references unknown vertex")
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise ParseError(f"duplicate edge {key}")
             seen.add(key)
@@ -90,74 +87,96 @@ class PlanarGraph:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
+        xy = self.coords
         for v in ids:
             if not adj[v]:
                 raise ParseError(f"isolated vertex {v}")
-            adj[v].sort(key=lambda w: _tau(self.coords[w] - self.coords[v]))
+            adj[v].sort(key=lambda w, z=xy[v]: _tau(xy[w] - z))
         self.adj = adj
         self._check_planarity()
         self._trace_faces()
 
-    def _check_planarity(self):
+    def _check_planarity(self, new=None):
         # Uniform-grid spatial hash whose cell size is the longest edge: two
         # crossing segments have overlapping bounding boxes, so they share a
-        # cell, and every edge touches at most 2 x 2 cells.  The pair named is
-        # the first crossing pair in sorted edge order, as in an all-pairs scan.
+        # cell.  The pair named is the first crossing pair in sorted edge
+        # order, as in an all-pairs scan.  With ``new`` (positions in
+        # ``edges``) only the pairs holding one of those edges are tested.
         es, xy = self.edges, self.coords
-        for v, z in xy.items():
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise EmbeddingError(f"vertex {v} has a non-finite coordinate")
-        cell = max((abs(xy[b] - xy[a]) for a, b in es), default=0.0) or 1.0
-        grid = {}
-        for i, (a, b) in enumerate(es):
-            za, zb = xy[a], xy[b]
-            xs = range(math.floor(min(za.real, zb.real) / cell),
-                       math.floor(max(za.real, zb.real) / cell) + 1)
-            ys = range(math.floor(min(za.imag, zb.imag) / cell),
-                       math.floor(max(za.imag, zb.imag) / cell) + 1)
-            for cx in xs:
-                for cy in ys:
-                    grid.setdefault((cx, cy), []).append(i)
-        candidates = set()
-        for members in grid.values():
-            candidates.update(itertools.combinations(members, 2))
-        for i, j in sorted(candidates):
-            a, b = es[i]
-            c, d = es[j]
-            if len({a, b, c, d}) < 4:
-                continue
-            if _seg_intersect(xy[a], xy[b], xy[c], xy[d]):
-                raise EmbeddingError(f"edges {es[i]} and {es[j]} cross")
+        ids = list(xy)
+        z = np.array([xy[v] for v in ids], dtype=complex)
+        bad = ~np.isfinite(z)
+        if bad.any():
+            raise EmbeddingError(f"vertex {ids[int(np.argmax(bad))]} has a non-finite coordinate")
+        if not es:
+            return
+        pos = {v: n for n, v in enumerate(ids)}
+        ends = np.array([(pos[a], pos[b]) for a, b in es], dtype=np.intp)
+        za, zb = z[ends[:, 0]], z[ends[:, 1]]
+        d = zb - za
+        lo = np.stack([np.minimum(za.real, zb.real), np.minimum(za.imag, zb.imag)])
+        hi = np.stack([np.maximum(za.real, zb.real), np.maximum(za.imag, zb.imag)])
+        origin = lo.min(axis=1, keepdims=True)
+        # at most 2^30 cells a side, so a cell's key fits in 64 bits
+        cell = max(float(np.hypot(d.real, d.imag).max()),
+                   float((hi - origin).max()) / 2.0 ** 30) or 1.0
+        first = np.floor((lo - origin) / cell).astype(np.int64)
+        last = np.floor((hi - origin) / cell).astype(np.int64)
+        span, width = last - first, int(last[1].max()) + 1
+        keys, members = [], []
+        for dx in range(int(span[0].max()) + 1):
+            for dy in range(int(span[1].max()) + 1):
+                on = np.flatnonzero((span[0] >= dx) & (span[1] >= dy))
+                keys.append((first[0, on] + dx) * width + first[1, on] + dy)
+                members.append(on)
+        keys, members = np.concatenate(keys), np.concatenate(members)
+        srt = np.lexsort((members, keys))
+        keys, members = keys[srt], members[srt]
+        pairs = []
+        for lag in range(1, len(keys)):
+            same = keys[lag:] == keys[:-lag]
+            if not same.any():
+                break
+            pairs.append(members[:-lag][same] * len(es) + members[lag:][same])
+        if not pairs:
+            return
+        i, j = np.divmod(np.unique(np.concatenate(pairs)), len(es))
+        keep = ((ends[i, 0] != ends[j, 0]) & (ends[i, 0] != ends[j, 1])
+                & (ends[i, 1] != ends[j, 0]) & (ends[i, 1] != ends[j, 1]))
+        if new is not None:
+            fresh = np.zeros(len(es), dtype=bool)
+            fresh[new] = True
+            keep &= fresh[i] | fresh[j]
+        i, j = i[keep], j[keep]
+        hit = np.flatnonzero(_seg_intersect(za[i], zb[i], za[j], zb[j]))
+        if len(hit):
+            raise EmbeddingError(f"edges {es[i[hit[0]]]} and {es[j[hit[0]]]} cross")
 
     def _trace_faces(self):
         # Next directed edge: at v, turn to the neighbor just clockwise of u.
         # With CCW-sorted rotations this traces the face to the left of (u, v);
         # bounded faces come out CCW, the outer face CW.
         # Faces start at their least directed edge, taken in sorted order.
-        darts = sorted(d for a, b in self.edges for d in ((a, b), (b, a)))
-        used = set()
+        succ = {(u, v): (v, nbrs[i - 1]) for v, nbrs in self.adj.items()
+                for i, u in enumerate(nbrs)}
         faces = []
-        for start in darts:
-            if start in used:
+        for start in sorted(succ):
+            if start not in succ:
                 continue
-            cycle = []
-            cur = start
+            cycle, cur = [], start
             while True:
                 cycle.append(cur[0])
-                used.add(cur)
-                u, v = cur
-                nbrs = self.adj[v]
-                i = nbrs.index(u)
-                w = nbrs[i - 1]
-                cur = (v, w)
+                cur = succ.pop(cur)
                 if cur == start:
                     break
             faces.append(tuple(cycle))
         outer, bounded = [], []
+        xy = self.coords
         for f in faces:
             area = 0.0
-            for i in range(len(f)):
-                area += _cross(self.coords[f[i]], self.coords[f[(i + 1) % len(f)]])
+            for a, b in zip(f, f[1:] + f[:1]):
+                za, zb = xy[a], xy[b]
+                area += za.real * zb.imag - za.imag * zb.real
             (bounded if area > 0 else outer).append((f, area))
         if len(outer) != 1:
             raise EmbeddingError("embedding does not have a unique outer face")
@@ -352,20 +371,19 @@ class IsoradialGraph:
         return self._hash
 
 
-def _edge_faces(g):
-    """The ids of the bounded faces on each edge (min, max) of g, in face order."""
+def _edge_faces(faces):
+    """The ids of the faces on each edge (min, max), in face order."""
     edge_faces = {}
-    for fi, f in enumerate(g.faces):
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
+    for fi, f in enumerate(faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            edge_faces.setdefault((a, b) if a < b else (b, a), []).append(fi)
     return edge_faces
 
 
-def _validate_isoradial_faces(g):
+def _validate_isoradial_faces(faces, coords):
     centers = []
-    for f in g.faces:
-        pts = [g.coords[v] for v in f]
+    for f in faces:
+        pts = [coords[v] for v in f]
         c = _circumcenter(pts)
         if c is None:
             raise IsoradialityError(
@@ -374,6 +392,51 @@ def _validate_isoradial_faces(g):
             raise IsoradialityError(f"circumcenter of face {f} lies outside the face")
         centers.append(c)
     return centers
+
+
+def _split_edges(g, coords, mids, touched):
+    """g with each edge (a, b) of ``mids`` split at the vertex mids[(a, b)]
+    of ``coords``, taken from g's rotation system and faces rather than
+    derived again.  The new vertex takes the place of the far end in the
+    rotations at a and b, which are sorted again, and enters the cycles of
+    the outer face and of the faces ``touched`` (those of g on a split edge)
+    between a and b.  Only the pairs holding a new edge are tested for
+    crossings.  Returns the graph and, for each of its bounded faces, the
+    index of that face in g.
+
+    A traced cycle starts at its least directed edge.  The cycles here are
+    simple (make_isoradial checks that every boundary vertex has two
+    boundary edges, and an inscribed face is convex), so that edge leaves
+    the least vertex, and a split cycle keeps its start.
+    """
+    def split(cycle):
+        out = []
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            out.append(x)
+            m = mids.get((min(x, y), max(x, y)))
+            if m is not None:
+                out.append(m)
+        return tuple(out)
+
+    halves = [(min(x, m), max(x, m)) for e, m in mids.items() for x in e]
+    edges = sorted([e for e in g.edges if e not in mids] + halves)
+    adj = dict(g.adj)
+    for (a, b), m in mids.items():
+        adj[a] = [m if w == b else w for w in adj[a]]
+        adj[b] = [m if w == a else w for w in adj[b]]
+        adj[m] = [a, b]
+    for v in {x for e in halves for x in e}:
+        adj[v] = sorted(sorted(adj[v]), key=lambda w, v=v: _tau(coords[w] - coords[v]))
+    faces = list(g.faces)
+    for fi in touched:
+        faces[fi] = split(faces[fi])
+    # the traced order: by least directed edge, which a split may have moved
+    order = sorted(range(len(faces)), key=lambda fi: faces[fi][:2])
+    out = PlanarGraph(coords=coords, edges=edges, adj=adj, faces=[faces[i] for i in order],
+                      outer_face=split(g.outer_face))
+    new = set(halves)
+    out._check_planarity(new=[n for n, e in enumerate(edges) if e in new])
+    return out, order
 
 
 def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
@@ -385,10 +448,10 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
     """
     if not g.faces:
         raise IsoradialityError("graph has no bounded face")
-    face_centers_pre = _validate_isoradial_faces(g)
+    face_centers_pre = _validate_isoradial_faces(g.faces, g.coords)
 
     # face id of the unique bounded face containing a boundary edge
-    edge_faces = _edge_faces(g)
+    edge_faces = _edge_faces(g.faces)
 
     boundary = sorted(g.boundary_edges())
     boundary_degree = Counter(v for e in boundary for v in e)
@@ -400,31 +463,29 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
 
     coords = dict(g.coords)
     next_id = max(coords) + 1
-    midpoints = set()
-    boundary_set = set(boundary)
-    new_edges = [e for e in g.edges if e not in boundary_set]
-    mid_of_edge = {}
+    mid_of_edge, touched = {}, set()
     for (a, b) in boundary:
         flist = edge_faces[(a, b)]
         if len(flist) != 1:
             raise IsoradialityError(f"boundary edge {(a, b)} adjacent to {len(flist)} faces")
+        touched.add(flist[0])
         c = face_centers_pre[flist[0]]
         mid = 0.5 * (coords[a] + coords[b])
         if abs(mid - c) < _GEOM_TOL:
             raise IsoradialityError(f"degenerate boundary edge {(a, b)}")
-        m = c + RADIUS * (mid - c) / abs(mid - c)
-        coords[next_id] = m
-        midpoints.add(next_id)
+        coords[next_id] = c + RADIUS * (mid - c) / abs(mid - c)
         mid_of_edge[(a, b)] = next_id
-        new_edges.append((a, next_id))
-        new_edges.append((next_id, b))
         next_id += 1
 
-    base = PlanarGraph(coords=coords, edges=new_edges)
-    face_centers = _validate_isoradial_faces(base)
+    base, order = _split_edges(g, coords, mid_of_edge, touched)
+    # the split faces gain vertices: their centres are computed again
+    grown = [n for n, fi in enumerate(order) if fi in touched]
+    face_centers = [face_centers_pre[fi] for fi in order]
+    for n, c in zip(grown, _validate_isoradial_faces([base.faces[n] for n in grown], coords)):
+        face_centers[n] = c
 
     # face ids adjacent to each edge of the split graph
-    edge_faces2 = _edge_faces(base)
+    edge_faces2 = _edge_faces(base.faces)
     boundary2 = base.boundary_edges()
 
     edge_ids = {e: i for i, e in enumerate(base.edges)}
@@ -433,15 +494,15 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
 
     def theta_of(v1, v2):
         # half-angle of the rhombus at the primal vertices
-        half_chord = 0.5 * abs(base.coords[v2] - base.coords[v1])
+        half_chord = 0.5 * abs(coords[v2] - coords[v1])
         psi = math.asin(min(1.0, half_chord / RADIUS))
         return math.pi / 2 - psi
 
     def right_face(v1, v2, fi):
         c = face_centers[fi]
-        return _cross(base.coords[v2] - base.coords[v1], c - base.coords[v1]) < 0
+        return _cross(coords[v2] - coords[v1], c - coords[v1]) < 0
 
-    for (a, b), eid in sorted(edge_ids.items(), key=lambda kv: kv[1]):
+    for (a, b), eid in edge_ids.items():
         flist = edge_faces2[(a, b)]
         is_bnd = (a, b) in boundary2
         if is_bnd:
@@ -462,14 +523,14 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
         if not (epsilon < theta < math.pi / 2 - epsilon):
             raise IsoradialityError(
                 f"edge {(a, b)}: half-angle {theta:.4f} outside ({epsilon}, pi/2-{epsilon})")
-        d = _tau(base.coords[v2] - base.coords[v1])
+        d = _tau(coords[v2] - coords[v1])
         alpha = (d - theta) % (2.0 * math.pi)
         beta = alpha + 2.0 * theta
         rhombi[eid] = RhombusRecord(eid, v1, v2, f1, f2, theta, alpha, beta, is_bnd)
 
     # boundary pairs: one per midpoint vertex; re-lift the left rhombus
     pairs = []
-    for vc in sorted(midpoints):
+    for vc in sorted(mid_of_edge.values()):
         nbrs = base.adj[vc]
         if len(nbrs) != 2:
             raise IsoradialityError(f"midpoint {vc} has degree {len(nbrs)}")
@@ -511,7 +572,7 @@ def make_isoradial(g, epsilon=DEFAULT_EPSILON, root_hint=None):
 
     # default root: midpoint of the boundary edge with smallest endpoint pair
     if root_hint is not None:
-        if root_hint not in midpoints:
+        if root_hint not in mid_of_edge.values():
             raise DomainError(f"root_hint {root_hint} is not a boundary midpoint vertex")
         root = root_hint
     else:

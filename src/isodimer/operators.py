@@ -16,13 +16,14 @@ import cmath
 import math
 import weakref
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy loads on first use)
 
 from . import elliptic as el
-from .derived import DoubleGraph, build_double, fkey, vkey, wkey, fisher_quadri_map
+from .derived import DoubleGraph, fkey, vkey, wkey, fisher_quadri_map
 from .errors import (
     DomainError,
     NegativeRadicandError,
@@ -161,10 +162,12 @@ class EdgeTable:
     ``edge_list`` order, the pair data, and every lifted angle a builder
     evaluates at, held once in ``angles``: alpha, beta, alpha + pi, beta + pi
     and beta - pi of every rhombus (the lifts of both double graphs) and the
-    boundary-pair lifts.  The arrays of the Laplacians (:attr:`primal`,
-    :attr:`dual`) and the Dirac-entry layouts (:meth:`layout`) are built on
-    first use.  :meth:`at` gives the stages of a modulus and of a spectral
-    value.
+    boundary-pair lifts.  The ends v1, v2 of every edge are positions in the
+    sorted vertex ids ``verts``, and its faces f1, f2 face ids (-1 for the
+    missing f2 of a boundary edge).  The arrays of the Laplacians
+    (:attr:`primal`, :attr:`dual`) and the Dirac-entry layouts
+    (:meth:`layout`) are gathered from these on first use.  :meth:`at`
+    gives the stages of a modulus and of a spectral value.
     """
 
     def __init__(self, ig):
@@ -175,6 +178,16 @@ class EdgeTable:
         self.eids = ig.edge_list()
         self.epos = {e: i for i, e in enumerate(self.eids)}
         rh = [ig.rhombi[e] for e in self.eids]
+        self.verts = np.array(sorted(ig.base.coords))
+        self.root = self.vix(ig.root)
+        self.v1, self.v2 = self.vix([(r.v1, r.v2) for r in rh]).reshape(-1, 2).T
+        self.f1 = _ints(r.f1 for r in rh)
+        self.f2 = _ints(-1 if r.f2 is None else r.f2 for r in rh)
+        ends = self.vix(list(ig.edge_ids)).reshape(-1, 2)
+        self._ekey = ends[:, 0] * len(self.verts) + ends[:, 1]
+        srt = np.argsort(self._ekey)
+        self._ekey = self._ekey[srt]
+        self._eat = _ints(map(self.epos.__getitem__, ig.edge_ids.values()))[srt]
         self.theta = np.array([r.theta_bar for r in rh], dtype=float)
         bad = ~((self.theta > 0.0) & (self.theta < math.pi / 2))
         if bad.any():
@@ -208,13 +221,25 @@ class EdgeTable:
 
     def layout(self, g):
         """The Dirac-entry layout of the double graph ``g``, or of the rooted
-        one when ``g`` is the isoradial graph: one per ``rooted`` value, read
-        from the first double graph asked for."""
+        one when ``g`` is the isoradial graph: one per ``rooted`` value, built
+        from the table in the entry order of :class:`derived.DoubleGraph`."""
         rooted = g.rooted if isinstance(g, DoubleGraph) else True
         if rooted not in self._layouts:
-            dg = g if isinstance(g, DoubleGraph) else build_double(self.ig, rooted)
-            self._layouts[rooted] = _Layout(self, dg)
+            self._layouts[rooted] = _Layout(self, rooted)
         return self._layouts[rooted]
+
+    def vix(self, ids):
+        """Positions in ``verts`` of vertex ids."""
+        return np.searchsorted(self.verts, ids)
+
+    def edge_at(self, x, y):
+        """Positions in ``eids`` of the edges between the vertices at
+        positions x and y (arrays, ends in either order)."""
+        key = np.minimum(x, y) * len(self.verts) + np.maximum(x, y)
+        i = np.searchsorted(self._ekey, key)
+        if not np.array_equal(self._ekey.take(i, mode="clip"), key):
+            raise DomainError("a vertex pair that is not an edge of this graph")
+        return self._eat[i]
 
     def ix(self, values):
         """Positions in ``angles`` of lifted angles it holds."""
@@ -268,22 +293,41 @@ class EdgeTable:
 class _Layout:
     """The Dirac entries of one double graph, in ``gd_edges`` order: their
     white edges, blacks and lifts (positions in ``angles``), whether the black
-    is primal, and the (w_l, v_c) entry of each non-root pair."""
+    is primal, and the (w_l, v_c) entry of each non-root pair.
 
-    def __init__(self, tab, dg):
-        self.tab, self.rooted = tab, dg.rooted
+    Every edge has four slots, in the order of ``DoubleGraph``: its v2 and
+    v1 (from-white lifts (alpha, beta) and (alpha + pi, beta + pi)), its f1
+    (beta - pi, alpha) and its f2 (beta, alpha + pi); a rooted graph leaves
+    out the slots at the root, and a boundary edge has no f2.  ``slot``
+    holds each slot's entry position, -1 where there is none.
+    """
+
+    def __init__(self, tab, rooted):
+        self.tab, self.rooted = tab, rooted
         self._st = None
-        recs = list(dg.gd_edges.values())
-        self.whites = tuple(wkey(w) for w in dg.whites)     # in ``eids`` order
-        self.blacks = tuple(dg.blacks)
-        self.bpos = {b: i for i, b in enumerate(self.blacks)}
-        self.gd_e = _ints(tab.epos[w] for w, _b in dg.gd_edges)
-        self.gd_j = _ints(self.bpos[b] for _w, b in dg.gd_edges)
-        self.gd_a = tab.ix([rec["alpha"] for rec in recs])
-        self.gd_b = tab.ix([rec["beta"] for rec in recs])
-        self.gd_v = np.array([rec["kind"] == "v" for rec in recs], dtype=bool)
+        n_v, n_f = len(tab.verts), len(tab.ig.face_centers)
+        kept = np.ones(n_v, dtype=bool)
+        if rooted:
+            kept[tab.root] = False
+        col = np.cumsum(kept) - 1                    # primal black of each vertex
+        self.whites = tuple(wkey(w) for w in tab.eids)
+        self.blacks = (tuple(vkey(v) for v in tab.verts[kept].tolist())
+                       + tuple(fkey(f) for f in range(n_f)))
+        n_p, a, b, pi = int(kept.sum()), tab.alpha, tab.beta, math.pi
+        black = np.stack([col[tab.v2], col[tab.v1], n_p + tab.f1, n_p + tab.f2], axis=1)
+        lift_a = np.stack([a, a + pi, b - pi, b], axis=1)
+        lift_b = np.stack([b, b + pi, a, a + pi], axis=1)
+        on = np.stack([kept[tab.v2], kept[tab.v1], tab.f1 >= 0, tab.f2 >= 0], axis=1)
+        self.slot = np.full(on.shape, -1, dtype=np.intp)
+        self.slot[on] = np.arange(on.sum())
+        self.gd_e, kind = np.nonzero(on)
+        self.gd_j = black[on]
+        self.gd_a = tab.ix(lift_a[on])
+        self.gd_b = tab.ix(lift_b[on])
+        self.gd_v = kind < 2
         self.gd_dual = np.flatnonzero(~self.gd_v)
-        self.p_kd = _ints(self.gd_pos[(bp.wl, vkey(bp.vc))] for bp in tab.pairs)
+        # (w_l, v_c) is the v2 slot of w_l (make_isoradial checks v2 = v_c)
+        self.p_kd = self.slot[_ints(tab.epos[bp.wl] for bp in tab.pairs), 0]
 
     def phase(self):
         """e^{i(alpha+beta)/2} of every entry, as a new array."""
@@ -304,6 +348,11 @@ class _Layout:
         return unit_gauge(self.unit())
 
     @cached_property
+    def bpos(self):
+        """The position of each black key."""
+        return {b: i for i, b in enumerate(self.blacks)}
+
+    @cached_property
     def gd_pos(self):
         """The position of each double-graph edge (white edge id, black key)."""
         eids, blacks = self.tab.eids, self.blacks
@@ -315,12 +364,12 @@ class _Layout:
         """The dual entries of every edge: face and entry, f1 then f2 in edge
         order; and (f1, f2, entry at f1, entry at f2) of every inner edge, as
         four rows."""
-        pos = self.gd_pos
-        rh = [self.tab.ig.rhombi[x] for x in self.tab.eids]
-        sides = [(f, pos[(r.edge_id, fkey(f))]) for r in rh for f in (r.f1, r.f2) if f is not None]
-        inner = np.array([(r.f1, r.f2, pos[(r.edge_id, fkey(r.f1))], pos[(r.edge_id, fkey(r.f2))])
-                          for r in rh if r.f2 is not None], dtype=np.intp).reshape(-1, 4).T
-        return _ints(f for f, _i in sides), _ints(i for _f, i in sides), inner
+        tab, dual = self.tab, self.slot[:, 2:]
+        faces = np.stack([tab.f1, tab.f2], axis=1)
+        inner = np.flatnonzero(tab.f2 >= 0)
+        return (faces[faces >= 0], dual[faces >= 0],
+                np.array([tab.f1[inner], tab.f2[inner], dual[inner, 0], dual[inner, 1]],
+                         dtype=np.intp).reshape(4, -1))
 
     def st_layout(self, qg):
         """Positions and lifts of the S and T entries for the quadri graph
@@ -374,39 +423,35 @@ class _Layout:
         return self._st[1]
 
 
-def _cycle(c):
-    return zip(c, c[1:] + c[:1])
-
-
 class _Primal:
     """The primal vertices V and their edges, with the lifts seen from the
-    vertex, and the row and edge keys of the Laplacians on V and V^r."""
+    vertex, and the row and edge keys of the Laplacians on V and V^r.  The
+    incidences run over the vertices in order, each in its rotation."""
 
     def __init__(self, tab):
         ig = tab.ig
-        rh = [ig.rhombi[x] for x in tab.eids]
-        self.verts = sorted(ig.base.coords)
-        boundary = ig.base.boundary_vertices()
-        self.vbound = np.array([v in boundary for v in self.verts], dtype=bool)
-        inc = [(i, tab.epos[ig.edge_ids[(min(v, w), max(v, w))]], v)
-               for i, v in enumerate(self.verts) for w in ig.base.adj[v]]
-        self.inc_row = _ints(i for i, _e, _v in inc)
-        e = self.inc_e = _ints(e for _i, e, _v in inc)
-        from_v1 = np.array([v == rh[x].v1 for _i, x, v in inc], dtype=bool)
+        adj, verts = ig.base.adj, tab.verts.tolist()
+        self.vbound = np.zeros(len(verts), dtype=bool)
+        self.vbound[tab.vix(ig.base.outer_face)] = True
+        deg = _ints(map(len, map(adj.__getitem__, verts)))
+        row = self.inc_row = np.repeat(np.arange(len(verts)), deg)
+        e = self.inc_e = tab.edge_at(row, tab.vix(list(chain.from_iterable(
+            map(adj.__getitem__, verts)))))
+        from_v1 = tab.v1[e] == row
         self.inc_a = tab.ix(np.where(from_v1, tab.alpha[e], (tab.alpha + math.pi)[e]))
         self.inc_b = tab.ix(np.where(from_v1, tab.beta[e], (tab.beta + math.pi)[e]))
-        self.inc_bnd = self.vbound[self.inc_row]
+        self.inc_bnd = self.vbound[row]
         self.a_int = _first_of_class(tab.theta[e[~self.inc_bnd]])
         self.a_all = _first_of_class(tab.theta[e])
-        vk = {v: vkey(v) for v in self.verts}
-        self.rows = tuple(vk.values())
-        self.r_rows = _ints(i for i, v in enumerate(self.verts) if v != ig.root)
-        self.r_keys = tuple(self.rows[i] for i in self.r_rows)
-        self.k1, self.k2 = [vk[r.v1] for r in rh], [vk[r.v2] for r in rh]
-        self.r_edges = _ints(i for i, r in enumerate(rh) if ig.root not in (r.v1, r.v2))
-        self.r_k1 = [self.k1[i] for i in self.r_edges]
-        self.r_k2 = [self.k2[i] for i in self.r_edges]
-        self.p_keys = [(vk[bp.vc], vk[bp.vl]) for bp in tab.pairs]
+        self.rows = tuple(vkey(v) for v in verts)
+        self.r_rows = np.flatnonzero(np.arange(len(verts)) != tab.root)
+        self.r_keys = tuple(map(self.rows.__getitem__, self.r_rows.tolist()))
+        self.k1 = list(map(self.rows.__getitem__, tab.v1.tolist()))
+        self.k2 = list(map(self.rows.__getitem__, tab.v2.tolist()))
+        self.r_edges = np.flatnonzero((tab.v1 != tab.root) & (tab.v2 != tab.root))
+        self.r_k1 = list(map(self.k1.__getitem__, self.r_edges.tolist()))
+        self.r_k2 = list(map(self.k2.__getitem__, self.r_edges.tolist()))
+        self.p_keys = [(vkey(bp.vc), vkey(bp.vl)) for bp in tab.pairs]
 
 
 class _Dual:
@@ -414,11 +459,15 @@ class _Dual:
 
     def __init__(self, tab):
         ig = tab.ig
+        faces = ig.base.faces
         n = self.n_faces = len(ig.face_centers)
-        cyc = [tab.epos[ig.edge_ids[(min(a, b), max(a, b))]]
-               for fi in range(n) for a, b in _cycle(ig.base.faces[fi])]
-        self.face_row = _ints(fi for fi in range(n) for _ in ig.base.faces[fi])
-        self.a_face = _first_of_class(tab.theta_star[cyc])
+        size = _ints(map(len, faces))
+        self.face_row = np.repeat(np.arange(n), size)
+        at = tab.vix(list(chain.from_iterable(faces)))
+        # the next corner of each corner's face, cyclically
+        first = np.repeat(np.cumsum(size) - size, size)
+        nxt = first + (np.arange(len(at)) - first + 1) % np.repeat(size, size)
+        self.a_face = _first_of_class(tab.theta_star[tab.edge_at(at, at[nxt])])
         self.fkeys = tuple(fkey(f) for f in range(n))
         self.d_k1 = [self.fkeys[fa] for (fa, _fb), _e in ig.dual_edges]
         self.d_k2 = [self.fkeys[fb] for (_fa, fb), _e in ig.dual_edges]
@@ -546,7 +595,7 @@ def _delta_m_rooted(t, name, pairs=()):
     k' sc(theta) nd(u_a) nd(u_b) over its edges (lifts seen from its vertex),
     an interior row sums A(theta)."""
     pr, m = t.tab.primal, t.mod
-    b, n = pr.inc_bnd, len(pr.verts)
+    b, n = pr.inc_bnd, len(pr.rows)
     term = m.sc_t[pr.inc_e[b]] * t.nd[pr.inc_a[b]] * t.nd[pr.inc_b[b]]
     diag = np.where(pr.vbound, t.p.kprime * np.bincount(pr.inc_row[b], term, n),
                     np.bincount(pr.inc_row[~b], m.a_values[0], n))
@@ -581,7 +630,7 @@ def delta_m_bulk(ig, p):
     """
     m = edge_table(ig).at(p)
     pr = m.tab.primal
-    diag = np.bincount(pr.inc_row, m.a_values[1], len(pr.verts))
+    diag = np.bincount(pr.inc_row, m.a_values[1], len(pr.rows))
     c = m.sc_t.tolist()
     return _massive_laplacian("delta_m_bulk", pr.rows, zip(pr.k1, pr.k2, c, c), diag.tolist())
 
@@ -807,19 +856,26 @@ class FisherAux(NamedTuple):
     blocks: dict
 
 
+def fisher_i_wa(fg, qg):
+    """I_{W,A}: 1 at each quadri white and the A vertex of its side."""
+    a_of_white = fisher_quadri_map(qg).a_of_white
+    return TypedSparseMatrix.of(tuple(qg.whites), tuple(fg.a_vertices),
+                                {(w, a_of_white[w]): 1.0 for w in qg.whites}, "fisher_I_WA")
+
+
 def fisher_aux(fg, qg, kf):
     """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B} and the
     four blocks of K^F (Dubedat 2011), as a :class:`FisherAux`.
 
     ``inference.kf_inverse_formula`` reads X, M, kappa, I_{W,A} and D_{BQ,A};
-    ``inference.dotsenko_residuals`` reads I_{W,A}; ``check_dubedat`` reads
-    X, M, M', I_{W,A} and the K^F blocks.
+    ``check_dubedat`` reads X, M, M', I_{W,A} and the K^F blocks.
+    ``inference.dotsenko_residuals`` reads I_{W,A} alone, from
+    :func:`fisher_i_wa`.
     """
     fqm = fisher_quadri_map(qg)
     b_list = tuple(fg.b_vertices)
     a_list = tuple(fg.a_vertices)
     bq_list = tuple(qg.blacks)
-    wq_list = tuple(qg.whites)
 
     # X: rows B, cols GQ blacks
     x_ent = {}
@@ -860,10 +916,9 @@ def fisher_aux(fg, qg, kf):
 
     kappa = TypedSparseMatrix.of(a_list, a_list, _kappa(fg), "fisher_kappa")
 
-    # I_{W,A} and the diagonal couplers
-    i_ent = {(w, fqm.a_of_white[w]): 1.0 for w in wq_list}
-    i_wa = TypedSparseMatrix.of(wq_list, a_list, i_ent, "fisher_I_WA")
+    i_wa = fisher_i_wa(fg, qg)
 
+    # the diagonal couplers
     d_bqa_ent = {}
     for blk in bq_list:
         a = fqm.a_of_black[blk]
@@ -914,36 +969,101 @@ def s_t_matrices(qg, dg, p, u):
 # gauge equivalence
 # ---------------------------------------------------------------------------
 
-def gauge_potential(steps, roots):
-    """A multiplicative potential carried along BFS trees, and how far it is
-    from a gauge.
+def _py_mul(a, b):
+    """a b elementwise, rounded as Python's complex (or float) product:
+    numpy's complex product may fuse a multiply and an add."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    ``steps`` maps a node to its steps (y, s), in the order the search takes
-    them: q(y) is to be q(x) s.  Each of ``roots`` not reached yet roots a
-    tree with q = 1, and the first step to reach a node sets its q.  Returns
-    (q, worst, step): the largest |q(x) s / q(y) - 1| over the steps out of
-    the nodes reached, which is 0 exactly when the steps multiply to 1 around
-    every cycle (NaN once any gap is), and the (x, y) of that step (None when
-    there is none).
+
+def _py_div(a, b):
+    """a / b elementwise, rounded as Python's complex (or float) quotient:
+    Smith's method, dividing by the denominator where numpy multiplies by its
+    reciprocal.  A zero denominator gives inf or NaN instead of raising."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+            return a / b
+        br, bi = b.real, b.imag
+        by_re = np.abs(br) >= np.abs(bi)
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+        out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+        out.real = np.where(by_re, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+        out.imag = np.where(by_re, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return out
+
+
+def _steps_out(ptr, deg, nodes):
+    """The positions of the steps out of ``nodes``, node by node, in the
+    step arrays grouped by their node (node n's deg[n] steps from ptr[n])."""
+    count = deg[nodes]
+    return np.repeat(ptr[nodes] - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _firsts(t):
+    """The positions of the first occurrence of each value of t, in order."""
+    if len(t) < 2:
+        return np.arange(len(t))
+    by = np.argsort(t, kind="stable")
+    srt = t[by]
+    return np.sort(by[np.concatenate(([True], srt[1:] != srt[:-1]))])
+
+
+def gauge_potential(n, src, dst, step, roots):
+    """A multiplicative potential carried along BFS trees on the nodes
+    0 ... n-1, and how far it is from a gauge.
+
+    Step k goes from src[k] to dst[k]: q(dst) is to be q(src) step[k].  A
+    node takes its steps in array order.  Each of ``roots`` not reached yet
+    roots a tree with q = 1, searched level by level, and the first step to
+    reach a node, in the order of a FIFO search, sets its q.  Returns
+    (q, order, worst, where): q (NaN where not reached), the nodes in the
+    order reached, the largest |q(x) s / q(y) - 1| over the steps out of the
+    nodes reached, which is 0 exactly when the steps multiply to 1 around
+    every cycle (NaN once any gap is), and the (x, y) of that step (None
+    when there is none).  Products and quotients round as Python's do on
+    scalars.
     """
-    q = {}
-    for root in roots:
-        if root in q:
-            continue
-        q[root] = 1.0
-        queue = [root]
-        for x in queue:
-            for y, s in steps.get(x, ()):
-                if y not in q:
-                    q[y] = q[x] * s
-                    queue.append(y)
-    worst, where = 0.0, None
-    for x in q:
-        for y, s in steps.get(x, ()):
-            gap = abs(q[x] * s / q[y] - 1.0)
-            if gap > worst or math.isnan(gap):
-                worst, where = gap, (x, y)
-    return q, worst, where
+    src, dst, step = (np.asarray(x) for x in (src, dst, step))
+    by = np.argsort(src, kind="stable")
+    src, dst, step = src[by].astype(np.intp), dst[by].astype(np.intp), step[by]
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    deg = np.diff(ptr)
+    q = np.full(n, np.nan, dtype=np.result_type(step, float))
+    seen = np.zeros(n, dtype=bool)
+    roots, at, order = np.asarray(roots, dtype=np.intp), 0, []
+    while True:
+        fresh = np.flatnonzero(~seen[roots[at:]])
+        if not len(fresh):
+            break
+        at += fresh[0]
+        level = roots[at:at + 1]
+        seen[level], q[level] = True, 1.0
+        while len(level):
+            order.append(level)
+            k = _steps_out(ptr, deg, level)
+            t = dst[k]
+            new = ~seen[t]
+            k, t = k[new], t[new]
+            first = _firsts(t)
+            k, level = k[first], t[first]
+            seen[level] = True
+            q[level] = _py_mul(q[src[k]], step[k])
+    order = np.concatenate(order) if order else np.zeros(0, dtype=np.intp)
+    k = _steps_out(ptr, deg, order)
+    off = _py_div(_py_mul(q[src[k]], step[k]), q[dst[k]]) - 1.0
+    gap = np.hypot(off.real, off.imag) if np.iscomplexobj(off) else np.abs(off)
+    if np.isnan(gap).any():
+        at = np.flatnonzero(np.isnan(gap))[-1]
+    elif len(gap) and gap.max() > 0.0:
+        at = np.argmax(gap)
+    else:
+        return q, order, 0.0, None
+    return q, order, float(gap[at]), (int(src[k[at]]), int(dst[k[at]]))
 
 
 def gauge_q(m_mat, n_mat, bipartite, tol=1e-10):
@@ -959,33 +1079,38 @@ def gauge_q(m_mat, n_mat, bipartite, tol=1e-10):
     if set(m_mat.entries) != set(n_mat.entries):
         raise NotGaugeEquivalentError("sparsity patterns differ")
     scale = max(max((abs(v) for v in m_mat.entries.values()), default=1.0), 1.0)
-    steps = {}
+    nodes = m_mat.rows + m_mat.cols if bipartite else m_mat.rows
+    at = {v: i for i, v in enumerate(nodes)}
+    steps = []
     for (r, c), m in m_mat.entries.items():
         if r == c and not bipartite:
             if abs(m - n_mat.get(r, c)) > tol * scale:
                 raise NotGaugeEquivalentError(f"diagonal mismatch at {r}", cycle=[r])
             continue
         ratio = n_mat.get(r, c) / m
-        steps.setdefault(r, []).append((c, ratio))
+        steps.append((at[r], at[c], ratio))
         if bipartite:
-            steps.setdefault(c, []).append((r, 1.0 / ratio))
-    for out in steps.values():
-        out.sort(key=lambda ys: str(ys[0]))
-    nodes = m_mat.rows + m_mat.cols if bipartite else m_mat.rows
-    q, worst, where = gauge_potential(steps, nodes[:1])
-    if len(q) != len(nodes):
+            steps.append((at[c], at[r], 1.0 / ratio))
+    steps.sort(key=lambda step: (step[0], str(nodes[step[1]])))
+    src, dst, ratios = zip(*steps) if steps else ((), (), ())
+    q, order, worst, where = gauge_potential(len(nodes), src, dst, ratios, range(len(nodes))[:1])
+    if len(order) != len(nodes):
         raise NotGaugeEquivalentError("pattern not connected from the first row")
     if not worst <= tol:
-        raise NotGaugeEquivalentError(f"cycle product mismatch through edge {where}",
-                                      cycle=list(where))
+        raise NotGaugeEquivalentError(f"cycle product mismatch through edge "
+                                      f"{tuple(nodes[x] for x in where)}",
+                                      cycle=[nodes[x] for x in where])
+    q = q.tolist()
+    n_rows = len(m_mat.rows)
     if not bipartite:
         return TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
-                                    {(v, v): q[v] for v in m_mat.rows}, "gauge_D")
+                                    {(v, v): q[i] for i, v in enumerate(m_mat.rows)}, "gauge_D")
     # q_w = q_b N_{b,w} / M_{b,w}, so M_{b,w} = q_b N_{b,w} / q_w
     d_b = TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
-                               {(b, b): q[b] for b in m_mat.rows}, "gauge_DB")
+                               {(b, b): q[i] for i, b in enumerate(m_mat.rows)}, "gauge_DB")
     d_w = TypedSparseMatrix.of(m_mat.cols, m_mat.cols,
-                               {(w, w): 1.0 / q[w] for w in m_mat.cols}, "gauge_DW")
+                               {(w, w): 1.0 / q[n_rows + i] for i, w in enumerate(m_mat.cols)},
+                               "gauge_DW")
     return d_b, d_w
 
 
@@ -998,14 +1123,11 @@ def unit_gauge(m):
     nz = np.flatnonzero(m.vals)
     # potential x = q_r on the rows and 1/q_c on the columns (node n + c): a
     # step row -> column multiplies it by 1/phase
-    steps = {}
-    for r, c, s in zip(m.i[nz].tolist(), (m.j[nz] + n).tolist(),
-                       (m.vals[nz] / np.abs(m.vals[nz])).tolist()):
-        steps.setdefault(r, []).append((c, 1.0 / s))
-        steps.setdefault(c, []).append((r, s))
-    nodes = range(n + len(m.cols))
-    x, _worst, _where = gauge_potential(steps, nodes)
-    x = np.array([x[v] for v in nodes], dtype=complex)
+    r, c, s = m.i[nz], m.j[nz] + n, m.vals[nz] / np.abs(m.vals[nz])
+    nodes = n + len(m.cols)
+    x = gauge_potential(nodes, np.concatenate([r, c]), np.concatenate([c, r]),
+                        np.concatenate([_py_div(1.0, s), s]), range(nodes))[0]
+    x = x.astype(complex)
     return x[m.i] / x[n + m.j]
 
 

@@ -249,12 +249,12 @@ def test_criterion_5_inverse_formulas():
         _n, z, marg = der.enumerate_matchings(vs, es, weights, marginals=True)
         freq = {edges[i]: marg[i] / z for i in range(len(edges))}
         for row in tab.rows:
-            worst_ken = max(worst_ken, abs(row.probability - freq[row.edge_id]))
+            worst_ken = idn._worst(worst_ken, abs(row.probability - freq[row.edge_id]))
         inc = {}
         for (w, b) in edges:
             inc.setdefault(wkey(w), []).append((w, b))
             inc.setdefault(b, []).append((w, b))
-        worst_ken = max(worst_ken, tab.vertex_sum_defect(inc))
+        worst_ken = idn._worst(worst_ken, tab.vertex_sum_defect(inc))
     ok = (worst_kd <= 1e-9 and worst_kq <= 1e-9 and worst_kf <= 1e-9
           and worst_dot <= 1e-10 and worst_ken <= 1e-9 and kq_entries > 0)
     _line("criterion 5 (inverse formulas)", ok,

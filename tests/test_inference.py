@@ -273,6 +273,31 @@ def test_selected_inverse_needs_the_structural_pattern(ig_2x2, params_half, monk
         inf.selected_inverse(kf)
 
 
+def _central_edge_loop(ig):
+    """The scan the array argmin replaced: the first edge in edge order whose
+    midpoint is nearest the mean of the vertices."""
+    coords = ig.base.coords
+    center = sum(coords.values()) / len(coords)
+    best = None
+    for eid in ig.edge_list():
+        r = ig.rhombi[eid]
+        d = abs(0.5 * (coords[r.v1] + coords[r.v2]) - center)
+        if best is None or d < best[0]:
+            best = (d, eid)
+    return best[1]
+
+
+def test_central_edge_matches_the_scan(params_half):
+    # even sides tie four edges at the central vertex, odd ones two
+    from conftest import get_graph
+
+    for spec in ("square:2x2", "square:3x3", "square:4x3", "hex", "tripair", "irregular",
+                 "square:16x16", "square:9x9"):
+        ig, p = get_graph(spec), params_half
+        u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+        assert inf.center_edge_probability_gd(ig, p, u)[2] == _central_edge_loop(ig), spec
+
+
 def test_point_queries_stay_column_solves(ig_2x2, params_half, monkeypatch):
     def no_selected_inverse(m):
         raise AssertionError(f"{m.name}: selected inversion for a point query")
@@ -724,6 +749,23 @@ def test_gd_probabilities_vs_oracle(ig_1x1, ig_1x2):
                     inc.setdefault(wkey(w), []).append((w, b))
                     inc.setdefault(b, []).append((w, b))
                 assert tab.vertex_sum_defect(inc) < 1e-9
+
+
+def test_vertex_sum_defect_keeps_a_nan(ig_2x2, params_half):
+    # max(worst, nan) keeps worst, so a NaN probability once read as defect 0
+    dg, p = der.build_double(ig_2x2), params_half
+    u = iso.admissible_u(ig_2x2, p, "base", delta=p.bigK / 16, count=4)[1]
+    tab = inf.edge_probabilities_gd(dg, p, u)
+    inc = {}
+    for (w, b) in dg.gd_edges:
+        inc.setdefault(wkey(w), []).append((w, b))
+        inc.setdefault(b, []).append((w, b))
+    prob = {r.edge_id: r.probability for r in tab.rows}
+    assert tab.vertex_sum_defect(inc) == max(abs(1.0 - sum(prob[e] for e in edges))
+                                             for edges in inc.values())
+    last = list(inc.values())[-1][-1]
+    next(r for r in tab.rows if r.edge_id == last).probability = math.nan
+    assert math.isnan(tab.vertex_sum_defect(inc))
 
 
 def test_gq_probabilities_single_square(ig_1x1, params_half):

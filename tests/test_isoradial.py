@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,57 @@ def test_planarity_rejects_non_finite_coordinates():
         coords = {0: 0j, 1: complex(1.0, 0.0), 2: complex(bad, 1.0)}
         with pytest.raises(EmbeddingError, match="non-finite"):
             iso.PlanarGraph(coords=coords, edges=[(0, 1), (1, 2), (0, 2)])
+
+
+# sha1 of the rhombus records, boundary pairs, face centres and dual edges,
+# as the split graph derived from scratch gave them
+_RECORD_DIGESTS = {"square:1x1": "149af1fe2902", "square:2x2": "e7608cd7af13",
+                   "square:4x3": "fa1562bdf2a1", "square:16x16": "f632102537ec",
+                   "hex": "186e4e6df662", "tripair": "9d50011de817",
+                   "irregular": "c419290e27e6"}
+
+
+def _flipped_pair():
+    """Two triangles on the edge (0, 2) whose bounded faces start at 0; the
+    first starts on the boundary edge (0, 1), so the split reorders them."""
+    s = iso.RADIUS * math.sqrt(3.0)
+    h = s * math.sqrt(3.0) / 2.0
+    coords = {0: 0j, 1: complex(s / 2, -h), 2: complex(s, 0.0), 3: complex(s / 2, h)}
+    return iso.PlanarGraph(coords=coords, edges=[(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+
+
+def test_split_graph_matches_a_full_derivation():
+    import hashlib
+
+    g = _flipped_pair()
+    assert [f[:2] for f in g.faces] == [(0, 1), (0, 2)]
+    for spec, digest in [*_RECORD_DIGESTS.items(), (g, None)]:
+        ig = iso.make_isoradial(spec if digest is None else iso.builder_graph(spec))
+        base = ig.base
+        ref = iso.PlanarGraph(dict(base.coords), list(base.edges))
+        assert base.edges == ref.edges, spec
+        assert list(base.adj.items()) == list(ref.adj.items()), spec
+        assert base.faces == ref.faces and base.outer_face == ref.outer_face, spec
+        centres = iso._validate_isoradial_faces(ref.faces, ref.coords)
+        assert [(c.real, c.imag) for c in ig.face_centers] == [(c.real, c.imag) for c in centres]
+        if digest is None:
+            assert [f[:2] for f in base.faces] == [(0, 2), (0, 4)]
+            continue
+        blob = repr(([vars(ig.rhombi[e]) for e in ig.edge_list()],
+                     [vars(bp) for bp in ig.boundary_pairs], ig.face_centers, ig.dual_edges))
+        assert hashlib.sha1(blob.encode()).hexdigest()[:12] == digest, spec
+
+
+def test_midpoint_edges_are_checked_for_crossings(monkeypatch):
+    # the split graph tests its new edges only: a crossing reported there raises
+    for spec in ("square:2x2", "hex"):
+        g = iso.builder_graph(spec)
+        monkeypatch.setattr(iso, "_seg_intersect", lambda p1, p2, q1, q2: np.ones(len(p1), bool))
+        with pytest.raises(EmbeddingError, match="cross") as err:
+            iso.make_isoradial(g)
+        monkeypatch.undo()
+        named = [int(x) for x in re.findall(r"\d+", str(err.value))]
+        assert max(named) > max(g.coords), str(err.value)
 
 
 def test_graph_hash_depends_on_root():

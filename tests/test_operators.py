@@ -300,6 +300,135 @@ def test_gauge_negative_control(ig_2x2, params_half):
     assert all(abs(v - 1.0) < 1e-14 for v in d[0].entries.values())
 
 
+def _dict_gauge_potential(steps, roots):
+    """The dict BFS that ``gauge_potential`` replaced, kept as its reference:
+    ``steps`` maps a node to its (y, s) in search order."""
+    q = {}
+    for root in roots:
+        if root in q:
+            continue
+        q[root] = 1.0
+        queue = [root]
+        for x in queue:
+            for y, s in steps.get(x, ()):
+                if y not in q:
+                    q[y] = q[x] * s
+                    queue.append(y)
+    worst, where = 0.0, None
+    for x in q:
+        for y, s in steps.get(x, ()):
+            gap = abs(q[x] * s / q[y] - 1.0)
+            if gap > worst or math.isnan(gap):
+                worst, where = gap, (x, y)
+    return q, worst, where
+
+
+def _bits(values):
+    return np.asarray(list(values), dtype=complex).view(np.uint64).tolist()
+
+
+def _same_potential(n, steps, roots):
+    """gauge_potential on the steps of the dict ``steps`` (node -> (y, s)
+    in order) agrees with the dict BFS bit for bit; returns its result."""
+    arcs = [(x, y, s) for x, out in steps.items() for y, s in out]
+    src, dst, vals = zip(*arcs)
+    q, order, worst, where = op.gauge_potential(n, src, dst, vals, roots)
+    ref_q, ref_worst, ref_where = _dict_gauge_potential(steps, roots)
+    assert order.tolist() == list(ref_q)
+    assert _bits(q[order]) == _bits(ref_q.values())
+    assert np.isnan(q[np.setdiff1d(np.arange(n), order)]).all()
+    assert where == ref_where
+    assert _bits([worst]) == _bits([ref_worst])
+    return q, order, worst, where
+
+
+def _unit_gauge_steps(m):
+    """The steps the parent's ``unit_gauge`` built, by Python arithmetic."""
+    n = len(m.rows)
+    nz = np.flatnonzero(m.vals)
+    steps = {}
+    for r, c, s in zip(m.i[nz].tolist(), (m.j[nz] + n).tolist(),
+                       (m.vals[nz] / np.abs(m.vals[nz])).tolist()):
+        steps.setdefault(r, []).append((c, 1.0 / s))
+        steps.setdefault(c, []).append((r, s))
+    return steps
+
+
+def _gauge_q_steps(m_mat, n_mat, bipartite):
+    """The steps the parent's ``gauge_q`` built, on node positions."""
+    nodes = m_mat.rows + m_mat.cols if bipartite else m_mat.rows
+    at = {v: i for i, v in enumerate(nodes)}
+    steps = {}
+    for (r, c), m in m_mat.entries.items():
+        if r == c and not bipartite:
+            continue
+        ratio = n_mat.get(r, c) / m
+        steps.setdefault(at[r], []).append((at[c], ratio))
+        if bipartite:
+            steps.setdefault(at[c], []).append((at[r], 1.0 / ratio))
+    for out in steps.values():
+        out.sort(key=lambda ys: str(nodes[ys[0]]))
+    return len(nodes), steps
+
+
+def test_array_bfs_matches_the_dict_bfs():
+    from conftest import get_graph
+
+    from isodimer import identities as idn
+
+    # the unit gauges of the Dirac layouts
+    for spec in ("square:1x1", "square:2x2", "square:4x3", "hex", "tripair", "irregular",
+                 "square:16x16"):
+        ig = get_graph(spec)
+        for rooted in (True, False):
+            m = op.edge_table(ig).layout(der.build_double(ig, rooted)).unit()
+            n = len(m.rows) + len(m.cols)
+            q = _same_potential(n, _unit_gauge_steps(m), range(n))[0]
+            assert _bits(op.unit_gauge(m)) == _bits(q[m.i] / q[len(m.rows) + m.j])
+
+    # gauge_q: bipartite K~Q against KQ, and the directed dual Laplacians
+    ig, p = get_graph("square:3x3"), complete_integrals(0.6)
+    qg, fg = der.build_quadri(ig), der.build_fisher(ig)
+    kqt = op.kasteleyn_KQ_real(qg, ig, op.z_invariant_couplings(ig, p),
+                               der.induce_orientation_GQ(fg, qg))
+    kq = op.kasteleyn_KQ(qg, ig, p)
+    n, steps = _gauge_q_steps(kqt, kq, True)
+    q = _same_potential(n, steps, [0])[0]
+    d_b, d_w = op.gauge_q(kqt, kq, bipartite=True)
+    assert _bits(d_b.vals) == _bits(q[:len(kqt.rows)])
+    assert _bits(d_w.vals) == _bits(1.0 / x for x in q[len(kqt.rows):].tolist())
+    ws = idn.Workspace(ig, p)
+    u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=4)[1]
+    dstar = ws.at(u).gauge[1]
+    scaled = op.TypedSparseMatrix(dstar.rows, dstar.cols, dstar.i, dstar.j,
+                                  dstar.vals / math.sqrt(p.kprime), "scaled")
+    n, steps = _gauge_q_steps(ws.dms, scaled, False)
+    q = _same_potential(n, steps, [0])[0]
+    assert _bits(op.gauge_q(ws.dms, scaled, bipartite=False, tol=1e-8).vals) == _bits(q)
+
+    # several components, roots out of order, cycles whose products are off;
+    # nodes 6 and 20 are neither reached nor roots, 13 and 21 are lone roots
+    rng = np.random.default_rng(5)
+    steps = {}
+    for lo, hi in ((0, 6), (7, 12), (14, 20)):
+        for x in range(lo, hi):
+            for y in (x + 1, lo + (x + 3 - lo) % (hi - lo)):
+                s = complex(*rng.normal(size=2))
+                steps.setdefault(x, []).append((min(y, hi - 1), s))
+                steps.setdefault(min(y, hi - 1), []).append((x, 1.0 / s))
+    _q, order, worst, _where = _same_potential(22, steps, [15, 3, 21, 9, 0, 13])
+    assert 0.0 < worst and len(order) == 19
+    real = {x: [(y, abs(s)) for y, s in out] for x, out in steps.items()}
+    _same_potential(22, real, sorted(real))
+
+    # a NaN step: the gap is NaN, and the last NaN step is named
+    steps[8][1] = (steps[8][1][0], complex("nan"))
+    _q, _order, worst, where = _same_potential(22, steps, [0, 7, 14])
+    assert math.isnan(worst) and where is not None
+    real[8][0] = (real[8][0][0], math.nan)
+    assert math.isnan(_same_potential(22, real, [0, 7, 14])[2])
+
+
 def test_storage_contract(monkeypatch):
     # every builder's coordinate arrays agree with its entry view, its dense
     # form and the CSC matrix that inverse_entry factors

@@ -90,3 +90,42 @@ def test_operators_never_names_graph_hash():
              if "graph_hash" in (getattr(node, "id", None), getattr(node, "attr", None),
                                  getattr(node, "value", None))]
     assert not found, found
+
+
+def test_isoradial_graph_derived_once(monkeypatch):
+    # make_isoradial splits the boundary edges of the graph it is given
+    # rather than deriving the split graph again
+    from isodimer import isoradial as iso
+
+    for spec in ("square:3x3", "hex", "irregular"):
+        calls, real = [], iso.PlanarGraph._derive
+
+        def counting(g, real=real, calls=calls):
+            calls.append(g)
+            real(g)
+
+        monkeypatch.setattr(iso.PlanarGraph, "_derive", counting)
+        iso.make_isoradial(iso.builder_graph(spec))
+        monkeypatch.undo()
+        assert len(calls) == 1, spec
+
+
+def test_bulk_queries_read_entries_by_position(monkeypatch):
+    # the Green diagonal, the central edge and the Kenyon table never build
+    # the {(row, col): value} view of a matrix
+    from isodimer import derived as der
+    from isodimer import elliptic as el
+    from isodimer import inference as inf
+    from isodimer import isoradial as iso
+    from isodimer import operators as op
+
+    def no_entries(m):
+        raise AssertionError(f"{m.name}: entry dict built")
+
+    ig = iso.make_isoradial(iso.builder_graph("square:8x8"))
+    p = el.complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    monkeypatch.setattr(op.TypedSparseMatrix, "entries", property(no_entries))
+    assert inf.green_center_diagonal(ig, p)[0] > 0.0
+    assert 0.0 < inf.center_edge_probability_gd(ig, p, u)[0] < 1.0
+    assert len(inf.edge_probabilities_gd(der.build_double(ig), p, u).rows) > 0
