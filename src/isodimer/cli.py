@@ -211,10 +211,10 @@ def cmd_verify(cfg):
 def cmd_partition(cfg):
     ig = _resolve_graph(cfg)
     out = {"config": cfg.as_dict(), "results": []}
-    worst = 0.0
+    worst, ws = 0.0, None
     for k in cfg.ks:
         p = el.complete_integrals(k)
-        ws = idn.Workspace(ig, p)
+        ws = idn.Workspace(ig, p) if ws is None else ws.with_modulus(p)
         u = _u_list(cfg, ig, p)[0]
         log_z2 = idn.log_z_plus_squared_formula(ws, u)
         entry = {"k": k, "u": u, "log_z_plus_squared_formula": log_z2}

@@ -13,6 +13,7 @@ Vertex keys used throughout:
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BijectionError, IsoradialityError, OracleBudgetError, OrientationError
 from .isoradial import PlanarGraph
@@ -36,43 +37,38 @@ def wkey(e):
 
 @dataclass
 class DoubleGraph:
-    """The double graph of an isoradial graph, optionally rooted.
+    """The double graph of an isoradial graph, optionally rooted: a view of
+    the Dirac-entry layout of the edge table of ``ig`` (``layout``).
 
-    ``gd_edges`` maps (white edge_id, black key) to a record with the lifted
-    quarter-rhombus angles seen from the white vertex and the kind of the
-    black ("v" primal, "f" dual).  In the rooted variant the root vertex and
-    its two incident edges are removed.
+    ``whites`` are the edge ids, ``blacks`` the typed keys, primal then dual;
+    in the rooted variant the root vertex and its two incident edges are
+    removed.  ``gd_edges``, built from the layout on first read, maps (white
+    edge_id, black key) to a record with the lifted quarter-rhombus angles
+    seen from the white vertex and the kind of the black ("v" primal, "f" dual).
     """
 
     ig: object
-    rooted: bool
-    whites: list = field(default_factory=list)     # edge ids
-    blacks: list = field(default_factory=list)     # typed keys, primal then dual
-    gd_edges: dict = field(default_factory=dict)   # (w, black) -> dict
+    rooted: bool = True
 
     def __post_init__(self):
-        if self.gd_edges:
-            return
-        ig = self.ig
-        root = ig.root
-        self.whites = ig.edge_list()
-        prim = [vkey(v) for v in sorted(ig.base.coords) if not (self.rooted and v == root)]
-        dual = [fkey(f) for f in range(len(ig.face_centers))]
-        self.blacks = prim + dual
-        for eid in self.whites:
-            r = ig.rhombi[eid]
-            a, b = r.alpha_bar, r.beta_bar
-            items = [(vkey(r.v2), a, b, "v"),
-                     (vkey(r.v1), a + math.pi, b + math.pi, "v"),
-                     (fkey(r.f1), b - math.pi, a, "f")]
-            if r.f2 is not None:
-                items.append((fkey(r.f2), b, a + math.pi, "f"))
-            for black, ae, be, kind in items:
-                if self.rooted and black == vkey(root):
-                    continue
-                self.gd_edges[(eid, black)] = {"alpha": ae, "beta": be, "kind": kind}
+        self.whites, self.blacks = self.layout.tab.eids, self.layout.blacks
         if self.rooted and len(self.blacks) != len(self.whites):
             raise BijectionError("rooted double graph is not balanced")
+
+    @property
+    def layout(self):
+        from .operators import edge_table   # operators imports this module
+
+        return edge_table(self.ig).layout(self.rooted)
+
+    @cached_property
+    def gd_edges(self):
+        lay = self.layout
+        eids, angles = lay.tab.eids, lay.tab.angles
+        return {(eids[e], lay.blacks[j]): {"alpha": a, "beta": b, "kind": "v" if v else "f"}
+                for e, j, a, b, v in zip(lay.gd_e.tolist(), lay.gd_j.tolist(),
+                                         angles[lay.gd_a].tolist(), angles[lay.gd_b].tolist(),
+                                         lay.gd_v.tolist())}
 
     def boundary_whites(self):
         return {w for bp in self.ig.boundary_pairs for w in (bp.wl, bp.wr)}
@@ -134,8 +130,6 @@ class QuadriGraph:
     fisher: FisherQuadriMap = field(default_factory=FisherQuadriMap)
 
     def __post_init__(self):
-        if self.vertices:
-            return
         ig = self.ig
         xy, fmap = ig.base.coords, self.fisher
         for bp in ig.boundary_pairs:
@@ -258,8 +252,6 @@ class FisherGraph:
     faces: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.a_vertices:
-            return
         ig = self.ig
         edge_ids = ig.edge_ids
         ext_ports = {}

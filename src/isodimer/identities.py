@@ -114,11 +114,11 @@ class Workspace(_Memo):
     """The structures and operators of one (graph, k), each built once.
 
     The derived graphs and the reference matching depend on the graph alone
-    and are shared with every workspace :meth:`with_modulus` makes.  The
-    double graph is the workspace's own; every builder reads the edge table
-    of the isoradial graph, built when first needed.  The operators of the
-    modulus, and those of every spectral value asked for through :meth:`at`,
-    are kept for the life of the workspace.
+    and are shared with every workspace :meth:`with_modulus` makes.  Every
+    builder reads the edge table of the isoradial graph, built when first
+    needed, and the double graph is a view of its Dirac layout.  The
+    operators of the modulus, and those of every spectral value asked for
+    through :meth:`at`, are kept for the life of the workspace.
     """
 
     def __init__(self, ig, p):
@@ -275,7 +275,7 @@ def _matching_log_product(ws, u, matching, kind):
     ``ws`` is a Workspace or its view at one u: anything with ig, dg and p.
     """
     t = op.edge_table(ws.ig).at(ws.p, u)
-    lay, lk = t.tab.layout(ws.dg), math.log(ws.p.kprime)
+    lay, lk = op.dirac_layout(ws.dg), math.log(ws.p.kprime)
     i = np.array(list(map(lay.gd_pos.__getitem__, matching)), dtype=np.intp)
     a, b = lay.gd_a[i], lay.gd_b[i]
     la, lb = _logs(t.dn[a]), _logs(t.dn[b])
@@ -596,15 +596,14 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
 def _dual_step(at):
     """The gauge ratios q(f')/q(f) across the dual edges, keyed (f, eid) for
     dual edge ``eid`` leaving face f: (1/k') dn(u_alpha) dn(u_beta) of the
-    double-graph edge (eid, f).  The lifts are read from this double graph's
-    own edge records, not from the Dirac layout of the edge table, which all
-    double graphs of the graph share: an edited record must show here."""
-    p = at.p
-    dual = [(key, rec) for key, rec in at.dg.gd_edges.items() if rec["kind"] == "f"]
-    lifts = np.array([rec[x] for x in ("alpha", "beta") for _key, rec in dual], dtype=float)
-    _sn, _cn, dn = op._jacobi(0.5 * (at.u - lifts * 2.0 * p.bigK / math.pi), p)
-    steps = (1.0 / p.kprime) * dn[:len(dual)] * dn[len(dual):]
-    return {(black[1], w): s for ((w, black), _rec), s in zip(dual, steps.tolist())}
+    double-graph edge (eid, f), dn read from the spectral stage of u at the
+    lifts of the dual slots of the Dirac layout."""
+    t, lay = at.table, op.dirac_layout(at.dg)
+    f = lay.gd_dual
+    steps = (1.0 / at.p.kprime) * t.dn[lay.gd_a[f]] * t.dn[lay.gd_b[f]]
+    eids, blacks = lay.tab.eids, lay.blacks
+    return {(blacks[j][1], eids[e]): s
+            for e, j, s in zip(lay.gd_e[f].tolist(), lay.gd_j[f].tolist(), steps.tolist())}
 
 
 def _gauge_holonomy(ws, u):

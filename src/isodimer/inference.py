@@ -532,7 +532,7 @@ def edge_probabilities_gd(dg, p, u, closed_form=False):
     truncations).
     """
     kd = op.dirac(dg, p, u, "plain")
-    lay = op.edge_table(dg).layout(dg)
+    lay = op.dirac_layout(dg)
     eids, angles = lay.tab.eids, lay.tab.angles
     keys = list(zip(map(eids.__getitem__, lay.gd_e.tolist()),
                     map(lay.blacks.__getitem__, lay.gd_j.tolist())))
@@ -705,7 +705,7 @@ def unit_dirac(dg):
 
     |det| counts perfect matchings = pairs of dual directed spanning trees.
     """
-    return op.edge_table(dg).layout(dg).unit()
+    return op.dirac_layout(dg).unit()
 
 
 def kf_zinv_case1(fg, qg, p, pairs=None):
@@ -769,7 +769,7 @@ def center_edge_probability_gd(ig, p, u):
     x = 0.5 * (z.real[tab.v1] + z.real[tab.v2]) - center.real
     y = 0.5 * (z.imag[tab.v1] + z.imag[tab.v2]) - center.imag
     e = int(np.argmin(np.hypot(x, y)))
-    eid, r, lay = tab.eids[e], ig.rhombi[tab.eids[e]], tab.layout(ig)
+    eid, r, lay = tab.eids[e], ig.rhombi[tab.eids[e]], tab.layout()
     rf = op.real_form(kd)
     at = lay.slot[e, 0]                 # the entry (w_e, v2), none when v2 is the root
     k_wb = rf.vals[at] if at >= 0 else 0.0

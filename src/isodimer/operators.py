@@ -23,7 +23,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy loads on first use)
 
 from . import elliptic as el
-from .derived import DoubleGraph, fkey, vkey, wkey, fisher_quadri_map
+from .derived import fkey, vkey, wkey, fisher_quadri_map
 from .errors import (
     DomainError,
     NegativeRadicandError,
@@ -219,11 +219,10 @@ class EdgeTable:
     def dual(self):
         return _Dual(self)
 
-    def layout(self, g):
-        """The Dirac-entry layout of the double graph ``g``, or of the rooted
-        one when ``g`` is the isoradial graph: one per ``rooted`` value, built
-        from the table in the entry order of :class:`derived.DoubleGraph`."""
-        rooted = g.rooted if isinstance(g, DoubleGraph) else True
+    def layout(self, rooted=True):
+        """The Dirac-entry layout of the rooted or the unrooted double graph,
+        built on first use: the one construction of its edges, which
+        :class:`derived.DoubleGraph` views."""
         if rooted not in self._layouts:
             self._layouts[rooted] = _Layout(self, rooted)
         return self._layouts[rooted]
@@ -291,11 +290,11 @@ class EdgeTable:
 
 
 class _Layout:
-    """The Dirac entries of one double graph, in ``gd_edges`` order: their
-    white edges, blacks and lifts (positions in ``angles``), whether the black
-    is primal, and the (w_l, v_c) entry of each non-root pair.
+    """The Dirac entries of one double graph: their white edges, blacks and
+    lifts (positions in ``angles``), whether the black is primal, and the
+    (w_l, v_c) entry of each non-root pair.
 
-    Every edge has four slots, in the order of ``DoubleGraph``: its v2 and
+    Every edge has four slots, in this order: its v2 and
     v1 (from-white lifts (alpha, beta) and (alpha + pi, beta + pi)), its f1
     (beta - pi, alpha) and its f2 (beta, alpha + pi); a rooted graph leaves
     out the slots at the root, and a boundary edge has no f2.  ``slot``
@@ -539,12 +538,18 @@ class _Spectral:
 
 
 def edge_table(g):
-    """The :class:`EdgeTable` of an isoradial graph, or of the one a double
-    graph is built on; built on first use and kept on the isoradial graph."""
-    ig = g.ig if isinstance(g, DoubleGraph) else g
+    """The :class:`EdgeTable` of an isoradial graph, or of the ``ig`` a double
+    graph views; built on first use and kept on the isoradial graph."""
+    ig = getattr(g, "ig", g)
     if ig._table is None:
         ig._table = EdgeTable(ig)
     return ig._table
+
+
+def dirac_layout(g):
+    """The Dirac-entry layout of the double graph ``g``; an isoradial graph
+    stands for its rooted double graph."""
+    return edge_table(g).layout(getattr(g, "rooted", True))
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +711,7 @@ def dirac(dg, p, u, variant="plain"):
     if variant not in ("plain", "boundary"):
         raise DomainError(f"unknown dirac variant {variant!r}")
     t = _at(dg, p, u, "base" if variant == "plain" else "prime")
-    tab = t.tab
-    lay = tab.layout(dg)
+    tab, lay = t.tab, dirac_layout(dg)
     da, db = t.dn[lay.gd_a], t.dn[lay.gd_b]
     kp, e = p.kprime, lay.gd_e
     rad = np.where(lay.gd_v, t.mod.sc_t[e] * da * db, kp * kp * t.mod.sc_s[e] / (da * db))
@@ -728,8 +732,7 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
     gamma*(u)_{f,f'} = k'^(1/2) cs(theta_w) nd(u_a) nd(u_b) (from the f side).
     """
     t = _at(dg, p, u, "base")
-    tab = t.tab
-    lay = tab.layout(dg)
+    tab, lay = t.tab, dirac_layout(dg)
     f = lay.gd_dual
     gamma = np.zeros(len(lay.gd_e))
     gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[lay.gd_e[f]]
@@ -945,7 +948,7 @@ def s_t_matrices(qg, dg, p, u):
     """The intertwiner pair: S rows = GQ blacks, T rows = GQ whites (the
     entries are listed at :meth:`_Layout.st_layout`)."""
     t = _at(dg, p, u, "prime")
-    lay = t.tab.layout(dg)
+    lay = dirac_layout(dg)
     m, (s_rows, t_rows) = t.mod, lay.st_layout(qg)
 
     a, b, c, e, phase = s_rows

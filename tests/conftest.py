@@ -167,6 +167,35 @@ def spin_loop(ig, couplings):
 # per-edge scalar references for the edge-table gathers of isodimer.operators
 # ---------------------------------------------------------------------------
 
+def _walked_double_graph(ig, rooted):
+    """Reference: the double graph walked rhombus by rhombus, independent of
+    the Dirac layout that ``derived.DoubleGraph`` views.
+
+    Returns (whites, blacks, records): the edge ids, the black keys (primal,
+    less the root when ``rooted``, then dual), and for every double-graph
+    edge (white edge id, black key), in slot order v2, v1, f1, f2, its lifted
+    angles seen from the white and the kind of the black.
+    """
+    root = ig.root
+    whites = ig.edge_list()
+    blacks = ([vkey(v) for v in sorted(ig.base.coords) if not (rooted and v == root)]
+              + [fkey(f) for f in range(len(ig.face_centers))])
+    records = {}
+    for eid in whites:
+        r = ig.rhombi[eid]
+        a, b = r.alpha_bar, r.beta_bar
+        items = [(vkey(r.v2), a, b, "v"),
+                 (vkey(r.v1), a + math.pi, b + math.pi, "v"),
+                 (fkey(r.f1), b - math.pi, a, "f")]
+        if r.f2 is not None:
+            items.append((fkey(r.f2), b, a + math.pi, "f"))
+        for black, ae, be, kind in items:
+            if rooted and black == vkey(root):
+                continue
+            records[(eid, black)] = {"alpha": ae, "beta": be, "kind": kind}
+    return whites, blacks, records
+
+
 class ScalarOperators:
     """Operator entries of one (graph, k), edge by edge from the scalar
     functions of ``elliptic``: the reference for the table gathers.
@@ -176,6 +205,13 @@ class ScalarOperators:
 
     def __init__(self, ig, p):
         self.ig, self.p = ig, p
+        self._walks = {}
+
+    def records(self, dg):
+        """The walked edge records of the double graph ``dg`` of ``ig``."""
+        if dg.rooted not in self._walks:
+            self._walks[dg.rooted] = _walked_double_graph(self.ig, dg.rooted)[2]
+        return self._walks[dg.rooted]
 
     def ell(self, angle_bar):
         return el.angle_transform(angle_bar, self.p)
@@ -276,7 +312,7 @@ class ScalarOperators:
     def dirac(self, dg, u, variant="plain"):
         p = self.p
         ent = {}
-        for (w, black), rec in dg.gd_edges.items():
+        for (w, black), rec in self.records(dg).items():
             ua, ub = self.u_arg(u, rec["alpha"]), self.u_arg(u, rec["beta"])
             theta = self.ig.rhombi[w].theta_bar
             sc = el.sc(self.ell(theta if rec["kind"] == "v" else math.pi / 2 - theta), p)
@@ -294,14 +330,14 @@ class ScalarOperators:
         """The directed conductance k'^(1/2) cs(theta_w) nd(u_a) nd(u_b) of white
         w seen from face f."""
         p = self.p
-        rec = dg.gd_edges[(w, fkey(f))]
+        rec = self.records(dg)[(w, fkey(f))]
         return (math.sqrt(p.kprime) * el.cs(self.ell(self.ig.rhombi[w].theta_bar), p)
                 * el.nd(self.u_arg(u, rec["alpha"]), p) * el.nd(self.u_arg(u, rec["beta"]), p))
 
     def gauge(self, dg, u):
         """Entries of K^g(u) and of the directed dual Laplacian."""
         kg = {}
-        for (w, black), rec in dg.gd_edges.items():
+        for (w, black), rec in self.records(dg).items():
             phase = cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
             kg[(wkey(w), black)] = phase * (
                 1.0 if rec["kind"] == "v" else self.gamma_star(dg, u, w, black[1]))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import branching_matchings
+from conftest import _walked_double_graph, branching_matchings
 
 from isodimer import derived as der
 from isodimer import isoradial as iso
@@ -28,6 +28,24 @@ def test_double_counts(ig_1x1, ig_2x2):
     # Euler on every built instance: |E| = |V| + |V*| - 1
     for ig in (ig_1x1, ig_2x2):
         assert len(ig.edge_list()) == len(ig.base.coords) + len(ig.face_centers) - 1
+
+
+def _record_bits(records):
+    return [(key, float.hex(rec["alpha"]), float.hex(rec["beta"]), rec["kind"])
+            for key, rec in records.items()]
+
+
+def test_double_graph_view_matches_the_walk():
+    # the records read from the Dirac layout are the walked ones: keys,
+    # order and the bits of every lift
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex", "tripair",
+                 "irregular"):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        for rooted in (True, False):
+            dg = der.build_double(ig, rooted)
+            whites, blacks, records = _walked_double_graph(ig, rooted)
+            assert list(dg.whites) == whites and list(dg.blacks) == blacks, (spec, rooted)
+            assert _record_bits(dg.gd_edges) == _record_bits(records), (spec, rooted)
 
 
 def test_quadri_structure(ig_1x1, ig_2x2):

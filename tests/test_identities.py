@@ -393,6 +393,7 @@ def test_gauge_holonomy_exact():
 
 
 def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
+    from isodimer import operators as op
     from isodimer.derived import fkey
 
     p = complete_integrals(0.6)
@@ -416,10 +417,14 @@ def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
         assert not rep.passed and rep.tolerance == idn.DET_TOL
     monkeypatch.setattr(idn, "_dual_step", real_step)
 
-    # one corrupted angle in the double graph's edge records
-    ws = idn.Workspace(ig_2x2, p)
-    rec = ws.dg.gd_edges[(eid, fkey(fa))]
-    ws.dg.gd_edges[(eid, fkey(fa))] = dict(rec, alpha=rec["alpha"] + 1e-3)
+    # one corrupted dual lift in the Dirac layout: alpha read at beta's
+    # angle; on a fresh graph, since the cached test graphs share their tables
+    ws = idn.Workspace(iso.make_isoradial(iso.builder_graph("square:2x2")), p)
+    assert idn._gauge_holonomy(ws, u) < 1e-12
+    lay = op.dirac_layout(ws.dg)
+    slot = lay.gd_pos[(eid, fkey(fa))]
+    assert slot in lay.gd_dual
+    lay.gd_a[slot] = lay.gd_b[slot]
     assert idn._gauge_holonomy(ws, u) > 1e-8
 
 

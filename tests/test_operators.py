@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import ScalarOperators, branching_matchings
+from conftest import ScalarOperators, _walked_double_graph, branching_matchings
 
 from isodimer import derived as der
 from isodimer import elliptic as el
@@ -381,7 +381,7 @@ def test_array_bfs_matches_the_dict_bfs():
                  "square:16x16"):
         ig = get_graph(spec)
         for rooted in (True, False):
-            m = op.edge_table(ig).layout(der.build_double(ig, rooted)).unit()
+            m = op.edge_table(ig).layout(rooted).unit()
             n = len(m.rows) + len(m.cols)
             q = _same_potential(n, _unit_gauge_steps(m), range(n))[0]
             assert _bits(op.unit_gauge(m)) == _bits(q[m.i] / q[len(m.rows) + m.j])
@@ -898,10 +898,12 @@ def test_table_builders_raise_typed_errors(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _unit_dirac_walk(dg):
-    """Reference: the phase e^{i(alpha+beta)/2} of every double-graph edge record."""
+    """Reference: the phase e^{i(alpha+beta)/2} of every walked double-graph
+    edge record."""
+    whites, blacks, records = _walked_double_graph(dg.ig, dg.rooted)
     ent = {(wkey(w), black): cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
-           for (w, black), rec in dg.gd_edges.items()}
-    return op.TypedSparseMatrix.of(tuple(wkey(w) for w in dg.whites), tuple(dg.blacks), ent,
+           for (w, black), rec in records.items()}
+    return op.TypedSparseMatrix.of(tuple(wkey(w) for w in whites), tuple(blacks), ent,
                                    "unit_dirac")
 
 
@@ -931,7 +933,7 @@ def _directed_laplacian_walk(dg, p, u):
     """Reference: the outer-removed directed dual Laplacian, gamma*(u) read
     at each end of every inner dual edge."""
     t = op.edge_table(dg).at(p, u)
-    lay = t.tab.layout(dg)
+    lay = t.tab.layout(dg.rooted)
     f = lay.gd_dual
     gamma = np.zeros(len(lay.gd_e))
     gamma[f] = (math.sqrt(p.kprime) * t.mod.cs_t[lay.gd_e[f]]

@@ -129,3 +129,31 @@ def test_bulk_queries_read_entries_by_position(monkeypatch):
     assert inf.green_center_diagonal(ig, p)[0] > 0.0
     assert 0.0 < inf.center_edge_probability_gd(ig, p, u)[0] < 1.0
     assert len(inf.edge_probabilities_gd(der.build_double(ig), p, u).rows) > 0
+
+
+def test_no_path_reads_the_double_graph_records(monkeypatch, tmp_path):
+    # the double graph is a view of the Dirac layout: building it, the
+    # battery, the reference matching and the Kenyon table read the layout
+    # arrays, never the {(w, black): record} dict
+    from isodimer import cli
+    from isodimer import derived as der
+    from isodimer import elliptic as el
+    from isodimer import identities as idn
+    from isodimer import inference as inf
+    from isodimer import isoradial as iso
+
+    def no_records(dg):
+        raise AssertionError("double-graph records built")
+
+    monkeypatch.setattr(der.DoubleGraph, "gd_edges", property(no_records), raising=False)
+    ig = iso.make_isoradial(iso.builder_graph("square:2x2"))
+    dg = der.build_double(ig)
+    assert all(r.passed for r in idn.run_battery(ig, u_count=2))
+    assert len(der.reference_matching_M1(dg)[0]) == len(dg.whites)
+
+    ig = iso.make_isoradial(iso.builder_graph("square:8x8"))
+    p = el.complete_integrals(0.6)
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    assert len(inf.edge_probabilities_gd(der.build_double(ig), p, u).rows) > 0
+    assert cli.main(["probabilities", "--builder", "square:8x8", "--k", "0.6",
+                     "--out", str(tmp_path / "t.csv")]) == cli.EXIT_OK
