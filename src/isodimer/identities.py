@@ -23,7 +23,8 @@ from .derived import (
     induce_orientation_GQ,
     reference_matching_M1,
 )
-from .errors import DomainError, NotGaugeEquivalentError, OracleBudgetError
+from .errors import BijectionError, DomainError, NotGaugeEquivalentError, OracleBudgetError
+from .isoradial import _seg_intersect
 
 DEFAULT_TOL = 1e-9
 DET_TOL = 1e-8
@@ -93,6 +94,35 @@ class _Graph:
     @cached_property
     def eps_q(self):
         return induce_orientation_GQ(self.fg, self.qg)
+
+    @cached_property
+    def lemma(self):
+        """The reference partition of the Lemma by position: B1d, B1o and B2
+        in the G_Q blacks, W1 and W2 in the G_Q whites, with B2[i] and B1o[i]
+        on one inner rhombus (else BijectionError); and whether the G_Q edge
+        (B1, W1) of every inner rhombus crosses the segment from its centre
+        to the black M1 matches its white to."""
+        matching, part = self.m1
+        qg, ig, xy, black_at = self.qg, self.ig, self.ig.base.coords, dict(matching)
+        b1d = set(part["B1d"])
+        inner = [(b, w) for b, w in zip(part["B1"], part["W1"]) if b not in b1d]
+        rh = [ig.rhombi[qg.quad_of[b]] for b, _w in inner]
+        if [r.edge_id for r in rh] != list(map(qg.quad_of.get, part["B2"])):
+            raise BijectionError("B2 and B1o are not paired rhombus by rhombus")
+
+        def point(key):
+            return (xy if key[0] == "v" else ig.face_centers)[key[1]]
+
+        seg = np.array([(0.5 * (xy[r.v1] + xy[r.v2]), point(black_at[r.edge_id]),
+                         qg.coords[b], qg.coords[w]) for r, (b, w) in zip(rh, inner)],
+                       dtype=complex).reshape(-1, 4)
+        pos = {q: n for keys in (qg.blacks, qg.whites) for n, q in enumerate(keys)}
+
+        def ix(keys):
+            return np.array(list(map(pos.__getitem__, keys)), dtype=np.intp)
+
+        return (*map(ix, (part["B1d"], [b for b, _w in inner], part["B2"], part["W1"],
+                          part["W2"])), bool(_seg_intersect(*seg.T).all()))
 
 
 class _Memo:
@@ -187,11 +217,11 @@ class Workspace(_Memo):
 
     @cached_property
     def kq(self):
-        return op.kasteleyn_KQ(self.qg, self.dg, self.p)
+        return op.kasteleyn_KQ(self.qg, self.ig, self.p)
 
     @cached_property
     def kqp(self):
-        return op.kq_bar_partial(self.qg, self.dg, self.p)
+        return op.kq_bar_partial(self.qg, self.ig, self.p)
 
     @cached_property
     def couplings(self):
@@ -421,59 +451,30 @@ def check_partition_function(ws, u, tol=DET_TOL, oracle_budget=2 ** 20,
     t0 = time.perf_counter()
     p = ws.p
     at = ws.at(u)
-    kqp = ws.kqp
     lad_kq = ws.lad("kq")
     if negative_control:
         lad_kq += 1e-3
     r1 = abs(lad_kq - _log_c_tilde(ws, u) - at.lad("kdp"))
 
-    # Lemma factorization with the reference partition
-    _matching, part = ws.m1
+    # Lemma factorization with the reference partition.  S has one entry per
+    # G_Q black, at the white of its rhombus: its diagonal blocks are entries
+    # of s.vals.  |S| by hypot, which rounds as abs() of a complex scalar
+    b1d, b1o, b2, w1, w2, crosses_m1 = ws._graph.lemma
     s_mat, t_mat = at.st
-    sd, td = s_mat.dense(), t_mat.dense()
-    spos, tpos, wcols = s_mat.row_pos, t_mat.row_pos, s_mat.col_pos
-    kq_rows, kq_cols = kqp.row_pos, kqp.col_pos
-    w_bnd = ws.dg.boundary_whites()
-    w_all = list(s_mat.cols)
-    w_inner = [w for w in w_all if w[1] not in w_bnd]
-
-    b1d = part["B1d"]
-    b1d_set = set(b1d)
-    b1o = [b for b in part["B1"] if b not in b1d_set]
-    b2 = part["B2"]
-    w1 = part["W1"]
-    w2 = part["W2"]
-    t1_block = td[np.ix_([tpos[w] for w in w1],
-                         range(td.shape[1]))]
-    lad_t1 = inf.logabsdet(t1_block)
-    kq_d = kqp.dense()
-
-    def s_diag_log(bs, wsel):
-        tot = 0.0
-        for b, w in zip(bs, wsel):
-            tot += math.log(abs(sd[spos[b], wcols[w]]))
-        return tot
-
-    # align the diagonal blocks: B1d <-> boundary whites, B1o/B2 <-> inner
-    def white_of_black(b):
-        return ("w", ws.qg.quad_of[b])
-
-    lad_s1d = s_diag_log(b1d, [white_of_black(b) for b in b1d])
-    lad_s1o = s_diag_log(b1o, [white_of_black(b) for b in b1o])
-    lad_s2 = s_diag_log(b2, [white_of_black(b) for b in b2])
-    # R(u) = S2^{-1} KQ_22 - S1o^{-1} KQ_{1o 2} on (inner whites) x W2
-    r_mat = np.zeros((len(w_inner), len(w2)), dtype=complex)
-    b2_of_w = {white_of_black(b): b for b in b2}
-    b1_of_w = {white_of_black(b): b for b in b1o}
-    for i, w in enumerate(w_inner):
-        bb2, bb1 = b2_of_w[w], b1_of_w[w]
-        for j, wq2 in enumerate(w2):
-            r_mat[i, j] = (kq_d[kq_rows[bb2], kq_cols[wq2]] / sd[spos[bb2], wcols[w]]
-                           - kq_d[kq_rows[bb1], kq_cols[wq2]] / sd[spos[bb1], wcols[w]])
+    s = s_mat.vals
+    log_s = _logs(np.hypot(s.real, s.imag))
+    lad_t1 = inf.logabsdet(t_mat.dense()[w1])
+    # R(u) = S2^{-1} KQ_22 - S1o^{-1} KQ_{1o 2} on (inner whites) x W2, row i
+    # on the rhombus of B2[i] and B1o[i]
+    kq_d = ws.kqp.dense()
+    r_mat = kq_d[b2][:, w2] / s[b2, None] - kq_d[b1o][:, w2] / s[b1o, None]
     lad_r = inf.logabsdet(r_mat) if r_mat.size else 0.0
     lhs_fact = ws.lad("kqp") + lad_t1
-    rhs_fact = lad_s1d + lad_s1o + lad_s2 + lad_r + at.lad("kdp")
-    r2 = abs(lhs_fact - rhs_fact)
+    rhs_fact = (sum(log_s[b1d].tolist(), 0.0) + sum(log_s[b1o].tolist(), 0.0)
+                + sum(log_s[b2].tolist(), 0.0) + lad_r + at.lad("kdp"))
+    # the factorization holds for partitions that are not M1's too (the
+    # f1/f2 corner swap): it stands for M1 only when the crossings do
+    r2 = abs(lhs_fact - rhs_fact) if crosses_m1 else math.inf
 
     # closed form for [Z+]^2
     log_z2 = log_z_plus_squared_formula(ws, u)

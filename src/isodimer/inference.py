@@ -248,16 +248,6 @@ def _u_arg(u, angle_bar, p):
     return 0.5 * (u - el.angle_transform(angle_bar, p))
 
 
-def _incidence(pos, ends, c):
-    """The matrix with c[e] at (pos[ends[e]], e) for every edge e whose end is
-    a row key of ``pos``; an end that is not (the root, a missing face) drops
-    out."""
-    m = np.zeros((len(pos), len(c)), dtype=complex)
-    e = [i for i, x in enumerate(ends) if x in pos]
-    m[[pos[ends[i]] for i in e], e] = c[e]
-    return m
-
-
 def kd_inverse_formula(dg, p, u):
     """Coefficients of the inverse boundary Dirac operator through the Green
     functions of the massive Laplacians, plus the direct inverse for checks.
@@ -266,32 +256,35 @@ def kd_inverse_formula(dg, p, u):
     arrays indexed like the transpose of the Dirac operator (rows = blacks,
     cols = whites).  The blacks are the rows of Delta^{m,bd}(u), then those
     of Delta^{m,*}: the primal block is G_bd^T C_V and the dual block
-    G_*^T (C_F + Q^T G_bd^T C_V), where C_V and C_F hold the coefficients of
-    each white w at the vertices and faces of its rhombus and Q is the
+    G_*^T (C_F + Q^T G_bd^T C_V), where C = (C_V; C_F) holds the coefficients
+    of each white w at the vertices and faces of its rhombus, at the blacks
+    of its v2, v1, f1 and f2 slots of the Dirac layout, and Q is the
     boundary coupling block.
     """
     kdp = op.dirac(dg, p, u, "boundary")
     direct = invert(kdp.dense())
     dmp, dms = op.delta_m_partial(dg, p, u), op.delta_m_star(dg, p)
     g_par, g_star = invert(dmp.dense()), invert(dms.dense())
-    t = op.edge_table(dg).at(p, u)
+    t, lay = op.edge_table(dg).at(p, u), op.dirac_layout(dg)
     tab, kp = t.tab, p.kprime
-    rh = [tab.ig.rhombi[e] for e in tab.eids]
     a, b = tab.ix(tab.alpha), tab.ix(tab.beta)
     dn_a, dn_b, nd_a, nd_b = t.dn[a], t.dn[b], t.nd[a], t.nd[b]
     phase = np.exp(-0.5j * (tab.alpha + tab.beta)) / kp
     c_v = phase * np.sqrt(t.mod.sc_t)
     c_f = -1j * phase * np.sqrt(t.mod.sc_s)
     # the brackets are dn(u_a) dn(u_b) at v2, dn(u_a - K) dn(u_b - K) at v1,
-    # dn(u_a) dn(u_b - K) at f2 and dn(u_a - K) dn(u_b) at f1, with
-    # dn(x - K) = k' nd(x)
-    vp, fp = dmp.row_pos, dms.row_pos
-    primal = g_par.T @ (_incidence(vp, [vkey(r.v2) for r in rh], c_v * np.sqrt(dn_a * dn_b))
-                        - _incidence(vp, [vkey(r.v1) for r in rh],
-                                     c_v * kp * np.sqrt(nd_a * nd_b)))
-    dual = g_star.T @ (_incidence(fp, [fkey(r.f2) for r in rh], c_f * np.sqrt(kp * nd_b * dn_a))
-                       - _incidence(fp, [fkey(r.f1) for r in rh], c_f * np.sqrt(kp * dn_b * nd_a))
-                       + op.q_matrix(dg, p, u).dense().T @ primal)
+    # dn(u_a - K) dn(u_b) at f1 and dn(u_a) dn(u_b - K) at f2, with
+    # dn(x - K) = k' nd(x); a slot left out (the root, a missing f2) has none.
+    # The v1 and f1 terms are 0 - c, rounded (signed zeros too) as the
+    # difference of the two families
+    coef = np.zeros((len(lay.blacks), len(tab.eids)), dtype=complex)
+    for s, c in enumerate((c_v * np.sqrt(dn_a * dn_b), 0.0 - c_v * kp * np.sqrt(nd_a * nd_b),
+                           0.0 - c_f * np.sqrt(kp * dn_b * nd_a), c_f * np.sqrt(kp * nd_b * dn_a))):
+        e = np.flatnonzero(lay.slot[:, s] >= 0)
+        coef[lay.gd_j[lay.slot[e, s]], e] = c[e]
+    n_p = len(dmp.rows)
+    primal = g_par.T @ coef[:n_p]
+    dual = g_star.T @ (coef[n_p:] + op.q_matrix(dg, p, u).dense().T @ primal)
     return np.vstack([primal, dual]), direct, list(kdp.cols), list(kdp.rows)
 
 
@@ -414,24 +407,23 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
     # 1 + e^{-4J_b} is the squared norm of X's row b: (1, eps e^{-2J}), or (1) at a boundary B
     kf_ab = ik @ x.T / (x * x).sum(axis=1)
     kf_inv = invert(kf.dense())
-    a_ix = [kf.row_pos[a] for a in fg.a_vertices]
-    b_ix = [kf.row_pos[b] for b in fg.b_vertices]
+    # K^F lists the B vertices, then the A vertices
+    verts, nb = kf.rows, len(fg.b_vertices)
     form = np.full(kf_inv.shape, np.nan + 0j)
-    form[np.ix_(a_ix, b_ix)] = kf_ab
-    form[np.ix_(a_ix, a_ix)] = -0.5 * ik @ aux.d_bqa.dense() + aux.kappa.dense()
-    form[np.ix_(b_ix, b_ix)] = aux.m.dense() @ kf_ab
+    form[nb:, :nb] = kf_ab
+    form[nb:, nb:] = -0.5 * ik @ aux.d_bqa.dense() + aux.kappa.dense()
+    form[:nb, :nb] = aux.m.dense() @ kf_ab
 
     def listing(rows, cols):
-        cells = np.ix_([kf.row_pos[v] for v in rows], [kf.row_pos[v] for v in cols])
-        return [(*rc, f, d) for rc, f, d in zip(itertools.product(rows, cols),
-                                                form[cells].ravel(), kf_inv[cells].ravel())]
+        return [(verts[r], verts[c], form[r, c], kf_inv[r, c])
+                for r, c in itertools.product(rows, cols)]
 
-    a_rows, b_rows = (vs if pairs is None else [v for v in vs if v in pairs]
-                      for vs in (fg.a_vertices, fg.b_vertices))
-    inner = [b for b in fg.b_vertices if b not in fg.boundary_b]
-    boundary = [b for b in fg.b_vertices if b in fg.boundary_b]
+    a_all, b_all = range(nb, len(verts)), range(nb)
+    a_rows, b_rows = ([n for n in vs if pairs is None or verts[n] in pairs] for vs in (a_all, b_all))
+    inner = [n for n in b_all if verts[n] not in fg.boundary_b]
+    boundary = [n for n in b_all if verts[n] in fg.boundary_b]
     return {"case1": listing(a_rows, inner), "case2": listing(a_rows, boundary),
-            "case3": listing(a_rows, fg.a_vertices), "case4": listing(b_rows, inner)}
+            "case3": listing(a_rows, a_all), "case4": listing(b_rows, inner)}
 
 
 def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
@@ -450,8 +442,8 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     kf = op.kasteleyn_KF(fg, couplings)
     i_wa = op.fisher_i_wa(fg, qg)
     kf_inv = invert(kf.dense())
-    a_ix = [kf.row_pos[a] for a in fg.a_vertices]
-    rel = kqt.dense() @ i_wa.dense() @ kf_inv[np.ix_(a_ix, a_ix)]
+    nb = len(fg.b_vertices)     # K^F lists the B vertices, then the A vertices
+    rel = kqt.dense() @ i_wa.dense() @ kf_inv[nb:, nb:]
     rng = np.random.default_rng(seed)
     res = []
     forbidden_scale = np.abs(kf_inv).max()
@@ -725,8 +717,10 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     kq_inv = invert(kq.dense())
     fqm = fisher_quadri_map(qg)
     m = op.edge_table(ig).at(p)
-    b_list = [b for b in fg.b_vertices if b not in fg.boundary_b]
-    a_list = fg.a_vertices if pairs is None else [a for a in fg.a_vertices if a in pairs]
+    verts, nb = kf.rows, len(fg.b_vertices)     # the B vertices, then the A vertices
+    b_kf = [n for n in range(nb) if verts[n] not in fg.boundary_b]
+    a_kf = [n for n in range(nb, len(verts)) if pairs is None or verts[n] in pairs]
+    b_list, a_list = [verts[n] for n in b_kf], [verts[n] for n in a_kf]
     w_ix = [kq.col_pos[fqm.white_of_a[a]] for a in a_list]
     b_ix = [kq.row_pos[fqm.black_of_b[b]] for b in b_list]
     op_ix = [kq.row_pos[fqm.black_of_b[fg.ext_of_b[b][0]]] for b in b_list]
@@ -734,10 +728,11 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     sn, cn = m.sn_t[e], m.cn_t[e]
     e2 = cn / (1.0 + sn)            # e^{-2J}
     pref = 0.5 * (1.0 + sn)         # 1/(1 + e^{-4J})
-    # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}
-    q = 1.0 / np.outer(d_w.dense().diagonal()[w_ix], d_b.dense().diagonal()[b_ix])
+    # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}; the
+    # gauges are diagonal, one entry per row in order
+    q = 1.0 / np.outer(d_w.vals[w_ix], d_b.vals[b_ix])
     val = q * pref * (kq_inv[np.ix_(w_ix, b_ix)] - 1j * e2 * kq_inv[np.ix_(w_ix, op_ix)])
-    direct = kf_inv[np.ix_([kf.row_pos[a] for a in a_list], [kf.row_pos[b] for b in b_list])]
+    direct = kf_inv[a_kf][:, b_kf]
     return [(a_bar, b, v, d) for a_bar, vs, ds in zip(a_list, val.tolist(), direct.tolist())
             for b, v, d in zip(b_list, vs, ds)]
 

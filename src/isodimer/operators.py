@@ -85,9 +85,14 @@ class TypedSparseMatrix:
         return self.entries.get((r, c), 0.0)
 
     def check_antisymmetric(self, tol=1e-14):
-        ent = self.entries
-        scale = max([1.0] + [abs(v) for v in ent.values()])
-        if any(abs(v + ent.get((c, r), 0.0)) > tol * scale for (r, c), v in ent.items()):
+        """Raise DomainError unless rows and columns are one key tuple and each
+        entry (r, c) is minus the entry at (c, r), or 0 where there is none."""
+        key, flip = self.i * len(self.cols) + self.j, self.j * len(self.cols) + self.i
+        srt = np.argsort(key)
+        at = srt.take(np.searchsorted(key, flip, sorter=srt), mode="clip")
+        partner = np.where(key.take(at) == flip, self.vals.take(at), 0.0)
+        scale = max(1.0, np.abs(self.vals).max(initial=0.0))
+        if self.rows != self.cols or (np.abs(self.vals + partner) > tol * scale).any():
             raise DomainError(f"{self.name}: antisymmetry violated")
 
     def dump_text(self):
@@ -811,7 +816,9 @@ def kasteleyn_KF(fg, couplings):
     """Skew-symmetric Kasteleyn matrix of the Fisher graph.
 
     Internal edges have weight 1, the external edge over primal edge e has
-    weight e^{-2 J_e}.  Couplings may be any reals.
+    weight e^{-2 J_e}.  Couplings may be any reals.  Rows and columns are
+    ``fg.b_vertices`` then ``fg.a_vertices``, so the blocks of Dubedat's
+    decomposition are the slices at ``len(fg.b_vertices)``.
     """
     verts = tuple(fg.vertices())
     ent = {}
@@ -879,15 +886,16 @@ def fisher_aux(fg, qg, kf):
     b_list = tuple(fg.b_vertices)
     a_list = tuple(fg.a_vertices)
     bq_list = tuple(qg.blacks)
+    kf_d, pos, nb = kf.dense(), kf.row_pos, len(b_list)
 
-    # X: rows B, cols GQ blacks
+    # X: rows B, cols GQ blacks; off the diagonal, the (real) entries of K^F
     x_ent = {}
     for bx, by, eid in fg.external_edges:
         hat_x, hat_y = fqm.black_of_b[bx], fqm.black_of_b[by]
         x_ent[(bx, hat_x)] = 1.0
-        x_ent[(bx, hat_y)] = kf.get(by, bx)
+        x_ent[(bx, hat_y)] = kf_d[pos[by], pos[bx]].real
         x_ent[(by, hat_y)] = 1.0
-        x_ent[(by, hat_x)] = kf.get(bx, by)
+        x_ent[(by, hat_x)] = kf_d[pos[bx], pos[by]].real
     for b in sorted(fg.boundary_b):
         x_ent[(b, fqm.black_of_b[b])] = 1.0
     x_mat = TypedSparseMatrix.of(b_list, bq_list, x_ent, "fisher_X")
@@ -902,14 +910,9 @@ def fisher_aux(fg, qg, kf):
         m_ent[(b, a_prev)] = fg.eps(b, a_prev)
     m_mat = TypedSparseMatrix.of(b_list, a_list, m_ent, "fisher_M")
 
-    # blocks of K^F
-    kf_d = kf.dense()
-    bi = [kf.row_pos[b] for b in b_list]
-    ai = [kf.row_pos[a] for a in a_list]
-    k_bb = kf_d[np.ix_(bi, bi)]
-    k_ba = kf_d[np.ix_(bi, ai)]
-    k_ab = kf_d[np.ix_(ai, bi)]
-    k_aa = kf_d[np.ix_(ai, ai)]
+    # blocks of K^F: its B rows and columns come first
+    k_bb, k_ba = kf_d[:nb, :nb], kf_d[:nb, nb:]
+    k_ab, k_aa = kf_d[nb:, :nb], kf_d[nb:, nb:]
     try:
         m_prime_d = -np.linalg.solve(k_ba, k_bb)
     except np.linalg.LinAlgError as exc:

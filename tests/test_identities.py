@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from isodimer import identities as idn
 from isodimer import isoradial as iso
@@ -76,6 +77,53 @@ def test_partition_function_u_and_root_independence(ig_2x2):
     ws_c = idn.Workspace(ig_c, p)
     us_c = iso.admissible_u(ig_c, p, "doubleprime", delta=p.bigK / 16, count=4)
     assert abs(idn.log_z_plus_squared_formula(ws_c, us_c[0]) - vals[0]) < 1e-10
+
+
+def _swap_partition(kind):
+    """reference_matching_M1 with (B1, W1) and (B2, W2) exchanged at every
+    inner rhombus whose white M1 matches to a black of ``kind`` ("f": the
+    f1/f2 corner swap, "v": the v1/v2 swap)."""
+    from isodimer.derived import reference_matching_M1
+
+    def m1(dg):
+        matching, part = reference_matching_M1(dg)
+        hit = {e for e, black in matching if black[0] == kind}
+        new = {name: list(keys) for name, keys in part.items()}
+        b1d = set(part["B1d"])
+        inner = [n for n, b in enumerate(part["B1"]) if b not in b1d]
+        for i, n in enumerate(inner):
+            if part["B1"][n][1] in hit:
+                new["B1"][n], new["B2"][i] = part["B2"][i], part["B1"][n]
+                new["W1"][n], new["W2"][i] = part["W2"][i], part["W1"][n]
+        return matching, new
+
+    return m1
+
+
+def test_partition_function_needs_the_m1_partition(ig_2x2, ig_hex, monkeypatch):
+    # the factorization holds for the swapped partitions too; the crossing
+    # precondition is what ties the Lemma to M1's partition
+    from isodimer.derived import reference_matching_M1
+    from isodimer.errors import BijectionError
+
+    p = complete_integrals(0.6)
+    for ig in (ig_2x2, ig_hex):
+        u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=2)[1]
+        assert idn.check_partition_function(idn.Workspace(ig, p), u).passed
+        for kind in "fv":
+            monkeypatch.setattr(idn, "reference_matching_M1", _swap_partition(kind))
+            rep = idn.check_partition_function(idn.Workspace(ig, p), u)
+            assert rep.detail["factorization"] == math.inf and not rep.passed, kind
+
+        # B2 and B1o must pair rhombus by rhombus
+        def reversed_b2(dg):
+            matching, part = reference_matching_M1(dg)
+            return matching, {**part, "B2": part["B2"][::-1]}
+
+        monkeypatch.setattr(idn, "reference_matching_M1", reversed_b2)
+        with pytest.raises(BijectionError):
+            idn.check_partition_function(idn.Workspace(ig, p), u)
+        monkeypatch.undo()
 
 
 def test_z_invariance_specific():

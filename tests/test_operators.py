@@ -503,6 +503,8 @@ def test_kasteleyn_kf_properties(ig_2x2, params_half):
     couplings = op.z_invariant_couplings(ig_2x2, params_half)
     kf = op.kasteleyn_KF(fg, couplings)
     kf.check_antisymmetric()
+    # the B vertices, then the A vertices: Dubedat's blocks are slices
+    assert kf.rows == kf.cols == tuple(fg.b_vertices) + tuple(fg.a_vertices)
     # J = 0: external weight 1
     kf0 = op.kasteleyn_KF(fg, {e: 0.0 for e in couplings})
     for x, y, eid in fg.external_edges:

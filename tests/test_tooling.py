@@ -131,6 +131,39 @@ def test_bulk_queries_read_entries_by_position(monkeypatch):
     assert len(inf.edge_probabilities_gd(der.build_double(ig), p, u).rows) > 0
 
 
+def test_identities_and_formulas_read_entries_by_position(monkeypatch):
+    # the Lemma, Dubedat's blocks and the inverse-operator formulas index the
+    # layouts their builders fix and never build the {(row, col): value}
+    # view of a matrix
+    import numpy as np
+
+    from isodimer import derived as der
+    from isodimer import elliptic as el
+    from isodimer import identities as idn
+    from isodimer import inference as inf
+    from isodimer import isoradial as iso
+    from isodimer import operators as op
+
+    def no_entries(m):
+        raise AssertionError(f"{m.name}: entry dict built")
+
+    p = el.complete_integrals(0.6)
+    monkeypatch.setattr(op.TypedSparseMatrix, "entries", property(no_entries))
+    for spec in ("square:2x2", "hex"):
+        ig = iso.make_isoradial(iso.builder_graph(spec))
+        dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
+        u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=2)[1]
+        ws = idn.Workspace(ig, p)
+        assert idn.check_partition_function(ws, u).passed
+        assert idn.check_dubedat(ws).passed
+        formula, direct = inf.kd_inverse_formula(dg, p, u)[:2]
+        assert np.abs(formula - direct).max() < 1e-9
+        couplings = op.z_invariant_couplings(ig, p)
+        cases = inf.kf_inverse_formula(fg, qg, couplings)
+        assert max(abs(f - d) for rows in cases.values() for _r, _c, f, d in rows) < 1e-9
+        assert max(inf.dotsenko_residuals(fg, qg, couplings), default=0.0) < 1e-9
+
+
 def test_no_path_reads_the_double_graph_records(monkeypatch, tmp_path):
     # the double graph is a view of the Dirac layout: building it, the
     # battery, the reference matching and the Kenyon table read the layout
