@@ -303,8 +303,10 @@ def _matching_log_product(ws, u, matching, kind):
     """log of prod over matched double-graph edges of the requested bracket.
 
     ``ws`` is a Workspace or its view at one u: anything with ig, dg and p.
+    Raises DomainError when u is an excluded doubleprime direction, where a
+    bracket takes log 0.
     """
-    t = op.edge_table(ws.ig).at(ws.p, u)
+    t = op._at(ws.ig, ws.p, u, "doubleprime")
     lay, lk = op.dirac_layout(ws.dg), math.log(ws.p.kprime)
     i = np.array(list(map(lay.gd_pos.__getitem__, matching)), dtype=np.intp)
     a, b = lay.gd_a[i], lay.gd_b[i]
@@ -595,32 +597,28 @@ def check_directed_laplacian_gauge(ws, u, tol=DET_TOL, negative_control=False):
 
 
 def _dual_step(at):
-    """The gauge ratios q(f')/q(f) across the dual edges, keyed (f, eid) for
-    dual edge ``eid`` leaving face f: (1/k') dn(u_alpha) dn(u_beta) of the
-    double-graph edge (eid, f), dn read from the spectral stage of u at the
-    lifts of the dual slots of the Dirac layout."""
+    """The gauge ratios q(f')/q(f) across the dual edges, as arcs (src, dst,
+    step): for each inner edge, f1 -> f2 then f2 -> f1, each step
+    (1/k') dn(u_alpha) dn(u_beta) of the Dirac entry at its source face, dn
+    read from the spectral stage of u at the lifts of the layout."""
     t, lay = at.table, op.dirac_layout(at.dg)
-    f = lay.gd_dual
-    steps = (1.0 / at.p.kprime) * t.dn[lay.gd_a[f]] * t.dn[lay.gd_b[f]]
-    eids, blacks = lay.tab.eids, lay.blacks
-    return {(blacks[j][1], eids[e]): s
-            for e, j, s in zip(lay.gd_e[f].tolist(), lay.gd_j[f].tolist(), steps.tolist())}
+    f1, f2, i1, i2 = lay.sides[2]
+    e = np.stack([i1, i2], axis=1).ravel()
+    steps = (1.0 / at.p.kprime) * t.dn[lay.gd_a[e]] * t.dn[lay.gd_b[e]]
+    return np.stack([f1, f2], axis=1).ravel(), np.stack([f2, f1], axis=1).ravel(), steps
 
 
 def _gauge_holonomy(ws, u):
     """Exact holonomy test of the gauge function q on the restricted dual.
 
     q is fixed to 1 at the first face of each component and carried over a
-    BFS tree by the steps of ``_dual_step``.  Returns max |q(a) step(a, e) / q(b) - 1| over
-    every dual edge a -e- b in both directions, which is 0 exactly when the
-    steps are reciprocal and multiply to 1 around every cycle, i.e. when q is
-    well defined.
+    BFS tree by the arcs of ``_dual_step``, each face's in edge order.
+    Returns max |q(a) step(a, e) / q(b) - 1| over every dual edge a -e- b in
+    both directions, which is 0 exactly when the steps are reciprocal and
+    multiply to 1 around every cycle, i.e. when q is well defined.
     """
-    step = _dual_step(ws.at(u))
-    arcs = [(x, y, step[(x, eid)]) for (fa, fb), eid in ws.ig.dual_edges
-            for x, y in ((fa, fb), (fb, fa))]
-    src, dst, s = zip(*arcs) if arcs else ((), (), ())
-    return op.gauge_potential(len(ws.ig.face_centers), src, dst, s, sorted(set(src)))[2]
+    src, dst, step = _dual_step(ws.at(u))
+    return op.gauge_potential(len(ws.ig.face_centers), src, dst, step, np.unique(src))[2]
 
 
 def _dual_gauge_path_independence(ws, u):

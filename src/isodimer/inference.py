@@ -556,8 +556,10 @@ def edge_probabilities_gf(fg, couplings):
     kf = op.kasteleyn_KF(fg, couplings)
     all_edges = ([(x, y, "internal") for x, y in fg.internal_edges]
                  + [(x, y, "external") for x, y, _ in fg.external_edges])
-    at = op.TypedSparseMatrix(kf.rows, kf.cols, kf.i, kf.j, _kenyon_probabilities(kf)).entries
-    probs = [at[(x, y)] for x, y, _role in all_edges]
+    if len(kf.vals) != 2 * len(all_edges):
+        raise BijectionError(f"K^F has {len(kf.vals)} entries for {len(all_edges)} edges")
+    # edge n of the list is K^F's entry 2n (see kasteleyn_KF)
+    probs = _kenyon_probabilities(kf)[::2].tolist()
     return ProbabilityTable("GF", [
         ProbabilityRow((x, y), role, prob, "kenyon-direct")
         for (x, y, role), prob in zip(all_edges, probs)])

@@ -14,6 +14,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -31,8 +32,9 @@ DEFAULT_EPSILON = 0.05
 
 
 def _tau(z):
-    """Angle of a complex vector in [0, 2 pi)."""
-    a = cmath.phase(z)
+    """Angle of a complex vector in [0, 2 pi).  atan2, not cmath.phase, which
+    raises OverflowError where the angle underflows (as at 5e-324 j)."""
+    a = math.atan2(z.imag, z.real)
     return a + 2.0 * math.pi if a < 0 else a
 
 
@@ -245,27 +247,23 @@ def dump_graph(g):
 
 
 def _circumcenter(points):
-    """Common center of |z - c| = RADIUS through all points; None if inconsistent."""
+    """Common center of |z - c| = RADIUS through all points, from the first
+    two sides out of points[0] that are not parallel; None if inconsistent,
+    and None where the center overflows or is not finite."""
     p0 = points[0]
-    best = None
-    for i in range(1, len(points)):
-        for j in range(i + 1, len(points)):
-            a, b = points[i] - p0, points[j] - p0
+    try:
+        for a, b in combinations([q - p0 for q in points[1:]], 2):
             det = 2.0 * _cross(a, b)
             if abs(det) < 1e-9:
                 continue
             ux = (b.imag * abs(a) ** 2 - a.imag * abs(b) ** 2) / det
             uy = (a.real * abs(b) ** 2 - b.real * abs(a) ** 2) / det
             best = p0 + complex(ux, uy)
-            break
-        if best is not None:
-            break
-    if best is None:
-        return None
-    for q in points:
-        if abs(abs(q - best) - RADIUS) > _GEOM_TOL:
-            return None
-    return best
+            # written so that a NaN distance fails too
+            return best if all(abs(abs(q - best) - RADIUS) <= _GEOM_TOL for q in points) else None
+    except OverflowError:
+        pass
+    return None
 
 
 def _point_in_polygon(z, poly):

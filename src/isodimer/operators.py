@@ -818,7 +818,9 @@ def kasteleyn_KF(fg, couplings):
     Internal edges have weight 1, the external edge over primal edge e has
     weight e^{-2 J_e}.  Couplings may be any reals.  Rows and columns are
     ``fg.b_vertices`` then ``fg.a_vertices``, so the blocks of Dubedat's
-    decomposition are the slices at ``len(fg.b_vertices)``.
+    decomposition are the slices at ``len(fg.b_vertices)``.  The entries run
+    over ``fg.internal_edges`` then ``fg.external_edges``, (x, y) before
+    (y, x): edge n of that list is at entries 2n and 2n + 1.
     """
     verts = tuple(fg.vertices())
     ent = {}
@@ -1010,15 +1012,6 @@ def _steps_out(ptr, deg, nodes):
     return np.repeat(ptr[nodes] - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
-def _firsts(t):
-    """The positions of the first occurrence of each value of t, in order."""
-    if len(t) < 2:
-        return np.arange(len(t))
-    by = np.argsort(t, kind="stable")
-    srt = t[by]
-    return np.sort(by[np.concatenate(([True], srt[1:] != srt[:-1]))])
-
-
 def gauge_potential(n, src, dst, step, roots):
     """A multiplicative potential carried along BFS trees on the nodes
     0 ... n-1, and how far it is from a gauge.
@@ -1055,7 +1048,7 @@ def gauge_potential(n, src, dst, step, roots):
             t = dst[k]
             new = ~seen[t]
             k, t = k[new], t[new]
-            first = _firsts(t)
+            first = np.sort(np.unique(t, return_index=True)[1])
             k, level = k[first], t[first]
             seen[level] = True
             q[level] = _py_mul(q[src[k]], step[k])
@@ -1079,45 +1072,47 @@ def gauge_q(m_mat, n_mat, bipartite, tol=1e-10):
     Bipartite case (rows=blacks, cols=whites): returns (D_B, D_W) with
     M = D_B N D_W.  The potential is carried from the first row over the
     entries, neighbours in str order.  Raises NotGaugeEquivalentError with an
-    offending edge when the pattern is not connected from there or a cycle
-    product differs by more than ``tol``.
+    offending edge when the two matrices differ in their row or column keys
+    or their patterns, the pattern is not connected from the first row or a
+    cycle product differs by more than ``tol``.
     """
-    if set(m_mat.entries) != set(n_mat.entries):
+    rows, cols = m_mat.rows, m_mat.cols
+    key_m, key_n = m_mat.i * len(cols) + m_mat.j, n_mat.i * len(cols) + n_mat.j
+    by_m, by_n = np.argsort(key_m), np.argsort(key_n)
+    if (rows != n_mat.rows or cols != n_mat.cols or not (bipartite or rows == cols)
+            or not np.array_equal(key_m[by_m], key_n[by_n])):
         raise NotGaugeEquivalentError("sparsity patterns differ")
-    scale = max(max((abs(v) for v in m_mat.entries.values()), default=1.0), 1.0)
-    nodes = m_mat.rows + m_mat.cols if bipartite else m_mat.rows
-    at = {v: i for i, v in enumerate(nodes)}
-    steps = []
-    for (r, c), m in m_mat.entries.items():
-        if r == c and not bipartite:
-            if abs(m - n_mat.get(r, c)) > tol * scale:
-                raise NotGaugeEquivalentError(f"diagonal mismatch at {r}", cycle=[r])
-            continue
-        ratio = n_mat.get(r, c) / m
-        steps.append((at[r], at[c], ratio))
-        if bipartite:
-            steps.append((at[c], at[r], 1.0 / ratio))
-    steps.sort(key=lambda step: (step[0], str(nodes[step[1]])))
-    src, dst, ratios = zip(*steps) if steps else ((), (), ())
-    q, order, worst, where = gauge_potential(len(nodes), src, dst, ratios, range(len(nodes))[:1])
+    m, n = m_mat.vals, n_mat.vals[by_n[np.argsort(by_m)]]   # n at the entries of m
+    nodes = rows + cols if bipartite else rows
+    src, dst = m_mat.i, m_mat.j + (len(rows) if bipartite else 0)
+    diag = src == dst                                      # none when bipartite
+    bad = np.flatnonzero(diag & (np.abs(m - n) > tol * np.abs(m).max(initial=1.0)))
+    if len(bad):
+        r = rows[src[bad[0]]]
+        raise NotGaugeEquivalentError(f"diagonal mismatch at {r}", cycle=[r])
+    src, dst, ratio = src[~diag], dst[~diag], _py_div(n[~diag], m[~diag])
+    if bipartite:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        ratio = np.concatenate([ratio, _py_div(1.0, ratio)])
+    rank = np.unique(list(map(str, nodes)), return_inverse=True)[1]
+    by = np.lexsort((rank[dst], src))
+    q, order, worst, where = gauge_potential(len(nodes), src[by], dst[by], ratio[by],
+                                             range(len(nodes))[:1])
     if len(order) != len(nodes):
         raise NotGaugeEquivalentError("pattern not connected from the first row")
     if not worst <= tol:
         raise NotGaugeEquivalentError(f"cycle product mismatch through edge "
                                       f"{tuple(nodes[x] for x in where)}",
                                       cycle=[nodes[x] for x in where])
-    q = q.tolist()
-    n_rows = len(m_mat.rows)
+
+    def diagonal(keys, vals, name):
+        return TypedSparseMatrix(keys, keys, range(len(keys)), range(len(keys)), vals, name)
+
     if not bipartite:
-        return TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
-                                    {(v, v): q[i] for i, v in enumerate(m_mat.rows)}, "gauge_D")
+        return diagonal(rows, q, "gauge_D")
     # q_w = q_b N_{b,w} / M_{b,w}, so M_{b,w} = q_b N_{b,w} / q_w
-    d_b = TypedSparseMatrix.of(m_mat.rows, m_mat.rows,
-                               {(b, b): q[i] for i, b in enumerate(m_mat.rows)}, "gauge_DB")
-    d_w = TypedSparseMatrix.of(m_mat.cols, m_mat.cols,
-                               {(w, w): 1.0 / q[n_rows + i] for i, w in enumerate(m_mat.cols)},
-                               "gauge_DW")
-    return d_b, d_w
+    return (diagonal(rows, q[:len(rows)], "gauge_DB"),
+            diagonal(cols, _py_div(1.0, q[len(rows):]), "gauge_DW"))
 
 
 def unit_gauge(m):

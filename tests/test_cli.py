@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -68,6 +69,76 @@ def test_validate_rejects_malformed_graph(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     assert run_cli(["validate", str(path)]) == 2
     assert "ParseError" in capsys.readouterr().err
+
+
+def test_subnormal_coordinate_validates_and_verifies(tmp_path):
+    # the angle of the side from vertex 0 underflows; cmath.phase raised
+    # OverflowError on it
+    data = _square_graph()
+    data["vertices"][0]["y"] = 5e-324
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path)]) == 0
+    assert run_cli(["verify", str(path), "--k", "0.5", "--u-count", "1"]) == 0
+
+
+def test_huge_coordinate_is_not_inscribed(tmp_path, capsys):
+    # squaring a side past about 1.3e154 raised OverflowError in _circumcenter
+    data = json.loads(iso.dump_graph(iso.builder_graph("hex")))
+    next(v for v in data["vertices"] if v["id"] == 2)["y"] = 1e200
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path)]) == 2
+    assert "IsoradialityError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--builder", "square:2x2", "--k", "0.5", "--u", "0"],
+    ["partition", "--builder", "square:2x2", "--u", "0"],
+    ["partition", "--builder", "square:2x2", "--u-level", "prime"],
+], ids=["verify-u", "partition-u", "partition-prime"])
+def test_excluded_doubleprime_u_is_an_input_error(capsys, args):
+    # the log-products of the determinant checks take log sn(0) at an
+    # excluded doubleprime direction
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "excluded direction" in err and "doubleprime" in err
+
+
+def test_validate_exit_codes_under_fuzzed_graphs(tmp_path, capsys):
+    # mutated builder graphs are either valid (0) or an input error (2),
+    # never an uncaught exception
+    rng = random.Random(2024)
+    bases = [json.loads(iso.dump_graph(iso.builder_graph(spec))) for spec in ("square:2x2", "hex")]
+    values = (5e-324, -5e-324, 1e200, -1e200, 1e154, 0.0)
+    path = tmp_path / "g.json"
+    codes = []
+    for case in range(300):
+        data = json.loads(json.dumps(bases[case % 2]))
+        verts, edges = data["vertices"], data["edges"]
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(("nudge", "extreme", "coincide", "drop", "add", "duplicate"))
+            v = rng.choice(verts)
+            axis = rng.choice("xy")
+            if kind == "nudge":
+                v[axis] += rng.choice((1e-12, 1e-6, 1e-3, 0.1, 1.0)) * rng.choice((-1, 1))
+            elif kind == "extreme":
+                v[axis] = rng.choice(values)
+            elif kind == "coincide":
+                w = rng.choice(verts)
+                v["x"], v["y"] = w["x"], w["y"]
+            elif kind == "drop" and edges:
+                edges.pop(rng.randrange(len(edges)))
+            elif kind == "add":
+                edges.append([v["id"], rng.choice(verts)["id"]])
+            elif kind == "duplicate" and edges:
+                a, b = rng.choice(edges)
+                edges.append(rng.choice(([a, b], [b, a])))
+        path.write_text(json.dumps(data))
+        codes.append(run_cli(["validate", str(path), "--out", str(tmp_path / "v.json")]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2}
+    assert {0, 2} <= set(codes)
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

@@ -455,9 +455,11 @@ def test_gauge_holonomy_catches_mutations(ig_2x2, monkeypatch):
     real_step = idn._dual_step
     for bad in (fa, fb):
         def scaled_step(at, bad=bad):
-            steps = real_step(at)
-            steps[(bad, eid)] *= 1.0 + 1e-6
-            return steps
+            src, dst, steps = real_step(at)
+            arc = np.flatnonzero((src == bad) & (dst == fa + fb - bad))
+            assert len(arc) == 1
+            steps[arc] *= 1.0 + 1e-6
+            return src, dst, steps
 
         monkeypatch.setattr(idn, "_dual_step", scaled_step)
         rep = idn.check_directed_laplacian_gauge(idn.Workspace(ig_2x2, p), u)

@@ -300,6 +300,22 @@ def test_gauge_negative_control(ig_2x2, params_half):
     assert all(abs(v - 1.0) < 1e-14 for v in d[0].entries.values())
 
 
+def test_gauge_q_needs_shared_keys(ig_2x2, params_half):
+    # gauge_q aligns the two matrices' entries by position, so the matrices
+    # must share their row and column key tuples, and a directed gauge needs
+    # rows = columns
+    qg, fg = der.build_quadri(ig_2x2), der.build_fisher(ig_2x2)
+    kqt = op.kasteleyn_KQ_real(qg, ig_2x2, op.z_invariant_couplings(ig_2x2, params_half),
+                               der.induce_orientation_GQ(fg, qg))
+    kq = op.kasteleyn_KQ(qg, ig_2x2, params_half)
+    flipped = op.TypedSparseMatrix(kq.rows[::-1], kq.cols, len(kq.rows) - 1 - kq.i, kq.j,
+                                   kq.vals, "flipped")
+    assert flipped.entries == kq.entries
+    for m, n, bipartite in ((kqt, flipped, True), (kqt, kq, False)):
+        with pytest.raises(NotGaugeEquivalentError, match="sparsity patterns differ"):
+            op.gauge_q(m, n, bipartite=bipartite)
+
+
 def _dict_gauge_potential(steps, roots):
     """The dict BFS that ``gauge_potential`` replaced, kept as its reference:
     ``steps`` maps a node to its (y, s) in search order."""

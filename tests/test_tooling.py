@@ -190,3 +190,47 @@ def test_no_path_reads_the_double_graph_records(monkeypatch, tmp_path):
     assert len(inf.edge_probabilities_gd(der.build_double(ig), p, u).rows) > 0
     assert cli.main(["probabilities", "--builder", "square:8x8", "--k", "0.6",
                      "--out", str(tmp_path / "t.csv")]) == cli.EXIT_OK
+
+
+def test_checked_paths_never_build_the_entry_dict(monkeypatch, tmp_path):
+    # the battery (its gauges included), the CLI commands that check or
+    # tabulate, and the inverse-operator formulas read coordinate arrays: with
+    # the {(row, col): value} view and ``get`` made to raise, every output is
+    # what it is without the patch
+    from isodimer import cli
+    from isodimer import derived as der
+    from isodimer import elliptic as el
+    from isodimer import identities as idn
+    from isodimer import inference as inf
+    from isodimer import isoradial as iso
+    from isodimer import operators as op
+
+    def outputs():
+        out = []
+        for spec in ("square:2x2", "hex"):
+            ig = iso.make_isoradial(iso.builder_graph(spec))
+            out.append([r.as_json_dict() for r in idn.run_battery(ig, u_count=2)])
+            dg, qg, fg = der.build_double(ig), der.build_quadri(ig), der.build_fisher(ig)
+            p = el.complete_integrals(0.6)
+            couplings = op.z_invariant_couplings(ig, p)
+            u = iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=2)[1]
+            out.append(inf.kf_zinv_case1(fg, qg, p))
+            out.append(inf.edge_probabilities_gf(fg, couplings).rows)
+            out.append(inf.edge_probabilities_gq(qg, ig, p).rows)
+            out.append(inf.kf_inverse_formula(fg, qg, couplings))
+            out.append(inf.dotsenko_residuals(fg, qg, couplings))
+            out.append([x.tolist() for x in inf.kd_inverse_formula(dg, p, u)[:2]])
+        for cmd in (["verify"], ["probabilities"], ["partition", "--oracle"], ["oracle"]):
+            path = tmp_path / f"{cmd[0]}.out"       # the path is in the artifact
+            assert cli.main(cmd + ["--builder", "square:2x2", "--k", "0.6",
+                                   "--out", str(path)]) == cli.EXIT_OK
+            out.append(path.read_text())
+        return out
+
+    def no_entries(m, *_key):
+        raise AssertionError(f"{m.name}: entry dict built")
+
+    want = outputs()
+    monkeypatch.setattr(op.TypedSparseMatrix, "entries", property(no_entries))
+    monkeypatch.setattr(op.TypedSparseMatrix, "get", no_entries)
+    assert outputs() == want
