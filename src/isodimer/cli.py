@@ -9,7 +9,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import elliptic as el
 from . import identities as idn
@@ -53,22 +53,30 @@ class RunConfig:
         return asdict(self)
 
 
-def _numbers(text, flag):
-    """The numbers of a comma-separated option value; each must be finite."""
+# the commands that read only the first value of a comma-list flag
+_ONE_VALUE = {"--k": ("matrices", "probabilities", "oracle"),
+              "--u": ("matrices", "probabilities", "partition")}
+
+
+def _numbers(text, flag, command):
+    """The numbers of a comma-separated option value; each must be finite,
+    and there must be one where ``command`` reads one."""
     try:
         out = [float(t) for t in text.split(",")]
     except ValueError:
         raise DomainError(f"{flag} takes comma-separated numbers, got {text!r}") from None
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{flag} values must be finite, got {text!r}")
+    if len(out) > 1 and command in _ONE_VALUE[flag]:
+        raise DomainError(f"{command} reads one {flag} value, got {text!r}")
     return out
 
 
 def _config_from_args(args, command):
-    ks = _numbers(args.k, "--k") if args.k else [0.5]
+    ks = _numbers(args.k, "--k", command) if getattr(args, "k", None) else [0.5]
     u_values = None
     if getattr(args, "u", None):
-        u_values = _numbers(args.u, "--u")
+        u_values = _numbers(args.u, "--u", command)
         # every operator is 8K-periodic in u; far out, (u - gamma)/2 keeps only
         # the digits of u above its ulp
         for k in ks:
@@ -80,23 +88,11 @@ def _config_from_args(args, command):
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 < tol < math.inf:
         raise DomainError(f"--tol must be finite and > 0, got {tol}")
-    return RunConfig(
-        command=command,
-        builder=getattr(args, "builder", None),
-        graph_path=getattr(args, "graph", None),
-        ks=ks,
-        u_values=u_values,
-        u_level=getattr(args, "u_level", "doubleprime"),
-        u_count=getattr(args, "u_count", 4),
-        u_delta=getattr(args, "u_delta", None),
-        root=getattr(args, "root", None),
-        tol=tol,
-        out=getattr(args, "out", None),
-        oracle=getattr(args, "oracle", False),
-        budget=getattr(args, "budget", 2 ** 20),
-        seed=getattr(args, "seed", 0),
-        negative_control=getattr(args, "negative_control", False),
-    )
+    # a field the command has no flag for keeps its default
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    given.update(command=command, graph_path=getattr(args, "graph", None), ks=ks,
+                 u_values=u_values)
+    return RunConfig(**given)
 
 
 def _resolve_graph(cfg):
@@ -281,36 +277,36 @@ def build_parser():
                                              "verification toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph=True):
-        if graph:
-            sp.add_argument("graph", nargs="?", help="graph JSON path")
-            sp.add_argument("--builder", help="builder spec, e.g. square:3x3, hex")
-            sp.add_argument("--root", type=int, help="root midpoint vertex id")
-        sp.add_argument("--k", default="0.5", help="comma list of moduli")
-        sp.add_argument("--u", help="comma list of explicit spectral values")
-        sp.add_argument("--u-level", dest="u_level", default="doubleprime",
-                        choices=["base", "prime", "doubleprime"])
-        sp.add_argument("--u-count", dest="u_count", type=int, default=4)
-        sp.add_argument("--u-delta", dest="u_delta", type=float)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--oracle", action="store_true",
-                        help="enable brute-force cross checks")
-        sp.add_argument("--budget", type=int, default=2 ** 20,
-                        help="oracle size bound, exit 3 past it: frontier states "
-                             "summed over all steps, for every oracle")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--negative-control", dest="negative_control",
-                        action="store_true")
-
-    sp = sub.add_parser("gen", help="emit a builder graph as JSON")
-    sp.add_argument("--builder", default="square:2x2")
-    common(sp, graph=False)
-
-    for name in ("validate", "matrices", "verify", "partition",
-                 "probabilities", "oracle"):
-        sp = sub.add_parser(name)
-        common(sp)
+    flags = {
+        "graph": dict(nargs="?", help="graph JSON path"),
+        "--builder": dict(help="builder spec, e.g. square:3x3, hex"),
+        "--root": dict(type=int, help="root midpoint vertex id"),
+        "--k": dict(default="0.5", help="comma list of moduli"),
+        "--u": dict(help="comma list of explicit spectral values"),
+        "--u-level": dict(default="doubleprime", choices=["base", "prime", "doubleprime"]),
+        "--u-count": dict(type=int, default=4),
+        "--u-delta": dict(type=float),
+        "--tol": dict(type=float),
+        "--out": dict(help="output path"),
+        "--oracle": dict(action="store_true", help="enable brute-force cross checks"),
+        "--budget": dict(type=int, default=2 ** 20,
+                         help="oracle size bound, exit 3 past it: frontier states "
+                              "summed over all steps, for every oracle"),
+        "--seed": dict(type=int, default=0),
+        "--negative-control": dict(action="store_true"),
+    }
+    graph = ("graph", "--builder", "--root", "--out")
+    spectral = (*graph, "--k", "--u", "--u-level", "--u-delta")
+    commands = {"gen": ("--builder", "--out"), "validate": graph, "matrices": spectral,
+                "verify": (*graph, "--k", "--u", "--u-count", "--u-delta", "--tol", "--budget",
+                           "--seed", "--negative-control"),
+                "partition": (*spectral, "--tol", "--oracle", "--budget"),
+                "probabilities": spectral, "oracle": (*graph, "--k", "--budget")}
+    for name, names in commands.items():
+        sp = sub.add_parser(name, **({"help": "emit a builder graph as JSON"} if name == "gen"
+                                     else {}))
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
     return ap
 
 

@@ -12,8 +12,11 @@ Vertex keys used throughout:
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import BijectionError, IsoradialityError, OracleBudgetError, OrientationError
 from .isoradial import PlanarGraph
@@ -96,6 +99,11 @@ class FisherQuadriMap:
     white_of_a: dict = field(default_factory=dict)
 
 
+# G_Q by position (see QuadriGraph)
+QuadriVertices = namedtuple("QuadriVertices", "edge corner side pair")
+QuadriEdges = namedtuple("QuadriEdges", "black white kind phase")
+
+
 # a quadri vertex sits at the midpoint of its side, pulled this far toward the
 # centre of its rhombus
 _QUADRI_PULL = 0.25
@@ -114,6 +122,15 @@ class QuadriGraph:
     (half-sum convention) of the complex Kasteleyn matrix.  ``faces`` are the
     bounded faces of the straight-line embedding ``coords``, traced by
     ``PlanarGraph``; ``fisher`` holds the correspondence with the Fisher graph.
+
+    The graph by position, recorded while it is built (a rhombus edited
+    later is not seen): ``black_at`` and ``white_at`` hold for every black
+    and white, in key order, its rhombus (``edge``, an edge id, which is also
+    its position in the edge table), ``corner``, boundary-pair ``side`` ("l",
+    "r", or "" off the pairs) and that pair's position in
+    ``ig.boundary_pairs`` (``pair``, -1 off the pairs); the rows of ``lifts``
+    are the :meth:`black_lifts` of the blacks; ``edge_at`` holds the black
+    and white positions, ``kind`` and ``phase`` of every entry of ``edges``.
     """
 
     ig: object
@@ -121,8 +138,6 @@ class QuadriGraph:
     blacks: list = field(default_factory=list)
     whites: list = field(default_factory=list)
     edges: list = field(default_factory=list)
-    quad_of: dict = field(default_factory=dict)     # vertex -> edge id (its quadrangle)
-    corner_of: dict = field(default_factory=dict)
     pair_role: dict = field(default_factory=dict)   # edge_id -> ("l"|"r", BoundaryPair)
     boundary_quads: list = field(default_factory=list)  # edge ids of boundary rhombi
     coords: dict = field(default_factory=dict)
@@ -131,10 +146,11 @@ class QuadriGraph:
 
     def __post_init__(self):
         ig = self.ig
-        xy, fmap = ig.base.coords, self.fisher
-        for bp in ig.boundary_pairs:
+        xy, fmap, pair_at = ig.base.coords, self.fisher, {}
+        for n, bp in enumerate(ig.boundary_pairs):
             self.pair_role[bp.wl] = ("l", bp)
             self.pair_role[bp.wr] = ("r", bp)
+            pair_at[bp.wl] = pair_at[bp.wr] = n
 
         side_members = {}
         for eid in ig.edge_list():
@@ -145,8 +161,6 @@ class QuadriGraph:
                 q = ("q", eid, c)
                 v, f = {1: (r.v1, r.f1), 2: (r.v2, r.f1), 3: (r.v2, r.f2), 4: (r.v1, r.f2)}[c]
                 self.vertices.append(q)
-                self.quad_of[q] = eid
-                self.corner_of[q] = c
                 side_members.setdefault((v, f), []).append(q)
                 mid = 0.5 * (xy[v] + ig.face_centers[f])
                 self.coords[q] = mid + _QUADRI_PULL * (centre - mid)
@@ -186,15 +200,15 @@ class QuadriGraph:
             if (x in fmap.b_of_black) == (y in fmap.b_of_black):
                 raise OrientationError(f"external edge at side {s} not bicolored")
             blk, wht = (x, y) if x in fmap.b_of_black else (y, x)
-            eid = self.quad_of[blk]
+            _q, eid, corner = blk
             r = self.ig.rhombi[eid]
             role = self.pair_role.get(eid)
-            if role and role[0] == "l" and self.corner_of[blk] == 1:
+            if role and role[0] == "l" and corner == 1:
                 # swapped embedding: this external edge carries the half-sum phase
                 bp = role[1]
                 phase = 0.5 * (bp.alpha_l + bp.beta_l)
             else:
-                delta = r.alpha_bar if self.corner_of[blk] == 1 else r.alpha_bar + math.pi
+                delta = r.alpha_bar if corner == 1 else r.alpha_bar + math.pi
                 phase = delta - math.pi / 2
             self.edges.append((blk, wht, "ext", phase))
 
@@ -203,17 +217,32 @@ class QuadriGraph:
         self.whites.sort()
         self.faces = PlanarGraph(self.coords, [(x, y) for x, y, _, _ in self.edges]).faces
 
+        def by_position(keys):
+            eid = [q[1] for q in keys]
+            return QuadriVertices(np.array(eid, dtype=np.intp),
+                                  np.array([q[2] for q in keys], dtype=np.intp),
+                                  np.array([self.pair_role.get(e, ("",))[0] for e in eid]),
+                                  np.array([pair_at.get(e, -1) for e in eid], dtype=np.intp))
+
+        self.black_at, self.white_at = by_position(self.blacks), by_position(self.whites)
+        self.lifts = np.array(list(map(self.black_lifts, self.blacks)), dtype=float)
+        pos = {q: n for keys in (self.blacks, self.whites) for n, q in enumerate(keys)}
+        b, w, kind, phase = zip(*self.edges)
+        self.edge_at = QuadriEdges(np.array([pos[x] for x in b], dtype=np.intp),
+                                   np.array([pos[x] for x in w], dtype=np.intp),
+                                   np.array(kind), np.array(phase, dtype=float))
+
     def black_lifts(self, blk):
         """The lifts (a, b) of black ``blk``: alpha and beta of its rhombus
         at corner 1, both plus pi at corner 3, and the lifts of its side of
         the boundary pair on a pair rhombus."""
-        eid = self.quad_of[blk]
+        _q, eid, corner = blk
         role = self.pair_role.get(eid)
         if role is not None:
             bp = role[1]
             return (bp.alpha_l, bp.beta_l) if role[0] == "l" else (bp.alpha_r, bp.beta_r)
         r = self.ig.rhombi[eid]
-        if self.corner_of[blk] == 1:
+        if corner == 1:
             return r.alpha_bar, r.beta_bar
         return r.alpha_bar + math.pi, r.beta_bar + math.pi
 

@@ -106,8 +106,8 @@ class _Graph:
         qg, ig, xy, black_at = self.qg, self.ig, self.ig.base.coords, dict(matching)
         b1d = set(part["B1d"])
         inner = [(b, w) for b, w in zip(part["B1"], part["W1"]) if b not in b1d]
-        rh = [ig.rhombi[qg.quad_of[b]] for b, _w in inner]
-        if [r.edge_id for r in rh] != list(map(qg.quad_of.get, part["B2"])):
+        rh = [ig.rhombi[b[1]] for b, _w in inner]
+        if [r.edge_id for r in rh] != [b[1] for b in part["B2"]]:
             raise BijectionError("B2 and B1o are not paired rhombus by rhombus")
 
         def point(key):
@@ -376,9 +376,8 @@ def check_main_intertwiner(ws, u, tol=DEFAULT_TOL, negative_control=False,
         lhs = _perturb(lhs, seed)
     rhs = s_mat.dense() @ at.kdp.dense()
     r1 = _rel_inf(lhs, rhs)
-    inner = [i for i, b in enumerate(kq.rows)
-             if ws.qg.pair_role.get(ws.qg.quad_of[b]) is None]
-    if inner:
+    inner = np.flatnonzero(ws.qg.black_at.side == "")
+    if len(inner):
         lhs2 = (kq.dense() @ t_mat.dense())[inner]
         rhs2 = (s_mat.dense() @ at.kd.dense())[inner]
         r2 = _rel_inf(lhs2, rhs2)

@@ -317,39 +317,28 @@ def kq_inverse_formula(qg, dg, p, pairs=None):
     want = None if pairs is None else set(pairs)
     wanted = np.array([[want is None or (w, blk) in want for blk in blacks] for w in whites])
     m = op.edge_table(dg).at(p)
-    tab, kp, n_e = m.tab, p.kprime, len(m.tab.eids)
+    kp, n_e, blk, wht = p.kprime, len(m.tab.eids), qg.black_at, qg.white_at
 
     # per white: the modified matrix multiplies the boundary-pair edges by
     # sn(theta), so the inverse of KQ carries sn(theta)^(-1) on the central
     # boundary whites (the displayed corollary's sn(theta) does not match
     # the direct inverse)
-    sn_pref = np.ones(len(whites))
-    for n, wht in enumerate(whites):
-        role = qg.pair_role.get(qg.quad_of[wht])
-        if role is not None and role[0] == "l" and qg.corner_of[wht] == 2:
-            sn_pref[n] = 1.0 / m.sn_b[tab.bp_index[role[1].vc]]
+    sn_pref = np.where(wht.side == "l", 1.0 / m.sn_b[wht.pair], 1.0)
 
     # per black: its special values, the lift of its phase, its side of a
     # boundary pair ("" inside) and its theta, the edge's or (after the
     # edges) the pair's
-    hats, head, side, th, wcol = [], [], [], [], []
-    for blk in blacks:
-        a_bar, b_bar, u_hat, v_hat = kq_special_values(ig, p, blk, qg)
-        e = tab.epos[qg.quad_of[blk]]
-        role = qg.pair_role.get(qg.quad_of[blk])
-        hats.append((u_hat, v_hat))
-        side.append("" if role is None else role[0])
-        head.append(a_bar if side[-1] == "l" else b_bar)
-        th.append(e if role is None else n_e + tab.bp_index[role[1].vc])
-        wcol.append(e)
-    side, wcol = np.array(side), np.array(wcol)
+    hats = [kq_special_values(ig, p, b, qg)[2:] for b in blacks]
+    side, wcol = blk.side, blk.edge
+    head = np.where(side == "l", qg.lifts[:, 0], qg.lifts[:, 1])
+    th = np.where(side == "", wcol, n_e + blk.pair)
     inner = side == ""
     sn, cn, dn = (np.concatenate(x)[th] for x in ((m.sn_t, m.sn_b), (m.cn_t, m.cn_b),
                                                    (m.dn_t, m.dn_b)))
     # cn^2((K -+ theta)/2) = k'(1 +- sn)/(k' + dn), with 1 - sn = cn^2/(1 + sn)
     c_hat = np.sqrt(kp * (1.0 + sn) / (kp + dn))
     c_vhat = np.sqrt(kp * (cn * cn / (1.0 + sn)) / (kp + dn))
-    pref = (np.exp(0.5j * np.array(head)) * math.sqrt(kp) / np.sqrt(cn * sn)
+    pref = (np.exp(0.5j * head) * math.sqrt(kp) / np.sqrt(cn * sn)
             * np.where(inner, 0.5 * (1.0 + dn / kp), sn / np.where(side == "l", c_vhat, c_hat)))
 
     # the (black, weight) terms of the requested blacks, by special value

@@ -177,7 +177,7 @@ class EdgeTable:
 
     def __init__(self, ig):
         self.ig = weakref.proxy(ig)     # ig keeps its own table: no cycle back
-        self._mod = self._kq = None
+        self._mod = None
         self._specs = {}
         self._layouts = {}
         self.eids = ig.edge_list()
@@ -203,16 +203,16 @@ class EdgeTable:
         beta = self.beta = np.array([r.beta_bar for r in rh], dtype=float)
         bps = ig.boundary_pairs
         self.bp_theta = np.array([bp.theta_bar for bp in bps], dtype=float)
-        self.bp_index = {bp.vc: i for i, bp in enumerate(bps)}
+        bp_index = {bp.vc: i for i, bp in enumerate(bps)}
         self.pairs = [bp for bp in bps if not bp.is_root]
-        self.nr = _ints(self.bp_index[bp.vc] for bp in self.pairs)
-        self.rp = self.bp_index[ig.root]
-        bp_lifts = np.array([(bp.alpha_l, bp.beta_l, bp.alpha_r, bp.beta_r) for bp in bps],
-                            dtype=float).reshape(-1, 4).T
+        self.nr = _ints(bp_index[bp.vc] for bp in self.pairs)
+        self.rp = bp_index[ig.root]
+        self.bp_lifts = np.array([(bp.alpha_l, bp.beta_l, bp.alpha_r, bp.beta_r) for bp in bps],
+                                 dtype=float).reshape(-1, 4).T
         self.angles = np.unique(np.concatenate(
-            [alpha, beta, alpha + math.pi, beta + math.pi, beta - math.pi, *bp_lifts]))
+            [alpha, beta, alpha + math.pi, beta + math.pi, beta - math.pi, *self.bp_lifts]))
         # lifts of the non-root pairs and of the root pair
-        al, bl, ar, br = (self.ix(x) for x in bp_lifts)
+        al, bl, ar, br = (self.ix(x) for x in self.bp_lifts)
         self.p_al, self.p_bl, self.p_br = al[self.nr], bl[self.nr], br[self.nr]
         self.rp_ar, self.rp_br = ar[self.rp], br[self.rp]
 
@@ -269,29 +269,6 @@ class EdgeTable:
             self._specs[key] = _Spectral(self._mod, u)
         return self._specs[key]
 
-    def kq_layout(self, qg):
-        """Entry positions (black, white), edges, kinds and phases e^{i phi}
-        of the quadri Kasteleyn matrix of ``qg``, and the (entry, pair) of the
-        entries its boundary-pair variant scales by sn(theta), as two arrays;
-        kept for the latest ``qg``."""
-        if self._kq is None or self._kq[0] is not qg:
-            bpos = {b: n for n, b in enumerate(qg.blacks)}
-            wpos = {w: n for n, w in enumerate(qg.whites)}
-            i, j, e, kinds, phase, scaled = [], [], [], [], [], []
-            for n, (blk, wht, kind, phase_bar) in enumerate(qg.edges):
-                i.append(bpos[blk])
-                j.append(wpos[wht])
-                e.append(self.epos[qg.quad_of[blk]])
-                kinds.append(kind)
-                phase.append(2.0 * phase_bar)
-                role = qg.pair_role.get(qg.quad_of[blk])
-                if (role and qg.corner_of[blk] == 1
-                        and (role[0], kind) in (("l", "ext"), ("r", "bq"))):
-                    scaled.append((n, self.bp_index[role[1].vc]))
-            self._kq = (qg, (_ints(i), _ints(j), _ints(e), np.array(kinds),
-                             np.exp(0.5j * np.array(phase, dtype=float)),
-                             _ints(s for s, _p in scaled), _ints(p for _s, p in scaled)))
-        return self._kq[1]
 
 
 class _Layout:
@@ -352,11 +329,6 @@ class _Layout:
         return unit_gauge(self.unit())
 
     @cached_property
-    def bpos(self):
-        """The position of each black key."""
-        return {b: i for i, b in enumerate(self.blacks)}
-
-    @cached_property
     def gd_pos(self):
         """The position of each double-graph edge (white edge id, black key)."""
         eids, blacks = self.tab.eids, self.blacks
@@ -377,11 +349,16 @@ class _Layout:
 
     def st_layout(self, qg):
         """Positions and lifts of the S and T entries for the quadri graph
-        ``qg``; kept for the latest ``qg``.
+        ``qg``, gathered from its arrays; kept for the latest ``qg``.
 
         S has one entry per black of ``qg``, in order: lifts a, b, the lift c
-        of cn and of the phase e^{-ic/2}, the edge (the white's position),
-        the phase.  T: row and column positions, then for each kind of entry (0 at v:
+        (a at the left of a pair, else b) of cn and of the phase e^{-ic/2},
+        the edge (the white's position), the phase.  T has per white a v, then
+        an f entry at the Dirac slots of its edge: v2 and f1 at corner 2 and
+        at the central white of a pair (corner 2 of w_l, whose v2 is v_c and f1
+        is f_c), v1 and f2 at corner 4; none where the layout has no slot (a
+        rooted layout has none at the root, so none at the root pair's v_c).
+        T: row and column positions, then for each kind of entry (0 at v:
         e^{-ib/2} cn(u_b); 1 at f: e^{-i(b+pi)/2} cd(u_b - K); 2 and 3 at the
         central white of a pair: -i k' e^{-i alpha_r/2} sn(theta)
         nd(u_{alpha_r}) cd(u_{beta_r}) and e^{-i beta_l/2} cd(u_{beta_l})) its
@@ -389,41 +366,27 @@ class _Layout:
         """
         if self._st is not None and self._st[0] is qg:
             return self._st[1]
-        tab, ig, s, t = self.tab, qg.ig, [], []
-        for blk in qg.blacks:
-            eid = qg.quad_of[blk]
-            a, b = qg.black_lifts(blk)
-            role = qg.pair_role.get(eid)
-            c = a if role is not None and role[0] == "l" else b
-            s.append((a, b, c, tab.epos[eid]))
-        bpos = self.bpos
-        for n, wht in enumerate(qg.whites):
-            eid = qg.quad_of[wht]
-            r, role, corner = ig.rhombi[eid], qg.pair_role.get(eid), qg.corner_of[wht]
-            if role is not None and corner == 2 and role[0] == "l":
-                bp = role[1]
-                if not bp.is_root:
-                    t.append((n, bpos[vkey(bp.vc)], 2, bp.alpha_r, bp.beta_r,
-                              tab.bp_index[bp.vc]))
-                t.append((n, bpos[fkey(bp.fc)], 3, bp.beta_l, bp.beta_l, 0))
-                continue
-            v, f, b = (r.v2, r.f1, r.beta_bar) if corner == 2 else (
-                r.v1, r.f2, r.beta_bar + math.pi)
-            if not (self.rooted and v == ig.root):
-                t.append((n, bpos[vkey(v)], 0, b, b, 0))
-            t.append((n, bpos[fkey(f)], 1, b, b, 0))
-        sa, sb, sc, se = zip(*s)
-        t_i, t_j, kind, tx, ty, pair = zip(*t)
-        kind, tx, ty = _ints(kind), np.array(tx, dtype=float), np.array(ty, dtype=float)
-        groups = []
-        for k in range(4):
-            pos = np.flatnonzero(kind == k)
-            x = tx[pos]
-            groups.append((pos, tab.ix(x), tab.ix(ty[pos]), _ints(pair)[pos],
-                           np.exp(-0.5j * (x + math.pi if k == 1 else x))))
-        s_lay = (tab.ix(sa), tab.ix(sb), tab.ix(sc), _ints(se),
-                 np.exp(-0.5j * np.array(sc, dtype=float)))
-        self._st = (qg, (s_lay, (_ints(t_i), _ints(t_j), groups)))
+        tab, blk, wht = self.tab, qg.black_at, qg.white_at
+        sa, sb = qg.lifts.T
+        sc = np.where(blk.side == "l", sa, sb)
+        s_lay = (tab.ix(sa), tab.ix(sb), tab.ix(sc), blk.edge, np.exp(-0.5j * sc))
+
+        corner4, centre, pair = wht.corner == 4, wht.side == "l", wht.pair
+        slots = self.slot[wht.edge[:, None], np.where(corner4[:, None], [1, 3], [0, 2])]
+        on = slots >= 0
+        t_i, t_j = np.nonzero(on)[0], self.gd_j[slots[on]]
+        at = np.cumsum(on).reshape(on.shape) - 1          # the entry at each slot
+        beta = tab.beta[wht.edge]
+        b = np.where(corner4, beta + math.pi, beta)
+        _al, bl, ar, br = tab.bp_lifts[:, pair]
+
+        def group(whites, col, x, y, phase):
+            w = np.flatnonzero(whites & on[:, col])
+            return at[w, col], tab.ix(x[w]), tab.ix(y[w]), pair[w], np.exp(-0.5j * phase[w])
+
+        groups = [group(~centre, 0, b, b, b), group(~centre, 1, b, b, b + math.pi),
+                  group(centre, 0, ar, br, ar), group(centre, 1, bl, bl, bl)]
+        self._st = (qg, (s_lay, (t_i, t_j, groups)))
         return self._st[1]
 
 
@@ -760,25 +723,33 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
 # quadri Kasteleyn matrices
 # ---------------------------------------------------------------------------
 
+def _kq_weight(qg, w_sn, w_cn):
+    """Per entry of ``qg.edges``: the weight of its rhombus (from the arrays
+    of per-edge weights ``w_sn`` and ``w_cn``) on an sn or cn edge, else 1."""
+    kind, e = qg.edge_at.kind, qg.black_at.edge[qg.edge_at.black]
+    return np.where(kind == "sn", w_sn[e], np.where(kind == "cn", w_cn[e], 1.0))
+
+
 def kasteleyn_KQ(qg, ig, p):
     """Complex bipartite Kasteleyn matrix of the quadri graph (rows black).
 
     Edge weights: sn(theta) and cn(theta) on the quadrangle edges of their
     kind, 1 on external and boundary-quadrangle edges.
     """
-    m = edge_table(ig).at(p)
-    i, j, e, kinds, phase, _pos, _pair = m.tab.kq_layout(qg)
-    weight = np.where(kinds == "sn", m.sn_t[e], np.where(kinds == "cn", m.cn_t[e], 1.0))
-    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, phase * weight, "kasteleyn_KQ")
+    m, at = edge_table(ig).at(p), qg.edge_at
+    phase = np.exp(0.5j * (2.0 * at.phase))
+    return TypedSparseMatrix(qg.blacks, qg.whites, at.black, at.white,
+                             phase * _kq_weight(qg, m.sn_t, m.cn_t), "kasteleyn_KQ")
 
 
 def kq_bar_partial(qg, ig, p):
     """Modified matrix: boundary-pair edges (b_l, w_l), (b_r, w_r) x sn(theta)."""
     kq = kasteleyn_KQ(qg, ig, p)
-    m = edge_table(ig).at(p)
-    pos, pair = m.tab.kq_layout(qg)[5:]
+    m, at = edge_table(ig).at(p), qg.edge_at
+    side, kind = qg.black_at.side[at.black], at.kind
+    pos = np.flatnonzero(((side == "l") & (kind == "ext")) | ((side == "r") & (kind == "bq")))
     vals = kq.vals.copy()
-    vals[pos] = vals[pos] * m.sn_b[pair]
+    vals[pos] = vals[pos] * m.sn_b[qg.black_at.pair[at.black[pos]]]
     return TypedSparseMatrix(kq.rows, kq.cols, kq.i, kq.j, vals, "kq_bar_partial")
 
 
@@ -789,15 +760,13 @@ def kasteleyn_KQ_real(qg, ig, couplings, orientation):
     (primal-parallel) and 1/cosh(2J) (dual-parallel); external and boundary
     quadrangle edges have weight 1.
     """
-    tab = edge_table(ig)
-    i, j, e, kinds = tab.kq_layout(qg)[:4]
     # math.tanh and math.cosh, not numpy's: theirs differ from libm's in the last bit
-    two_j = [2.0 * couplings[x] for x in tab.eids]
+    two_j = [2.0 * couplings[x] for x in edge_table(ig).eids]
     tanh = np.array([math.tanh(x) for x in two_j])
     sech = np.array([1.0 / math.cosh(x) for x in two_j])
-    weight = np.where(kinds == "sn", tanh[e], np.where(kinds == "cn", sech[e], 1.0))
     sign = np.array([orientation[(blk, wht)] for blk, wht, _kind, _phase in qg.edges])
-    return TypedSparseMatrix(qg.blacks, qg.whites, i, j, sign * weight, "kasteleyn_KQ_real")
+    return TypedSparseMatrix(qg.blacks, qg.whites, qg.edge_at.black, qg.edge_at.white,
+                             sign * _kq_weight(qg, tanh, sech), "kasteleyn_KQ_real")
 
 
 def z_invariant_couplings(ig, p):

@@ -362,7 +362,7 @@ class ScalarOperators:
         p = self.p
         ent = {}
         for blk, wht, kind, phase_bar in qg.edges:
-            th = self._theta(qg.quad_of[blk])
+            th = self._theta(blk[1])
             weight = {"sn": el.sn(th, p), "cn": el.cn(th, p)}.get(kind, 1.0)
             ent[(blk, wht)] = cmath.exp(1j * phase_bar) * weight
         return ent
@@ -371,8 +371,8 @@ class ScalarOperators:
         p = self.p
         ent = self.kasteleyn_kq(qg)
         for blk, wht, kind, _ in qg.edges:
-            role = qg.pair_role.get(qg.quad_of[blk])
-            if role and qg.corner_of[blk] == 1 and (role[0], kind) in (("l", "ext"), ("r", "bq")):
+            role = qg.pair_role.get(blk[1])
+            if role and blk[2] == 1 and (role[0], kind) in (("l", "ext"), ("r", "bq")):
                 ent[(blk, wht)] *= el.sn(el.theta_transform(role[1].theta_bar, p), p)
         return ent
 
@@ -386,12 +386,12 @@ class ScalarOperators:
         ig, p = self.ig, self.p
         s_ent = {}
         for blk in qg.blacks:
-            eid = qg.quad_of[blk]
+            eid = blk[1]
             r = ig.rhombi[eid]
             th = self.ell(r.theta_bar)
             role = qg.pair_role.get(eid)
             if role is None:
-                shift = 0.0 if qg.corner_of[blk] == 1 else math.pi
+                shift = 0.0 if blk[2] == 1 else math.pi
                 a_bar, b_bar, c_bar = r.alpha_bar + shift, r.beta_bar + shift, r.beta_bar + shift
             elif role[0] == "r":
                 a_bar, b_bar = role[1].alpha_r, role[1].beta_r
@@ -405,10 +405,10 @@ class ScalarOperators:
                 * math.sqrt(el.sn(th, p) * el.cn(th, p) * el.nd(ua, p) * el.nd(ub, p)))
         t_ent = {}
         for wht in qg.whites:
-            eid = qg.quad_of[wht]
+            eid = wht[1]
             r = ig.rhombi[eid]
             role = qg.pair_role.get(eid)
-            corner = qg.corner_of[wht]
+            corner = wht[2]
             if role is not None and corner == 2 and role[0] == "l":
                 bp = role[1]
                 if not bp.is_root:

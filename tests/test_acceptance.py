@@ -203,7 +203,7 @@ def test_criterion_5_inverse_formulas():
         ok_blacks = []
         for blk in qg.blacks:
             _a, _b, uh, vh = inf.kq_special_values(ig, p, blk, qg)
-            needed = (uh,) if qg.pair_role.get(qg.quad_of[blk]) else (uh, vh)
+            needed = (uh,) if qg.pair_role.get(blk[1]) else (uh, vh)
             good = True
             for uu in needed:
                 try:

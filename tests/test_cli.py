@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -105,39 +106,66 @@ def test_excluded_doubleprime_u_is_an_input_error(capsys, args):
     assert "DomainError" in err and "excluded direction" in err and "doubleprime" in err
 
 
+def _mutated(rng, base, nudges=(1e-12, 1e-6, 1e-3, 0.1, 1.0)):
+    """A copy of the graph JSON ``base`` with one or two random mutations: a
+    vertex nudged, sent to an extreme value or onto another vertex; an edge
+    dropped, added or duplicated."""
+    data = json.loads(json.dumps(base))
+    verts, edges = data["vertices"], data["edges"]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(("nudge", "extreme", "coincide", "drop", "add", "duplicate"))
+        v = rng.choice(verts)
+        axis = rng.choice("xy")
+        if kind == "nudge":
+            v[axis] += rng.choice(nudges) * rng.choice((-1, 1))
+        elif kind == "extreme":
+            v[axis] = rng.choice((5e-324, -5e-324, 1e200, -1e200, 1e154, 0.0))
+        elif kind == "coincide":
+            w = rng.choice(verts)
+            v["x"], v["y"] = w["x"], w["y"]
+        elif kind == "drop" and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif kind == "add":
+            edges.append([v["id"], rng.choice(verts)["id"]])
+        elif kind == "duplicate" and edges:
+            a, b = rng.choice(edges)
+            edges.append(rng.choice(([a, b], [b, a])))
+    return data
+
+
 def test_validate_exit_codes_under_fuzzed_graphs(tmp_path, capsys):
     # mutated builder graphs are either valid (0) or an input error (2),
     # never an uncaught exception
     rng = random.Random(2024)
     bases = [json.loads(iso.dump_graph(iso.builder_graph(spec))) for spec in ("square:2x2", "hex")]
-    values = (5e-324, -5e-324, 1e200, -1e200, 1e154, 0.0)
     path = tmp_path / "g.json"
     codes = []
     for case in range(300):
-        data = json.loads(json.dumps(bases[case % 2]))
-        verts, edges = data["vertices"], data["edges"]
-        for _ in range(rng.randint(1, 2)):
-            kind = rng.choice(("nudge", "extreme", "coincide", "drop", "add", "duplicate"))
-            v = rng.choice(verts)
-            axis = rng.choice("xy")
-            if kind == "nudge":
-                v[axis] += rng.choice((1e-12, 1e-6, 1e-3, 0.1, 1.0)) * rng.choice((-1, 1))
-            elif kind == "extreme":
-                v[axis] = rng.choice(values)
-            elif kind == "coincide":
-                w = rng.choice(verts)
-                v["x"], v["y"] = w["x"], w["y"]
-            elif kind == "drop" and edges:
-                edges.pop(rng.randrange(len(edges)))
-            elif kind == "add":
-                edges.append([v["id"], rng.choice(verts)["id"]])
-            elif kind == "duplicate" and edges:
-                a, b = rng.choice(edges)
-                edges.append(rng.choice(([a, b], [b, a])))
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(_mutated(rng, bases[case % 2])))
         codes.append(run_cli(["validate", str(path), "--out", str(tmp_path / "v.json")]))
     capsys.readouterr()
     assert set(codes) <= {0, 2}
+    assert {0, 2} <= set(codes)
+
+
+def test_commands_exit_codes_under_fuzzed_graphs(tmp_path, capsys):
+    # past validate, every command keeps the exit-code contract on mutated
+    # graphs: 0, a failed check 1 (a 1e-9 nudge validates but moves the
+    # partition_function residual past its 1e-8 gate), an input error 2, an
+    # oracle past its budget 3; never an uncaught exception
+    rng = random.Random(2025)
+    bases = [json.loads(iso.dump_graph(iso.builder_graph(spec)))
+             for spec in ("square:2x2", "hex", "tripair")]
+    commands = (["matrices"], ["probabilities"], ["partition", "--oracle"], ["oracle"],
+                ["verify", "--u-count", "1"])
+    path, out = tmp_path / "g.json", str(tmp_path / "out")
+    codes = []
+    for case in range(60):
+        data = _mutated(rng, bases[case % 3], nudges=(1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0))
+        path.write_text(json.dumps(data))
+        codes += [run_cli([cmd, str(path), *rest, "--out", out]) for cmd, *rest in commands]
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2, 3}
     assert {0, 2} <= set(codes)
 
 
@@ -343,3 +371,46 @@ def test_console_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["radius"] == 2.0
+
+
+@pytest.mark.parametrize("args", [
+    ["matrices", "--k", "0.3,0.6"], ["matrices", "--u", "1.0,2.0"],
+    ["probabilities", "--k", "0.3,0.6"], ["probabilities", "--u", "1.0,2.0"],
+    ["oracle", "--k", "0.3,0.6"], ["partition", "--u", "1.0,2.0"],
+], ids=lambda a: "-".join(a[:2]))
+def test_a_second_value_where_one_is_read_is_an_input_error(capsys, args):
+    command, flag = args[0], args[1]
+    assert run_cli([*args, "--builder", "square:2x2"]) == 2
+    assert f"DomainError: {command} reads one {flag} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--k", "abc"], ["gen", "--root", "1"], ["validate", "--k", "0.5"],
+    *(["probabilities", "--builder", "square:1x1", *flag] for flag in (
+        ["--negative-control"], ["--oracle"], ["--seed", "3"], ["--tol", "1e-30"],
+        ["--budget", "1"], ["--u-count", "9"])),
+    ["matrices", "--u-count", "4"], ["partition", "--u-count", "100"],
+    ["partition", "--seed", "1"], ["oracle", "--u", "1.0"], ["oracle", "--tol", "1e-8"],
+    ["verify", "--u-level", "prime"], ["verify", "--oracle"],
+], ids=" ".join)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # every line of the sh block under "## CLI" in README.md exits 0
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words[1:] for words in lines if words and words[0] == "isodimer"]
+    assert len(lines) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run_cli(argv) == 0, argv
+    capsys.readouterr()

@@ -54,7 +54,7 @@ def test_quadri_structure(ig_1x1, ig_2x2):
     assert len(qg1.vertices) == 16 and len(qg1.edges) == 16
     qg2 = der.build_quadri(ig_2x2)
     # one quadrangle per primal edge
-    assert len({qg2.quad_of[q] for q in qg2.vertices}) == len(ig_2x2.edge_list())
+    assert len({q[1] for q in qg2.vertices}) == len(ig_2x2.edge_list())
     # every external edge joins opposite colors
     blacks = set(qg2.blacks)
     for x, y, kind, _ in qg2.edges:
@@ -333,11 +333,11 @@ def test_quadri_faces_match_the_walk():
 def _scanned_fisher_map(qg):
     """Reference: the Fisher correspondence by a pass over the quadri vertices."""
     ig = qg.ig
-    side_of = {q: _corner_side(ig.rhombi[qg.quad_of[q]], qg.corner_of[q]) for q in qg.vertices}
+    side_of = {q: _corner_side(ig.rhombi[q[1]], q[2]) for q in qg.vertices}
     maps = {"b_of_black": {}, "black_of_b": {}, "a_of_black": {}, "a_of_white": {},
             "white_of_a": {}}
     for blk in qg.blacks:
-        eid, (v, f) = qg.quad_of[blk], side_of[blk]
+        eid, (v, f) = blk[1], side_of[blk]
         maps["b_of_black"][blk] = ("b", f, eid)
         maps["black_of_b"][("b", f, eid)] = blk
         maps["a_of_black"][blk] = ("a", f, v)
@@ -365,19 +365,19 @@ def _crossing_partition(qg, matching):
     crossing = {}
     for x, y, kind, _ in qg.edges:
         if kind in ("sn", "cn", "bq"):
-            r = ig.rhombi[qg.quad_of[x]]
-            pair = tuple(sorted((qg.corner_of[x], qg.corner_of[y])))
+            r = ig.rhombi[x[1]]
+            pair = tuple(sorted((x[2], y[2])))
             black_gd = {(1, 2): der.fkey(r.f1), (3, 4): der.fkey(r.f2),
                         (1, 4): der.vkey(r.v1), (2, 3): der.vkey(r.v2)}[pair]
-            crossing[(qg.quad_of[x], black_gd)] = (x, y)
+            crossing[(x[1], black_gd)] = (x, y)
     part = {"B1": [], "B2": [], "W1": [], "W2": [], "B1d": [], "W1d": []}
     for w, black in matching:
         b1, w1 = crossing[(w, black)]
         part["B1"].append(b1)
         part["W1"].append(w1)
         for q in qg.vertices:
-            if qg.quad_of[q] == w and q not in (b1, w1):
-                part["B2" if qg.corner_of[q] in (1, 3) else "W2"].append(q)
+            if q[1] == w and q not in (b1, w1):
+                part["B2" if q[2] in (1, 3) else "W2"].append(q)
     for eid in qg.boundary_quads:
         part["B1"].append(("q", eid, 1))
         part["W1"].append(("q", eid, 2))

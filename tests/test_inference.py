@@ -433,7 +433,7 @@ def test_kq_inverse_formula(ig_1x1, ig_2x2, ig_hex):
         ok_blacks = []
         for blk in qg.blacks:
             _a, _b, uh, vh = inf.kq_special_values(ig, p, blk, qg)
-            needed = (uh,) if qg.pair_role.get(qg.quad_of[blk]) else (uh, vh)
+            needed = (uh,) if qg.pair_role.get(blk[1]) else (uh, vh)
             good = True
             for uu in needed:
                 try:
@@ -800,7 +800,7 @@ def test_gf_probabilities_and_example_relations(ig_2x2, params_half):
             continue
         a_prev, a_next = fg.triangles[b]
         blk = fqm.black_of_b[b]
-        th = ig.rhombi[qg.quad_of[blk]].theta_bar
+        th = ig.rhombi[blk[1]].theta_bar
         import isodimer.elliptic as el
 
         tanh2j = el.sn(el.theta_transform(th, p), p)

@@ -976,7 +976,7 @@ def _kq_real_walk(qg, couplings, orientation):
         if kind in ("ext", "bq"):
             w = 1.0
         else:
-            j = couplings[qg.quad_of[blk]]
+            j = couplings[blk[1]]
             w = math.tanh(2.0 * j) if kind == "sn" else 1.0 / math.cosh(2.0 * j)
         ent[(blk, wht)] = orientation[(blk, wht)] * w
     return op.TypedSparseMatrix.of(tuple(qg.blacks), tuple(qg.whites), ent,
@@ -1026,3 +1026,116 @@ def test_gathered_builders_match_graph_walks(monkeypatch):
             couplings = op.z_invariant_couplings(ig, p)
             _assert_same_bits(op.kasteleyn_KQ_real(qg, ig, couplings, eps_q),
                               _kq_real_walk(qg, couplings, eps_q), what)
+
+
+# ---------------------------------------------------------------------------
+# the quadri graph by position against the pair-rule walks it replaced
+# ---------------------------------------------------------------------------
+
+def _kq_layout_walk(tab, qg):
+    """Reference: entry positions (black, white), edges, kinds and phases
+    e^{i phi} of the quadri Kasteleyn matrix, and the (entry, pair) of the
+    entries its boundary-pair variant scales by sn(theta), walked over the
+    edges of ``qg`` with the pair rule read from ``pair_role``."""
+    bpos = {b: n for n, b in enumerate(qg.blacks)}
+    wpos = {w: n for n, w in enumerate(qg.whites)}
+    bp_index = {bp.vc: n for n, bp in enumerate(qg.ig.boundary_pairs)}
+    i, j, e, kinds, phase, scaled = [], [], [], [], [], []
+    for n, (blk, wht, kind, phase_bar) in enumerate(qg.edges):
+        i.append(bpos[blk])
+        j.append(wpos[wht])
+        e.append(tab.epos[blk[1]])
+        kinds.append(kind)
+        phase.append(2.0 * phase_bar)
+        role = qg.pair_role.get(blk[1])
+        if role and blk[2] == 1 and (role[0], kind) in (("l", "ext"), ("r", "bq")):
+            scaled.append((n, bp_index[role[1].vc]))
+    ints = op._ints
+    return (ints(i), ints(j), ints(e), np.array(kinds),
+            np.exp(0.5j * np.array(phase, dtype=float)),
+            ints(s for s, _p in scaled), ints(p for _s, p in scaled))
+
+
+def _st_layout_walk(lay, qg):
+    """Reference: the S and T layout of ``_Layout.st_layout``, walked over
+    the keys of ``qg`` with the pair rule read from ``pair_role`` and the
+    blacks found by key."""
+    tab, ig, s, t = lay.tab, qg.ig, [], []
+    bpos = {b: n for n, b in enumerate(lay.blacks)}
+    bp_index = {bp.vc: n for n, bp in enumerate(ig.boundary_pairs)}
+    for blk in qg.blacks:
+        a, b = qg.black_lifts(blk)
+        role = qg.pair_role.get(blk[1])
+        c = a if role is not None and role[0] == "l" else b
+        s.append((a, b, c, tab.epos[blk[1]]))
+    for n, wht in enumerate(qg.whites):
+        eid, corner = wht[1], wht[2]
+        r, role = ig.rhombi[eid], qg.pair_role.get(eid)
+        if role is not None and corner == 2 and role[0] == "l":
+            bp = role[1]
+            if not bp.is_root:
+                t.append((n, bpos[vkey(bp.vc)], 2, bp.alpha_r, bp.beta_r, bp_index[bp.vc]))
+            t.append((n, bpos[fkey(bp.fc)], 3, bp.beta_l, bp.beta_l, 0))
+            continue
+        v, f, b = (r.v2, r.f1, r.beta_bar) if corner == 2 else (r.v1, r.f2, r.beta_bar + math.pi)
+        if not (lay.rooted and v == ig.root):
+            t.append((n, bpos[vkey(v)], 0, b, b, 0))
+        t.append((n, bpos[fkey(f)], 1, b, b, 0))
+    sa, sb, sc, se = zip(*s)
+    t_i, t_j, kind, tx, ty, pair = zip(*t)
+    kind, tx, ty = op._ints(kind), np.array(tx, dtype=float), np.array(ty, dtype=float)
+    groups = []
+    for k in range(4):
+        pos = np.flatnonzero(kind == k)
+        x = tx[pos]
+        groups.append((pos, tab.ix(x), tab.ix(ty[pos]), op._ints(pair)[pos],
+                       np.exp(-0.5j * (x + math.pi if k == 1 else x))))
+    s_lay = (tab.ix(sa), tab.ix(sb), tab.ix(sc), op._ints(se),
+             np.exp(-0.5j * np.array(sc, dtype=float)))
+    return s_lay, (op._ints(t_i), op._ints(t_j), groups)
+
+
+def test_quadri_arrays_match_the_pair_rule_walks(monkeypatch):
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = get_graph(spec)
+        qg, dg, tab = der.build_quadri(ig), der.build_double(ig), op.edge_table(ig)
+        # the arrays state pair_role, the keys, black_lifts and edges by position
+        assert tab.eids == list(range(len(tab.eids))), spec
+        for keys, at in ((qg.blacks, qg.black_at), (qg.whites, qg.white_at)):
+            roles = [qg.pair_role.get(q[1]) for q in keys]
+            assert at.edge.tolist() == [q[1] for q in keys], spec
+            assert at.corner.tolist() == [q[2] for q in keys], spec
+            assert at.side.tolist() == ["" if r is None else r[0] for r in roles], spec
+            assert at.pair.tolist() == [-1 if r is None else ig.boundary_pairs.index(r[1])
+                                        for r in roles], spec
+        lifts = np.array([qg.black_lifts(b) for b in qg.blacks], dtype=float)
+        assert qg.lifts.tobytes() == lifts.tobytes(), spec
+        at = qg.edge_at
+        assert list(zip(map(qg.blacks.__getitem__, at.black.tolist()),
+                        map(qg.whites.__getitem__, at.white.tolist()),
+                        at.kind.tolist(), at.phase.tolist())) == qg.edges, spec
+
+        for k in (0.3, 0.6, 0.9):
+            what = (spec, k)
+            p = complete_integrals(k)
+            m = tab.at(p)
+            i, j, e, kinds, phase, pos, pair = _kq_layout_walk(tab, qg)
+            weight = np.where(kinds == "sn", m.sn_t[e], np.where(kinds == "cn", m.cn_t[e], 1.0))
+            kq = op.TypedSparseMatrix(qg.blacks, qg.whites, i, j, phase * weight, "kasteleyn_KQ")
+            _assert_same_bits(op.kasteleyn_KQ(qg, ig, p), kq, what)
+            vals = kq.vals.copy()
+            vals[pos] = vals[pos] * m.sn_b[pair]
+            _assert_same_bits(op.kq_bar_partial(qg, ig, p),
+                              op.TypedSparseMatrix(qg.blacks, qg.whites, i, j, vals,
+                                                   "kq_bar_partial"), what)
+            for level in ("prime", "doubleprime"):
+                for u in iso.admissible_u(ig, p, level, delta=p.bigK / 16, count=2):
+                    got = op.s_t_matrices(qg, dg, p, u)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(op._Layout, "st_layout", _st_layout_walk)
+                        want = op.s_t_matrices(qg, dg, p, u)
+                    for g, w in zip(got, want):
+                        _assert_same_bits(g, w, (*what, level, u))

@@ -92,6 +92,25 @@ def test_operators_never_names_graph_hash():
     assert not found, found
 
 
+def test_one_owner_for_the_pair_rule():
+    # which corner a quadri vertex sits at and which side of a boundary pair
+    # it lies on: derived records both by position, every other module reads
+    # those arrays
+    from isodimer import operators as op
+
+    found = {}
+    for name, tree in _package_trees():
+        banned = {"quad_of", "corner_of", "kq_layout"} | (
+            set() if name == "derived.py" else {"pair_role"})
+        hits = banned & {n for node in ast.walk(tree)
+                         for n in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "value", None), getattr(node, "name", None))}
+        if hits:
+            found[name] = sorted(hits)
+    assert not found, found
+    assert not hasattr(op._Layout, "bpos")
+
+
 def test_isoradial_graph_derived_once(monkeypatch):
     # make_isoradial splits the boundary edges of the graph it is given
     # rather than deriving the split graph again
