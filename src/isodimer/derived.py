@@ -100,7 +100,7 @@ class FisherQuadriMap:
 
 
 # G_Q by position (see QuadriGraph)
-QuadriVertices = namedtuple("QuadriVertices", "edge corner side pair")
+QuadriVertices = namedtuple("QuadriVertices", "edge corner side pair fisher_b fisher_a")
 QuadriEdges = namedtuple("QuadriEdges", "black white kind phase")
 
 
@@ -128,9 +128,12 @@ class QuadriGraph:
     and white, in key order, its rhombus (``edge``, an edge id, which is also
     its position in the edge table), ``corner``, boundary-pair ``side`` ("l",
     "r", or "" off the pairs) and that pair's position in
-    ``ig.boundary_pairs`` (``pair``, -1 off the pairs); the rows of ``lifts``
-    are the :meth:`black_lifts` of the blacks; ``edge_at`` holds the black
-    and white positions, ``kind`` and ``phase`` of every entry of ``edges``.
+    ``ig.boundary_pairs`` (``pair``, -1 off the pairs), and the positions in
+    the Fisher graph's ``vertices()`` of the B ("b", f, e) and the A
+    ("a", f, v) of its side (v, f) (``fisher_b``, ``fisher_a``: both graphs
+    sort their keys from ``ig`` alone); the rows of ``lifts`` are the
+    :meth:`black_lifts` of the blacks; ``edge_at`` holds the black and white
+    positions, ``kind`` and ``phase`` of every entry of ``edges``.
     """
 
     ig: object
@@ -152,7 +155,7 @@ class QuadriGraph:
             self.pair_role[bp.wr] = ("r", bp)
             pair_at[bp.wl] = pair_at[bp.wr] = n
 
-        side_members = {}
+        side_members, fisher_of = {}, {}
         for eid in ig.edge_list():
             r = ig.rhombi[eid]
             corners = (1, 2) if r.f2 is None else (1, 2, 3, 4)
@@ -162,17 +165,15 @@ class QuadriGraph:
                 v, f = {1: (r.v1, r.f1), 2: (r.v2, r.f1), 3: (r.v2, r.f2), 4: (r.v1, r.f2)}[c]
                 self.vertices.append(q)
                 side_members.setdefault((v, f), []).append(q)
+                b_key, a_key = fisher_of[q] = ("b", f, eid), ("a", f, v)
                 mid = 0.5 * (xy[v] + ig.face_centers[f])
                 self.coords[q] = mid + _QUADRI_PULL * (centre - mid)
                 if c in (1, 3):
                     self.blacks.append(q)
-                    fmap.b_of_black[q] = ("b", f, eid)
-                    fmap.black_of_b[("b", f, eid)] = q
-                    fmap.a_of_black[q] = ("a", f, v)
+                    fmap.b_of_black[q], fmap.black_of_b[b_key], fmap.a_of_black[q] = b_key, q, a_key
                 else:
                     self.whites.append(q)
-                    fmap.a_of_white[q] = ("a", f, v)
-                    fmap.white_of_a[("a", f, v)] = q
+                    fmap.a_of_white[q], fmap.white_of_a[a_key] = a_key, q
 
             # quadrangle edges
             t = {c: ("q", eid, c) for c in corners}
@@ -217,12 +218,19 @@ class QuadriGraph:
         self.whites.sort()
         self.faces = PlanarGraph(self.coords, [(x, y) for x, y, _, _ in self.edges]).faces
 
+        # the Fisher graph lists its B vertices, then its A vertices, each sorted
+        b_keys, a_keys = (sorted(set(keys)) for keys in zip(*fisher_of.values()))
+        fisher_pos = {x: n for n, x in enumerate(b_keys + a_keys)}
+
         def by_position(keys):
             eid = [q[1] for q in keys]
+            b, a = zip(*(fisher_of[q] for q in keys))
             return QuadriVertices(np.array(eid, dtype=np.intp),
                                   np.array([q[2] for q in keys], dtype=np.intp),
                                   np.array([self.pair_role.get(e, ("",))[0] for e in eid]),
-                                  np.array([pair_at.get(e, -1) for e in eid], dtype=np.intp))
+                                  np.array([pair_at.get(e, -1) for e in eid], dtype=np.intp),
+                                  np.array([fisher_pos[x] for x in b], dtype=np.intp),
+                                  np.array([fisher_pos[x] for x in a], dtype=np.intp))
 
         self.black_at, self.white_at = by_position(self.blacks), by_position(self.whites)
         self.lifts = np.array(list(map(self.black_lifts, self.blacks)), dtype=float)
@@ -255,6 +263,12 @@ def build_quadri(ig):
 # Fisher graph
 # ---------------------------------------------------------------------------
 
+# the Fisher graph by position (see FisherGraph)
+FisherEdges = namedtuple("FisherEdges", "x y eps edge")
+FisherTriangles = namedtuple("FisherTriangles", "prev next eps_prev eps_next edge opp")
+FisherCycles = namedtuple("FisherCycles", "ptr a eps")
+
+
 @dataclass
 class FisherGraph:
     """Fisher decorations over the restricted dual.
@@ -265,6 +279,14 @@ class FisherGraph:
     are (a_j, a_{j+1}, b_j) in CCW face order.  External edges join the two
     B-vertices of an inner primal edge; boundary B-vertices (on face edges
     that lie on the outer boundary) have no external edge.
+
+    The graph by position in ``vertices()``, recorded while it is built:
+    ``internal_at`` and ``external_at`` hold the ends ``x``, ``y``, ``eps`` =
+    eps(x, y) and primal ``edge`` (-1 if internal) of every listed edge;
+    ``triangle_at`` each B's ``prev`` and ``next`` A, ``eps_prev`` = eps(b,
+    a_prev), ``eps_next`` = eps(b, a_next), primal ``edge`` and the B across
+    its external edge (``opp``, -1 at a boundary B); ``cycle_at`` the cycles
+    of ``a_cycle`` at ``a[ptr[f]:ptr[f + 1]]``, with the ``eps`` of each step.
     """
 
     ig: object
@@ -291,15 +313,11 @@ class FisherGraph:
             rho = min(
                 abs(0.5 * (ig.base.coords[cyc[i]] + ig.base.coords[cyc[(i + 1) % n]]) - c)
                 for i in range(n))
-            a_keys = []
-            for i in range(n):
-                v = cyc[i]
-                key = ("a", fi, v)
-                a_keys.append(key)
-                self.a_vertices.append(key)
+            a_keys = self.a_cycle[fi] = [("a", fi, v) for v in cyc]
+            self.a_vertices += a_keys
+            for key, v in zip(a_keys, cyc):
                 self.coords[key] = c + 0.30 * rho * (ig.base.coords[v] - c) / abs(
                     ig.base.coords[v] - c)
-            self.a_cycle[fi] = a_keys
             for i in range(n):
                 v_a, v_b = cyc[i], cyc[(i + 1) % n]
                 eid = edge_ids[(min(v_a, v_b), max(v_a, v_b))]
@@ -309,9 +327,7 @@ class FisherGraph:
                 self.coords[bkey] = c + 0.60 * rho * (mid - c) / abs(mid - c)
                 a_prev, a_next = a_keys[i], a_keys[(i + 1) % n]
                 self.triangles[bkey] = (a_prev, a_next)
-                self.internal_edges.append((a_prev, a_next))
-                self.internal_edges.append((bkey, a_prev))
-                self.internal_edges.append((bkey, a_next))
+                self.internal_edges += [(a_prev, a_next), (bkey, a_prev), (bkey, a_next)]
                 r = ig.rhombi[eid]
                 if r.f2 is None:
                     self.boundary_b.add(bkey)
@@ -327,12 +343,37 @@ class FisherGraph:
         self.b_vertices.sort()
 
         # the faces of the straight-line embedding, then a Kasteleyn orientation
-        all_edges = [(x, y) for x, y in self.internal_edges] + [
-            (x, y) for x, y, _ in self.external_edges]
+        all_edges = [e[:2] for e in self.internal_edges + self.external_edges]
         self.faces = PlanarGraph(self.coords, all_edges).faces
-        self.orientation = kasteleyn_orient(
+        self.orientation = eps = kasteleyn_orient(
             sorted(self.coords), [tuple(sorted(e, key=str)) for e in all_edges],
             self.faces)
+
+        pos = {x: n for n, x in enumerate(self.vertices())}
+
+        def at(keys):
+            return np.array([pos[x] for x in keys], dtype=np.intp)
+
+        def edges_at(edges):
+            return FisherEdges(at(e[0] for e in edges), at(e[1] for e in edges),
+                               np.array([eps[e[:2]] for e in edges], dtype=int),
+                               np.array([e[2] if len(e) == 3 else -1 for e in edges],
+                                        dtype=np.intp))
+
+        self.internal_at = edges_at(self.internal_edges)
+        self.external_at = edges_at(self.external_edges)
+        tri = [self.triangles[b] for b in self.b_vertices]
+        self.triangle_at = FisherTriangles(
+            at(a for a, _ in tri), at(a for _, a in tri),
+            np.array([eps[b, a] for b, (a, _) in zip(self.b_vertices, tri)], dtype=int),
+            np.array([eps[b, a] for b, (_, a) in zip(self.b_vertices, tri)], dtype=int),
+            np.array([b[2] for b in self.b_vertices], dtype=np.intp),
+            np.array([pos[self.ext_of_b[b][0]] if b in self.ext_of_b else -1
+                      for b in self.b_vertices], dtype=np.intp))
+        steps = [(c[i], c[(i + 1) % len(c)]) for c in self.a_cycle.values() for i in range(len(c))]
+        self.cycle_at = FisherCycles(np.cumsum([0] + [len(c) for c in self.a_cycle.values()]),
+                                     at(a for a, _ in steps),
+                                     np.array([eps[s] for s in steps], dtype=int))
 
     def vertices(self):
         return self.b_vertices + self.a_vertices
@@ -341,16 +382,13 @@ class FisherGraph:
         return self.orientation[(x, y)]
 
     def degree_check(self):
-        deg_int = {}
-        for x, y in self.internal_edges:
-            deg_int[x] = deg_int.get(x, 0) + 1
-            deg_int[y] = deg_int.get(y, 0) + 1
-        for a in self.a_vertices:
-            if deg_int.get(a) != 4:
-                raise IsoradialityError(f"A-vertex {a} internal degree {deg_int.get(a)}")
-        for b in self.b_vertices:
-            if deg_int.get(b) != 2:
-                raise IsoradialityError(f"B-vertex {b} internal degree {deg_int.get(b)}")
+        """Internal degree 2 at every B vertex and 4 at every A vertex."""
+        it, nb, na = self.internal_at, len(self.b_vertices), len(self.a_vertices)
+        deg = np.bincount(np.concatenate((it.x, it.y)), minlength=nb + na)
+        bad = np.flatnonzero(deg != np.repeat([2, 4], (nb, na)))
+        if len(bad):
+            raise IsoradialityError(f"vertex {self.vertices()[bad[0]]} internal degree "
+                                    f"{deg[bad[0]]}")
 
 
 def build_fisher(ig):
@@ -365,95 +403,56 @@ def build_fisher(ig):
 def kasteleyn_orient(vertices, edges, faces):
     """Edge orientation with every bounded face clockwise odd.
 
-    Orients a spanning tree arbitrarily, then fixes the remaining edges face
-    by face (each step a face with exactly one undecided edge is resolved).
-    Returns the antisymmetric sign map (x, y) -> +-1.
+    Orients a BFS spanning tree from the str-smallest vertex away from it,
+    then fixes the remaining edges face by face (each step a face with
+    exactly one undecided edge is resolved).  Returns the antisymmetric sign
+    map (x, y) -> +-1.
     """
-    vs = list(vertices)
-    es = [tuple(e) for e in edges]
+    vs, es = list(vertices), [tuple(e) for e in edges]
     adj = {}
     for i, (x, y) in enumerate(es):
         adj.setdefault(x, []).append((y, i))
         adj.setdefault(y, []).append((x, i))
-    # spanning tree by BFS from the smallest vertex
     root = min(vs, key=str)
-    seen = {root}
-    tree = set()
-    queue = [root]
-    while queue:
-        x = queue.pop(0)
+    seen, queue, orient = {root}, [root], {}     # orient: edge index -> (tail, head)
+    for x in queue:
         for y, i in sorted(adj.get(x, []), key=lambda t: (str(t[0]), t[1])):
             if y not in seen:
                 seen.add(y)
-                tree.add(i)
+                orient[i] = es[i]
                 queue.append(y)
     if len(seen) != len(vs):
         raise IsoradialityError("graph is not connected")
-    orient = {}
-    for i in sorted(tree):
-        x, y = es[i]
-        orient[i] = (x, y)
-
-    face_edges = []
-    eindex = {}
-    for i, (x, y) in enumerate(es):
-        eindex[(x, y)] = i
-        eindex[(y, x)] = i
-    for f in faces:
-        idxs = []
-        for j in range(len(f)):
-            idxs.append(eindex[(f[j], f[(j + 1) % len(f)])])
-        face_edges.append(idxs)
-
-    done_faces = set()
-    progress = True
+    eindex = {p: i for i, (x, y) in enumerate(es) for p in ((x, y), (y, x))}
+    done, progress = set(), True
     while progress:
         progress = False
-        for fi in range(len(faces)):
-            if fi in done_faces:
+        for fi, f in enumerate(faces):
+            if fi in done:
                 continue
-            idxs = face_edges[fi]
-            missing = [i for i in idxs if i not in orient]
+            cw = [(f[(j + 1) % len(f)], f[j]) for j in range(len(f))]   # the CCW cycle reversed
+            missing = [p for p in cw if eindex[p] not in orient]
             if len(missing) != 1:
                 continue
-            f = faces[fi]
-            # count clockwise-co-oriented edges (traverse the CCW cycle reversed)
-            cw_pairs = [(f[(j + 1) % len(f)], f[j]) for j in range(len(f))]
-            n_co = 0
-            missing_pair = None
-            for (x, y) in cw_pairs:
-                i = eindex[(x, y)]
-                if i in orient:
-                    if orient[i] == (x, y):
-                        n_co += 1
-                else:
-                    missing_pair = (x, y)
-            i = missing[0]
-            orient[i] = missing_pair if n_co % 2 == 0 else (missing_pair[1], missing_pair[0])
-            done_faces.add(fi)
+            # the missing edge runs clockwise iff an even count of the others does
+            n_co = sum(orient.get(eindex[p]) == p for p in cw)
+            orient[eindex[missing[0]]] = missing[0] if n_co % 2 == 0 else missing[0][::-1]
+            done.add(fi)
             progress = True
-    still = [i for i in range(len(es)) if i not in orient]
-    if still:
-        raise OrientationError(f"{len(still)} edges left unoriented")
+    if len(orient) != len(es):
+        raise OrientationError(f"{len(es) - len(orient)} edges left unoriented")
     eps = {}
     for i, (x, y) in enumerate(es):
-        if orient[i] == (x, y):
-            eps[(x, y)], eps[(y, x)] = 1, -1
-        else:
-            eps[(x, y)], eps[(y, x)] = -1, 1
-    # verify
+        sign = 1 if orient[i] == (x, y) else -1
+        eps[(x, y)], eps[(y, x)] = sign, -sign
     check_clockwise_odd(eps, faces)
     return eps
 
 
 def check_clockwise_odd(eps, faces):
     for f in faces:
-        n_co = 0
-        for j in range(len(f)):
-            x, y = f[(j + 1) % len(f)], f[j]   # clockwise traversal
-            if eps[(x, y)] == 1:
-                n_co += 1
-        if n_co % 2 != 1:
+        # clockwise traversal
+        if sum(eps[f[(j + 1) % len(f)], f[j]] == 1 for j in range(len(f))) % 2 != 1:
             raise OrientationError(f"face {f} is not clockwise odd")
 
 

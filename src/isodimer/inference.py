@@ -409,8 +409,8 @@ def kf_inverse_formula(fg, qg, couplings, pairs=None):
 
     a_all, b_all = range(nb, len(verts)), range(nb)
     a_rows, b_rows = ([n for n in vs if pairs is None or verts[n] in pairs] for vs in (a_all, b_all))
-    inner = [n for n in b_all if verts[n] not in fg.boundary_b]
-    boundary = [n for n in b_all if verts[n] in fg.boundary_b]
+    opp = fg.triangle_at.opp        # -1 at a boundary B
+    inner, boundary = np.flatnonzero(opp >= 0).tolist(), np.flatnonzero(opp < 0).tolist()
     return {"case1": listing(a_rows, inner), "case2": listing(a_rows, boundary),
             "case3": listing(a_rows, a_all), "case4": listing(b_rows, inner)}
 
@@ -423,24 +423,24 @@ def dotsenko_residuals(fg, qg, couplings, n_samples=50, seed=7):
     sech 2J at the ext, sn and cn whites.  The sampled A avoids the
     decorations of a1, a2 and a3.
     """
-    inner = [b for b in fg.b_vertices if b not in fg.boundary_b]
-    if not inner:
+    inner = np.flatnonzero(fg.triangle_at.opp >= 0)
+    if not len(inner):
         return []
-    fqm = fisher_quadri_map(qg)
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
     i_wa = op.fisher_i_wa(fg, qg)
     kf_inv = invert(kf.dense())
     nb = len(fg.b_vertices)     # K^F lists the B vertices, then the A vertices
     rel = kqt.dense() @ i_wa.dense() @ kf_inv[nb:, nb:]
+    hat = np.argsort(qg.black_at.fisher_b)      # the GQ black (a row of K~_Q) of each B
+    deco = [a[1] for a in fg.a_vertices]
     rng = np.random.default_rng(seed)
     res = []
     forbidden_scale = np.abs(kf_inv).max()
     for _ in range(n_samples):
-        blk = fqm.black_of_b[inner[rng.integers(len(inner))]]
-        r = kqt.row_pos[blk]
-        decos = {fqm.a_of_white[kqt.cols[j]][1] for j in kqt.j[kqt.i == r]}
-        candidates = [n for n, a in enumerate(fg.a_vertices) if a[1] not in decos]
+        r = hat[inner[rng.integers(len(inner))]]
+        decos = {deco[a - nb] for a in qg.white_at.fisher_a[kqt.j[kqt.i == r]].tolist()}
+        candidates = [n for n, f in enumerate(deco) if f not in decos]
         if not candidates:
             continue
         res.append(abs(rel[r, candidates[rng.integers(len(candidates))]])
@@ -706,17 +706,15 @@ def kf_zinv_case1(fg, qg, p, pairs=None):
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = invert(kf.dense())
     kq_inv = invert(kq.dense())
-    fqm = fisher_quadri_map(qg)
-    m = op.edge_table(ig).at(p)
+    m, tri = op.edge_table(ig).at(p), fg.triangle_at
     verts, nb = kf.rows, len(fg.b_vertices)     # the B vertices, then the A vertices
-    b_kf = [n for n in range(nb) if verts[n] not in fg.boundary_b]
+    b_kf = np.flatnonzero(tri.opp >= 0)         # the inner B vertices
     a_kf = [n for n in range(nb, len(verts)) if pairs is None or verts[n] in pairs]
-    b_list, a_list = [verts[n] for n in b_kf], [verts[n] for n in a_kf]
-    w_ix = [kq.col_pos[fqm.white_of_a[a]] for a in a_list]
-    b_ix = [kq.row_pos[fqm.black_of_b[b]] for b in b_list]
-    op_ix = [kq.row_pos[fqm.black_of_b[fg.ext_of_b[b][0]]] for b in b_list]
-    e = [m.tab.epos[fg.ext_of_b[b][1]] for b in b_list]
-    sn, cn = m.sn_t[e], m.cn_t[e]
+    b_list, a_list = [verts[n] for n in b_kf.tolist()], [verts[n] for n in a_kf]
+    hat_b, hat_a = np.argsort(qg.black_at.fisher_b), np.argsort(qg.white_at.fisher_a)
+    w_ix = hat_a[np.array(a_kf, dtype=np.intp) - nb]
+    b_ix, op_ix = hat_b[b_kf], hat_b[tri.opp[b_kf]]
+    sn, cn = m.sn_t[tri.edge[b_kf]], m.cn_t[tri.edge[b_kf]]   # edge ids are table positions
     e2 = cn / (1.0 + sn)            # e^{-2J}
     pref = 0.5 * (1.0 + sn)         # 1/(1 + e^{-4J})
     # K~Q = D_B KQ D_W  =>  (K~Q)^{-1}_{w,b} = q_{b,w} (KQ)^{-1}_{w,b}; the

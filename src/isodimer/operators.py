@@ -14,16 +14,17 @@ or a double graph of one: both read the one table of the isoradial graph
 
 import cmath
 import math
+import operator
 import weakref
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.unique reads np.ma, which numpy loads on first use)
 
 from . import elliptic as el
-from .derived import fkey, vkey, wkey, fisher_quadri_map
+from .derived import fkey, vkey, wkey
 from .errors import (
     DomainError,
     NegativeRadicandError,
@@ -85,14 +86,18 @@ class TypedSparseMatrix:
         return self.entries.get((r, c), 0.0)
 
     def check_antisymmetric(self, tol=1e-14):
-        """Raise DomainError unless rows and columns are one key tuple and each
-        entry (r, c) is minus the entry at (c, r), or 0 where there is none."""
+        """Raise DomainError unless rows and columns are one key tuple, every
+        entry is finite and each entry (r, c) is minus the entry at (c, r), or
+        0 where there is none."""
         key, flip = self.i * len(self.cols) + self.j, self.j * len(self.cols) + self.i
         srt = np.argsort(key)
         at = srt.take(np.searchsorted(key, flip, sorter=srt), mode="clip")
         partner = np.where(key.take(at) == flip, self.vals.take(at), 0.0)
-        scale = max(1.0, np.abs(self.vals).max(initial=0.0))
-        if self.rows != self.cols or (np.abs(self.vals + partner) > tol * scale).any():
+        scale = np.abs(self.vals).max(initial=1.0)
+        if not np.isfinite(scale):
+            raise DomainError(f"{self.name}: non-finite entry")
+        # <= rather than >, so that a gap that is not a number fails
+        if self.rows != self.cols or not (np.abs(self.vals + partner) <= tol * scale).all():
             raise DomainError(f"{self.name}: antisymmetry violated")
 
     def dump_text(self):
@@ -785,42 +790,52 @@ def kasteleyn_KF(fg, couplings):
     """Skew-symmetric Kasteleyn matrix of the Fisher graph.
 
     Internal edges have weight 1, the external edge over primal edge e has
-    weight e^{-2 J_e}.  Couplings may be any reals.  Rows and columns are
-    ``fg.b_vertices`` then ``fg.a_vertices``, so the blocks of Dubedat's
-    decomposition are the slices at ``len(fg.b_vertices)``.  The entries run
-    over ``fg.internal_edges`` then ``fg.external_edges``, (x, y) before
-    (y, x): edge n of that list is at entries 2n and 2n + 1.
+    weight e^{-2 J_e}.  Couplings may be any reals for which e^{-2 J_e} is a
+    finite double; an overflowing one is a DomainError naming the edge and J.
+    Rows and columns are ``fg.b_vertices`` then ``fg.a_vertices``, so the
+    blocks of Dubedat's decomposition are the slices at
+    ``len(fg.b_vertices)``.  The entries run over ``fg.internal_edges`` then
+    ``fg.external_edges``, (x, y) before (y, x): edge n of that list is at
+    entries 2n and 2n + 1.
     """
+    it, ext = fg.internal_at, fg.external_at
+    w = []
+    for eid in ext.edge.tolist():
+        # math.exp, not numpy's: theirs differs from libm's in the last bit
+        try:
+            w.append(math.exp(-2.0 * couplings[eid]))
+        except OverflowError:
+            raise DomainError(f"kasteleyn_KF: e^(-2J) overflows at edge {eid}, "
+                              f"J = {couplings[eid]!r}") from None
+    x, y = np.concatenate((it.x, ext.x)), np.concatenate((it.y, ext.y))
+    val = np.concatenate((it.eps.astype(float), ext.eps * np.array(w, dtype=float)))
     verts = tuple(fg.vertices())
-    ent = {}
-    for x, y in fg.internal_edges:
-        ent[(x, y)] = float(fg.eps(x, y))
-        ent[(y, x)] = float(fg.eps(y, x))
-    for x, y, eid in fg.external_edges:
-        w = math.exp(-2.0 * couplings[eid])
-        ent[(x, y)] = fg.eps(x, y) * w
-        ent[(y, x)] = fg.eps(y, x) * w
-    m = TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF")
+    m = TypedSparseMatrix(verts, verts, np.stack((x, y), 1).ravel(), np.stack((y, x), 1).ravel(),
+                          np.stack((val, -val), 1).ravel(), "kasteleyn_KF")
     m.check_antisymmetric()
     return m
 
 
+def _kappa_matrix(fg):
+    """kappa, block diagonal over the decorations: 1/4 on the diagonal, and
+    -1/4 times the sign of the ccw walk from a to a' around their decoration
+    cycle (the product of eps over its steps) at (a, a')."""
+    cyc, nb = fg.cycle_at, len(fg.b_vertices)
+    i, j, vals = [], [], []
+    for lo, hi in zip(cyc.ptr[:-1].tolist(), cyc.ptr[1:].tolist()):
+        a, step, d = (cyc.a[lo:hi] - nb).tolist(), cyc.eps[lo:hi].tolist(), hi - lo
+        for n in range(d):
+            # the ccw walk a_n, a_{n+1}, ... and the sign of each step's prefix
+            i += [a[n]] * d
+            j += [a[(n + s) % d] for s in range(d)]
+            vals += [0.25] + [-0.25 * sign for sign in accumulate(
+                (step[(n + s) % d] for s in range(d - 1)), operator.mul)]
+    return TypedSparseMatrix(fg.a_vertices, fg.a_vertices, i, j, vals, "fisher_kappa")
+
+
 def _kappa(fg):
-    """The entries of kappa, block diagonal over the decorations: 1/4 on the
-    diagonal, and -1/4 times the sign of the ccw walk from a to a' around
-    their decoration cycle (one flip per step against eps) at (a, a')."""
-    k_ent = {}
-    for cycle in fg.a_cycle.values():
-        d = len(cycle)
-        for i, a in enumerate(cycle):
-            k_ent[(a, a)] = 0.25
-            sign = 1
-            for step in range(1, d):
-                prev, cur = cycle[(i + step - 1) % d], cycle[(i + step) % d]
-                if fg.eps(prev, cur) == -1:
-                    sign = -sign
-                k_ent[(a, cur)] = -0.25 * sign
-    return k_ent
+    """The {(a, a'): value} view of :func:`_kappa_matrix`."""
+    return _kappa_matrix(fg).entries
 
 
 class FisherAux(NamedTuple):
@@ -839,9 +854,10 @@ class FisherAux(NamedTuple):
 
 def fisher_i_wa(fg, qg):
     """I_{W,A}: 1 at each quadri white and the A vertex of its side."""
-    a_of_white = fisher_quadri_map(qg).a_of_white
-    return TypedSparseMatrix.of(tuple(qg.whites), tuple(fg.a_vertices),
-                                {(w, a_of_white[w]): 1.0 for w in qg.whites}, "fisher_I_WA")
+    n = len(qg.whites)
+    return TypedSparseMatrix(qg.whites, fg.a_vertices, np.arange(n),
+                             qg.white_at.fisher_a - len(fg.b_vertices), np.ones(n),
+                             "fisher_I_WA")
 
 
 def fisher_aux(fg, qg, kf):
@@ -851,35 +867,29 @@ def fisher_aux(fg, qg, kf):
     ``inference.kf_inverse_formula`` reads X, M, kappa, I_{W,A} and D_{BQ,A};
     ``check_dubedat`` reads X, M, M', I_{W,A} and the K^F blocks.
     ``inference.dotsenko_residuals`` reads I_{W,A} alone, from
-    :func:`fisher_i_wa`.
+    :func:`fisher_i_wa`.  All are gathers from the Fisher arrays.
     """
-    fqm = fisher_quadri_map(qg)
-    b_list = tuple(fg.b_vertices)
-    a_list = tuple(fg.a_vertices)
-    bq_list = tuple(qg.blacks)
-    kf_d, pos, nb = kf.dense(), kf.row_pos, len(b_list)
+    b_list, a_list, bq_list = tuple(fg.b_vertices), tuple(fg.a_vertices), tuple(qg.blacks)
+    kf_d, nb, tri, ext = kf.dense(), len(b_list), fg.triangle_at, fg.external_at
+    hat = np.argsort(qg.black_at.fisher_b)      # the GQ black of each B
 
-    # X: rows B, cols GQ blacks; off the diagonal, the (real) entries of K^F
-    x_ent = {}
-    for bx, by, eid in fg.external_edges:
-        hat_x, hat_y = fqm.black_of_b[bx], fqm.black_of_b[by]
-        x_ent[(bx, hat_x)] = 1.0
-        x_ent[(bx, hat_y)] = kf_d[pos[by], pos[bx]].real
-        x_ent[(by, hat_y)] = 1.0
-        x_ent[(by, hat_x)] = kf_d[pos[bx], pos[by]].real
-    for b in sorted(fg.boundary_b):
-        x_ent[(b, fqm.black_of_b[b])] = 1.0
-    x_mat = TypedSparseMatrix.of(b_list, bq_list, x_ent, "fisher_X")
+    # X: rows B, cols GQ blacks.  Per external edge (bx, by): 1 at (bx, hat bx)
+    # and (by, hat by), and the (real) entries of K^F at (by, bx) and (bx, by)
+    # at (bx, hat by) and (by, hat bx); then 1 at each boundary B bd
+    bx, by, bd = ext.x, ext.y, np.flatnonzero(tri.opp < 0)
+    one = np.ones(len(bx))
+    x_mat = TypedSparseMatrix(
+        b_list, bq_list, np.concatenate((np.stack((bx, bx, by, by), 1).ravel(), bd)),
+        hat[np.concatenate((np.stack((bx, by, by, bx), 1).ravel(), bd))],
+        np.concatenate((np.stack((one, kf_d[by, bx].real, one, kf_d[bx, by].real), 1).ravel(),
+                        np.ones(len(bd)))), "fisher_X")
 
     # M: rows B, cols A.  With (a, a', b) in ccw order around the triangle,
     # (m_{b,a}, m_{b,a'}) = (-eps_{b,a}, eps_{b,a'}); in storage order the ccw
     # triangle cycle is (a_prev, b, a_next), so a = a_next and a' = a_prev.
-    m_ent = {}
-    for b in b_list:
-        a_prev, a_next = fg.triangles[b]
-        m_ent[(b, a_next)] = -fg.eps(b, a_next)
-        m_ent[(b, a_prev)] = fg.eps(b, a_prev)
-    m_mat = TypedSparseMatrix.of(b_list, a_list, m_ent, "fisher_M")
+    m_mat = TypedSparseMatrix(b_list, a_list, np.repeat(np.arange(nb), 2),
+                              np.stack((tri.next, tri.prev), 1).ravel() - nb,
+                              np.stack((-tri.eps_next, tri.eps_prev), 1).ravel(), "fisher_M")
 
     # blocks of K^F: its B rows and columns come first
     k_bb, k_ba = kf_d[:nb, :nb], kf_d[:nb, nb:]
@@ -891,24 +901,16 @@ def fisher_aux(fg, qg, kf):
     i, j = np.nonzero(np.abs(m_prime_d) > 1e-15)
     m_prime = TypedSparseMatrix(a_list, b_list, i, j, m_prime_d[i, j], "fisher_Mprime")
 
-    kappa = TypedSparseMatrix.of(a_list, a_list, _kappa(fg), "fisher_kappa")
+    kappa, i_wa = _kappa_matrix(fg), fisher_i_wa(fg, qg)
 
-    i_wa = fisher_i_wa(fg, qg)
-
-    # the diagonal couplers
-    d_bqa_ent = {}
-    for blk in bq_list:
-        a = fqm.a_of_black[blk]
-        b = fqm.b_of_black[blk]
-        d_bqa_ent[(blk, a)] = float(fg.eps(b, a))
-    d_bqa = TypedSparseMatrix.of(bq_list, a_list, d_bqa_ent, "fisher_D_BQA")
-
-    d_ab_ent = {}
-    for b in b_list:
-        a_prev, a_next = fg.triangles[b]
-        # cw cycle is (a_next, b, a_prev): b comes just before a_prev
-        d_ab_ent[(a_prev, b)] = 0.5 * fg.eps(b, a_prev)
-    d_ab = TypedSparseMatrix.of(a_list, b_list, d_ab_ent, "fisher_D_AB")
+    # the diagonal couplers: each GQ black at the A of its side, with eps(b, a)
+    b, a = qg.black_at.fisher_b, qg.black_at.fisher_a
+    eps_ba = np.where(tri.prev[b] == a, tri.eps_prev[b], tri.eps_next[b])
+    d_bqa = TypedSparseMatrix(bq_list, a_list, np.arange(len(bq_list)), a - nb,
+                              eps_ba.astype(float), "fisher_D_BQA")
+    # cw cycle is (a_next, b, a_prev): b comes just before a_prev
+    d_ab = TypedSparseMatrix(a_list, b_list, tri.prev - nb, np.arange(nb),
+                             0.5 * tri.eps_prev, "fisher_D_AB")
 
     blocks = {"K_BB": k_bb, "K_BA": k_ba, "K_AB": k_ab, "K_AA": k_aa}
     return FisherAux(x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, d_ab, blocks)

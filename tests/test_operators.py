@@ -18,7 +18,7 @@ from isodimer import isoradial as iso
 from isodimer import operators as op
 from isodimer.derived import fkey, vkey, wkey
 from isodimer.elliptic import complete_integrals
-from isodimer.errors import NotGaugeEquivalentError
+from isodimer.errors import DomainError, NotGaugeEquivalentError
 
 
 def test_delta_m_star_single_square(ig_1x1, params_half):
@@ -528,6 +528,22 @@ def test_kasteleyn_kf_properties(ig_2x2, params_half):
     # negative couplings are allowed
     kfn = op.kasteleyn_KF(fg, {e: -0.4 for e in couplings})
     kfn.check_antisymmetric()
+
+
+def test_antisymmetry_gate_rejects_non_finite_entries():
+    # nan > x is false, and an (inf, inf) pair has an infinite scale: the
+    # gate once passed all three
+    for vals in ([math.nan, math.nan], [1.0, math.nan], [math.inf, math.inf]):
+        m = op.TypedSparseMatrix(("a", "b"), ("a", "b"), [0, 1], [1, 0], vals, "pair")
+        with pytest.raises(DomainError):
+            m.check_antisymmetric()
+
+
+def test_kasteleyn_kf_overflowing_weight_is_a_domain_error(ig_2x2):
+    # e^{-2J} past the doubles once escaped as OverflowError
+    fg = der.build_fisher(ig_2x2)
+    with pytest.raises(DomainError, match=r"edge 2, J = -400\.0"):
+        op.kasteleyn_KF(fg, {e: -400.0 for e in ig_2x2.edge_list()})
 
 
 def test_fisher_aux_fields(ig_2x2, params_half):
@@ -1139,3 +1155,112 @@ def test_quadri_arrays_match_the_pair_rule_walks(monkeypatch):
                         want = op.s_t_matrices(qg, dg, p, u)
                     for g, w in zip(got, want):
                         _assert_same_bits(g, w, (*what, level, u))
+
+
+# ---------------------------------------------------------------------------
+# the Fisher graph by position against the key-dict builders it replaced
+# ---------------------------------------------------------------------------
+
+def _kf_dict(fg, couplings):
+    """Reference: K_F from the edge lists and ``eps`` of ``fg``."""
+    ent = {}
+    for x, y in fg.internal_edges:
+        ent[(x, y)] = float(fg.eps(x, y))
+        ent[(y, x)] = float(fg.eps(y, x))
+    for x, y, eid in fg.external_edges:
+        w = math.exp(-2.0 * couplings[eid])
+        ent[(x, y)] = fg.eps(x, y) * w
+        ent[(y, x)] = fg.eps(y, x) * w
+    verts = tuple(fg.vertices())
+    return op.TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF")
+
+
+def _fisher_aux_dicts(fg, qg, kf):
+    """Reference: X, M, kappa, I_{W,A}, D_{BQ,A} and D_{A,B} from the key
+    dicts of ``fg`` and the Fisher correspondence of ``qg``, K^F read by key."""
+    fqm = der.fisher_quadri_map(qg)
+    b_list, a_list, bq_list = tuple(fg.b_vertices), tuple(fg.a_vertices), tuple(qg.blacks)
+    kf_d, pos = kf.dense(), kf.row_pos
+    x, m, kappa, d_bqa, d_ab = {}, {}, {}, {}, {}
+    for bx, by, _eid in fg.external_edges:
+        hat_x, hat_y = fqm.black_of_b[bx], fqm.black_of_b[by]
+        x[(bx, hat_x)] = 1.0
+        x[(bx, hat_y)] = kf_d[pos[by], pos[bx]].real
+        x[(by, hat_y)] = 1.0
+        x[(by, hat_x)] = kf_d[pos[bx], pos[by]].real
+    for b in sorted(fg.boundary_b):
+        x[(b, fqm.black_of_b[b])] = 1.0
+    for b in b_list:
+        a_prev, a_next = fg.triangles[b]
+        m[(b, a_next)] = -fg.eps(b, a_next)
+        m[(b, a_prev)] = fg.eps(b, a_prev)
+        d_ab[(a_prev, b)] = 0.5 * fg.eps(b, a_prev)
+    for cycle in fg.a_cycle.values():
+        d = len(cycle)
+        for i, a in enumerate(cycle):
+            kappa[(a, a)] = 0.25
+            sign = 1
+            for step in range(1, d):
+                prev, cur = cycle[(i + step - 1) % d], cycle[(i + step) % d]
+                if fg.eps(prev, cur) == -1:
+                    sign = -sign
+                kappa[(a, cur)] = -0.25 * sign
+    for blk in bq_list:
+        a = fqm.a_of_black[blk]
+        d_bqa[(blk, a)] = float(fg.eps(fqm.b_of_black[blk], a))
+    i_wa = {(w, fqm.a_of_white[w]): 1.0 for w in qg.whites}
+    of = op.TypedSparseMatrix.of
+    return {"x": of(b_list, bq_list, x, "fisher_X"), "m": of(b_list, a_list, m, "fisher_M"),
+            "kappa": of(a_list, a_list, kappa, "fisher_kappa"),
+            "i_wa": of(tuple(qg.whites), a_list, i_wa, "fisher_I_WA"),
+            "d_bqa": of(bq_list, a_list, d_bqa, "fisher_D_BQA"),
+            "d_ab": of(a_list, b_list, d_ab, "fisher_D_AB")}
+
+
+def test_fisher_arrays_match_the_key_dict_builders():
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = get_graph(spec)
+        fg, qg = der.build_fisher(ig), der.build_quadri(ig)
+        fqm, verts = der.fisher_quadri_map(qg), fg.vertices()
+
+        def keys(at):
+            return [verts[n] for n in at.tolist()]
+
+        # the arrays state the edge lists, eps, triangles, ext_of_b, a_cycle
+        # and the correspondence with G_Q by position
+        for at, edges in ((fg.internal_at, fg.internal_edges), (fg.external_at, fg.external_edges)):
+            assert list(zip(keys(at.x), keys(at.y))) == [e[:2] for e in edges], spec
+            assert at.eps.tolist() == [fg.eps(*e[:2]) for e in edges], spec
+            assert at.edge.tolist() == [e[2] if len(e) == 3 else -1 for e in edges], spec
+        tri, bs = fg.triangle_at, fg.b_vertices
+        assert list(zip(keys(tri.prev), keys(tri.next))) == [fg.triangles[b] for b in bs], spec
+        assert tri.eps_prev.tolist() == [fg.eps(b, fg.triangles[b][0]) for b in bs], spec
+        assert tri.eps_next.tolist() == [fg.eps(b, fg.triangles[b][1]) for b in bs], spec
+        assert tri.edge.tolist() == [b[2] for b in bs], spec
+        assert [verts[n] if n >= 0 else None for n in tri.opp.tolist()] == [
+            fg.ext_of_b[b][0] if b in fg.ext_of_b else None for b in bs], spec
+        assert [n < 0 for n in tri.opp.tolist()] == [b in fg.boundary_b for b in bs], spec
+        cyc, cycles = fg.cycle_at, list(fg.a_cycle.values())
+        assert [keys(cyc.a[lo:hi]) for lo, hi in zip(cyc.ptr[:-1], cyc.ptr[1:])] == cycles, spec
+        assert cyc.eps.tolist() == [fg.eps(c[i], c[(i + 1) % len(c)])
+                                    for c in cycles for i in range(len(c))], spec
+        assert keys(qg.black_at.fisher_b) == [fqm.b_of_black[q] for q in qg.blacks], spec
+        assert keys(qg.black_at.fisher_a) == [fqm.a_of_black[q] for q in qg.blacks], spec
+        assert keys(qg.white_at.fisher_a) == [fqm.a_of_white[q] for q in qg.whites], spec
+        assert keys(qg.white_at.fisher_b) == [("b", fqm.a_of_white[q][1], q[1])
+                                              for q in qg.whites], spec
+
+        # the Z-invariant couplings at three moduli, and J = -0.3 throughout
+        for n, couplings in enumerate([op.z_invariant_couplings(ig, complete_integrals(k))
+                                       for k in (0.3, 0.6, 0.9)]
+                                      + [{e: -0.3 for e in ig.edge_list()}]):
+            what = (spec, n)
+            kf = op.kasteleyn_KF(fg, couplings)
+            _assert_same_bits(kf, _kf_dict(fg, couplings), what)
+            aux, want = op.fisher_aux(fg, qg, kf), _fisher_aux_dicts(fg, qg, kf)
+            for name, m in want.items():
+                _assert_same_bits(getattr(aux, name), m, (*what, name))
+            _assert_same_bits(op.fisher_i_wa(fg, qg), want["i_wa"], what)

@@ -111,6 +111,36 @@ def test_one_owner_for_the_pair_rule():
     assert not hasattr(op._Layout, "bpos")
 
 
+def _owned_nodes(tree):
+    """(owner, node) for every node of a module, the owner being the name of
+    the top-level function or ``Class.method`` it sits in, or None."""
+    for top in tree.body:
+        units = [(f"{top.name}.{m.name}", m) for m in top.body
+                 if isinstance(m, ast.FunctionDef)] if isinstance(top, ast.ClassDef) else []
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for name, unit in units or [(owner, top)]:
+            yield from ((name, node) for node in ast.walk(unit))
+
+
+def test_fisher_builders_gather_by_position():
+    # K_F, I_{W,A} and the fisher_aux blocks gather from the Fisher arrays:
+    # the {(row, col): value} route serves the Laplacian and Q alone, and only
+    # the key API of inverse_entry reads the key positions
+    found = []
+    for name, tree in _package_trees():
+        for owner, node in _owned_nodes(tree):
+            value = getattr(node, "value", None)
+            if (isinstance(node, ast.Attribute) and node.attr == "of"
+                    and "TypedSparseMatrix" in (getattr(value, "id", None),
+                                                getattr(value, "attr", None))
+                    and owner not in ("_massive_laplacian", "q_matrix")):
+                found.append(f"{name}:{node.lineno}: {owner} calls .of")
+            if (isinstance(node, ast.Attribute) and node.attr in ("row_pos", "col_pos")
+                    and (name, owner) != ("inference.py", "inverse_entry")):
+                found.append(f"{name}:{node.lineno}: {owner} reads a key position")
+    assert not found, found
+
+
 def test_isoradial_graph_derived_once(monkeypatch):
     # make_isoradial splits the boundary edges of the graph it is given
     # rather than deriving the split graph again
