@@ -179,9 +179,7 @@ class Workspace(_Memo):
 
     def at(self, u):
         """The operators at spectral value ``u``, built on first use."""
-        # repr tells -0.0 from 0.0, which == does not; float() makes a numpy
-        # scalar and the equal Python float one key
-        key = repr(float(u))
+        key = op.spectral_key(u)
         if key not in self._ats:
             self._ats[key] = _AtU(self, u)
         return self._ats[key]
@@ -206,7 +204,7 @@ class Workspace(_Memo):
                 c_tilde -= ls
         n_v = len(self.ig.base.coords)
         z2 = (n_v - 1) * math.log(2.0) + 0.5 * (n_v - 1) * math.log(self.p.kprime)
-        sn = m.sn_t[[m.tab.epos[w] for w in bnd]]
+        sn = m.sn_t[list(bnd)]                  # edge ids are table positions
         z2 = sum(_logs((1.0 + sn) / (2.0 * sn)).tolist(), z2)
         return (sum(0.5 * math.log(x) for x in m.sc_t.tolist()),
                 sum(0.5 * math.log(x) for x in m.cs_t.tolist()), c_tilde, z2)

@@ -20,7 +20,6 @@ from .derived import (
     induce_orientation_GQ,
     fkey,
     vkey,
-    wkey,
 )
 from .errors import (
     BijectionError,
@@ -97,19 +96,19 @@ def _sparse_lu(m):
     return a, lu, gate
 
 
-def inverse_entry(m, row, col):
-    """Entry (row, col) of the inverse of a TypedSparseMatrix, from one sparse
+def inverse_entry(m, i, j):
+    """Entry (i, j) of the inverse of a TypedSparseMatrix, from one sparse
     LU and one column solve.
 
-    The row key follows ``m.cols`` and the column key ``m.rows``; the value is
-    real when ``m.vals`` is.  The gates are those of ``_sparse_lu``, with the
+    i is a position in ``m.cols`` and j one in ``m.rows``; the value is real
+    when ``m.vals`` is.  The gates are those of ``_sparse_lu``, with the
     solved column's 1-norm as the lower bound of ||A^-1||_1.
     """
     a, lu, gate = _sparse_lu(m)
     rhs = np.zeros(a.shape[0], dtype=a.dtype)
-    rhs[m.row_pos[col]] = 1.0
+    rhs[j] = 1.0
     x = lu.solve(rhs)
-    return gate(x, np.abs(x).sum())[m.col_pos[row]]
+    return gate(x, np.abs(x).sum())[i]
 
 
 def _lu_keys(f, n):
@@ -732,7 +731,8 @@ def green_center_diagonal(ig, p):
     coords = ig.base.coords
     center = sum(coords.values()) / len(coords)
     v_star = min(coords, key=lambda v: abs(coords[v] - center))
-    return float(inverse_entry(dm, vkey(v_star), vkey(v_star)).real), v_star
+    at = op.edge_table(ig).vix(v_star)            # its row and column in dm
+    return float(inverse_entry(dm, at, at).real), v_star
 
 
 def center_edge_probability_gd(ig, p, u):
@@ -756,8 +756,7 @@ def center_edge_probability_gd(ig, p, u):
     eid, r, lay = tab.eids[e], ig.rhombi[tab.eids[e]], tab.layout()
     rf = op.real_form(kd)
     at = lay.slot[e, 0]                 # the entry (w_e, v2), none when v2 is the root
-    k_wb = rf.vals[at] if at >= 0 else 0.0
-    p_ken = float(k_wb * inverse_entry(rf, vkey(r.v2), wkey(eid)))
+    p_ken = float(rf.vals[at] * inverse_entry(rf, lay.gd_j[at], e)) if at >= 0 else 0.0
     # the double-graph edge (w_e, v2) has the lifts (alpha, beta) of e
     ua = _u_arg(u, r.alpha_bar, p)
     ub = _u_arg(u, r.beta_bar, p)

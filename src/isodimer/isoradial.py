@@ -205,7 +205,8 @@ def load_graph(json_bytes):
 
     Expected format:
     {"radius": 2.0, "vertices": [{"id": int, "x": float, "y": float}, ...],
-     "edges": [[int, int], ...]}.
+     "edges": [[int, int], ...]}.  Every number may be a JSON integer or
+    float, an id an integral one; a boolean or a string is a ParseError.
     """
     try:
         data = json.loads(json_bytes)
@@ -213,23 +214,31 @@ def load_graph(json_bytes):
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         # written so that a NaN radius fails too
-        if not abs(float(data["radius"]) - RADIUS) <= _GEOM_TOL:
+        if not abs(float(_number(data["radius"])) - RADIUS) <= _GEOM_TOL:
             raise ParseError(f"radius must be {RADIUS}, got {data['radius']}")
         coords = {}
         for v in data["vertices"]:
             vid = _vertex_id(v["id"])
             if vid in coords:
                 raise ParseError(f"duplicate vertex id {vid}")
-            coords[vid] = complex(float(v["x"]), float(v["y"]))
+            coords[vid] = complex(float(_number(v["x"])), float(_number(v["y"])))
         edges = [(_vertex_id(a), _vertex_id(b)) for a, b in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
     return PlanarGraph(coords=coords, edges=edges)
 
 
+def _number(x):
+    """A number from the graph JSON: an int or a float, not a bool (which
+    Python counts as an int) or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"expected a number, got {x!r}")
+    return x
+
+
 def _vertex_id(x):
     """A vertex id from the graph JSON: an integral number, as an int."""
-    vid = int(x)
+    vid = int(_number(x))
     if vid != x:
         raise ParseError(f"vertex id must be an integer, got {x!r}")
     return vid

@@ -40,10 +40,9 @@ class TypedSparseMatrix:
     Entry n holds ``vals[n]`` at ``(rows[i[n]], cols[j[n]])``; no (i, j)
     repeats.  ``vals`` keeps the dtype it is given (a matrix of real entries
     keeps real ones); ``dense`` is complex.  The ``{(row, col): value}`` view
-    ``entries`` and the key positions ``row_pos`` and ``col_pos`` are built on
-    first use.  ``gauge``, when the builder keeps it, holds per entry the unit
-    factor q_row q_col of a diagonal gauge that makes the matrix real (see
-    :func:`real_form`).
+    ``entries`` is built on first use.  ``gauge``, when the builder keeps it,
+    holds per entry the unit factor q_row q_col of a diagonal gauge that makes
+    the matrix real (see :func:`real_form`).
     """
 
     def __init__(self, rows, cols, i, j, vals, name="", gauge=None):
@@ -54,27 +53,13 @@ class TypedSparseMatrix:
         self.gauge = gauge
         self._dense = None
 
-    @classmethod
-    def of(cls, rows, cols, entries, name=""):
-        """The matrix of a ``{(row, col): value}`` dict, in the dict's order."""
-        row_pos = {r: n for n, r in enumerate(rows)}
-        col_pos = {c: n for n, c in enumerate(cols)}
-        return cls(rows, cols, [row_pos[r] for r, _c in entries],
-                   [col_pos[c] for _r, c in entries], list(entries.values()), name)
+    def _keys(self):
+        return zip(map(self.rows.__getitem__, self.i.tolist()),
+                   map(self.cols.__getitem__, self.j.tolist()))
 
     @cached_property
     def entries(self):
-        keys = zip(map(self.rows.__getitem__, self.i.tolist()),
-                   map(self.cols.__getitem__, self.j.tolist()))
-        return dict(zip(keys, self.vals.tolist()))
-
-    @cached_property
-    def row_pos(self):
-        return {r: n for n, r in enumerate(self.rows)}
-
-    @cached_property
-    def col_pos(self):
-        return {c: n for n, c in enumerate(self.cols)}
+        return dict(zip(self._keys(), self.vals.tolist()))
 
     def dense(self):
         if self._dense is None:
@@ -101,10 +86,11 @@ class TypedSparseMatrix:
             raise DomainError(f"{self.name}: antisymmetry violated")
 
     def dump_text(self):
+        """One line per entry, sorted by the str of its (row, col) key."""
         lines = [f"# {self.name} rows={len(self.rows)} cols={len(self.cols)}"]
         lines.append("# row-id\tcol-id\tre\tim")
-        for (r, c) in sorted(self.entries, key=str):
-            v = complex(self.entries[(r, c)])
+        for (r, c), v in sorted(zip(self._keys(), self.vals.tolist()), key=lambda kv: str(kv[0])):
+            v = complex(v)
             lines.append(f"{r}\t{c}\t{v.real!r}\t{v.imag!r}")
         return "\n".join(lines) + "\n"
 
@@ -138,6 +124,13 @@ def _check_u_allowed(ig, p, u, level):
 # ---------------------------------------------------------------------------
 # the edge table
 # ---------------------------------------------------------------------------
+
+def spectral_key(u):
+    """The key of a spectral value in a per-u cache: repr tells -0.0 from
+    0.0, which == does not, and float() makes a numpy scalar and the equal
+    Python float one key."""
+    return repr(float(u))
+
 
 def _jacobi(args, p):
     """(sn, cn, dn) arrays at every argument, one ``elliptic.jacobi`` call per
@@ -174,7 +167,8 @@ class EdgeTable:
     and beta - pi of every rhombus (the lifts of both double graphs) and the
     boundary-pair lifts.  The ends v1, v2 of every edge are positions in the
     sorted vertex ids ``verts``, and its faces f1, f2 face ids (-1 for the
-    missing f2 of a boundary edge).  The arrays of the Laplacians
+    missing f2 of a boundary edge).  Edge ids are positions in ``eids``
+    (``make_isoradial`` numbers the edges 0, 1, ...).  The arrays of the Laplacians
     (:attr:`primal`, :attr:`dual`) and the Dirac-entry layouts
     (:meth:`layout`) are gathered from these on first use.  :meth:`at`
     gives the stages of a modulus and of a spectral value.
@@ -186,7 +180,6 @@ class EdgeTable:
         self._specs = {}
         self._layouts = {}
         self.eids = ig.edge_list()
-        self.epos = {e: i for i, e in enumerate(self.eids)}
         rh = [ig.rhombi[e] for e in self.eids]
         self.verts = np.array(sorted(ig.base.coords))
         self.root = self.vix(ig.root)
@@ -197,7 +190,7 @@ class EdgeTable:
         self._ekey = ends[:, 0] * len(self.verts) + ends[:, 1]
         srt = np.argsort(self._ekey)
         self._ekey = self._ekey[srt]
-        self._eat = _ints(map(self.epos.__getitem__, ig.edge_ids.values()))[srt]
+        self._eat = _ints(ig.edge_ids.values())[srt]
         self.theta = np.array([r.theta_bar for r in rh], dtype=float)
         bad = ~((self.theta > 0.0) & (self.theta < math.pi / 2))
         if bad.any():
@@ -267,9 +260,7 @@ class EdgeTable:
             self._specs = {}
         if u is None:
             return self._mod
-        # repr tells -0.0 from 0.0, which == does not; float() makes a numpy
-        # scalar and the equal Python float one key
-        key = repr(float(u))
+        key = spectral_key(u)
         if key not in self._specs:
             self._specs[key] = _Spectral(self._mod, u)
         return self._specs[key]
@@ -313,7 +304,7 @@ class _Layout:
         self.gd_v = kind < 2
         self.gd_dual = np.flatnonzero(~self.gd_v)
         # (w_l, v_c) is the v2 slot of w_l (make_isoradial checks v2 = v_c)
-        self.p_kd = self.slot[_ints(tab.epos[bp.wl] for bp in tab.pairs), 0]
+        self.p_kd = self.slot[_ints(bp.wl for bp in tab.pairs), 0]
 
     def phase(self):
         """e^{i(alpha+beta)/2} of every entry, as a new array."""
@@ -397,8 +388,10 @@ class _Layout:
 
 class _Primal:
     """The primal vertices V and their edges, with the lifts seen from the
-    vertex, and the row and edge keys of the Laplacians on V and V^r.  The
-    incidences run over the vertices in order, each in its rotation."""
+    vertex, the row keys of the Laplacians on V and V^r, and the positions in
+    V^r of the ends of its edges (``r_v1``, ``r_v2``) and of the v_c, v_l
+    of each non-root pair (``p_vc``, ``p_vl``), with its face f_c (``p_fc``).
+    The incidences run over the vertices in order, each in its rotation."""
 
     def __init__(self, tab):
         ig = tab.ig
@@ -416,14 +409,14 @@ class _Primal:
         self.a_int = _first_of_class(tab.theta[e[~self.inc_bnd]])
         self.a_all = _first_of_class(tab.theta[e])
         self.rows = tuple(vkey(v) for v in verts)
-        self.r_rows = np.flatnonzero(np.arange(len(verts)) != tab.root)
+        kept = np.arange(len(verts)) != tab.root
+        self.r_rows = np.flatnonzero(kept)
         self.r_keys = tuple(map(self.rows.__getitem__, self.r_rows.tolist()))
-        self.k1 = list(map(self.rows.__getitem__, tab.v1.tolist()))
-        self.k2 = list(map(self.rows.__getitem__, tab.v2.tolist()))
-        self.r_edges = np.flatnonzero((tab.v1 != tab.root) & (tab.v2 != tab.root))
-        self.r_k1 = list(map(self.k1.__getitem__, self.r_edges.tolist()))
-        self.r_k2 = list(map(self.k2.__getitem__, self.r_edges.tolist()))
-        self.p_keys = [(vkey(bp.vc), vkey(bp.vl)) for bp in tab.pairs]
+        self.r_edges = np.flatnonzero(kept[tab.v1] & kept[tab.v2])
+        r_at = np.cumsum(kept) - 1                   # the row in V^r of each vertex
+        self.r_v1, self.r_v2 = r_at[tab.v1[self.r_edges]], r_at[tab.v2[self.r_edges]]
+        self.p_vc, self.p_vl = r_at[tab.vix([(bp.vc, bp.vl) for bp in tab.pairs])].reshape(-1, 2).T
+        self.p_fc = _ints(bp.fc for bp in tab.pairs)
 
 
 class _Dual:
@@ -441,9 +434,9 @@ class _Dual:
         nxt = first + (np.arange(len(at)) - first + 1) % np.repeat(size, size)
         self.a_face = _first_of_class(tab.theta_star[tab.edge_at(at, at[nxt])])
         self.fkeys = tuple(fkey(f) for f in range(n))
-        self.d_k1 = [self.fkeys[fa] for (fa, _fb), _e in ig.dual_edges]
-        self.d_k2 = [self.fkeys[fb] for (_fa, fb), _e in ig.dual_edges]
-        self.dual_e = _ints(tab.epos[e] for _fab, e in ig.dual_edges)
+        # the faces f_a, f_b and the edge of each dual edge
+        self.dual_a, self.dual_b = _ints(ab for ab, _e in ig.dual_edges).reshape(-1, 2).T
+        self.dual_e = _ints(e for _ab, e in ig.dual_edges)
 
 
 class _Modulus:
@@ -529,24 +522,31 @@ def dirac_layout(g):
 # massive Laplacians
 # ---------------------------------------------------------------------------
 
-def _massive_laplacian(name, rows, edges, diag, pairs=()):
+def _massive_laplacian(name, rows, x, y, c_xy, c_yx, diag, pairs=None):
     """The one massive-Laplacian assembly on the row keys ``rows``.
 
-    Every weighted edge (x, y, c_xy, c_yx) between row keys adds -c_xy at
-    (x, y) and -c_yx at (y, x), so parallel edges add up; a symmetric
-    Laplacian passes c_xy = c_yx.  ``diag`` (aligned with ``rows``) fills the
-    diagonal.  Each (v_c, v_l, off, dia) of ``pairs`` then sets the
-    (v_c, v_l) and (v_c, v_c) entries of a non-root boundary pair.
+    Edge n, between the rows at positions x[n] and y[n], holds -c_xy[n] at
+    (x, y), then -c_yx[n] at (y, x); a symmetric Laplacian passes
+    c_xy = c_yx.  The diagonal ``diag`` (aligned with ``rows``) follows in row
+    order.  No two edges join the same two rows: ``PlanarGraph`` rejects a
+    repeated edge, and two strictly convex inscribed faces share at most one
+    edge, so no dual edge repeats either.  ``pairs``, when given, holds the
+    row positions v_c, v_l and the values off, dia of the non-root boundary
+    pairs: each overwrites the (v_c, v_l) and (v_c, v_c) entries where they
+    sit.
     """
-    ent = {}
-    for x, y, c_xy, c_yx in edges:
-        ent[x, y] = ent.get((x, y), 0.0) - c_xy
-        ent[y, x] = ent.get((y, x), 0.0) - c_yx
-    for r, d in zip(rows, diag):
-        ent[r, r] = d
-    for vc, vl, off, dia in pairs:
-        ent[vc, vl], ent[vc, vc] = off, dia
-    return TypedSparseMatrix.of(rows, rows, ent, name)
+    n = len(rows)
+    i = np.concatenate((np.stack((x, y), 1).ravel(), np.arange(n)))
+    j = np.concatenate((np.stack((y, x), 1).ravel(), np.arange(n)))
+    vals = np.concatenate((np.stack((-c_xy, -c_yx), 1).ravel(), diag))
+    if pairs is not None:
+        vc, vl, off, dia = pairs
+        key = i * n + j
+        srt = np.argsort(key)
+        at = srt[np.searchsorted(key, np.concatenate((vc * n + vl, vc * n + vc)), sorter=srt)]
+        vals = vals.astype(np.result_type(vals, off, dia))
+        vals[at] = np.concatenate((off, dia))
+    return TypedSparseMatrix(rows, rows, i, j, vals, name)
 
 
 def _at(g, p, u, level):
@@ -563,12 +563,11 @@ def delta_m_star(ig, p):
     m = edge_table(ig).at(p)
     du = m.tab.dual
     diag = np.bincount(du.face_row, m.a_values[2], du.n_faces)
-    c = m.sc_s[du.dual_e].tolist()
-    return _massive_laplacian("delta_m_star", du.fkeys, zip(du.d_k1, du.d_k2, c, c),
-                              diag.tolist())
+    c = m.sc_s[du.dual_e]
+    return _massive_laplacian("delta_m_star", du.fkeys, du.dual_a, du.dual_b, c, c, diag)
 
 
-def _delta_m_rooted(t, name, pairs=()):
+def _delta_m_rooted(t, name, pairs=None):
     """Massive Laplacian on V^r at stage ``t``: a boundary row sums
     k' sc(theta) nd(u_a) nd(u_b) over its edges (lifts seen from its vertex),
     an interior row sums A(theta)."""
@@ -577,9 +576,8 @@ def _delta_m_rooted(t, name, pairs=()):
     term = m.sc_t[pr.inc_e[b]] * t.nd[pr.inc_a[b]] * t.nd[pr.inc_b[b]]
     diag = np.where(pr.vbound, t.p.kprime * np.bincount(pr.inc_row[b], term, n),
                     np.bincount(pr.inc_row[~b], m.a_values[0], n))
-    c = m.sc_t[pr.r_edges].tolist()
-    return _massive_laplacian(name, pr.r_keys, zip(pr.r_k1, pr.r_k2, c, c),
-                              diag[pr.r_rows].tolist(), pairs)
+    c = m.sc_t[pr.r_edges]
+    return _massive_laplacian(name, pr.r_keys, pr.r_v1, pr.r_v2, c, c, diag[pr.r_rows], pairs)
 
 
 def delta_m_natural(ig, p, u):
@@ -590,14 +588,12 @@ def delta_m_natural(ig, p, u):
 def delta_m_partial(ig, p, u):
     """Massive Laplacian with the Ising boundary conditions (directed at pairs)."""
     t = _at(ig, p, u, "prime")
-    tab = t.tab
+    tab, pr = t.tab, t.tab.primal
     sc = t.mod.sc_b[tab.nr]
     cn_al, cn_br = t.cn[tab.p_al], t.cn[tab.p_br]
     off = -sc * t.cd[tab.p_br] / t.cd[tab.p_al]
     dia = (p.kprime * sc * t.nd[tab.p_bl] * t.nd[tab.p_br] * (cn_br + cn_al) / cn_al)
-    return _delta_m_rooted(t, "delta_m_partial", (
-        (vc, vl, o, d) for (vc, vl), o, d in zip(tab.primal.p_keys, off.tolist(),
-                                                 dia.tolist())))
+    return _delta_m_rooted(t, "delta_m_partial", (pr.p_vc, pr.p_vl, off, dia))
 
 
 def delta_m_bulk(ig, p):
@@ -607,10 +603,10 @@ def delta_m_bulk(ig, p):
     truncation comparisons, not for the exact identities.
     """
     m = edge_table(ig).at(p)
-    pr = m.tab.primal
-    diag = np.bincount(pr.inc_row, m.a_values[1], len(pr.rows))
-    c = m.sc_t.tolist()
-    return _massive_laplacian("delta_m_bulk", pr.rows, zip(pr.k1, pr.k2, c, c), diag.tolist())
+    tab = m.tab
+    diag = np.bincount(tab.primal.inc_row, m.a_values[1], len(tab.verts))
+    return _massive_laplacian("delta_m_bulk", tab.primal.rows, tab.v1, tab.v2, m.sc_t, m.sc_t,
+                              diag)
 
 
 def _tan_laplacian(ig, name, pair):
@@ -620,11 +616,11 @@ def _tan_laplacian(ig, name, pair):
     pr = tab.primal
     # math.tan, not np.tan: numpy's tan differs from libm's in the last bit
     tan = np.array([math.tan(x) for x in tab.theta.tolist()])
-    c = tan[pr.r_edges].tolist()
+    c = tan[pr.r_edges]
     diag = np.bincount(pr.inc_row, tan[pr.inc_e])[pr.r_rows]
-    pairs = ((vc, vl, *pair(bp)) for (vc, vl), bp in zip(pr.p_keys, tab.pairs))
-    return _massive_laplacian(name, pr.r_keys, zip(pr.r_k1, pr.r_k2, c, c), diag.tolist(),
-                              pairs)
+    off, dia = np.array([pair(bp) for bp in tab.pairs]).reshape(-1, 2).T
+    return _massive_laplacian(name, pr.r_keys, pr.r_v1, pr.r_v2, c, c, diag,
+                              (pr.p_vc, pr.p_vl, off, dia))
 
 
 def delta_m_partial_critical_limit(ig):
@@ -658,13 +654,12 @@ def delta_m_partial_complex_u(ig, u_complex):
 def q_matrix(ig, p, u):
     """The boundary coupling block Q(u): rows V^r, columns V*."""
     t = _at(ig, p, u, "prime")
-    tab = t.tab
-    rows = tab.primal.r_keys
+    tab, pr = t.tab, t.tab.primal
     # complex arithmetic in Python: numpy's complex division rounds differently
-    ent = {(vkey(bp.vc), fkey(bp.fc)): -1j * nd_bl / cd_al * (cd_br - cd_al)
-           for bp, nd_bl, cd_al, cd_br in zip(tab.pairs, t.nd[tab.p_bl].tolist(),
-                                              t.cd[tab.p_al].tolist(), t.cd[tab.p_br].tolist())}
-    return TypedSparseMatrix.of(rows, tab.dual.fkeys, ent, "q_matrix")
+    vals = [-1j * nd_bl / cd_al * (cd_br - cd_al)
+            for nd_bl, cd_al, cd_br in zip(t.nd[tab.p_bl].tolist(), t.cd[tab.p_al].tolist(),
+                                           t.cd[tab.p_br].tolist())]
+    return TypedSparseMatrix(pr.r_keys, tab.dual.fkeys, pr.p_vc, pr.p_fc, vals, "q_matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +713,8 @@ def kd_gauge_and_directed_laplacian(dg, p, u):
     # read at each end; an edge toward the outer face adds to its diagonal only
     side_face, side_rec, (f1, f2, i1, i2) = lay.sides
     fk = tab.dual.fkeys
-    diag = np.bincount(side_face, gamma[side_rec], len(fk)).tolist()
-    edges = zip(map(fk.__getitem__, f1.tolist()), map(fk.__getitem__, f2.tolist()),
-                gamma[i1].tolist(), gamma[i2].tolist())
-    return kg, _massive_laplacian("delta_star_outer", fk, edges, diag)
+    diag = np.bincount(side_face, gamma[side_rec], len(fk))
+    return kg, _massive_laplacian("delta_star_outer", fk, f1, f2, gamma[i1], gamma[i2], diag)
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +826,6 @@ def _kappa_matrix(fg):
     return TypedSparseMatrix(fg.a_vertices, fg.a_vertices, i, j, vals, "fisher_kappa")
 
 
-def _kappa(fg):
-    """The {(a, a'): value} view of :func:`_kappa_matrix`."""
-    return _kappa_matrix(fg).entries
-
-
 class FisherAux(NamedTuple):
     """The block matrices of :func:`fisher_aux`, also read by position;
     ``blocks`` holds the dense K^F blocks "K_BB", "K_BA", "K_AB" and "K_AA"."""
@@ -848,7 +836,6 @@ class FisherAux(NamedTuple):
     kappa: object
     i_wa: object
     d_bqa: object
-    d_ab: object
     blocks: dict
 
 
@@ -861,8 +848,8 @@ def fisher_i_wa(fg, qg):
 
 
 def fisher_aux(fg, qg, kf):
-    """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A}, D_{A,B} and the
-    four blocks of K^F (Dubedat 2011), as a :class:`FisherAux`.
+    """The block matrices X, M, M', kappa, I_{W,A}, D_{BQ,A} and the four
+    blocks of K^F (Dubedat 2011), as a :class:`FisherAux`.
 
     ``inference.kf_inverse_formula`` reads X, M, kappa, I_{W,A} and D_{BQ,A};
     ``check_dubedat`` reads X, M, M', I_{W,A} and the K^F blocks.
@@ -908,12 +895,9 @@ def fisher_aux(fg, qg, kf):
     eps_ba = np.where(tri.prev[b] == a, tri.eps_prev[b], tri.eps_next[b])
     d_bqa = TypedSparseMatrix(bq_list, a_list, np.arange(len(bq_list)), a - nb,
                               eps_ba.astype(float), "fisher_D_BQA")
-    # cw cycle is (a_next, b, a_prev): b comes just before a_prev
-    d_ab = TypedSparseMatrix(a_list, b_list, tri.prev - nb, np.arange(nb),
-                             0.5 * tri.eps_prev, "fisher_D_AB")
 
     blocks = {"K_BB": k_bb, "K_BA": k_ba, "K_AB": k_ab, "K_AA": k_aa}
-    return FisherAux(x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, d_ab, blocks)
+    return FisherAux(x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from isodimer import isoradial as iso
 from isodimer.derived import fkey, vkey, wkey
 from isodimer.elliptic import complete_integrals
 from isodimer.errors import OracleBudgetError
+from isodimer.operators import TypedSparseMatrix
 
 _GRAPH_CACHE = {}
 
@@ -16,6 +17,18 @@ def get_graph(spec):
     if spec not in _GRAPH_CACHE:
         _GRAPH_CACHE[spec] = iso.make_isoradial(iso.builder_graph(spec))
     return _GRAPH_CACHE[spec]
+
+
+def positions(keys):
+    """The {key: position} map of a key tuple, such as a matrix's rows."""
+    return {k: n for n, k in enumerate(keys)}
+
+
+def matrix_of(rows, cols, entries, name=""):
+    """The TypedSparseMatrix of a {(row, col): value} dict, in the dict's order."""
+    row_at, col_at = positions(rows), positions(cols)
+    return TypedSparseMatrix(rows, cols, [row_at[r] for r, _c in entries],
+                             [col_at[c] for _r, c in entries], list(entries.values()), name)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import positions
 
 from isodimer import derived as der
 from isodimer import inference as inf
@@ -64,7 +65,17 @@ def _square_graph(**changes):
                   + _square_graph()["vertices"]),
     _square_graph(vertices=[dict(v, id=v["id"] + 0.7) if v["id"] == 1 else v
                             for v in _square_graph()["vertices"]]),
-], ids=["nan-radius", "duplicate-id", "non-integral-id"])
+    # JSON booleans and strings are no numbers, though Python reads True as 1
+    _square_graph(vertices=[dict(v, id=True) if v["id"] == 1 else v
+                            for v in _square_graph()["vertices"]],
+                  edges=[[0, True], [True, 2], [2, 3], [3, 0]]),
+    _square_graph(vertices=[dict(v, x="0.0") if v["id"] == 0 else v
+                            for v in _square_graph()["vertices"]]),
+    _square_graph(vertices=[dict(v, x=False) if v["id"] == 0 else v
+                            for v in _square_graph()["vertices"]]),
+    _square_graph(radius="2.0"),
+], ids=["nan-radius", "duplicate-id", "non-integral-id", "boolean-id", "string-x",
+        "boolean-x", "string-radius"])
 def test_validate_rejects_malformed_graph(tmp_path, capsys, data):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data))
@@ -319,6 +330,7 @@ def test_probabilities_csv_repeatable_and_exact(tmp_path):
     u = iso.admissible_u(ig, p, "doubleprime", count=4)[0]
     kd = op.dirac(dg, p, u, "plain")
     inv = inf.invert(kd.dense())
+    row_at, col_at = positions(kd.rows), positions(kd.cols)
     edges = sorted(dg.gd_edges, key=str)
     rows = list(csv.reader(io.StringIO(first.decode())))
     assert rows[0] == ["edge_id", "role", "p_kenyon", "p_closed_form", "gap"]
@@ -326,7 +338,7 @@ def test_probabilities_csv_repeatable_and_exact(tmp_path):
     assert all(len(row) == 5 for row in rows)
     for (w, b), row in zip(edges, rows[1:]):
         assert row[0] == str((w, b))
-        ref = (kd.get(der.wkey(w), b) * inv[kd.col_pos[b], kd.row_pos[der.wkey(w)]]).real
+        ref = (kd.get(der.wkey(w), b) * inv[col_at[b], row_at[der.wkey(w)]]).real
         assert abs(float(row[2]) - ref) <= 1e-12
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import get_graph
+from conftest import get_graph, matrix_of, positions
 
 from isodimer import derived as der
 from isodimer import inference as inf
@@ -51,7 +51,7 @@ def test_sparse_bulk_entries_match_dense_invert():
     p = complete_integrals(0.5)
     g, v = inf.green_center_diagonal(ig, p)
     dm = op.delta_m_bulk(ig, p)
-    i = dm.row_pos[vkey(v)]
+    i = positions(dm.rows)[vkey(v)]
     assert abs(g - inf.invert(dm)[i, i].real) <= 1e-12
     for k in (0.0, 0.3):
         pk = complete_integrals(k)
@@ -59,7 +59,7 @@ def test_sparse_bulk_entries_match_dense_invert():
         p_ken, _p_form, eid = inf.center_edge_probability_gd(ig, pk, u)
         kd = op.dirac(der.build_double(ig), pk, u, "plain")
         w, b = wkey(eid), vkey(ig.rhombi[eid].v2)
-        dense = kd.get(w, b) * inf.invert(kd)[kd.col_pos[b], kd.row_pos[w]]
+        dense = kd.get(w, b) * inf.invert(kd)[positions(kd.cols)[b], positions(kd.rows)[w]]
         assert abs(p_ken - dense.real) <= 1e-12
 
 
@@ -105,15 +105,15 @@ def test_sparse_gate_threshold():
     for c, cond, ok in ((146.2, 0.990e13, True), (146.7, 1.010e13, False)):
         ent = {(x, x): 1.0 for x in keys}
         ent.update({(x, y): -c for x, y in zip(keys, keys[1:])})
-        m = op.TypedSparseMatrix.of(keys, keys, ent)
+        m = matrix_of(keys, keys, ent)
         d = m.dense()
         exact = np.abs(d).sum(axis=0).max() * np.abs(np.linalg.inv(d)).sum(axis=0).max()
         assert abs(exact / cond - 1.0) < 1e-3
         if ok:
-            assert inf.inverse_entry(m, "a", "a") == 1.0
+            assert inf.inverse_entry(m, 0, 0) == 1.0
         else:
             with pytest.raises(SingularityError, match="conditioning gate"):
-                inf.inverse_entry(m, "a", "a")
+                inf.inverse_entry(m, 0, 0)
 
 
 def test_sparse_inverse_entry_singular():
@@ -122,22 +122,23 @@ def test_sparse_inverse_entry_singular():
     with pytest.raises(SingularityError, match="conditioning gate"):
         inf.green_center_diagonal(ig, complete_integrals(0.0))
     keys = ("a", "b")
-    exact = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0, ("a", "b"): 2.0,
-                                                 ("b", "a"): 1.0, ("b", "b"): 2.0})
+    exact = matrix_of(keys, keys, {("a", "a"): 1.0, ("a", "b"): 2.0,
+                                   ("b", "a"): 1.0, ("b", "b"): 2.0})
     with pytest.raises(SingularityError, match="exactly singular"):
-        inf.inverse_entry(exact, "a", "a")
-    tiny = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0, ("b", "b"): 1e-16})
+        inf.inverse_entry(exact, 0, 0)
+    tiny = matrix_of(keys, keys, {("a", "a"): 1.0, ("b", "b"): 1e-16})
     with pytest.raises(SingularityError, match="conditioning gate"):
-        inf.inverse_entry(tiny, "a", "a")
-    wide = op.TypedSparseMatrix.of(("a",), keys, {("a", "a"): 1.0, ("a", "b"): 1.0})
+        inf.inverse_entry(tiny, 0, 0)
+    wide = matrix_of(("a",), keys, {("a", "a"): 1.0, ("a", "b"): 1.0})
     with pytest.raises(SingularityError, match="not square"):
-        inf.inverse_entry(wide, "a", "a")
+        inf.inverse_entry(wide, 0, 0)
 
 
 def dense_kenyon(m, edges):
     """Re K[r, c] K^-1[c, r] per (r, c) from a dense ``invert`` reference."""
     inv = inf.invert(m.dense())
-    return [(m.get(r, c) * inv[m.col_pos[c], m.row_pos[r]]).real for r, c in edges]
+    row_at, col_at = positions(m.rows), positions(m.cols)
+    return [(m.get(r, c) * inv[col_at[c], row_at[r]]).real for r, c in edges]
 
 
 def test_sparse_tables_match_dense_invert():
@@ -309,10 +310,24 @@ def test_point_queries_stay_column_solves(ig_2x2, params_half, monkeypatch):
     assert 0.0 < inf.center_edge_probability_gd(ig, p, u)[0] < 1.0
 
 
+def test_central_edge_at_the_root_reads_zero():
+    # rooted at the v2 of its central edge, the 1x1 square has no Dirac entry
+    # (w_e, v2): the edge's Kenyon probability in the rooted double graph is 0
+    p = complete_integrals(0.5)
+    ig = get_graph("square:1x1")
+    u = iso.admissible_u(ig, p, "base", delta=p.bigK / 16, count=4)[1]
+    eid = inf.center_edge_probability_gd(ig, p, u)[2]
+    rooted = iso.make_isoradial(iso.builder_graph("square:1x1"),
+                                root_hint=ig.rhombi[eid].v2)
+    u = iso.admissible_u(rooted, p, "base", delta=p.bigK / 16, count=4)[1]
+    p_ken, _p_form, e = inf.center_edge_probability_gd(rooted, p, u)
+    assert (p_ken, e) == (0.0, eid)
+
+
 def test_real_form_rejects_a_matrix_that_is_not_gauge_real(ig_2x2, params_half, monkeypatch):
     keys = ("a", "b")
-    twisted = op.TypedSparseMatrix.of(keys, keys, {("a", "a"): 1.0 + 0j, ("a", "b"): 1.0,
-                                                   ("b", "a"): 1.0, ("b", "b"): cmath.exp(0.3j)})
+    twisted = matrix_of(keys, keys, {("a", "a"): 1.0 + 0j, ("a", "b"): 1.0,
+                                     ("b", "a"): 1.0, ("b", "b"): cmath.exp(0.3j)})
     with pytest.raises(NotGaugeEquivalentError, match="not gauge-equivalent to a real"):
         op.real_form(twisted)
     # one Dirac entry turned by 0.3 rad: the table raises before any solve,
@@ -352,7 +367,7 @@ def test_sparse_table_singular(ig_2x2, params_half, monkeypatch):
     exact = {rc: v for rc, v in kd.entries.items() if rc[0] != w0}
     tiny = {rc: v * 1e-16 if rc[0] == w0 else v for rc, v in kd.entries.items()}
     for ent, msg in ((exact, "exactly singular"), (tiny, "conditioning gate")):
-        m = op.TypedSparseMatrix.of(kd.rows, kd.cols, ent, "singular")
+        m = matrix_of(kd.rows, kd.cols, ent, "singular")
         monkeypatch.setattr(op, "dirac", lambda *_args, m=m: m)
         with pytest.raises(SingularityError, match=msg):
             inf.edge_probabilities_gd(dg, params_half, 0.3)
@@ -617,8 +632,8 @@ def _case_loops_kf_inverse(fg, qg, couplings, pairs=None):
     kqt = op.kasteleyn_KQ_real(qg, fg.ig, couplings, der.induce_orientation_GQ(fg, qg))
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv, kq_inv = inf.invert(kf.dense()), inf.invert(kqt.dense())
-    kq_w, kq_b, fpos = kqt.col_pos, kqt.row_pos, kf.row_pos
-    kappa = op._kappa(fg)
+    kq_w, kq_b, fpos = positions(kqt.cols), positions(kqt.rows), positions(kf.rows)
+    kappa = op._kappa_matrix(fg).entries
     black_of_a = {a: blk for blk, a in fqm.a_of_black.items()}
     out = {"case1": [], "case2": [], "case3": [], "case4": []}
 
@@ -661,7 +676,7 @@ def _config_scan_dotsenko(fg, qg, couplings, n_samples=50, seed=7):
     fqm = der.fisher_quadri_map(qg)
     kf = op.kasteleyn_KF(fg, couplings)
     kf_inv = inf.invert(kf.dense())
-    fpos = kf.row_pos
+    fpos = positions(kf.rows)
     rng = np.random.default_rng(seed)
     configs = []
     for b_bar in fg.b_vertices:

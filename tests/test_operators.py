@@ -10,7 +10,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import ScalarOperators, _walked_double_graph, branching_matchings
+from conftest import (
+    ScalarOperators,
+    _walked_double_graph,
+    branching_matchings,
+    matrix_of,
+    positions,
+)
 
 from isodimer import derived as der
 from isodimer import elliptic as el
@@ -53,7 +59,7 @@ def test_delta_m_star_masses_nonnegative(ig_2x2, ig_hex):
                     else:
                         expect -= el.sc(th, p)
                 if interior:
-                    assert abs(row_sums[m.row_pos[fkey(fi)]] - expect) < 1e-10
+                    assert abs(row_sums[positions(m.rows)[fkey(fi)]] - expect) < 1e-10
 
 
 def test_interior_mass_identity(ig_2x2):
@@ -94,7 +100,7 @@ def test_delta_m_partial_structure(ig_2x2, params_half):
     for v in ig.base.coords:
         if v == ig.root or v in boundary:
             continue
-        i = m.row_pos[vkey(v)]
+        i = positions(m.rows)[vkey(v)]
         assert np.allclose(m.dense()[i], m2.dense()[i])
     # root-pair rows keep the removed edge in their diagonal sums
     rp = ig.root_pair()
@@ -273,7 +279,7 @@ def test_kq_weights_and_gauge(ig_2x2):
         kq_inv = invert(kq.dense())
         for (b, w) in list(kq.entries)[:10]:
             qv = 1.0 / (d_b.get(b, b) * d_w.get(w, w))
-            i, j = kq.col_pos[w], kq.row_pos[b]
+            i, j = positions(kq.cols)[w], positions(kq.rows)[b]
             assert abs(kqt_inv[i, j] - qv * kq_inv[i, j]) < 1e-11
 
 
@@ -287,12 +293,12 @@ def test_gauge_negative_control(ig_2x2, params_half):
     ent = dict(kq.entries)
     key = next(iter(ent))
     ent[key] *= 1.5
-    bad = op.TypedSparseMatrix.of(kq.rows, kq.cols, ent, "bad")
+    bad = matrix_of(kq.rows, kq.cols, ent, "bad")
     with pytest.raises(NotGaugeEquivalentError):
         op.gauge_q(kqt, bad, bipartite=True)
     # a NaN entry is no gauge either
     ent[key] = complex("nan")
-    nan = op.TypedSparseMatrix.of(kq.rows, kq.cols, ent, "nan")
+    nan = matrix_of(kq.rows, kq.cols, ent, "nan")
     with pytest.raises(NotGaugeEquivalentError):
         op.gauge_q(kqt, nan, bipartite=True)
     # identity gauge
@@ -477,7 +483,7 @@ def test_storage_contract(monkeypatch):
                     op.delta_m_natural(ig, p, u), op.delta_m_partial(ig, p, u),
                     op.delta_m_star(ig, p), op.delta_m_bulk(ig, p), op.q_matrix(ig, p, u),
                     kq, op.kq_bar_partial(qg, ig, p), kqt, kf,
-                    *op.fisher_aux(fg, qg, kf)[:7], *op.s_t_matrices(qg, dg, p, u),
+                    *op.fisher_aux(fg, qg, kf)[:6], *op.s_t_matrices(qg, dg, p, u),
                     *op.kd_gauge_and_directed_laplacian(dg, p, u),
                     *op.gauge_q(kqt, kq, bipartite=True), inf.unit_dirac(dg)]
             if k == 0.0:
@@ -486,18 +492,19 @@ def test_storage_contract(monkeypatch):
             for m in mats:
                 what = (spec, k, m.name)
                 fill = np.zeros((len(m.rows), len(m.cols)), dtype=complex)
+                row_at, col_at = positions(m.rows), positions(m.cols)
                 for (r, c), v in m.entries.items():
-                    fill[m.row_pos[r], m.col_pos[c]] = v
+                    fill[row_at[r], col_at[c]] = v
                 assert len(m.entries) == len(m.vals), what
                 assert np.array_equal(m.dense(), fill), what
-                again = op.TypedSparseMatrix.of(m.rows, m.cols, m.entries, m.name)
+                again = matrix_of(m.rows, m.cols, m.entries, m.name)
                 assert (again.rows, again.cols) == (m.rows, m.cols), what
                 assert again.vals.dtype == m.vals.dtype, what
                 for a, b in ((again.i, m.i), (again.j, m.j), (again.vals, m.vals)):
                     assert np.array_equal(a, b), what
                 factored.clear()
                 try:
-                    inf.inverse_entry(m, m.cols[0], m.rows[0])
+                    inf.inverse_entry(m, 0, 0)
                 except SingularityError:
                     pass
                 assert np.array_equal(factored[0].toarray(), m.dense()), what
@@ -550,9 +557,8 @@ def test_fisher_aux_fields(ig_2x2, params_half):
     fg, qg = der.build_fisher(ig_2x2), der.build_quadri(ig_2x2)
     kf = op.kasteleyn_KF(fg, op.z_invariant_couplings(ig_2x2, params_half))
     aux = op.fisher_aux(fg, qg, kf)
-    assert aux._fields == ("x", "m", "m_prime", "kappa", "i_wa", "d_bqa", "d_ab", "blocks")
-    assert tuple(aux[:7]) == (aux.x, aux.m, aux.m_prime, aux.kappa, aux.i_wa, aux.d_bqa,
-                              aux.d_ab)
+    assert aux._fields == ("x", "m", "m_prime", "kappa", "i_wa", "d_bqa", "blocks")
+    assert tuple(aux[:6]) == (aux.x, aux.m, aux.m_prime, aux.kappa, aux.i_wa, aux.d_bqa)
     assert set(aux.blocks) == {"K_BB", "K_BA", "K_AB", "K_AA"}
 
 
@@ -581,8 +587,7 @@ def test_fisher_aux_invariants(ig_2x2, params_half):
     qg = der.build_quadri(ig_2x2)
     couplings = op.z_invariant_couplings(ig_2x2, params_half)
     kf = op.kasteleyn_KF(fg, couplings)
-    x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, d_ab, blocks = op.fisher_aux(
-        fg, qg, kf)
+    x_mat, m_mat, m_prime, kappa, i_wa, d_bqa, blocks = op.fisher_aux(fg, qg, kf)
     n_f = len(ig_2x2.face_centers)
     assert abs(abs(np.linalg.det(blocks["K_AB"])) - 2.0 ** n_f) < 1e-9
     # X blocks have det 1 + e^{-4J}
@@ -605,7 +610,12 @@ def test_fisher_aux_invariants(ig_2x2, params_half):
     a0 = next(a for a in fg.a_vertices if a[1] == f0)
     a1 = next(a for a in fg.a_vertices if a[1] == f1)
     assert kappa.get(a0, a1) == 0.0
-    # kappa t Kasteleyn relation: kappa K^F_{A,B} = -D_{A,B}
+    # kappa t Kasteleyn relation: kappa K^F_{A,B} = -D_{A,B}, where D_{A,B}
+    # holds eps(b, a_prev) / 2 at (a_prev, b): the cw cycle (a_next, b, a_prev)
+    # has b just before a_prev
+    d_ab = matrix_of(tuple(fg.a_vertices), tuple(fg.b_vertices),
+                     {(fg.triangles[b][0], b): 0.5 * fg.eps(b, fg.triangles[b][0])
+                      for b in fg.b_vertices})
     prod = kappa.dense() @ blocks["K_AB"]
     assert np.abs(prod + d_ab.dense()).max() < 1e-13
 
@@ -686,7 +696,7 @@ def test_kd_gauge_and_directed_laplacian(ig_2x2, params_half):
             r = ig.rhombi[eid]
             if r.f1 == fi and r.f2 is None:
                 expected += ref.gamma_star(dg, u, eid, fi)
-        i = dstar.row_pos[fkey(fi)]
+        i = positions(dstar.rows)[fkey(fi)]
         assert abs(a[i].sum() - expected) < 1e-12
 
 
@@ -701,7 +711,7 @@ def test_delta_m_partial_critical_limit(ig_2x2):
     for bp in ig.boundary_pairs:
         if bp.is_root:
             continue
-        i = closed.row_pos[vkey(bp.vc)]
+        i = positions(closed.rows)[vkey(bp.vc)]
         assert abs(a[i].sum()) < 1e-12
 
 
@@ -937,8 +947,7 @@ def _unit_dirac_walk(dg):
     whites, blacks, records = _walked_double_graph(dg.ig, dg.rooted)
     ent = {(wkey(w), black): cmath.exp(0.5j * (rec["alpha"] + rec["beta"]))
            for (w, black), rec in records.items()}
-    return op.TypedSparseMatrix.of(tuple(wkey(w) for w in whites), tuple(blacks), ent,
-                                   "unit_dirac")
+    return matrix_of(tuple(wkey(w) for w in whites), tuple(blacks), ent, "unit_dirac")
 
 
 def _tan_laplacian_walk(ig, name, pair):
@@ -960,7 +969,7 @@ def _tan_laplacian_walk(ig, name, pair):
         if not bp.is_root:
             ent[vkey(bp.vc), vkey(bp.vl)], ent[vkey(bp.vc), vkey(bp.vc)] = pair(bp)
     rows = tuple(map(vkey, verts))
-    return op.TypedSparseMatrix.of(rows, rows, ent, name)
+    return matrix_of(rows, rows, ent, name)
 
 
 def _directed_laplacian_walk(dg, p, u):
@@ -982,7 +991,7 @@ def _directed_laplacian_walk(dg, p, u):
         lap[fk[f2], fk[f1]] = lap.get((fk[f2], fk[f1]), 0.0) - g[i2]
     for r, d in zip(fk, diag):
         lap[r, r] = d
-    return op.TypedSparseMatrix.of(fk, fk, lap, "delta_star_outer")
+    return matrix_of(fk, fk, lap, "delta_star_outer")
 
 
 def _kq_real_walk(qg, couplings, orientation):
@@ -995,8 +1004,7 @@ def _kq_real_walk(qg, couplings, orientation):
             j = couplings[blk[1]]
             w = math.tanh(2.0 * j) if kind == "sn" else 1.0 / math.cosh(2.0 * j)
         ent[(blk, wht)] = orientation[(blk, wht)] * w
-    return op.TypedSparseMatrix.of(tuple(qg.blacks), tuple(qg.whites), ent,
-                                   "kasteleyn_KQ_real")
+    return matrix_of(tuple(qg.blacks), tuple(qg.whites), ent, "kasteleyn_KQ_real")
 
 
 def _assert_same_bits(got, want, what):
@@ -1044,6 +1052,89 @@ def test_gathered_builders_match_graph_walks(monkeypatch):
                               _kq_real_walk(qg, couplings, eps_q), what)
 
 
+def _laplacian_dict(name, rows, edges, diag, pairs=()):
+    """Reference: the {(row, col): value} assembly of a massive Laplacian.
+    Each (x, y, c_xy, c_yx) of ``edges`` adds -c_xy at (x, y) and -c_yx at
+    (y, x), ``diag`` sets the diagonal and each (v_c, v_l, off, dia) of
+    ``pairs`` the (v_c, v_l) and (v_c, v_c) entries."""
+    ent = {}
+    for x, y, c_xy, c_yx in edges:
+        ent[x, y] = ent.get((x, y), 0.0) - c_xy
+        ent[y, x] = ent.get((y, x), 0.0) - c_yx
+    for r, d in zip(rows, diag):
+        ent[r, r] = d
+    for vc, vl, off, dia in pairs:
+        ent[vc, vl], ent[vc, vc] = off, dia
+    return matrix_of(rows, rows, ent, name)
+
+
+def _laplacians_by_key(ig, p, u):
+    """Reference: Delta^m_*, Delta^m natural, Delta^{m,partial},
+    Delta^m bulk and Q(u) assembled from key dicts, with the weights of the
+    edge table's stages."""
+    tab = op.edge_table(ig)
+    m, t, pr, du = tab.at(p), tab.at(p, u), tab.primal, tab.dual
+    rows = tuple(vkey(v) for v in tab.verts.tolist())
+    fk = tuple(fkey(f) for f in range(len(ig.face_centers)))
+    k1, k2 = [rows[v] for v in tab.v1.tolist()], [rows[v] for v in tab.v2.tolist()]
+    root = vkey(ig.root)
+    r_keys = tuple(r for r in rows if r != root)
+    r_edges = [e for e, ends in enumerate(zip(k1, k2)) if root not in ends]
+    r_k1, r_k2 = [k1[e] for e in r_edges], [k2[e] for e in r_edges]
+    out = {}
+
+    c = m.sc_s[du.dual_e].tolist()
+    out["delta_m_star"] = _laplacian_dict(
+        "delta_m_star", fk, zip([fk[fa] for (fa, _fb), _e in ig.dual_edges],
+                                [fk[fb] for (_fa, fb), _e in ig.dual_edges], c, c),
+        np.bincount(du.face_row, m.a_values[2], du.n_faces).tolist())
+
+    c = m.sc_t.tolist()
+    out["delta_m_bulk"] = _laplacian_dict(
+        "delta_m_bulk", rows, zip(k1, k2, c, c),
+        np.bincount(pr.inc_row, m.a_values[1], len(rows)).tolist())
+
+    b, n = pr.inc_bnd, len(rows)
+    term = m.sc_t[pr.inc_e[b]] * t.nd[pr.inc_a[b]] * t.nd[pr.inc_b[b]]
+    diag = np.where(pr.vbound, p.kprime * np.bincount(pr.inc_row[b], term, n),
+                    np.bincount(pr.inc_row[~b], m.a_values[0], n))[pr.r_rows].tolist()
+    c = m.sc_t[r_edges].tolist()
+    out["delta_m_natural"] = _laplacian_dict("delta_m_natural", r_keys,
+                                             zip(r_k1, r_k2, c, c), diag)
+    sc = m.sc_b[tab.nr]
+    cn_al, cn_br = t.cn[tab.p_al], t.cn[tab.p_br]
+    off = -sc * t.cd[tab.p_br] / t.cd[tab.p_al]
+    dia = p.kprime * sc * t.nd[tab.p_bl] * t.nd[tab.p_br] * (cn_br + cn_al) / cn_al
+    pairs = [(vkey(bp.vc), vkey(bp.vl), o, d)
+             for bp, o, d in zip(tab.pairs, off.tolist(), dia.tolist())]
+    out["delta_m_partial"] = _laplacian_dict("delta_m_partial", r_keys,
+                                             zip(r_k1, r_k2, c, c), diag, pairs)
+
+    ent = {(vkey(bp.vc), fkey(bp.fc)): -1j * nd_bl / cd_al * (cd_br - cd_al)
+           for bp, nd_bl, cd_al, cd_br in zip(tab.pairs, t.nd[tab.p_bl].tolist(),
+                                              t.cd[tab.p_al].tolist(), t.cd[tab.p_br].tolist())}
+    out["q_matrix"] = matrix_of(r_keys, fk, ent, "q_matrix")
+    return out
+
+
+def test_laplacians_and_q_match_the_key_dict_assembly():
+    from conftest import get_graph
+
+    for spec in ("square:1x1", "square:2x2", "square:3x3", "square:4x3", "hex",
+                 "tripair", "irregular"):
+        ig = get_graph(spec)
+        for k in (0.0, 0.3, 0.6, 0.9):
+            p = complete_integrals(k)
+            for u in iso.admissible_u(ig, p, "doubleprime", delta=p.bigK / 16, count=3):
+                got = {"delta_m_star": op.delta_m_star(ig, p),
+                       "delta_m_bulk": op.delta_m_bulk(ig, p),
+                       "delta_m_natural": op.delta_m_natural(ig, p, u),
+                       "delta_m_partial": op.delta_m_partial(ig, p, u),
+                       "q_matrix": op.q_matrix(ig, p, u)}
+                for name, want in _laplacians_by_key(ig, p, u).items():
+                    _assert_same_bits(got[name], want, (spec, k, u, name))
+
+
 # ---------------------------------------------------------------------------
 # the quadri graph by position against the pair-rule walks it replaced
 # ---------------------------------------------------------------------------
@@ -1060,7 +1151,7 @@ def _kq_layout_walk(tab, qg):
     for n, (blk, wht, kind, phase_bar) in enumerate(qg.edges):
         i.append(bpos[blk])
         j.append(wpos[wht])
-        e.append(tab.epos[blk[1]])
+        e.append(blk[1])
         kinds.append(kind)
         phase.append(2.0 * phase_bar)
         role = qg.pair_role.get(blk[1])
@@ -1083,7 +1174,7 @@ def _st_layout_walk(lay, qg):
         a, b = qg.black_lifts(blk)
         role = qg.pair_role.get(blk[1])
         c = a if role is not None and role[0] == "l" else b
-        s.append((a, b, c, tab.epos[blk[1]]))
+        s.append((a, b, c, blk[1]))
     for n, wht in enumerate(qg.whites):
         eid, corner = wht[1], wht[2]
         r, role = ig.rhombi[eid], qg.pair_role.get(eid)
@@ -1172,16 +1263,16 @@ def _kf_dict(fg, couplings):
         ent[(x, y)] = fg.eps(x, y) * w
         ent[(y, x)] = fg.eps(y, x) * w
     verts = tuple(fg.vertices())
-    return op.TypedSparseMatrix.of(verts, verts, ent, "kasteleyn_KF")
+    return matrix_of(verts, verts, ent, "kasteleyn_KF")
 
 
 def _fisher_aux_dicts(fg, qg, kf):
-    """Reference: X, M, kappa, I_{W,A}, D_{BQ,A} and D_{A,B} from the key
-    dicts of ``fg`` and the Fisher correspondence of ``qg``, K^F read by key."""
+    """Reference: X, M, kappa, I_{W,A} and D_{BQ,A} from the key dicts of
+    ``fg`` and the Fisher correspondence of ``qg``, K^F read by key."""
     fqm = der.fisher_quadri_map(qg)
     b_list, a_list, bq_list = tuple(fg.b_vertices), tuple(fg.a_vertices), tuple(qg.blacks)
-    kf_d, pos = kf.dense(), kf.row_pos
-    x, m, kappa, d_bqa, d_ab = {}, {}, {}, {}, {}
+    kf_d, pos = kf.dense(), positions(kf.rows)
+    x, m, kappa, d_bqa = {}, {}, {}, {}
     for bx, by, _eid in fg.external_edges:
         hat_x, hat_y = fqm.black_of_b[bx], fqm.black_of_b[by]
         x[(bx, hat_x)] = 1.0
@@ -1194,7 +1285,6 @@ def _fisher_aux_dicts(fg, qg, kf):
         a_prev, a_next = fg.triangles[b]
         m[(b, a_next)] = -fg.eps(b, a_next)
         m[(b, a_prev)] = fg.eps(b, a_prev)
-        d_ab[(a_prev, b)] = 0.5 * fg.eps(b, a_prev)
     for cycle in fg.a_cycle.values():
         d = len(cycle)
         for i, a in enumerate(cycle):
@@ -1209,12 +1299,11 @@ def _fisher_aux_dicts(fg, qg, kf):
         a = fqm.a_of_black[blk]
         d_bqa[(blk, a)] = float(fg.eps(fqm.b_of_black[blk], a))
     i_wa = {(w, fqm.a_of_white[w]): 1.0 for w in qg.whites}
-    of = op.TypedSparseMatrix.of
+    of = matrix_of
     return {"x": of(b_list, bq_list, x, "fisher_X"), "m": of(b_list, a_list, m, "fisher_M"),
             "kappa": of(a_list, a_list, kappa, "fisher_kappa"),
             "i_wa": of(tuple(qg.whites), a_list, i_wa, "fisher_I_WA"),
-            "d_bqa": of(bq_list, a_list, d_bqa, "fisher_D_BQA"),
-            "d_ab": of(a_list, b_list, d_ab, "fisher_D_AB")}
+            "d_bqa": of(bq_list, a_list, d_bqa, "fisher_D_BQA")}
 
 
 def test_fisher_arrays_match_the_key_dict_builders():

@@ -123,21 +123,20 @@ def _owned_nodes(tree):
 
 
 def test_fisher_builders_gather_by_position():
-    # K_F, I_{W,A} and the fisher_aux blocks gather from the Fisher arrays:
-    # the {(row, col): value} route serves the Laplacian and Q alone, and only
-    # the key API of inverse_entry reads the key positions
+    # every builder hands TypedSparseMatrix coordinate arrays: no module names
+    # the {(row, col): value} route ``of``, the key positions ``row_pos`` and
+    # ``col_pos`` or the edge positions ``epos`` (edge ids are positions), and
+    # only ``get`` reads the {(row, col): value} view
     found = []
     for name, tree in _package_trees():
         for owner, node in _owned_nodes(tree):
-            value = getattr(node, "value", None)
-            if (isinstance(node, ast.Attribute) and node.attr == "of"
-                    and "TypedSparseMatrix" in (getattr(value, "id", None),
-                                                getattr(value, "attr", None))
-                    and owner not in ("_massive_laplacian", "q_matrix")):
-                found.append(f"{name}:{node.lineno}: {owner} calls .of")
-            if (isinstance(node, ast.Attribute) and node.attr in ("row_pos", "col_pos")
-                    and (name, owner) != ("inference.py", "inverse_entry")):
-                found.append(f"{name}:{node.lineno}: {owner} reads a key position")
+            named = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            found += [f"{name}:{node.lineno}: {owner} names {hit}"
+                      for hit in sorted(named & {"of", "row_pos", "col_pos", "epos"})]
+            if (isinstance(node, ast.Attribute) and node.attr == "entries"
+                    and (name, owner) != ("operators.py", "TypedSparseMatrix.get")):
+                found.append(f"{name}:{node.lineno}: {owner} reads entries")
     assert not found, found
 
 
@@ -269,7 +268,8 @@ def test_checked_paths_never_build_the_entry_dict(monkeypatch, tmp_path):
             out.append(inf.kf_inverse_formula(fg, qg, couplings))
             out.append(inf.dotsenko_residuals(fg, qg, couplings))
             out.append([x.tolist() for x in inf.kd_inverse_formula(dg, p, u)[:2]])
-        for cmd in (["verify"], ["probabilities"], ["partition", "--oracle"], ["oracle"]):
+        for cmd in (["verify"], ["probabilities"], ["partition", "--oracle"], ["oracle"],
+                    ["matrices"]):
             path = tmp_path / f"{cmd[0]}.out"       # the path is in the artifact
             assert cli.main(cmd + ["--builder", "square:2x2", "--k", "0.6",
                                    "--out", str(path)]) == cli.EXIT_OK
